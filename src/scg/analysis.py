@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import player_utility, welfare_total
-from .rationals import INF
+from .model import instance_stats, player_utility, welfare, welfare_total
+from .rationals import INF, PHI_APPROX
 
 ONE = Fraction(1)
 
@@ -30,9 +30,19 @@ def _check_size(game):
 
 
 def _factor(u_old, u_new):
+    """Improvement factor u_new / u_old; 0 -> positive is +inf, 0 -> 0 is 1."""
     if u_old == 0:
         return INF if u_new > 0 else ONE
     return u_new / u_old
+
+
+def _best_reply(us, k):
+    """Best strategy and its utility in the utility vector `us` for a player
+    now at k.  Ties stay at k, then go to the lowest strategy index."""
+    best = max(us)
+    if best > us[k - 1]:
+        return us.index(best) + 1, best
+    return k, us[k - 1]
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,27 @@ class EquilibriumCensus:
     exists: bool
 
 
+def _deviation_report(game, profile, bonus=None):
+    """Deviation report of any game with `utilities`; trusts the profile.
+
+    ``bonus[i]``, when given, is added to player i's utility for staying
+    put and to no deviation.
+    """
+    per = []
+    max_factor, witness = ONE, None
+    for i, k in enumerate(profile):
+        us = game.utilities(profile, i)
+        if bonus is not None:
+            us[k - 1] += bonus[i]
+        best_k, best_u = _best_reply(us, k)
+        f = _factor(us[k - 1], best_u)
+        per.append((best_k, f))
+        if f > max_factor:
+            max_factor, witness = f, i
+    return DeviationReport(per_player=tuple(per), max_factor=max_factor,
+                           witness=witness)
+
+
 def deviation_report(game, profile):
     """Best-response improvement factor for every player, exactly.
 
@@ -79,24 +110,7 @@ def deviation_report(game, profile):
     profile is an alpha-approximate equilibrium iff max_factor <= alpha.
     """
     game.validate_profile(profile)
-    per = []
-    max_factor = ONE
-    witness = None
-    for i in range(game.n):
-        u_cur, _, _ = player_utility(game, profile, i)
-        best_k, best_u = profile[i], u_cur
-        for k in range(1, game.m + 1):
-            if k == profile[i]:
-                continue
-            u, _, _ = player_utility(game, profile, i, strategy=k)
-            if u > best_u:
-                best_k, best_u = k, u
-        f = _factor(u_cur, best_u)
-        per.append((best_k, f))
-        if f > max_factor:
-            max_factor, witness = f, i
-    return DeviationReport(per_player=tuple(per), max_factor=max_factor,
-                           witness=witness)
+    return _deviation_report(game, profile)
 
 
 def brute_force_optimum(game):
@@ -125,7 +139,7 @@ def verify_approx_strong(game, profile, alpha):
         coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
         if not coalition:
             continue
-        if all(_factor(base[i], player_utility(game, alt, i)[0]) > alpha
+        if all(_factor(base[i], game.utilities(alt, i)[alt[i] - 1]) > alpha
                for i in coalition):
             return StrongDeviationReport(verdict="violated", alpha=alpha,
                                          witness_profile=alt,
@@ -170,7 +184,7 @@ def welfare_lower_bound(alpha, gamma, m):
     gamma may be +inf; m may be +inf, treated as the 1/m -> 0 limit.
     """
     alpha = Fraction(alpha)
-    if not (Fraction(1618, 1000) <= alpha <= 2):
+    if not (PHI_APPROX <= alpha <= 2):
         raise ValueError("alpha must lie in [1618/1000, 2]")
     inf_m = m == INF
     if not inf_m and (not isinstance(m, int) or m < 1):
@@ -217,16 +231,9 @@ def payment_stabilize(game, profile, opt_welfare):
     if opt_welfare <= 0:
         raise ValueError("optimum welfare must be positive")
     payments = []
-    for i in range(game.n):
-        u_cur, _, _ = player_utility(game, profile, i)
-        best_alt = u_cur
-        for k in range(1, game.m + 1):
-            if k == profile[i]:
-                continue
-            u, _, _ = player_utility(game, profile, i, strategy=k)
-            if u > best_alt:
-                best_alt = u
-        payments.append(best_alt - u_cur if best_alt > u_cur else Fraction(0))
+    for i, k in enumerate(profile):
+        us = game.utilities(profile, i)
+        payments.append(max(us) - us[k - 1])
     total = sum(payments, Fraction(0))
     return PaymentPlan(payments=tuple(payments), total=total,
                        nu=total / opt_welfare)
@@ -239,23 +246,7 @@ def post_payment_deviation_report(game, profile, plan):
     strategy, so they raise the baseline and not the deviation utilities.
     """
     game.validate_profile(profile)
-    per = []
-    max_factor, witness = ONE, None
-    for i in range(game.n):
-        u_cur = player_utility(game, profile, i)[0] + plan.payments[i]
-        best_k, best_u = profile[i], u_cur
-        for k in range(1, game.m + 1):
-            if k == profile[i]:
-                continue
-            u, _, _ = player_utility(game, profile, i, strategy=k)
-            if u > best_u:
-                best_k, best_u = k, u
-        f = _factor(u_cur, best_u)
-        per.append((best_k, f))
-        if f > max_factor:
-            max_factor, witness = f, i
-    return DeviationReport(per_player=tuple(per), max_factor=max_factor,
-                           witness=witness)
+    return _deviation_report(game, profile, bonus=plan.payments)
 
 
 def semi_smoothness_check(game, profile):
@@ -263,17 +254,13 @@ def semi_smoothness_check(game, profile):
     sum_i (1/m) sum_k u_i(k, s_-i) >= u(OPT) / m, exactly."""
     game.validate_profile(profile)
     _, opt_w = brute_force_optimum(game)
-    lhs = Fraction(0)
-    for i in range(game.n):
-        for k in range(1, game.m + 1):
-            lhs += player_utility(game, profile, i, strategy=k)[0]
+    lhs = sum((sum(game.utilities(profile, i), Fraction(0))
+               for i in range(game.n)), Fraction(0))
     return Fraction(lhs, game.m) >= Fraction(opt_w, game.m) if game.m else True
 
 
 def mip_check(game, profile):
     """Minimum-intrinsic-preference condition: A(s) >= A_T / m."""
-    game.validate_profile(profile)
-    from .model import instance_stats, welfare
     a_s = welfare(game, profile).intrinsic_total
     a_t = instance_stats(game).a_total
     return a_s * game.m >= a_t

@@ -1,9 +1,19 @@
 """Best-response machinery and the constructive equilibrium algorithms.
 
-Scheduling is deterministic everywhere: players are scanned in ascending
-index with the pass restarting after every move, and best-response ties
-break toward staying put, then toward the lowest strategy index.  The same
-game and rule therefore always produce the same trace.
+Scheduling is deterministic everywhere, and best-response ties break toward
+staying put, then toward the lowest strategy index, so the same game and
+rule always produce the same trace.  There are two schedules:
+
+* the gated loop (`_gated_dynamics`) scans players in ascending index and
+  restarts the pass after every move; the first player whose best response
+  clears the `MoveRule` gate moves.  `run_dynamics`, `one_shot_alpha_br`,
+  `scg.generalized.one_shot_generalized` and
+  `scg.generalized.hypergraph_br_dynamics` all run it, on any game with the
+  `utilities(profile, i)` protocol of `scg.model`;
+* the continuing sweep of `_two_strategy_phase` (inside `algorithm1_two`
+  and `sqrt2_three`) moves players from one fixed strategy to another and
+  goes on with the next index after a move; passes repeat until one makes
+  no move.
 """
 
 from __future__ import annotations
@@ -12,9 +22,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import player_utility, welfare_total
-from .model import instance_stats
-from .rationals import INF, at_least_sqrt2_times, format_rational
+from .analysis import _best_reply, _factor
+from .model import instance_stats, player_utility, welfare_total
+from .rationals import PHI_APPROX, at_least_sqrt2_times, format_rational
 
 ONE = Fraction(1)
 
@@ -83,18 +93,45 @@ def best_response(game, profile, i):
     0 -> positive is +inf, 0 -> 0 is 1.
     """
     current, _, _ = player_utility(game, profile, i)
-    best_k, best_u = profile[i], current
-    for k in range(1, game.m + 1):
-        if k == profile[i]:
-            continue
-        u, _, _ = player_utility(game, profile, i, strategy=k)
-        if u > best_u:
-            best_k, best_u = k, u
-    if current == 0:
-        factor = INF if best_u > 0 else ONE
-    else:
-        factor = best_u / current
-    return best_k, best_u, factor
+    best_k, best_u = _best_reply(game.utilities(profile, i), profile[i])
+    return best_k, best_u, _factor(current, best_u)
+
+
+def _gated_dynamics(game, start, rule, movable=None, step_cap=None):
+    """The restart-after-every-move gated best-response loop.
+
+    Each pass scans players in ascending index and moves the first one
+    (among those `movable(profile, i)` admits, when given) whose best
+    response clears `rule`; the pass then restarts from player 0.  Stops at
+    convergence, after `step_cap` moves (default m^n * n), or on reaching a
+    profile seen before.  Works on any game with `utilities`; trusts
+    `start`.
+    """
+    if step_cap is None:
+        step_cap = (game.m ** game.n) * max(game.n, 1)
+    if step_cap < 1:
+        raise ValueError("step_cap must be >= 1")
+    profile = tuple(start)
+    seen = {profile}
+    moves = []
+    while True:
+        for i in range(game.n):
+            if movable is not None and not movable(profile, i):
+                continue
+            us = game.utilities(profile, i)
+            k, u_new = _best_reply(us, profile[i])
+            u_old = us[profile[i] - 1]
+            if k != profile[i] and rule.allows(u_old, u_new):
+                break
+        else:
+            return DynamicsTrace(tuple(moves), profile, "converged")
+        moves.append(Move(i, profile[i], k, u_old, u_new))
+        profile = profile[:i] + (k,) + profile[i + 1:]
+        if len(moves) >= step_cap:
+            return DynamicsTrace(tuple(moves), profile, "step-cap")
+        if profile in seen:
+            return DynamicsTrace(tuple(moves), profile, "cycle-detected")
+        seen.add(profile)
 
 
 def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
@@ -105,43 +142,26 @@ def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
     step cap (default m^n * n).
     """
     game.validate_profile(start)
-    if step_cap is None:
-        step_cap = (game.m ** game.n) * max(game.n, 1)
-    if step_cap < 1:
-        raise ValueError("step_cap must be >= 1")
-    profile = tuple(start)
-    seen = {profile}
-    moves = []
-    reason = "converged"
-    while True:
-        mover = None
-        for i in range(game.n):
-            k, u_new, _ = best_response(game, profile, i)
-            if k == profile[i]:
-                continue
-            u_old, _, _ = player_utility(game, profile, i)
-            if rule.allows(u_old, u_new):
-                mover = (i, k, u_old, u_new)
-                break
-        if mover is None:
-            break
-        i, k, u_old, u_new = mover
-        moves.append(Move(i, profile[i], k, u_old, u_new))
-        profile = profile[:i] + (k,) + profile[i + 1:]
-        if len(moves) >= step_cap:
-            reason = "step-cap"
-            break
-        if profile in seen:
-            reason = "cycle-detected"
-            break
-        seen.add(profile)
-    return DynamicsTrace(moves=tuple(moves), terminal=profile, reason=reason)
+    return _gated_dynamics(game, start, rule, step_cap=step_cap)
+
+
+def _one_shot(game, k0, alpha):
+    """Gated dynamics from all-at-k0 in which only players still at k0 may
+    move, so each player moves at most once."""
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    if not (1 <= k0 <= game.m):
+        raise ValueError(f"starting strategy {k0} out of range 1..{game.m}")
+    return _gated_dynamics(game, (k0,) * game.n, MoveRule(alpha=alpha),
+                           movable=lambda profile, i: profile[i] == k0)
 
 
 def _two_strategy_phase(game, profile, source, target, movable=None):
     """Move players from `source` to `target` while it strictly improves.
 
-    Restricted to `movable` players when given; returns the final profile.
+    A continuing sweep: after a move the scan goes on with the next player,
+    and passes repeat until one moves no one.  Restricted to
+    `movable` players when given; returns the final profile.
     """
     profile = list(profile)
     changed = True
@@ -152,9 +172,8 @@ def _two_strategy_phase(game, profile, source, target, movable=None):
                 continue
             if profile[i] != source:
                 continue
-            u_cur, _, _ = player_utility(game, tuple(profile), i)
-            u_alt, _, _ = player_utility(game, tuple(profile), i, strategy=target)
-            if u_alt > u_cur:
+            us = game.utilities(profile, i)
+            if us[target - 1] > us[source - 1]:
                 profile[i] = target
                 changed = True
     return tuple(profile)
@@ -172,11 +191,9 @@ def algorithm1_two(game, start):
     game.validate_profile(start)
     profile = _two_strategy_phase(game, start, source=1, target=2)
     profile = _two_strategy_phase(game, profile, source=2, target=1)
-    for i in range(game.n):
-        u_cur, _, _ = player_utility(game, profile, i)
-        other = 3 - profile[i]
-        u_alt, _, _ = player_utility(game, profile, i, strategy=other)
-        if u_alt > u_cur:
+    for i, k in enumerate(profile):
+        us = game.utilities(profile, i)
+        if max(us) > us[k - 1]:
             raise RuntimeError("two-strategy pass ended on a non-equilibrium")
     return profile
 
@@ -190,17 +207,13 @@ def _max_improving_coalition(game, profile, source, target):
     (empty iff no improving coalition exists).
     """
     coalition = {i for i in range(game.n) if profile[i] == source}
+    base = {i: game.utilities(profile, i)[source - 1] for i in coalition}
     while coalition:
         moved = list(profile)
         for i in coalition:
             moved[i] = target
-        moved = tuple(moved)
-        drop = set()
-        for i in coalition:
-            u_new, _, _ = player_utility(game, moved, i)
-            u_old, _, _ = player_utility(game, profile, i)
-            if not u_new > u_old:
-                drop.add(i)
+        drop = {i for i in coalition
+                if not game.utilities(moved, i)[target - 1] > base[i]}
         if not drop:
             break
         coalition -= drop
@@ -246,9 +259,8 @@ def sqrt2_three(game):
         for i in range(game.n):
             if profile[i] == 3:
                 continue
-            u_cur, _, _ = player_utility(game, profile, i)
-            u3, _, _ = player_utility(game, profile, i, strategy=3)
-            if u3 > 0 and at_least_sqrt2_times(u3, u_cur):
+            us = game.utilities(profile, i)
+            if us[2] > 0 and at_least_sqrt2_times(us[2], us[profile[i] - 1]):
                 mover = i
                 break
         if mover is None:
@@ -263,33 +275,8 @@ def one_shot_alpha_br(game, k0, alpha):
     Only players still at k0 may move, each at most once, to their best
     response when it clears the alpha gate.  Returns (profile, trace).
     """
-    alpha = Fraction(alpha)
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if not (1 <= k0 <= game.m):
-        raise ValueError(f"starting strategy {k0} out of range 1..{game.m}")
-    rule = MoveRule(alpha=alpha)
-    profile = tuple([k0] * game.n)
-    moves = []
-    while True:
-        mover = None
-        for i in range(game.n):
-            if profile[i] != k0:
-                continue
-            k, u_new, _ = best_response(game, profile, i)
-            if k == k0:
-                continue
-            u_old, _, _ = player_utility(game, profile, i)
-            if rule.allows(u_old, u_new):
-                mover = (i, k, u_old, u_new)
-                break
-        if mover is None:
-            break
-        i, k, u_old, u_new = mover
-        moves.append(Move(i, k0, k, u_old, u_new))
-        profile = profile[:i] + (k,) + profile[i + 1:]
-    return profile, DynamicsTrace(moves=tuple(moves), terminal=profile,
-                                  reason="converged")
+    trace = _one_shot(game, k0, Fraction(alpha))
+    return trace.terminal, trace
 
 
 def hybrid(game, alpha, opt_welfare=None):
@@ -299,7 +286,7 @@ def hybrid(game, alpha, opt_welfare=None):
     is supplied, the welfare ratio rho is recorded in the report.
     """
     alpha = Fraction(alpha)
-    if not (Fraction(1618, 1000) <= alpha <= 2):
+    if not (PHI_APPROX <= alpha <= 2):
         raise ValueError("alpha must lie in [1618/1000, 2]")
     k_star = instance_stats(game).k_star
     s1, _ = one_shot_alpha_br(game, k_star, alpha)

@@ -21,7 +21,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import SizeError
+from .analysis import SizeError, _deviation_report
+from .dynamics import MoveRule, _gated_dynamics, _one_shot
+from .model import _check_profile
 from .rationals import (INF, ParseError, format_rational, parse_rational,
                         supermodular_alpha)
 
@@ -77,12 +79,16 @@ class GeneralizedGame:
                            if j != i and profile[j] == k)
         return self.utility(i, k, others)
 
+    def utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m; trusts the profile."""
+        groups = [[] for _ in range(self.m)]
+        for j, s in enumerate(profile):
+            if j != i:
+                groups[s - 1].append(j)
+        return [self.utility(i, k, group) for k, group in enumerate(groups, 1)]
+
     def validate_profile(self, profile):
-        if len(profile) != self.n:
-            raise ValueError("profile length must equal player count")
-        for s in profile:
-            if not (1 <= s <= self.m):
-                raise ValueError(f"strategy {s} out of range 1..{self.m}")
+        _check_profile(self, profile)
 
 
 def welfare_generalized(ggame, profile):
@@ -124,42 +130,14 @@ def supermodularity_degree(ggame):
     return degree
 
 
-@dataclass(frozen=True)
-class GeneralizedDeviationReport:
-    per_player: tuple
-    max_factor: object
-    witness: int | None
-
-    def is_alpha_equilibrium(self, alpha):
-        return self.max_factor <= alpha
-
-
-def verify_generalized(ggame, profile, alpha=None):
-    """Best-response improvement factor per player, exactly.
+def verify_generalized(ggame, profile):
+    """Best-response improvement factor per player, exactly, as an
+    `scg.analysis.DeviationReport`.
 
     Staying put is always a candidate, so factors are at least 1.
     """
     ggame.validate_profile(profile)
-    per, max_factor, witness = [], ONE, None
-    for i in range(ggame.n):
-        u_cur = ggame.utility_in_profile(profile, i)
-        best_k, best_u = profile[i], u_cur
-        for k in range(1, ggame.m + 1):
-            if k == profile[i]:
-                continue
-            u = ggame.utility_in_profile(profile, i, strategy=k)
-            if u > best_u:
-                best_k, best_u = k, u
-        if u_cur == 0:
-            f = INF if best_u > 0 else ONE
-        else:
-            f = best_u / u_cur
-        per.append((best_k, f))
-        if f > max_factor:
-            max_factor, witness = f, i
-    report = GeneralizedDeviationReport(per_player=tuple(per),
-                                        max_factor=max_factor, witness=witness)
-    return report
+    return _deviation_report(ggame, profile)
 
 
 def one_shot_generalized(ggame, k0, alpha=None):
@@ -174,7 +152,7 @@ def one_shot_generalized(ggame, k0, alpha=None):
     Returns (profile, alpha_used, moves) where moves lists
     (player, new strategy, old utility, new utility).
     """
-    if not (1 <= k0 <= ggame.m):
+    if not (1 <= k0 <= ggame.m):  # before the costly degree computation
         raise ValueError(f"starting strategy {k0} out of range 1..{ggame.m}")
     if alpha is None:
         r = supermodularity_degree(ggame)
@@ -183,36 +161,10 @@ def one_shot_generalized(ggame, k0, alpha=None):
         alpha = supermodular_alpha(r)
     else:
         alpha = Fraction(alpha)
-        if alpha < 1:
-            raise ValueError("alpha must be >= 1")
-    profile = tuple([k0] * ggame.n)
-    moves = []
-    while True:
-        mover = None
-        for i in range(ggame.n):
-            if profile[i] != k0:
-                continue
-            u_cur = ggame.utility_in_profile(profile, i)
-            best_k, best_u = profile[i], u_cur
-            for k in range(1, ggame.m + 1):
-                if k == k0:
-                    continue
-                u = ggame.utility_in_profile(profile, i, strategy=k)
-                if u > best_u:
-                    best_k, best_u = k, u
-            if best_k == k0:
-                continue
-            allowed = (best_u > 0) if u_cur == 0 else (
-                best_u >= alpha * u_cur and best_u > u_cur)
-            if allowed:
-                mover = (i, best_k, u_cur, best_u)
-                break
-        if mover is None:
-            break
-        i, k, u_old, u_new = mover
-        moves.append((i, k, u_old, u_new))
-        profile = profile[:i] + (k,) + profile[i + 1:]
-    return profile, alpha, tuple(moves)
+    trace = _one_shot(ggame, k0, alpha)
+    moves = tuple((mv.player, mv.to_strategy, mv.old_utility, mv.new_utility)
+                  for mv in trace.moves)
+    return trace.terminal, alpha, moves
 
 
 def triangle_game(c):
@@ -364,22 +316,32 @@ class HypergraphGame:
             if any(s < 0 for s in e.shares) or sum(e.shares, ZERO) != 1:
                 raise ValueError("shares must be nonnegative and sum to 1")
 
+    def utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m; trusts the profile.
+
+        An edge pays i at k when every other member plays k (any k if i is
+        its only member) and k is the edge's anchor, if it has one.
+        """
+        us = [ZERO] * self.m
+        for e in self.edges:
+            if i not in e.players:
+                continue
+            others = {profile[j] for j in e.players if j != i}
+            if len(others) > 1:
+                continue
+            gain = e.shares[e.players.index(i)] * e.weight
+            for k in others or range(1, self.m + 1):
+                if e.anchor is None or k == e.anchor:
+                    us[k - 1] += gain
+        return us
+
     def validate_profile(self, profile):
-        if len(profile) != self.n:
-            raise ValueError("profile length must equal player count")
-        for s in profile:
-            if not (1 <= s <= self.m):
-                raise ValueError(f"strategy {s} out of range 1..{self.m}")
+        _check_profile(self, profile)
 
 
 def hypergraph_utility(hgame, profile, i, strategy=None):
     k = profile[i] if strategy is None else strategy
-    probe = profile[:i] + (k,) + profile[i + 1:]
-    u = ZERO
-    for e in hgame.edges:
-        if i in e.players and e.pays(probe):
-            u += e.shares[e.players.index(i)] * e.weight
-    return u
+    return hgame.utilities(profile, i)[k - 1]
 
 
 def hypergraph_welfare(hgame, profile):
@@ -463,33 +425,19 @@ def hypergraph_potential(hgame, profile, cert):
 
 
 def hypergraph_br_dynamics(hgame, start, step_cap=None):
-    """Plain best-response dynamics; returns (terminal, moves, reason)."""
+    """Plain best-response dynamics; returns (terminal, moves, reason).
+
+    Runs the gated loop of `scg.dynamics.run_dynamics` with the plain
+    strict-improvement gate, so it has the same stop rule: "converged",
+    "step-cap" after `step_cap` moves (default m^n * n, must be >= 1), or
+    "cycle-detected" as soon as a profile repeats.  Each move is
+    (player, from strategy, to strategy).
+    """
     hgame.validate_profile(start)
-    if step_cap is None:
-        step_cap = (hgame.m ** hgame.n) * max(hgame.n, 1)
-    profile = tuple(start)
-    moves = []
-    while True:
-        mover = None
-        for i in range(hgame.n):
-            u_cur = hypergraph_utility(hgame, profile, i)
-            best_k, best_u = profile[i], u_cur
-            for k in range(1, hgame.m + 1):
-                if k == profile[i]:
-                    continue
-                u = hypergraph_utility(hgame, profile, i, strategy=k)
-                if u > best_u:
-                    best_k, best_u = k, u
-            if best_k != profile[i]:
-                mover = (i, best_k)
-                break
-        if mover is None:
-            return profile, tuple(moves), "converged"
-        i, k = mover
-        moves.append((i, profile[i], k))
-        profile = profile[:i] + (k,) + profile[i + 1:]
-        if len(moves) >= step_cap:
-            return profile, tuple(moves), "step-cap"
+    trace = _gated_dynamics(hgame, start, MoveRule(), step_cap=step_cap)
+    moves = tuple((mv.player, mv.from_strategy, mv.to_strategy)
+                  for mv in trace.moves)
+    return trace.terminal, moves, trace.reason
 
 
 def parse_hypergraph(text):
@@ -574,11 +522,7 @@ class OmegaGame:
         return True
 
     def validate_profile(self, profile):
-        if len(profile) != self.n:
-            raise ValueError("profile length must equal player count")
-        for s in profile:
-            if not (1 <= s <= self.m):
-                raise ValueError(f"strategy {s} out of range 1..{self.m}")
+        _check_profile(self, profile)
 
 
 def omega_utility(ogame, profile, i):

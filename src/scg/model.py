@@ -8,6 +8,15 @@ i receives ``share_ij * w`` and j receives ``(1 - share_ij) * w``.
 All types are immutable after construction and every operation is a pure
 function, so evaluation is safe to parallelize without coordination.
 Strategies are 1-based (1..m); player indices are 0-based.
+
+Utility protocol: every game family (``GameInstance`` here,
+``GeneralizedGame`` and ``HypergraphGame`` in ``scg.generalized``) has
+``utilities(profile, i)``, which returns player i's utility for each
+strategy 1..m against the others' strategies in ``profile``, as a list
+indexed ``k - 1``.  It trusts the profile: public entry points validate a
+profile once, and the verifiers and dynamics then read every best response,
+deviation gain and payment from this vector.  ``player_utility`` is the
+validated single-player wrapper over it.
 """
 
 from __future__ import annotations
@@ -83,12 +92,25 @@ class GameInstance:
         """Unordered-pair -> weight lookup."""
         return {frozenset((e.i, e.j)): e.w for e in self.edges}
 
+    def utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m; trusts the profile."""
+        us = list(self.intrinsic[i])
+        for j, gain in self.adjacency[i]:
+            us[profile[j] - 1] += gain
+        return us
+
     def validate_profile(self, profile):
-        if len(profile) != self.n:
-            raise ValueError("profile length must equal player count")
-        for s in profile:
-            if not (1 <= s <= self.m):
-                raise ValueError(f"strategy {s} out of range 1..{self.m}")
+        _check_profile(self, profile)
+
+
+def _check_profile(game, profile):
+    """Reject a profile that does not give each of game.n players a
+    strategy in 1..game.m; shared by every game family."""
+    if len(profile) != game.n:
+        raise ValueError("profile length must equal player count")
+    for s in profile:
+        if not (1 <= s <= game.m):
+            raise ValueError(f"strategy {s} out of range 1..{game.m}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +137,7 @@ class InstanceStats:
 def player_utility(game, profile, i, strategy=None):
     """Utility of player i, optionally under a unilateral deviation.
 
+    Validates its arguments, then reads the entry from `utilities`.
     Returns (total, intrinsic_part, coordination_part).
     """
     if not (0 <= i < game.n):
@@ -123,23 +146,21 @@ def player_utility(game, profile, i, strategy=None):
     k = profile[i] if strategy is None else strategy
     if not (1 <= k <= game.m):
         raise ValueError(f"strategy {k} out of range 1..{game.m}")
+    total = game.utilities(profile, i)[k - 1]
     intrinsic = game.intrinsic[i][k - 1]
-    coord = ZERO
-    for j, gain in game.adjacency[i]:
-        if profile[j] == k:
-            coord += gain
-    return intrinsic + coord, intrinsic, coord
+    return total, intrinsic, total - intrinsic
 
 
 def welfare(game, profile):
     """Full utility breakdown for a profile; u(s) = A(s) + P(s) exactly."""
     game.validate_profile(profile)
     per, ipart, cpart = [], [], []
-    for i in range(game.n):
-        u, a, p = player_utility(game, profile, i)
+    for i, k in enumerate(profile):
+        u = game.utilities(profile, i)[k - 1]
+        a = game.intrinsic[i][k - 1]
         per.append(u)
         ipart.append(a)
-        cpart.append(p)
+        cpart.append(u - a)
     a_tot = sum(ipart, ZERO)
     p_tot = sum(cpart, ZERO)
     return UtilityBreakdown(
@@ -224,6 +245,9 @@ def parse_instance(text):
             i, j = raw["i"], raw["j"]
         except KeyError as exc:
             raise ParseError(f"edges[{idx}]: missing endpoint") from exc
+        for name, v in (("i", i), ("j", j)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParseError(f"edges[{idx}].{name}: expected integer")
         w = parse_rational(raw.get("w"), f"edges[{idx}].w")
         share = parse_rational(raw.get("share_ij"), f"edges[{idx}].share_ij")
         if w < 0:

@@ -132,7 +132,12 @@ def potential_delta(game, profile, i, new_strategy, cert):
     All other terms of the potential cancel exactly, so this equals the
     full difference; a unit test asserts the identity.
     """
-    old_k, new_k = profile[i], new_strategy
+    player_utility(game, profile, i, new_strategy)  # validates the arguments
+    return _potential_delta(game, profile, i, new_strategy, cert)
+
+
+def _potential_delta(game, profile, i, new_k, cert):
+    old_k = profile[i]
     if old_k == new_k:
         return Fraction(0)
     gi = cert.gamma[i]
@@ -151,10 +156,9 @@ def _sign(x):
 
 
 def _audit_one(game, cert, profile, i, new_k):
-    u_old, _, _ = player_utility(game, profile, i)
-    u_new, _, _ = player_utility(game, profile, i, strategy=new_k)
-    du = u_new - u_old
-    dphi = potential_delta(game, profile, i, new_k, cert)
+    us = game.utilities(profile, i)
+    du = us[new_k - 1] - us[profile[i] - 1]
+    dphi = _potential_delta(game, profile, i, new_k, cert)
     return du, dphi, _sign(du) == _sign(dphi)
 
 
@@ -162,7 +166,8 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     """Sampled sign audit: for random (profile, player, deviation) triples,
     the deviating player's utility change and the potential change must have
     the same sign.  Tiny instances (m^n * n * m <= 20_000) are audited
-    exhaustively instead."""
+    exhaustively instead; otherwise `trials` must be at least 1, so the
+    audit never passes without checking anything."""
     if len(cert.gamma) != game.n:
         raise ValueError("certificate must weight every player")
     if game.n == 0 or game.m < 2:
@@ -186,6 +191,8 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
                         if counterexample is None:
                             counterexample = (profile, i, new_k, du, dphi)
     else:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)
         for _ in range(trials):
             profile = tuple(rng.randint(1, game.m) for _ in range(game.n))

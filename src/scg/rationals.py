@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Numeric = Fraction
-
 INF = math.inf
 
 #: Rational stand-in for sqrt(2) used by the 3-player cyclic instance.
@@ -79,8 +77,11 @@ def supermodular_alpha(r, denominator=10**6):
         lhs = 2 * Fraction(p, denominator) - r
         return lhs >= 0 and lhs * lhs >= disc
 
-    guess = math.ceil((float(r) + math.sqrt(float(disc))) / 2 * denominator)
-    p = guess
+    # denominator * (r + sqrt(disc)) / 2 for r = a/b, less at most two
+    # units, computed in integers: a float guess overflows for huge r
+    a, b = r.numerator, r.denominator
+    p = (denominator * a
+         + math.isqrt(a * (a + 4 * b) * denominator * denominator)) // (2 * b)
     while not is_upper(p):
         p += 1
     while p > 0 and is_upper(p - 1):

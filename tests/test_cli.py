@@ -177,3 +177,35 @@ def test_search_no_sne_runs(capsys):
     assert main(["search-no-sne", "--n", "3", "--count", "5", "--seed", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["scanned"] == 5
+
+
+def test_audit_potential_rejects_nonpositive_trials(tmp_path, capsys):
+    # n = 12 is too large for the exhaustive audit, so trials are sampled
+    path = tmp_path / "cc.json"
+    assert main(["gen", "random-cc", "--n", "12", "--out", str(path)]) == 0
+    for trials in ("0", "-3"):
+        assert main(["audit-potential", "--in", str(path),
+                     "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials" in captured.err
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "game.json"
+    assert main(["gen", "random", "--out", str(missing)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,edge", [
+    ("i", {"i": "0", "j": 1}),
+    ("j", {"i": 0, "j": True}),
+])
+def test_non_integer_edge_endpoint_exits_2(tmp_path, capsys, field, edge):
+    edge.update(w="1", share_ij="1/2")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "m": 2,
+                                "intrinsic": [["1", "0"], ["0", "1"]],
+                                "edges": [edge]}))
+    assert main(["solve", "sqrt2", "--in", str(path)]) == 2
+    assert f"edges[0].{field}" in capsys.readouterr().err

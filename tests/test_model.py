@@ -139,3 +139,11 @@ def test_exact_rational_round_trip():
     g = parse_instance(text)
     assert g.intrinsic[0][0] == Fraction(7, 3)
     assert parse_instance(serialize_instance(g)) == g
+
+
+@pytest.mark.parametrize("endpoint", ['"0"', "true", "0.0", "null"])
+def test_parse_rejects_non_integer_endpoints(endpoint):
+    text = ('{"n":2,"m":1,"intrinsic":[["1"],["1"]],'
+            '"edges":[{"i":' + endpoint + ',"j":1,"w":"1","share_ij":"1/2"}]}')
+    with pytest.raises(ParseError, match="edges\\[0\\]\\.i"):
+        parse_instance(text)

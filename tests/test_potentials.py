@@ -142,3 +142,10 @@ def test_symmetric_instances_have_an_exact_potential():
 def test_certificate_json_round_trip():
     cert = PotentialCertificate(gamma=(Fraction(1), Fraction(7, 3)))
     assert PotentialCertificate.from_json(cert.to_json()) == cert
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_audit_requires_a_trial(trials):
+    g, _ = random_cc(12, 3, 0)
+    with pytest.raises(ValueError, match="trials"):
+        ordinal_audit(g, cc_recover(g), trials=trials)

@@ -61,3 +61,21 @@ def test_gate_exact_when_threshold_rational():
     # threshold t satisfies t^2 = r(t+1); choose t = 3 -> r = 9/4
     a = supermodular_alpha(Fraction(9, 4))
     assert a == 3
+
+
+def test_gate_for_huge_degree_does_not_overflow():
+    r = 10**400
+    a = supermodular_alpha(r)
+    # the threshold lies just below r + 1; a is its ceiling at 10^-6
+    assert r < a <= r + 1
+    assert (2 * a - r) ** 2 >= r * (r + 4)
+    assert (2 * (a - Fraction(1, 10**6)) - r) ** 2 < r * (r + 4)
+
+
+def test_gates_for_small_degrees_are_unchanged():
+    numerators = (1618034, 2732051, 3791288, 4828428, 5854102, 6872984,
+                  7887483, 8898980, 9908327, 10916080, 11922617, 12928204,
+                  13933035, 14937254, 15940972, 16944272, 17947222, 18949875,
+                  19952273, 20954452)
+    for r, p in enumerate(numerators, 1):
+        assert supermodular_alpha(r) == Fraction(p, 10**6)
