@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import SizeError, _deviation_report
 from .dynamics import MoveRule, _gated_dynamics, _one_shot
-from .model import _check_profile
+from .model import _EXACT, _check_profile, _inexact
 from .rationals import (INF, ParseError, format_rational, parse_rational,
                         supermodular_alpha)
 
@@ -63,6 +64,8 @@ class GeneralizedGame:
                 raise ValueError(f"table key ({i},{k}) out of range")
             if i in others or any(not (0 <= j < self.n) for j in others):
                 raise ValueError(f"table key ({i},{k},{set(others)}): bad set")
+            if type(u) not in _EXACT:
+                raise _inexact(f"table entry ({i},{k},{set(others)})", u)
             if u < 0:
                 raise ValueError(f"table entry ({i},{k},{set(others)}): negative")
 
@@ -104,7 +107,13 @@ def supermodularity_degree(ggame):
 
     The second entry's strategy k' may differ from k: the one-shot analysis
     charges a player's gain against utilities at two different strategies,
-    so the degree must bound those cross-strategy sums too.
+    so the degree must bound those cross-strategy sums too.  Entries are
+    nonnegative, so for a fixed (k, S, T) the ratio is largest, and a zero
+    denominator appears if it appears at all, at the smallest u_i(k', T);
+    only that minimum over k' is paired with each entry.  Each player's
+    table is scaled to integers by the lcm of its denominators, sets become
+    bitmasks, and the running maximum is an integer pair compared by
+    cross-multiplication; only the result is a Fraction.
     """
     by_player = {}
     for (i, k, others), u in ggame.tables.items():
@@ -113,21 +122,31 @@ def supermodularity_degree(ggame):
     if total_pairs > TABLE_ENUM_CAP:
         raise SizeError(f"table too large for pairwise enumeration "
                         f"({total_pairs} pairs)")
-    degree = ONE
-    for i, entries in by_player.items():
-        for (k1, o1, u1), (k2, o2, u2) in itertools.product(entries, repeat=2):
-            key = (i, k1, o1 | o2)
-            if key not in ggame.tables:
-                continue
-            top = ggame.tables[key]
-            if u1 + u2 == 0:
-                if top > 0:
-                    return INF
-                continue
-            ratio = top / (u1 + u2)
-            if ratio > degree:
-                degree = ratio
-    return degree
+    num, den = 1, 1
+    for entries in by_player.values():
+        scale = math.lcm(*(u.denominator for _, _, u in entries))
+        rows = {}    # k -> {mask: scaled entry}
+        lowest = {}  # mask -> smallest scaled entry over every strategy
+        for k, others, u in entries:
+            mask = sum(1 << j for j in others)
+            v = u.numerator * (scale // u.denominator)
+            rows.setdefault(k, {})[mask] = v
+            if v < lowest.get(mask, v + 1):
+                lowest[mask] = v
+        for row in rows.values():
+            for mask1, u1 in row.items():
+                for mask2, u2 in lowest.items():
+                    top = row.get(mask1 | mask2)
+                    if top is None:
+                        continue
+                    bottom = u1 + u2
+                    if bottom == 0:
+                        if top > 0:
+                            return INF
+                        continue
+                    if top * den > num * bottom:
+                        num, den = top, bottom
+    return Fraction(num, den)
 
 
 def verify_generalized(ggame, profile):
@@ -237,6 +256,10 @@ def additive_tables(game):
     return GeneralizedGame(n=game.n, m=game.m, tables=tables)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_generalized(text):
     try:
         data = json.loads(text)
@@ -255,6 +278,10 @@ def parse_generalized(text):
                 k, subset = e["strategy"], e["others"]
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"{where}: missing strategy/others") from exc
+            if not _is_int(k):
+                raise ParseError(f"{where}.strategy: expected integer")
+            if not isinstance(subset, list) or not all(map(_is_int, subset)):
+                raise ParseError(f"{where}.others: expected a list of integers")
             u = parse_rational(e.get("u"), f"{where}.u")
             key = (i, k, frozenset(subset))
             if key in tables:

@@ -61,8 +61,11 @@ class GameInstance:
         for i, row in enumerate(self.intrinsic):
             if len(row) != self.m:
                 raise ValueError(f"intrinsic row {i} must have m entries")
-            if any(v < 0 for v in row):
-                raise ValueError(f"intrinsic row {i}: negative entry")
+            for k, v in enumerate(row):
+                if type(v) not in _EXACT:
+                    raise _inexact(f"intrinsic[{i}][{k}]", v)
+                if v < 0:
+                    raise ValueError(f"intrinsic row {i}: negative entry")
         seen = set()
         for e in self.edges:
             if e.i == e.j:
@@ -73,6 +76,10 @@ class GameInstance:
             if key in seen:
                 raise ValueError(f"edge ({e.i},{e.j}): duplicate pair")
             seen.add(key)
+            if type(e.w) not in _EXACT:
+                raise _inexact(f"edge ({e.i},{e.j}).w", e.w)
+            if type(e.share_ij) not in _EXACT:
+                raise _inexact(f"edge ({e.i},{e.j}).share_ij", e.share_ij)
             if e.w < 0:
                 raise ValueError(f"edge ({e.i},{e.j}): negative weight")
             if not (0 <= e.share_ij <= 1):
@@ -101,6 +108,17 @@ class GameInstance:
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
+
+
+#: The value types exact arithmetic takes, matched by exact type (a set
+#: lookup, cheap enough for every entry of a large instance); bool is
+#: left out, as it is an int to Python but never a payoff.
+_EXACT = frozenset((int, Fraction))
+
+
+def _inexact(where, value):
+    return ValueError(f"{where}: expected an int or Fraction, "
+                      f"got {type(value).__name__}")
 
 
 def _check_profile(game, profile):

@@ -12,12 +12,14 @@ checks the remaining edges exactly; failure carries a witness edge.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import player_utility
+from .model import _EXACT, _inexact, player_utility
 from .rationals import format_rational, parse_rational
 
 ONE = Fraction(1)
@@ -113,10 +115,22 @@ def certificate_shares_match(game, cert):
     return True
 
 
-def potential_value(game, profile, cert):
-    game.validate_profile(profile)
+def _check_certificate(game, cert):
+    """Reject a certificate that does not give every player a positive
+    weight; a zero weight would divide by zero in the potential."""
     if len(cert.gamma) != game.n:
         raise ValueError("certificate must weight every player")
+    for i, g in enumerate(cert.gamma):
+        if type(g) not in _EXACT:
+            raise _inexact(f"gamma[{i}]", g)
+        if g <= 0:
+            raise ValueError(f"gamma[{i}]: weight must be positive, "
+                             f"got {format_rational(g)}")
+
+
+def potential_value(game, profile, cert):
+    game.validate_profile(profile)
+    _check_certificate(game, cert)
     phi = Fraction(0)
     for i in range(game.n):
         phi += game.intrinsic[i][profile[i] - 1] / cert.gamma[i]
@@ -151,15 +165,73 @@ def _potential_delta(game, profile, i, new_k, cert):
     return delta
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
 def _audit_one(game, cert, profile, i, new_k):
+    """(du, dphi) of one deviation, as exact Fractions."""
     us = game.utilities(profile, i)
     du = us[new_k - 1] - us[profile[i] - 1]
-    dphi = _potential_delta(game, profile, i, new_k, cert)
-    return du, dphi, _sign(du) == _sign(dphi)
+    return du, _potential_delta(game, profile, i, new_k, cert)
+
+
+def _scaled(values):
+    """The values times the lcm of their denominators, as ints.  The scale
+    is positive, so every sum of the values keeps its sign."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _sign_rows(game, cert):
+    """Per player i, the terms of du and dphi a deviation of i can touch,
+    scaled to ints: (intrinsic row, w_i^k / g_i row, [(j, own gain,
+    w_ij / (g_i + g_j))] over i's neighbours).  The utility terms and the
+    potential terms each share one scale per player."""
+    gamma = [Fraction(g) for g in cert.gamma]
+    rows = []
+    for i in range(game.n):
+        gi, m = gamma[i], game.m
+        nbrs = game.adjacency[i]
+        us = _scaled([*game.intrinsic[i], *(gain for _, gain in nbrs)])
+        ps = _scaled([*(v / gi for v in game.intrinsic[i]),
+                      *(game.edge_weight[frozenset((i, j))] / (gi + gamma[j])
+                        for j, _ in nbrs)])
+        rows.append((us[:m], ps[:m],
+                     [(j, us[m + t], ps[m + t])
+                      for t, (j, _) in enumerate(nbrs)]))
+    return rows
+
+
+def _same_sign(row, profile, old_k, new_k):
+    """Whether du and dphi of moving from old_k to new_k share a sign."""
+    own_u, own_p, nbrs = row
+    du = own_u[new_k - 1] - own_u[old_k - 1]
+    dp = own_p[new_k - 1] - own_p[old_k - 1]
+    for j, gain, pot in nbrs:
+        k = profile[j]
+        if k == new_k:
+            du += gain
+            dp += pot
+        elif k == old_k:
+            du -= gain
+            dp -= pot
+    return (du > 0) - (du < 0) == (dp > 0) - (dp < 0)
+
+
+def _every_deviation(game):
+    for profile in itertools.product(range(1, game.m + 1), repeat=game.n):
+        for i in range(game.n):
+            for new_k in range(1, game.m + 1):
+                if new_k != profile[i]:
+                    yield profile, i, new_k
+
+
+def _sampled_deviations(game, trials, seed):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        profile = tuple(rng.randint(1, game.m) for _ in range(game.n))
+        i = rng.randrange(game.n)
+        new_k = rng.randint(1, game.m)
+        if new_k == profile[i]:
+            new_k = new_k % game.m + 1
+        yield profile, i, new_k
 
 
 def ordinal_audit(game, cert, trials=10_000, seed=0):
@@ -167,44 +239,31 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     the deviating player's utility change and the potential change must have
     the same sign.  Tiny instances (m^n * n * m <= 20_000) are audited
     exhaustively instead; otherwise `trials` must be at least 1, so the
-    audit never passes without checking anything."""
-    if len(cert.gamma) != game.n:
-        raise ValueError("certificate must weight every player")
+    audit never passes without checking anything.
+
+    Signs are decided in ints, in O(deg) per trial, from per-player rows
+    scaled once per audit; the exact Fraction (du, dphi) is computed only
+    for the reported counterexample, the first violating triple."""
+    _check_certificate(game, cert)
     if game.n == 0 or game.m < 2:
         return AuditReport(trials=0, violations=0, counterexample=None)
 
-    exhaustive = (game.m ** game.n) * game.n * game.m <= 20_000
+    if (game.m ** game.n) * game.n * game.m <= 20_000:
+        deviations = _every_deviation(game)
+    elif trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    else:
+        deviations = _sampled_deviations(game, trials, seed)
+    rows = _sign_rows(game, cert)
     done = violations = 0
     counterexample = None
-
-    if exhaustive:
-        import itertools
-        for profile in itertools.product(range(1, game.m + 1), repeat=game.n):
-            for i in range(game.n):
-                for new_k in range(1, game.m + 1):
-                    if new_k == profile[i]:
-                        continue
-                    du, dphi, ok = _audit_one(game, cert, profile, i, new_k)
-                    done += 1
-                    if not ok:
-                        violations += 1
-                        if counterexample is None:
-                            counterexample = (profile, i, new_k, du, dphi)
-    else:
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        rng = random.Random(seed)
-        for _ in range(trials):
-            profile = tuple(rng.randint(1, game.m) for _ in range(game.n))
-            i = rng.randrange(game.n)
-            new_k = rng.randint(1, game.m)
-            if new_k == profile[i]:
-                new_k = new_k % game.m + 1
-            du, dphi, ok = _audit_one(game, cert, profile, i, new_k)
-            done += 1
-            if not ok:
-                violations += 1
-                if counterexample is None:
-                    counterexample = (profile, i, new_k, du, dphi)
+    for profile, i, new_k in deviations:
+        done += 1
+        if _same_sign(rows[i], profile, profile[i], new_k):
+            continue
+        violations += 1
+        if counterexample is None:
+            du, dphi = _audit_one(game, cert, profile, i, new_k)
+            counterexample = (profile, i, new_k, du, dphi)
     return AuditReport(trials=done, violations=violations,
                        counterexample=counterexample)

@@ -209,3 +209,18 @@ def test_non_integer_edge_endpoint_exits_2(tmp_path, capsys, field, edge):
                                 "edges": [edge]}))
     assert main(["solve", "sqrt2", "--in", str(path)]) == 2
     assert f"edges[0].{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "oneshot-gen", "--k0", "1"],
+    ["verify", "generalized", "--profile", "1,1", "--alpha", "2"],
+])
+def test_bad_table_field_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "gg.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "tables": [
+        [{"strategy": 1, "others": "1", "u": "1"}], []]}))
+    assert main(command + ["--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: tables[0][0].others: "
+                            "expected a list of integers\n")

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 
 from scg.analysis import SizeError
 from scg.dynamics import one_shot_alpha_br
-from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
+from scg.generalized import (TABLE_ENUM_CAP, GeneralizedGame, Hyperedge, HypergraphGame,
                              OmegaGame, TableError, additive_tables,
                              hypergraph_br_dynamics, hypergraph_cc_recover,
                              hypergraph_potential, hypergraph_utility,
@@ -21,7 +23,7 @@ from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
 from scg.generators import (random_hypergraph_cc, random_instance,
                             random_omega, random_supermodular)
 from scg.potentials import PotentialCertificate, RecoveryFailure, cc_recover
-from scg.rationals import supermodular_alpha
+from scg.rationals import ParseError, supermodular_alpha
 
 H = Fraction(1, 2)
 
@@ -144,6 +146,41 @@ def test_one_shot_rejects_unbounded_tables():
     g = GeneralizedGame(n=2, m=2, tables=t)
     with pytest.raises(ValueError, match="unbounded"):
         one_shot_generalized(g, 1)
+
+
+def test_degree_cap_counts_entry_pairs():
+    # one player, m entries: m^2 pairs against the cap
+    def one_row(m):
+        return GeneralizedGame(n=1, m=m, tables={
+            (0, k, frozenset()): Fraction(k) for k in range(1, m + 1)})
+
+    side = math.isqrt(TABLE_ENUM_CAP)
+    assert side ** 2 <= TABLE_ENUM_CAP < (side + 1) ** 2
+    assert supermodularity_degree(one_row(side)) == 1
+    with pytest.raises(SizeError, match="pairs"):
+        supermodularity_degree(one_row(side + 1))
+
+
+@pytest.mark.parametrize("value", [0.5, True])
+def test_table_rejects_floats_and_bools(value):
+    with pytest.raises(ValueError, match="table entry \\(0,1,"):
+        GeneralizedGame(n=1, m=1, tables={(0, 1, frozenset()): value})
+
+
+@pytest.mark.parametrize("entry,field", [
+    ({"strategy": 1, "others": "1"}, "tables[0][1].others"),
+    ({"strategy": 1, "others": [True]}, "tables[0][1].others"),
+    ({"strategy": 1, "others": 1}, "tables[0][1].others"),
+    ({"strategy": "1", "others": []}, "tables[0][1].strategy"),
+    ({"strategy": False, "others": []}, "tables[0][1].strategy"),
+])
+def test_parse_names_strategy_and_others(entry, field):
+    entry["u"] = "1"
+    text = json.dumps({"n": 2, "m": 1, "tables": [
+        [{"strategy": 1, "others": [], "u": "1"}, entry], []]})
+    with pytest.raises(ParseError) as exc:
+        parse_generalized(text)
+    assert str(exc.value).startswith(field)
 
 
 def test_generalized_json_round_trip():

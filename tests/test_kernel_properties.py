@@ -1,25 +1,34 @@
-"""Differential property tests for the utility-vector kernel.
+"""Differential property tests for the exact kernels.
 
 The kernel (`utilities(profile, i)` on every game family), the gated
-best-response loop and the shared deviation report are compared with
+best-response loop, the shared deviation report, the integer
+complementarity degree and the integer potential audit are compared with
 straightforward reference implementations kept here: utilities summed edge
-by edge, and best responses found by one `player_utility` call per
-strategy.  Runs are derandomized and small.
+by edge, best responses found by one `player_utility` call per strategy,
+the degree as a Fraction ratio over every pair of table entries, and the
+audit with both changes computed as Fractions on every trial.  Runs are
+derandomized and small.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scg.analysis import deviation_report
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, one_shot_alpha_br,
                           run_dynamics)
-from scg.generalized import (additive_tables, one_shot_generalized,
-                             verify_generalized)
-from scg.generators import random_hypergraph_cc, random_supermodular
+from scg.generalized import (GeneralizedGame, additive_tables,
+                             one_shot_generalized, supermodularity_degree,
+                             triangle_game, verify_generalized)
+from scg.generators import (example1, random_hypergraph_cc,
+                            random_supermodular)
 from scg.model import Edge, GameInstance, player_utility
+from scg.potentials import (AuditReport, PotentialCertificate, ordinal_audit,
+                            potential_value)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -182,3 +191,157 @@ def test_table_kernel_matches_table_lookups(n, m, seed, data):
         assert gg.utilities(profile, i) == [
             gg.utility_in_profile(profile, i, strategy=k)
             for k in range(1, m + 1)]
+
+
+def reference_degree(ggame):
+    """The pairwise Fraction loop: every ordered pair of one player's
+    entries, one division per pair."""
+    by_player = {}
+    for (i, k, others), u in ggame.tables.items():
+        by_player.setdefault(i, []).append((k, others, u))
+    degree = Fraction(1)
+    for i, entries in by_player.items():
+        for (k1, o1, u1), (k2, o2, u2) in itertools.product(entries, repeat=2):
+            key = (i, k1, o1 | o2)
+            if key not in ggame.tables:
+                continue
+            top = ggame.tables[key]
+            if u1 + u2 == 0:
+                if top > 0:
+                    return math.inf
+                continue
+            ratio = top / (u1 + u2)
+            if ratio > degree:
+                degree = ratio
+    return degree
+
+
+# zeros make zero denominators; the fractions differ in denominator
+table_values = st.sampled_from(
+    (0, 0, 1, 2, 5, Fraction(1, 2), Fraction(5, 3), Fraction(7, 4))).map(
+        Fraction)
+
+
+@st.composite
+def sparse_tables(draw):
+    """Tables missing about a third of their entries, so that many unions
+    have no entry."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    tables = {}
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        for size in range(len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                for k in range(1, m + 1):
+                    if draw(st.integers(0, 2)):
+                        tables[(i, k, frozenset(combo))] = draw(table_values)
+    return GeneralizedGame(n=n, m=m, tables=tables)
+
+
+def _table(n, m, entries):
+    return GeneralizedGame(n=n, m=m, tables={
+        (i, k, frozenset(o)): Fraction(u) for i, k, o, u in entries})
+
+
+@SETTINGS
+@given(sparse_tables())
+# zero entries at two strategies under a positive union: unbounded
+@example(_table(2, 2, [(0, 1, (), 0), (0, 1, (1,), 3), (0, 2, (1,), 0),
+                       (1, 1, (), 1)]))
+# the ratio 7/3 pairs an entry with the cheaper one at the other strategy
+@example(_table(2, 2, [(0, 1, (), 1), (0, 1, (1,), 7), (0, 2, (1,), 2),
+                       (1, 2, (), 1)]))
+def test_degree_matches_pairwise_fraction_loop(ggame):
+    assert supermodularity_degree(ggame) == reference_degree(ggame)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from((1, 2)),
+       st.integers(0, 10**6), st.sampled_from((1, Fraction(3, 2), 2, 3)))
+def test_degree_matches_on_generated_families(n, m, r, seed, c):
+    for ggame in (random_supermodular(n, m, r, seed), triangle_game(c)):
+        assert supermodularity_degree(ggame) == reference_degree(ggame)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def reference_audit(game, cert, trials, seed):
+    """The per-trial Fraction audit: du from the utility vector and dphi
+    as the difference of two full potential values, on the same triples
+    in the same order as `ordinal_audit`."""
+    if game.m ** game.n * game.n * game.m <= 20_000:
+        triples = [(p, i, k)
+                   for p in itertools.product(range(1, game.m + 1),
+                                              repeat=game.n)
+                   for i in range(game.n)
+                   for k in range(1, game.m + 1) if k != p[i]]
+    else:
+        rng = random.Random(seed)
+        triples = []
+        for _ in range(trials):
+            p = tuple(rng.randint(1, game.m) for _ in range(game.n))
+            i = rng.randrange(game.n)
+            k = rng.randint(1, game.m)
+            if k == p[i]:
+                k = k % game.m + 1
+            triples.append((p, i, k))
+    violations, counterexample = 0, None
+    for p, i, k in triples:
+        us = game.utilities(p, i)
+        du = us[k - 1] - us[p[i] - 1]
+        moved = p[:i] + (k,) + p[i + 1:]
+        dphi = potential_value(game, moved, cert) - potential_value(game, p,
+                                                                    cert)
+        if _sign(du) != _sign(dphi):
+            violations += 1
+            if counterexample is None:
+                counterexample = (p, i, k, du, dphi)
+    return AuditReport(trials=len(triples), violations=violations,
+                       counterexample=counterexample)
+
+
+weights = st.sampled_from((1, 2, 3, Fraction(1, 2), Fraction(5, 3))).map(
+    Fraction)
+
+
+@st.composite
+def certified_games(draw, sizes, ms):
+    """A game whose shares come from influence weights, with that
+    certificate or, half the time, one whose weight for one player is
+    scaled, which can break the potential."""
+    n, m = draw(sizes), draw(ms)
+    gamma = [draw(weights) for _ in range(n)]
+    intrinsic = tuple(tuple(draw(values) for _ in range(m)) for _ in range(n))
+    edges = tuple(Edge(i, j, draw(values), gamma[i] / (gamma[i] + gamma[j]))
+                  for i in range(n) for j in range(i + 1, n)
+                  if draw(st.booleans()))
+    if draw(st.booleans()):
+        gamma[draw(st.integers(0, n - 1))] *= draw(
+            st.sampled_from((5, Fraction(1, 5))))
+    game = GameInstance(n=n, m=m, intrinsic=intrinsic, edges=edges)
+    return game, PotentialCertificate(gamma=tuple(gamma))
+
+
+# violations are rare in the small cases hypothesis tries first
+AUDIT_SETTINGS = settings(SETTINGS, max_examples=200)
+
+
+@AUDIT_SETTINGS
+@given(certified_games(st.integers(2, 4), st.integers(2, 3)))
+@example((example1(1), PotentialCertificate(gamma=(Fraction(1),) * 3)))
+def test_exhaustive_audit_matches_fraction_audit(case):
+    game, cert = case
+    assert ordinal_audit(game, cert) == reference_audit(game, cert, 0, 0)
+
+
+@SETTINGS
+@given(certified_games(st.integers(7, 9), st.just(3)), st.integers(1, 150),
+       st.integers(0, 10**6))
+def test_sampled_audit_matches_fraction_audit(case, trials, seed):
+    game, cert = case
+    report = ordinal_audit(game, cert, trials=trials, seed=seed)
+    assert report.trials == trials  # the sampled branch
+    assert report == reference_audit(game, cert, trials, seed)

@@ -147,3 +147,20 @@ def test_parse_rejects_non_integer_endpoints(endpoint):
             '"edges":[{"i":' + endpoint + ',"j":1,"w":"1","share_ij":"1/2"}]}')
     with pytest.raises(ParseError, match="edges\\[0\\]\\.i"):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("bad,where", [
+    (dict(intrinsic=((0.1, Fraction(0)),) * 2), "intrinsic\\[0\\]\\[0\\]"),
+    (dict(intrinsic=((Fraction(1), True),) * 2), "intrinsic\\[0\\]\\[1\\]"),
+    (dict(edges=(Edge(0, 1, 1.5, Fraction(1, 2)),)), "\\(0,1\\)\\.w"),
+    (dict(edges=(Edge(0, 1, False, Fraction(1, 2)),)), "\\(0,1\\)\\.w"),
+    (dict(edges=(Edge(0, 1, Fraction(1), 0.5),)), "share_ij"),
+])
+def test_constructor_rejects_floats_and_bools(bad, where):
+    fields = dict(n=2, m=2, intrinsic=((Fraction(1), Fraction(0)),) * 2,
+                  edges=())
+    fields.update(bad)
+    with pytest.raises(ValueError, match=where):
+        GameInstance(**fields)
+    # plain ints stay exact values
+    GameInstance(n=1, m=2, intrinsic=((3, 0),), edges=())

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -149,3 +150,13 @@ def test_sampled_audit_requires_a_trial(trials):
     g, _ = random_cc(12, 3, 0)
     with pytest.raises(ValueError, match="trials"):
         ordinal_audit(g, cc_recover(g), trials=trials)
+
+
+@pytest.mark.parametrize("weight", ["0", "-2/3"])
+def test_nonpositive_weight_is_named(weight):
+    g, _ = random_cc(4, 3, 1)
+    cert = PotentialCertificate.from_json(json.dumps(["1", weight, "1", "2"]))
+    with pytest.raises(ValueError, match="gamma\\[1\\]"):
+        ordinal_audit(g, cert)
+    with pytest.raises(ValueError, match="gamma\\[1\\]"):
+        potential_value(g, (1, 1, 1, 1), cert)
