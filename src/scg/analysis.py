@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import instance_stats, player_utility, welfare, welfare_total
+from .model import (_EXACT, _inexact, instance_stats, player_utility, welfare,
+                    welfare_total)
 from .rationals import INF, PHI_APPROX
 
 ONE = Fraction(1)
@@ -30,10 +31,19 @@ def _check_size(game):
 
 
 def _factor(u_old, u_new):
-    """Improvement factor u_new / u_old; 0 -> positive is +inf, 0 -> 0 is 1."""
+    """Improvement factor u_new / u_old of two utilities at one scale, as a
+    Fraction (the scale cancels); 0 -> positive is +inf, 0 -> 0 is 1."""
     if u_old == 0:
         return INF if u_new > 0 else ONE
-    return u_new / u_old
+    return Fraction(u_new, u_old)
+
+
+def _factor_exceeds(u_old, u_new, alpha):
+    """Whether ``_factor(u_old, u_new) > alpha``, by cross-multiplication
+    (utilities are nonnegative)."""
+    if u_old == 0:
+        return u_new > 0 or alpha < 1
+    return u_new * alpha.denominator > alpha.numerator * u_old
 
 
 def _best_reply(us, k):
@@ -83,22 +93,33 @@ class EquilibriumCensus:
 
 
 def _deviation_report(game, profile, bonus=None):
-    """Deviation report of any game with `utilities`; trusts the profile.
+    """Deviation report of any game with `scaled_utilities`; trusts the
+    profile.
 
     ``bonus[i]``, when given, is added to player i's utility for staying
-    put and to no deviation.
+    put and to no deviation.  A player who stays has factor 1; a Fraction
+    is built only for a player whose best reply is a move, and factors are
+    compared as the pairs (new, old) by cross-multiplication (a zero old
+    utility is +inf).
     """
+    scale = game.scale
     per = []
     max_factor, witness = ONE, None
+    top_new, top_old = 1, 1
     for i, k in enumerate(profile):
-        us = game.utilities(profile, i)
+        us = game.scaled_utilities(profile, i)
         if bonus is not None:
-            us[k - 1] += bonus[i]
+            us[k - 1] += bonus[i] * scale
         best_k, best_u = _best_reply(us, k)
-        f = _factor(us[k - 1], best_u)
+        if best_k == k:
+            per.append((k, ONE))
+            continue
+        u_old = us[k - 1]
+        f = _factor(u_old, best_u)
         per.append((best_k, f))
-        if f > max_factor:
+        if best_u * top_old > top_new * u_old:
             max_factor, witness = f, i
+            top_new, top_old = best_u, u_old
     return DeviationReport(per_player=tuple(per), max_factor=max_factor,
                            witness=witness)
 
@@ -134,12 +155,17 @@ def verify_approx_strong(game, profile, alpha):
     _check_size(game)
     game.validate_profile(profile)
     alpha = Fraction(alpha)
-    base = [player_utility(game, profile, i)[0] for i in range(game.n)]
+    scale = game.scale
+    # integral: every utility is a multiple of 1 / scale
+    base = [int(player_utility(game, profile, i)[0] * scale)
+            for i in range(game.n)]
     for alt in itertools.product(range(1, game.m + 1), repeat=game.n):
         coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
         if not coalition:
             continue
-        if all(_factor(base[i], game.utilities(alt, i)[alt[i] - 1]) > alpha
+        if all(_factor_exceeds(base[i],
+                               game.scaled_utilities(alt, i)[alt[i] - 1],
+                               alpha)
                for i in coalition):
             return StrongDeviationReport(verdict="violated", alpha=alpha,
                                          witness_profile=alt,
@@ -230,13 +256,14 @@ def payment_stabilize(game, profile, opt_welfare):
     game.validate_profile(profile)
     if opt_welfare <= 0:
         raise ValueError("optimum welfare must be positive")
-    payments = []
+    scale = game.scale
+    gaps = []
     for i, k in enumerate(profile):
-        us = game.utilities(profile, i)
-        payments.append(max(us) - us[k - 1])
-    total = sum(payments, Fraction(0))
-    return PaymentPlan(payments=tuple(payments), total=total,
-                       nu=total / opt_welfare)
+        us = game.scaled_utilities(profile, i)
+        gaps.append(max(us) - us[k - 1])
+    total = Fraction(sum(gaps), scale)
+    return PaymentPlan(payments=tuple(Fraction(g, scale) for g in gaps),
+                       total=total, nu=total / opt_welfare)
 
 
 def post_payment_deviation_report(game, profile, plan):
@@ -246,17 +273,24 @@ def post_payment_deviation_report(game, profile, plan):
     strategy, so they raise the baseline and not the deviation utilities.
     """
     game.validate_profile(profile)
+    if len(plan.payments) != game.n:
+        raise ValueError("plan must pay every player")
+    for i, p in enumerate(plan.payments):
+        if type(p) not in _EXACT:
+            raise _inexact(f"payments[{i}]", p)
+        if p < 0:
+            raise ValueError(f"payments[{i}]: negative payment")
     return _deviation_report(game, profile, bonus=plan.payments)
 
 
 def semi_smoothness_check(game, profile):
     """Check the uniform-mixed-deviation inequality against brute-force OPT:
-    sum_i (1/m) sum_k u_i(k, s_-i) >= u(OPT) / m, exactly."""
+    sum_i (1/m) sum_k u_i(k, s_-i) >= u(OPT) / m, exactly; the 1/m
+    cancels, and both sides are compared at the game's scale."""
     game.validate_profile(profile)
     _, opt_w = brute_force_optimum(game)
-    lhs = sum((sum(game.utilities(profile, i), Fraction(0))
-               for i in range(game.n)), Fraction(0))
-    return Fraction(lhs, game.m) >= Fraction(opt_w, game.m) if game.m else True
+    lhs = sum(sum(game.scaled_utilities(profile, i)) for i in range(game.n))
+    return lhs >= opt_w * game.scale
 
 
 def mip_check(game, profile):

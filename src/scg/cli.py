@@ -369,6 +369,8 @@ def _cmd_audit_potential(args):
 
 def _cmd_search_no_sne(args):
     """Scan random symmetric instances for strong-equilibrium non-existence."""
+    if args.count < 1:
+        raise CliError(f"count must be >= 1, got {args.count}")
     found = []
     for offset in range(args.count):
         seed = args.seed + offset

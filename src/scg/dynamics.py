@@ -9,7 +9,7 @@ rule always produce the same trace.  There are two schedules:
   clears the `MoveRule` gate moves.  `run_dynamics`, `one_shot_alpha_br`,
   `scg.generalized.one_shot_generalized` and
   `scg.generalized.hypergraph_br_dynamics` all run it, on any game with the
-  `utilities(profile, i)` protocol of `scg.model`;
+  `scaled_utilities(profile, i)` protocol of `scg.model`;
 * the continuing sweep of `_two_strategy_phase` (inside `algorithm1_two`
   and `sqrt2_three`) moves players from one fixed strategy to another and
   goes on with the next index after a move; passes repeat until one makes
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _best_reply, _factor
-from .model import instance_stats, player_utility, welfare_total
+from .model import (_EXACT, _inexact, _k_star, _not_int, player_utility,
+                    welfare_total)
 from .rationals import PHI_APPROX, at_least_sqrt2_times, format_rational
 
 ONE = Fraction(1)
@@ -39,10 +40,18 @@ class MoveRule:
 
     alpha: Fraction = ONE
 
+    def __post_init__(self):
+        if type(self.alpha) not in _EXACT:
+            raise _inexact("alpha", self.alpha)
+
     def allows(self, u_old, u_new):
+        """Decided by cross-multiplication, so utilities given at any one
+        positive scale (the game's ``scale``) get the same answer."""
         if u_old == 0:
             return u_new > 0
-        return u_new >= self.alpha * u_old and u_new > u_old
+        alpha = self.alpha
+        return (u_new * alpha.denominator >= alpha.numerator * u_old
+                and u_new > u_old)
 
 
 @dataclass(frozen=True)
@@ -104,13 +113,14 @@ def _gated_dynamics(game, start, rule, movable=None, step_cap=None):
     (among those `movable(profile, i)` admits, when given) whose best
     response clears `rule`; the pass then restarts from player 0.  Stops at
     convergence, after `step_cap` moves (default m^n * n), or on reaching a
-    profile seen before.  Works on any game with `utilities`; trusts
+    profile seen before.  Works on any game with `scaled_utilities`; trusts
     `start`.
     """
     if step_cap is None:
         step_cap = (game.m ** game.n) * max(game.n, 1)
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
+    scale = game.scale
     profile = tuple(start)
     seen = {profile}
     moves = []
@@ -118,14 +128,15 @@ def _gated_dynamics(game, start, rule, movable=None, step_cap=None):
         for i in range(game.n):
             if movable is not None and not movable(profile, i):
                 continue
-            us = game.utilities(profile, i)
+            us = game.scaled_utilities(profile, i)
             k, u_new = _best_reply(us, profile[i])
             u_old = us[profile[i] - 1]
             if k != profile[i] and rule.allows(u_old, u_new):
                 break
         else:
             return DynamicsTrace(tuple(moves), profile, "converged")
-        moves.append(Move(i, profile[i], k, u_old, u_new))
+        moves.append(Move(i, profile[i], k, Fraction(u_old, scale),
+                          Fraction(u_new, scale)))
         profile = profile[:i] + (k,) + profile[i + 1:]
         if len(moves) >= step_cap:
             return DynamicsTrace(tuple(moves), profile, "step-cap")
@@ -145,13 +156,20 @@ def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
     return _gated_dynamics(game, start, rule, step_cap=step_cap)
 
 
+def _check_start(game, k0):
+    """Reject a one-shot starting strategy that is not an int in 1..m."""
+    if type(k0) is not int:
+        raise _not_int("starting strategy", k0)
+    if not (1 <= k0 <= game.m):
+        raise ValueError(f"starting strategy {k0} out of range 1..{game.m}")
+
+
 def _one_shot(game, k0, alpha):
     """Gated dynamics from all-at-k0 in which only players still at k0 may
     move, so each player moves at most once."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if not (1 <= k0 <= game.m):
-        raise ValueError(f"starting strategy {k0} out of range 1..{game.m}")
+    _check_start(game, k0)
     return _gated_dynamics(game, (k0,) * game.n, MoveRule(alpha=alpha),
                            movable=lambda profile, i: profile[i] == k0)
 
@@ -172,7 +190,7 @@ def _two_strategy_phase(game, profile, source, target, movable=None):
                 continue
             if profile[i] != source:
                 continue
-            us = game.utilities(profile, i)
+            us = game.scaled_utilities(profile, i)
             if us[target - 1] > us[source - 1]:
                 profile[i] = target
                 changed = True
@@ -192,7 +210,7 @@ def algorithm1_two(game, start):
     profile = _two_strategy_phase(game, start, source=1, target=2)
     profile = _two_strategy_phase(game, profile, source=2, target=1)
     for i, k in enumerate(profile):
-        us = game.utilities(profile, i)
+        us = game.scaled_utilities(profile, i)
         if max(us) > us[k - 1]:
             raise RuntimeError("two-strategy pass ended on a non-equilibrium")
     return profile
@@ -207,13 +225,14 @@ def _max_improving_coalition(game, profile, source, target):
     (empty iff no improving coalition exists).
     """
     coalition = {i for i in range(game.n) if profile[i] == source}
-    base = {i: game.utilities(profile, i)[source - 1] for i in coalition}
+    base = {i: game.scaled_utilities(profile, i)[source - 1]
+            for i in coalition}
     while coalition:
         moved = list(profile)
         for i in coalition:
             moved[i] = target
         drop = {i for i in coalition
-                if not game.utilities(moved, i)[target - 1] > base[i]}
+                if not game.scaled_utilities(moved, i)[target - 1] > base[i]}
         if not drop:
             break
         coalition -= drop
@@ -259,7 +278,7 @@ def sqrt2_three(game):
         for i in range(game.n):
             if profile[i] == 3:
                 continue
-            us = game.utilities(profile, i)
+            us = game.scaled_utilities(profile, i)
             if us[2] > 0 and at_least_sqrt2_times(us[2], us[profile[i] - 1]):
                 mover = i
                 break
@@ -288,7 +307,7 @@ def hybrid(game, alpha, opt_welfare=None):
     alpha = Fraction(alpha)
     if not (PHI_APPROX <= alpha <= 2):
         raise ValueError("alpha must lie in [1618/1000, 2]")
-    k_star = instance_stats(game).k_star
+    k_star = _k_star(game)
     s1, _ = one_shot_alpha_br(game, k_star, alpha)
     s2, _ = one_shot_alpha_br(game, k_star, 1 / (alpha - 1))
     w1 = welfare_total(game, s1)

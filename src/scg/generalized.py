@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import SizeError, _deviation_report
-from .dynamics import MoveRule, _gated_dynamics, _one_shot
+from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import _EXACT, _check_profile, _inexact
 from .rationals import (INF, ParseError, format_rational, parse_rational,
                         supermodular_alpha)
@@ -89,6 +89,9 @@ class GeneralizedGame:
             if j != i:
                 groups[s - 1].append(j)
         return [self.utility(i, k, group) for k, group in enumerate(groups, 1)]
+
+    scale = 1
+    scaled_utilities = utilities
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
@@ -171,8 +174,7 @@ def one_shot_generalized(ggame, k0, alpha=None):
     Returns (profile, alpha_used, moves) where moves lists
     (player, new strategy, old utility, new utility).
     """
-    if not (1 <= k0 <= ggame.m):  # before the costly degree computation
-        raise ValueError(f"starting strategy {k0} out of range 1..{ggame.m}")
+    _check_start(ggame, k0)  # before the costly degree computation
     if alpha is None:
         r = supermodularity_degree(ggame)
         if r == INF:
@@ -241,18 +243,17 @@ def additive_tables(game):
     if game.n > 12:
         raise ValueError("additive table expansion capped at n = 12")
     players = range(game.n)
+    scale, rows, nbrs, gains = game._kernel
     tables = {}
     for i in players:
-        gains = dict()
-        for j, gain in game.adjacency[i]:
-            gains[j] = gain
+        gain = dict(zip(nbrs[i], gains[i]))
         rest = [j for j in players if j != i]
         for size in range(len(rest) + 1):
             for combo in itertools.combinations(rest, size):
-                coord = sum((gains.get(j, ZERO) for j in combo), ZERO)
+                coord = sum(gain.get(j, 0) for j in combo)
                 for k in range(1, game.m + 1):
-                    tables[(i, k, frozenset(combo))] = (
-                        game.intrinsic[i][k - 1] + coord)
+                    tables[(i, k, frozenset(combo))] = Fraction(
+                        rows[i][k - 1] + coord, scale)
     return GeneralizedGame(n=game.n, m=game.m, tables=tables)
 
 
@@ -361,6 +362,9 @@ class HypergraphGame:
                 if e.anchor is None or k == e.anchor:
                     us[k - 1] += gain
         return us
+
+    scale = 1
+    scaled_utilities = utilities
 
     def validate_profile(self, profile):
         _check_profile(self, profile)

@@ -14,17 +14,31 @@ Utility protocol: every game family (``GameInstance`` here,
 ``utilities(profile, i)``, which returns player i's utility for each
 strategy 1..m against the others' strategies in ``profile``, as a list
 indexed ``k - 1``.  It trusts the profile: public entry points validate a
-profile once, and the verifiers and dynamics then read every best response,
-deviation gain and payment from this vector.  ``player_utility`` is the
-validated single-player wrapper over it.
+profile once.  ``player_utility`` is the validated single-player wrapper
+over it.
+
+The verifiers and dynamics read every best response, gate, deviation gain
+and payment from ``scaled_utilities(profile, i)`` instead, which is the
+same vector times the game's positive ``scale``.  On ``GameInstance`` the
+scale is the lcm L of the denominators of every intrinsic value and every
+directed gain ``share * w`` and ``(1 - share) * w``, so the vector is
+plain ints, read from an integer copy of the instance built on first use;
+``utilities`` is ``Fraction(u, L)`` of it.  On the other families the
+scale is 1 and ``scaled_utilities`` is ``utilities``.  Orders, maxima,
+differences' signs and the ratios of two entries are the same at any
+positive scale, so callers compare the scaled values directly (a gate
+``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
+scale only for what they record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .rationals import INF, ParseError, format_rational, parse_rational
 
@@ -46,6 +60,21 @@ class Edge:
         return ONE - self.share_ij
 
 
+class IntKernel(NamedTuple):
+    """A `GameInstance` scaled to ints by the common denominator ``scale``.
+
+    ``rows[i][k - 1]`` is w_i^k times scale; ``nbrs[i]`` lists i's
+    neighbours and ``gains[i]``, aligned with it, i's own coordination gain
+    with each, times scale.  Flat int lists, so a utility vector is built
+    with int additions only.
+    """
+
+    scale: int
+    rows: list
+    nbrs: list
+    gains: list
+
+
 @dataclass(frozen=True)
 class GameInstance:
     n: int
@@ -54,6 +83,9 @@ class GameInstance:
     edges: tuple      # tuple of Edge
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.m) is not int:
+            name = "n" if type(self.n) is not int else "m"
+            raise _not_int(name, getattr(self, name))
         if self.n < 0 or self.m < 1:
             raise ValueError("need n >= 0 players and m >= 1 strategies")
         if len(self.intrinsic) != self.n:
@@ -67,44 +99,74 @@ class GameInstance:
                 if v < 0:
                     raise ValueError(f"intrinsic row {i}: negative entry")
         seen = set()
+        n = self.n
         for e in self.edges:
-            if e.i == e.j:
-                raise ValueError(f"edge ({e.i},{e.j}): self-loop")
-            if not (0 <= e.i < self.n and 0 <= e.j < self.n):
-                raise ValueError(f"edge ({e.i},{e.j}): player index out of range")
-            key = frozenset((e.i, e.j))
+            i, j, w, share = e.i, e.j, e.w, e.share_ij
+            if type(i) is not int or type(j) is not int:
+                name = "i" if type(i) is not int else "j"
+                raise _not_int(f"edge ({i},{j}).{name}", getattr(e, name))
+            if i == j:
+                raise ValueError(f"edge ({i},{j}): self-loop")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i},{j}): player index out of range")
+            key = frozenset((i, j))
             if key in seen:
-                raise ValueError(f"edge ({e.i},{e.j}): duplicate pair")
+                raise ValueError(f"edge ({i},{j}): duplicate pair")
             seen.add(key)
-            if type(e.w) not in _EXACT:
-                raise _inexact(f"edge ({e.i},{e.j}).w", e.w)
-            if type(e.share_ij) not in _EXACT:
-                raise _inexact(f"edge ({e.i},{e.j}).share_ij", e.share_ij)
-            if e.w < 0:
-                raise ValueError(f"edge ({e.i},{e.j}): negative weight")
-            if not (0 <= e.share_ij <= 1):
-                raise ValueError(f"edge ({e.i},{e.j}): share out of range")
+            if type(w) not in _EXACT:
+                raise _inexact(f"edge ({i},{j}).w", w)
+            if type(share) not in _EXACT:
+                raise _inexact(f"edge ({i},{j}).share_ij", share)
+            if w < 0:
+                raise ValueError(f"edge ({i},{j}): negative weight")
+            if not (0 <= share <= 1):
+                raise ValueError(f"edge ({i},{j}): share out of range")
 
     @cached_property
-    def adjacency(self):
-        """Per-player list of (neighbor, own coordination gain) pairs."""
-        adj = [[] for _ in range(self.n)]
+    def _kernel(self):
+        """The `IntKernel`, built from `intrinsic` and `edges` on first use
+        (never at construction) and kept."""
+        nbrs = [[] for _ in range(self.n)]
+        gains = [[] for _ in range(self.n)]
         for e in self.edges:
-            adj[e.i].append((e.j, e.share_ij * e.w))
-            adj[e.j].append((e.i, e.share_ji * e.w))
-        return adj
+            gain = e.share_ij * e.w
+            nbrs[e.i].append(e.j)
+            gains[e.i].append(gain)
+            nbrs[e.j].append(e.i)
+            gains[e.j].append(e.w - gain)  # (1 - share_ij) * w
+        scale = math.lcm(*(v.denominator for row in self.intrinsic
+                           for v in row),
+                         *(g.denominator for row in gains for g in row))
+        rows = [[v.numerator * (scale // v.denominator) for v in row]
+                for row in self.intrinsic]
+        gains = [[g.numerator * (scale // g.denominator) for g in row]
+                 for row in gains]
+        return IntKernel(scale, rows, nbrs, gains)
+
+    @property
+    def scale(self):
+        """The common denominator L of the integer kernel: the lcm of the
+        denominators of every intrinsic value and directed gain."""
+        return self._kernel.scale
 
     @cached_property
     def edge_weight(self):
         """Unordered-pair -> weight lookup."""
         return {frozenset((e.i, e.j)): e.w for e in self.edges}
 
-    def utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m; trusts the profile."""
-        us = list(self.intrinsic[i])
-        for j, gain in self.adjacency[i]:
+    def scaled_utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m times `scale`, as ints;
+        trusts the profile.  O(deg + m)."""
+        _, rows, nbrs, gains = self._kernel
+        us = rows[i].copy()
+        for j, gain in zip(nbrs[i], gains[i]):
             us[profile[j] - 1] += gain
         return us
+
+    def utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m; trusts the profile."""
+        scale = self._kernel.scale
+        return [Fraction(u, scale) for u in self.scaled_utilities(profile, i)]
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
@@ -121,14 +183,27 @@ def _inexact(where, value):
                       f"got {type(value).__name__}")
 
 
+def _not_int(where, value):
+    return ValueError(f"{where}: expected an int, got {type(value).__name__}")
+
+
 def _check_profile(game, profile):
-    """Reject a profile that does not give each of game.n players a
-    strategy in 1..game.m; shared by every game family."""
+    """Reject a profile that does not give each of game.n players an int
+    strategy (not a bool) in 1..game.m; shared by every game family."""
     if len(profile) != game.n:
         raise ValueError("profile length must equal player count")
+    m = game.m
     for s in profile:
-        if not (1 <= s <= game.m):
-            raise ValueError(f"strategy {s} out of range 1..{game.m}")
+        if type(s) is not int or not (1 <= s <= m):
+            break
+    else:
+        return
+    for pos, s in enumerate(profile):
+        if type(s) is not int:
+            raise _not_int(f"profile[{pos}]", s)
+        if not (1 <= s <= m):
+            raise ValueError(f"profile[{pos}]: strategy {s} out of range "
+                             f"1..{m}")
 
 
 @dataclass(frozen=True)
@@ -192,22 +267,38 @@ def welfare(game, profile):
 
 
 def welfare_total(game, profile):
-    """Social welfare u(s) without the per-player breakdown (hot path)."""
-    total = ZERO
-    for i in range(game.n):
-        total += game.intrinsic[i][profile[i] - 1]
-    for e in game.edges:
-        if profile[e.i] == profile[e.j]:
-            total += e.w
-    return total
+    """Social welfare u(s) without the per-player breakdown (hot path).
+
+    Sums as one int pair (num, den), growing den by lcm, and builds one
+    Fraction at the end.  Reads the instance's own values, not its integer
+    kernel, so summing a welfare keeps no integer copy of the game alive.
+    """
+    values = [row[k - 1] for row, k in zip(game.intrinsic, profile)]
+    values += [e.w for e in game.edges if profile[e.i] == profile[e.j]]
+    num, den = 0, 1
+    for v in values:
+        p, d = v.as_integer_ratio()
+        if den % d:
+            grown = den // math.gcd(den, d) * d
+            num *= grown // den
+            den = grown
+        num += p * (den // d)
+    return Fraction(num, den)
+
+
+def _k_star(game):
+    """The strategy maximizing total intrinsic value, lowest index on ties,
+    from the integer kernel's rows."""
+    rows = game._kernel.rows
+    col_sums = [sum(row[k] for row in rows) for k in range(game.m)]
+    return max(range(game.m), key=lambda k: (col_sums[k], -k)) + 1
 
 
 def instance_stats(game):
     best = tuple(max(row) for row in game.intrinsic)
     a_total = sum(best, ZERO)
     p_total = sum((e.w for e in game.edges), ZERO)
-    col_sums = [sum((row[k] for row in game.intrinsic), ZERO) for k in range(game.m)]
-    k_star = max(range(game.m), key=lambda k: (col_sums[k], -k)) + 1
+    k_star = _k_star(game)
     mri = ONE
     for e in game.edges:
         if e.w == 0:

@@ -109,7 +109,7 @@ def certificate_shares_match(game, cert):
     for e in game.edges:
         if e.w == 0:
             continue
-        gi, gj = cert.gamma[e.i], cert.gamma[e.j]
+        gi, gj = Fraction(cert.gamma[e.i]), cert.gamma[e.j]
         if e.share_ij != gi / (gi + gj):
             return False
     return True
@@ -131,12 +131,13 @@ def _check_certificate(game, cert):
 def potential_value(game, profile, cert):
     game.validate_profile(profile)
     _check_certificate(game, cert)
+    gamma = [Fraction(g) for g in cert.gamma]
     phi = Fraction(0)
     for i in range(game.n):
-        phi += game.intrinsic[i][profile[i] - 1] / cert.gamma[i]
+        phi += game.intrinsic[i][profile[i] - 1] / gamma[i]
     for e in game.edges:
         if profile[e.i] == profile[e.j]:
-            phi += e.w / (cert.gamma[e.i] + cert.gamma[e.j])
+            phi += e.w / (gamma[e.i] + gamma[e.j])
     return phi
 
 
@@ -154,10 +155,10 @@ def _potential_delta(game, profile, i, new_k, cert):
     old_k = profile[i]
     if old_k == new_k:
         return Fraction(0)
-    gi = cert.gamma[i]
+    gi = Fraction(cert.gamma[i])
     delta = (game.intrinsic[i][new_k - 1] - game.intrinsic[i][old_k - 1]) / gi
     weights = game.edge_weight
-    for j, _gain in game.adjacency[i]:
+    for j in game._kernel.nbrs[i]:
         if profile[j] == new_k:
             delta += weights[frozenset((i, j))] / (gi + cert.gamma[j])
         elif profile[j] == old_k:
@@ -182,20 +183,18 @@ def _scaled(values):
 def _sign_rows(game, cert):
     """Per player i, the terms of du and dphi a deviation of i can touch,
     scaled to ints: (intrinsic row, w_i^k / g_i row, [(j, own gain,
-    w_ij / (g_i + g_j))] over i's neighbours).  The utility terms and the
-    potential terms each share one scale per player."""
+    w_ij / (g_i + g_j))] over i's neighbours).  The utility terms are the
+    game's integer kernel; the potential terms share one scale per
+    player."""
     gamma = [Fraction(g) for g in cert.gamma]
+    _, us_rows, nbrs, gains = game._kernel
     rows = []
     for i in range(game.n):
         gi, m = gamma[i], game.m
-        nbrs = game.adjacency[i]
-        us = _scaled([*game.intrinsic[i], *(gain for _, gain in nbrs)])
         ps = _scaled([*(v / gi for v in game.intrinsic[i]),
                       *(game.edge_weight[frozenset((i, j))] / (gi + gamma[j])
-                        for j, _ in nbrs)])
-        rows.append((us[:m], ps[:m],
-                     [(j, us[m + t], ps[m + t])
-                      for t, (j, _) in enumerate(nbrs)]))
+                        for j in nbrs[i])])
+        rows.append((us_rows[i], ps[:m], list(zip(nbrs[i], gains[i], ps[m:]))))
     return rows
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -143,6 +144,13 @@ def test_payment_argument_errors():
     g = two_player()
     with pytest.raises(ValueError):
         payment_stabilize(g, (2, 2), Fraction(0))
+    plan = payment_stabilize(g, (2, 2), Fraction(11))
+    for payments, where in (((Fraction(-1), Fraction(0)), r"\[0\]: negative"),
+                            ((Fraction(1), 0.5), r"payments\[1\]"),
+                            ((Fraction(1),), "every player")):
+        with pytest.raises(ValueError, match=where):
+            post_payment_deviation_report(
+                g, (2, 2), dataclasses.replace(plan, payments=payments))
 
 
 def test_uniform_deviation_inequality():

@@ -1,9 +1,10 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from scg.cli import main
+from scg.cli import build_parser, main
 from scg.generators import random_supermodular, random_omega
 from scg.generalized import serialize_generalized, serialize_omega
 from scg.model import Edge, GameInstance, serialize_instance
@@ -224,3 +225,38 @@ def test_bad_table_field_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err == ("error: tables[0][0].others: "
                             "expected a list of integers\n")
+
+
+# One malformed input per subcommand.  "{bool_n}" is an instance whose n is
+# the JSON boolean true, "{pair}" a valid two-strategy instance.
+MALFORMED = {
+    "gen": ["gen", "random", "--n", "0"],
+    "solve": ["solve", "sqrt2", "--in", "{bool_n}"],
+    "verify": ["verify", "nash", "--in", "{pair}", "--profile", "1,x"],
+    "census": ["census", "--in", "{bool_n}"],
+    "payments": ["payments", "--in", "{pair}", "--profile", "1,1.0"],
+    "bounds": ["bounds", "--alpha", "2", "--gamma", "0", "--m", "3"],
+    "audit-potential": ["audit-potential", "--in", "{pair}.missing"],
+    "search-no-sne": ["search-no-sne", "--count", "-1"],
+}
+
+
+def test_malformed_input_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(MALFORMED) == set(sub.choices)
+
+
+@pytest.mark.parametrize("command", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, pair,
+                                               command):
+    bool_n = tmp_path / "bool-n.json"
+    bool_n.write_text(json.dumps({"n": True, "m": 3,
+                                  "intrinsic": [["1", "0", "0"]],
+                                  "edges": []}))
+    argv = [a.format(bool_n=bool_n, pair=pair) for a in MALFORMED[command]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

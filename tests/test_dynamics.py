@@ -197,6 +197,11 @@ def test_one_shot_rejects_bad_arguments():
         one_shot_alpha_br(g, 1, Fraction(1, 2))
     with pytest.raises(ValueError):
         one_shot_alpha_br(g, 5, Fraction(1))
+    with pytest.raises(ValueError, match="alpha: expected an int or Fraction"):
+        MoveRule(1.5)
+    for k0 in (1.0, True):  # used to start from a float or bool profile
+        with pytest.raises(ValueError, match="starting strategy: expected"):
+            one_shot_alpha_br(g, k0, Fraction(1))
 
 
 def test_best_of_two_runs_matches_exhaustive_optimum():

@@ -1,13 +1,17 @@
 """Differential property tests for the exact kernels.
 
-The kernel (`utilities(profile, i)` on every game family), the gated
-best-response loop, the shared deviation report, the integer
-complementarity degree and the integer potential audit are compared with
-straightforward reference implementations kept here: utilities summed edge
-by edge, best responses found by one `player_utility` call per strategy,
-the degree as a Fraction ratio over every pair of table entries, and the
-audit with both changes computed as Fractions on every trial.  Runs are
-derandomized and small.
+The integer kernel (`scale` and `scaled_utilities` of `GameInstance`), the
+other families' `utilities`, the gated best-response loop, the shared
+deviation report, the oracles, the integer complementarity degree and the
+integer potential audit are compared with straightforward Fraction
+references kept here: the Fraction utility-vector and welfare loops that
+`GameInstance` used before it was scaled to one integer denominator, the
+gate ``u_new >= alpha * u_old`` and the factor ``u_new / u_old`` computed
+on Fractions, best responses found by a per-strategy scan, the degree as a
+Fraction ratio over every pair of table entries, and the audit with both
+changes computed as Fractions on every trial.  Instances mix fractional
+values, all-int values (scale 1) and coprime denominators whose lcm
+exceeds 2**64.  Runs are derandomized and small.
 """
 
 import itertools
@@ -15,18 +19,24 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scg.analysis import deviation_report
-from scg.dynamics import (DynamicsTrace, Move, MoveRule, one_shot_alpha_br,
-                          run_dynamics)
+from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
+                          StrongDeviationReport, brute_force_optimum,
+                          deviation_report, equilibrium_census,
+                          payment_stabilize, post_payment_deviation_report,
+                          semi_smoothness_check, verify_approx_strong)
+from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
+                          hybrid, one_shot_alpha_br, run_dynamics,
+                          sqrt2_three, strong_two)
 from scg.generalized import (GeneralizedGame, additive_tables,
                              one_shot_generalized, supermodularity_degree,
                              triangle_game, verify_generalized)
 from scg.generators import (example1, random_hypergraph_cc,
                             random_supermodular)
-from scg.model import Edge, GameInstance, player_utility
+from scg.model import (Edge, GameInstance, player_utility, welfare,
+                       welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate, ordinal_audit,
                             potential_value)
 
@@ -36,58 +46,106 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None,
 # few distinct values, so that best-response ties are common
 values = st.sampled_from((0, 1, 2, 3, Fraction(3, 2))).map(Fraction)
 shares = st.sampled_from((0, 1, Fraction(1, 2), Fraction(1, 3))).map(Fraction)
-alphas = st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2)))
+# denominators 2**61 - 1, 10**9 + 7 and 2**31 - 1 are distinct primes, so
+# an instance using two of them has a scale above 2**64
+P61, P30, P31 = 2**61 - 1, 10**9 + 7, 2**31 - 1
+VALUE_KINDS = {
+    "fractions": (values, shares),
+    "ints": (st.sampled_from((0, 1, 2, 3)), st.sampled_from((0, 1))),
+    "coprime": (st.sampled_from((0, 1, Fraction(2 * P61 + 1, P61),
+                                 Fraction(P30 + 2, P30))),
+                st.sampled_from((0, Fraction(1, 2), Fraction(P31 - 1, P31)))),
+}
+alphas = st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2),
+                          Fraction(3 * 10**20 + 1, 2 * 10**20),
+                          Fraction(2**65 + 1, 2**64 + 1)))
+hybrid_alphas = st.sampled_from((Fraction(1618, 1000), Fraction(7, 4),
+                                 Fraction(2), Fraction(2**65 + 1, 2**64 + 1)))
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 3))
-    intrinsic = tuple(tuple(draw(values) for _ in range(m)) for _ in range(n))
+def instances(draw, ns=st.integers(1, 6), ms=st.integers(1, 3),
+              kinds=tuple(VALUE_KINDS)):
+    n, m = draw(ns), draw(ms)
+    vals, shs = VALUE_KINDS[draw(st.sampled_from(kinds))]
+    intrinsic = tuple(tuple(draw(vals) for _ in range(m)) for _ in range(n))
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 i_, j_ = (i, j) if draw(st.booleans()) else (j, i)
-                edges.append(Edge(i_, j_, draw(values), draw(shares)))
+                edges.append(Edge(i_, j_, draw(vals), draw(shs)))
     return GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges))
 
 
 @st.composite
-def game_and_profile(draw):
-    g = draw(instances())
+def game_and_profile(draw, games=instances()):
+    g = draw(games)
     profile = tuple(draw(st.integers(1, g.m)) for _ in range(g.n))
     return g, profile
 
 
-def reference_utility(g, profile, i, k):
-    """Intrinsic value plus the gains of co-located neighbours, from edges."""
-    u = g.intrinsic[i][k - 1]
+small_games = instances(ns=st.integers(1, 4))
+
+
+# --- Fraction references -----------------------------------------------------
+
+
+def fraction_utilities(g, profile, i):
+    """The Fraction utility vector `GameInstance.utilities` computed before
+    the integer kernel: intrinsic values plus co-located neighbours' gains."""
+    us = list(g.intrinsic[i])
     for e in g.edges:
-        if e.i == i and profile[e.j] == k:
-            u += e.share_ij * e.w
-        elif e.j == i and profile[e.i] == k:
-            u += (1 - e.share_ij) * e.w
-    return u
+        if e.i == i:
+            us[profile[e.j] - 1] += e.share_ij * e.w
+        elif e.j == i:
+            us[profile[e.i] - 1] += (1 - e.share_ij) * e.w
+    return us
 
 
-def _scan_best_response(g, profile, i):
-    current = player_utility(g, profile, i)[0]
+def fraction_welfare_total(g, profile):
+    """The Fraction welfare loop `welfare_total` ran before the int pair."""
+    total = Fraction(0)
+    for i in range(g.n):
+        total += g.intrinsic[i][profile[i] - 1]
+    for e in g.edges:
+        if profile[e.i] == profile[e.j]:
+            total += e.w
+    return total
+
+
+def fraction_allows(alpha, u_old, u_new):
+    if u_old == 0:
+        return u_new > 0
+    return u_new >= alpha * u_old and u_new > u_old
+
+
+def fraction_factor(u_old, u_new):
+    if u_old == 0:
+        return math.inf if u_new > 0 else Fraction(1)
+    return Fraction(u_new) / u_old
+
+
+def _profiles(g):
+    return itertools.product(range(1, g.m + 1), repeat=g.n)
+
+
+def _scan_best_response(g, profile, i, bonus=0):
+    """(best strategy, its utility, current utility) by a per-strategy
+    scan; ties stay, then go to the lowest index."""
+    us = fraction_utilities(g, profile, i)
+    current = us[profile[i] - 1] + bonus
     best_k, best_u = profile[i], current
     for k in range(1, g.m + 1):
-        if k == profile[i]:
-            continue
-        u = player_utility(g, profile, i, strategy=k)[0]
-        if u > best_u:
-            best_k, best_u = k, u
+        if k != profile[i] and us[k - 1] > best_u:
+            best_k, best_u = k, us[k - 1]
     return best_k, best_u, current
 
 
-def reference_dynamics(g, start, rule, k0=None):
-    """The restart-after-every-move loop written with per-strategy scans.
-
-    With `k0`, only players still at k0 move, as in one-shot dynamics.
-    """
+def reference_dynamics(g, start, alpha, k0=None):
+    """The restart-after-every-move loop with per-strategy scans and the
+    Fraction gate.  With `k0`, only players still at k0 move, as in
+    one-shot dynamics."""
     step_cap = (g.m ** g.n) * max(g.n, 1)
     profile, seen, moves = tuple(start), {tuple(start)}, []
     while True:
@@ -96,7 +154,7 @@ def reference_dynamics(g, start, rule, k0=None):
             if k0 is not None and profile[i] != k0:
                 continue
             k, u_new, u_old = _scan_best_response(g, profile, i)
-            if k != profile[i] and rule.allows(u_old, u_new):
+            if k != profile[i] and fraction_allows(alpha, u_old, u_new):
                 mover = (i, k, u_old, u_new)
                 break
         if mover is None:
@@ -111,23 +169,115 @@ def reference_dynamics(g, start, rule, k0=None):
         seen.add(profile)
 
 
+def reference_report(g, profile, bonus=None):
+    per, max_factor, witness = [], Fraction(1), None
+    for i in range(g.n):
+        k, best_u, current = _scan_best_response(
+            g, profile, i, bonus[i] if bonus else 0)
+        f = fraction_factor(current, best_u)
+        per.append((k, f))
+        if f > max_factor:
+            max_factor, witness = f, i
+    return DeviationReport(tuple(per), max_factor, witness)
+
+
+def reference_optimum(g):
+    best = None
+    for p in _profiles(g):
+        w = fraction_welfare_total(g, p)
+        if best is None or w > best[1]:
+            best = (p, w)
+    return best
+
+
+def reference_census(g, alpha):
+    opt_profile, opt_w = reference_optimum(g)
+    eq = [p for p in _profiles(g)
+          if reference_report(g, p).max_factor <= alpha]
+    ws = [fraction_welfare_total(g, p) for p in eq]
+
+    def ratio(w):
+        if w == 0:
+            return Fraction(1) if opt_w == 0 else math.inf
+        return opt_w / w
+
+    return EquilibriumCensus(
+        alpha=alpha, opt_profile=opt_profile, opt_welfare=opt_w,
+        equilibria=tuple(eq), equilibrium_welfares=tuple(ws),
+        poa=ratio(min(ws)) if eq else None,
+        pos=ratio(max(ws)) if eq else None, exists=bool(eq))
+
+
+def reference_strong(g, profile, alpha):
+    base = [fraction_utilities(g, profile, i)[profile[i] - 1]
+            for i in range(g.n)]
+    for alt in _profiles(g):
+        coalition = tuple(i for i in range(g.n) if alt[i] != profile[i])
+        if coalition and all(
+                fraction_factor(base[i],
+                                fraction_utilities(g, alt, i)[alt[i] - 1])
+                > alpha for i in coalition):
+            return StrongDeviationReport("violated", alpha, alt, coalition)
+    return StrongDeviationReport("stable-at-alpha", alpha)
+
+
+def reference_hybrid(g, alpha):
+    """(s1, s2, their welfares): one-shot runs from the strategy with the
+    largest intrinsic column sum, lowest index on ties."""
+    cols = [sum((row[k] for row in g.intrinsic), Fraction(0))
+            for k in range(g.m)]
+    k0 = max(range(g.m), key=lambda k: (cols[k], -k)) + 1
+    runs = [reference_dynamics(g, (k0,) * g.n, a, k0=k0).terminal
+            for a in (alpha, 1 / (alpha - 1))]
+    return (*runs, *(fraction_welfare_total(g, s) for s in runs))
+
+
+class FractionGame(GameInstance):
+    """The same instance read through `fraction_utilities` at scale 1, so
+    an algorithm runs on the Fraction vectors it used before the integer
+    kernel."""
+
+    scale = 1
+
+    def scaled_utilities(self, profile, i):
+        return fraction_utilities(self, profile, i)
+
+    utilities = scaled_utilities
+
+
+def _fraction_game(g):
+    return FractionGame(n=g.n, m=g.m, intrinsic=g.intrinsic, edges=g.edges)
+
+
+# --- the kernel and the loops it serves --------------------------------------
+
+
 @SETTINGS
 @given(game_and_profile())
 def test_kernel_matches_edge_sum(case):
     g, profile = case
+    gains = [sh * e.w for e in g.edges for sh in (e.share_ij, 1 - e.share_ij)]
+    assert g.scale == math.lcm(
+        *(v.denominator for row in g.intrinsic for v in row),
+        *(x.denominator for x in gains))
     for i in range(g.n):
-        expected = [reference_utility(g, profile, i, k)
-                    for k in range(1, g.m + 1)]
+        expected = fraction_utilities(g, profile, i)
+        scaled = g.scaled_utilities(profile, i)
+        assert all(type(u) is int for u in scaled)
+        assert scaled == [u * g.scale for u in expected]
         assert g.utilities(profile, i) == expected
         assert player_utility(g, profile, i)[0] == expected[profile[i] - 1]
+    w = welfare_total(g, profile)
+    assert type(w) is Fraction
+    assert w == fraction_welfare_total(g, profile) == welfare(g, profile).total
 
 
 @SETTINGS
 @given(game_and_profile(), alphas)
 def test_run_dynamics_matches_reference_loop(case, alpha):
     g, start = case
-    rule = MoveRule(alpha=alpha)
-    assert run_dynamics(g, start, rule) == reference_dynamics(g, start, rule)
+    assert (run_dynamics(g, start, MoveRule(alpha))
+            == reference_dynamics(g, start, alpha))
 
 
 @SETTINGS
@@ -135,7 +285,7 @@ def test_run_dynamics_matches_reference_loop(case, alpha):
 def test_one_shot_matches_reference_loop(g, data, alpha):
     k0 = data.draw(st.integers(1, g.m))
     profile, trace = one_shot_alpha_br(g, k0, alpha)
-    assert trace == reference_dynamics(g, (k0,) * g.n, MoveRule(alpha), k0=k0)
+    assert trace == reference_dynamics(g, (k0,) * g.n, alpha, k0=k0)
     assert profile == trace.terminal
 
 
@@ -144,13 +294,88 @@ def test_one_shot_matches_reference_loop(g, data, alpha):
 def test_reports_match_the_reference_scan(case):
     g, profile = case
     report = deviation_report(g, profile)
-    expected = []
-    for i in range(g.n):
-        k, best_u, current = _scan_best_response(g, profile, i)
-        expected.append((k, best_u / current if current
-                         else (math.inf if best_u > 0 else 1)))
-    assert report.per_player == tuple(expected)
+    assert report == reference_report(g, profile)
     assert verify_generalized(additive_tables(g), profile) == report
+
+
+@SETTINGS
+@given(game_and_profile(), st.sampled_from((0, Fraction(1, 7))))
+def test_payments_match_the_reference(case, extra):
+    g, profile = case
+    _, opt_w = reference_optimum(g)
+    assume(opt_w > 0)
+    plan = payment_stabilize(g, profile, opt_w)
+    payments = []
+    for i, k in enumerate(profile):
+        us = fraction_utilities(g, profile, i)
+        payments.append(max(us) - us[k - 1])
+    total = sum(payments, Fraction(0))
+    assert plan == PaymentPlan(tuple(payments), total, total / opt_w)
+    # payments off the game's scale take the Fraction branch of the bonus
+    paid = [p + extra for p in payments]
+    plan = PaymentPlan(tuple(paid), sum(paid, Fraction(0)), Fraction(1))
+    assert (post_payment_deviation_report(g, profile, plan)
+            == reference_report(g, profile, bonus=paid))
+
+
+@SETTINGS
+@given(game_and_profile(small_games), alphas)
+def test_oracles_match_the_reference(case, alpha):
+    g, profile = case
+    assert brute_force_optimum(g) == reference_optimum(g)
+    assert equilibrium_census(g, alpha) == reference_census(g, alpha)
+    assert (verify_approx_strong(g, profile, alpha)
+            == reference_strong(g, profile, alpha))
+    assert (semi_smoothness_check(g, profile)
+            == semi_smoothness_check(_fraction_game(g), profile))
+
+
+@SETTINGS
+@given(instances(), hybrid_alphas)
+def test_hybrid_matches_the_reference(g, alpha):
+    rep = hybrid(g, alpha)
+    assert ((rep.s1, rep.s2, rep.welfare_s1, rep.welfare_s2)
+            == reference_hybrid(g, alpha))
+
+
+@SETTINGS
+@given(instances(ms=st.just(2)), instances(ms=st.just(3)), st.data())
+def test_two_and_three_strategy_algorithms_match_fraction_game(g2, g3, data):
+    start = tuple(data.draw(st.integers(1, 2)) for _ in range(g2.n))
+    assert (algorithm1_two(g2, start)
+            == algorithm1_two(_fraction_game(g2), start))
+    assert strong_two(g2) == strong_two(_fraction_game(g2))
+    assert sqrt2_three(g3) == sqrt2_three(_fraction_game(g3))
+
+
+INT_PAIR = GameInstance(n=2, m=2, intrinsic=((1, 2), (3, 1)),
+                        edges=(Edge(0, 1, 2, 1),))
+
+
+@SETTINGS
+@given(game_and_profile(instances(kinds=("ints",))), alphas)
+@example((INT_PAIR, (1, 1)), Fraction(3, 2))
+def test_int_instances_report_no_floats(case, alpha):
+    g, profile = case
+    assert g.scale == 1
+
+    def exact(x):
+        return type(x) is Fraction or x == math.inf
+
+    factors = [f for _, f in deviation_report(g, profile).per_player]
+    moves = run_dynamics(g, profile, MoveRule(alpha)).moves
+    moves += one_shot_alpha_br(g, 1, alpha)[1].moves
+    utilities = [u for mv in moves for u in (mv.old_utility, mv.new_utility)]
+    plan = payment_stabilize(g, profile, Fraction(1))
+    post = post_payment_deviation_report(g, profile, plan)
+    rep = hybrid(g, 2)
+    census = equilibrium_census(g, alpha)
+    welfares = [welfare_total(g, profile), welfare(g, profile).total,
+                rep.welfare_s1, rep.welfare_s2, census.opt_welfare,
+                *census.equilibrium_welfares]
+    assert all(map(exact, factors + [f for _, f in post.per_player]
+                   + utilities + list(plan.payments) + [plan.total]
+                   + welfares))
 
 
 @SETTINGS

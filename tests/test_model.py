@@ -155,6 +155,10 @@ def test_parse_rejects_non_integer_endpoints(endpoint):
     (dict(edges=(Edge(0, 1, 1.5, Fraction(1, 2)),)), "\\(0,1\\)\\.w"),
     (dict(edges=(Edge(0, 1, False, Fraction(1, 2)),)), "\\(0,1\\)\\.w"),
     (dict(edges=(Edge(0, 1, Fraction(1), 0.5),)), "share_ij"),
+    (dict(n=2.0), "^n: expected an int"),
+    (dict(m=True), "^m: expected an int"),
+    (dict(edges=(Edge(0.0, 1, Fraction(1), Fraction(1, 2)),)), "\\.i: "),
+    (dict(edges=(Edge(0, True, Fraction(1), Fraction(1, 2)),)), "\\.j: "),
 ])
 def test_constructor_rejects_floats_and_bools(bad, where):
     fields = dict(n=2, m=2, intrinsic=((Fraction(1), Fraction(0)),) * 2,
@@ -164,3 +168,14 @@ def test_constructor_rejects_floats_and_bools(bad, where):
         GameInstance(**fields)
     # plain ints stay exact values
     GameInstance(n=1, m=2, intrinsic=((3, 0),), edges=())
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", None])
+def test_profile_strategies_must_be_ints(bad):
+    g = two_player()
+    with pytest.raises(ValueError, match="profile\\[1\\]: expected an int"):
+        g.validate_profile((1, bad))
+    with pytest.raises(ValueError, match="profile\\[1\\]"):
+        welfare(g, (2, bad))
+    with pytest.raises(ValueError, match="profile\\[0\\]: strategy 3 out"):
+        g.validate_profile((3, 1))

@@ -152,6 +152,21 @@ def test_sampled_audit_requires_a_trial(trials):
         ordinal_audit(g, cc_recover(g), trials=trials)
 
 
+def test_int_weights_and_values_give_fractions():
+    g = GameInstance(n=2, m=2, intrinsic=((1, 2), (3, 1)),
+                     edges=(Edge(0, 1, 2, 1),))
+    cert = PotentialCertificate(gamma=(1, 3))
+    phi = potential_value(g, (1, 1), cert)
+    delta = potential_delta(g, (1, 1), 0, 2, cert)
+    assert (type(phi), phi) == (Fraction, Fraction(5, 2))
+    assert (type(delta), delta) == (Fraction, Fraction(1, 2))
+    *_, du, dphi = ordinal_audit(g, cert).counterexample
+    assert (type(du), type(dphi)) == (Fraction, Fraction)
+    thirds = GameInstance(n=2, m=1, intrinsic=((1,), (1,)),
+                          edges=(Edge(0, 1, 2, Fraction(1, 3)),))
+    assert certificate_shares_match(thirds, PotentialCertificate(gamma=(1, 2)))
+
+
 @pytest.mark.parametrize("weight", ["0", "-2/3"])
 def test_nonpositive_weight_is_named(weight):
     g, _ = random_cc(4, 3, 1)
