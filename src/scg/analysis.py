@@ -24,10 +24,13 @@ class SizeError(RuntimeError):
     """Exhaustive enumeration would exceed the profile-space guard."""
 
 
-def _check_size(game):
+def _profiles(game):
+    """Every profile of the game, in lexicographic order; raises SizeError
+    at once when there are more than PROFILE_SPACE_CAP of them."""
     if game.m ** game.n > PROFILE_SPACE_CAP:
         raise SizeError(
             f"profile space {game.m}^{game.n} exceeds cap {PROFILE_SPACE_CAP}")
+    return itertools.product(range(1, game.m + 1), repeat=game.n)
 
 
 def _factor(u_old, u_new):
@@ -136,14 +139,26 @@ def deviation_report(game, profile):
 
 def brute_force_optimum(game):
     """Exact welfare maximizer; ties go to the lexicographically smallest
-    profile."""
-    _check_size(game)
-    best_profile, best_w = None, None
-    for profile in itertools.product(range(1, game.m + 1), repeat=game.n):
-        w = welfare_total(game, profile)
-        if best_w is None or w > best_w:
-            best_profile, best_w = profile, w
-    return best_profile, best_w
+    profile, the first maximum `max` meets."""
+    best = max(_profiles(game), key=lambda p: welfare_total(game, p))
+    return best, welfare_total(game, best)
+
+
+def _group_deviation(game, profile, base, alpha, feasible=None):
+    """(alt, coalition) for the first profile alt, in lexicographic order and
+    admitted by `feasible` if given, in which every player who changed
+    strategy beats `base` (scaled utilities at `profile`) by a factor above
+    alpha, decided by `_factor_exceeds`; (None, None) if there is none."""
+    for alt in _profiles(game):
+        coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
+        if not coalition or feasible is not None and not feasible(alt):
+            continue
+        if all(_factor_exceeds(base[i],
+                               game.scaled_utilities(alt, i)[alt[i] - 1],
+                               alpha)
+               for i in coalition):
+            return alt, coalition
+    return None, None
 
 
 def verify_approx_strong(game, profile, alpha):
@@ -152,34 +167,24 @@ def verify_approx_strong(game, profile, alpha):
     A violation is an alternative profile where every player who changed
     strategy improves by a factor strictly greater than alpha.
     """
-    _check_size(game)
     game.validate_profile(profile)
     alpha = Fraction(alpha)
     scale = game.scale
     # integral: every utility is a multiple of 1 / scale
     base = [int(player_utility(game, profile, i)[0] * scale)
             for i in range(game.n)]
-    for alt in itertools.product(range(1, game.m + 1), repeat=game.n):
-        coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
-        if not coalition:
-            continue
-        if all(_factor_exceeds(base[i],
-                               game.scaled_utilities(alt, i)[alt[i] - 1],
-                               alpha)
-               for i in coalition):
-            return StrongDeviationReport(verdict="violated", alpha=alpha,
-                                         witness_profile=alt,
-                                         coalition=coalition)
-    return StrongDeviationReport(verdict="stable-at-alpha", alpha=alpha)
+    alt, coalition = _group_deviation(game, profile, base, alpha)
+    return StrongDeviationReport(
+        verdict="stable-at-alpha" if alt is None else "violated",
+        alpha=alpha, witness_profile=alt, coalition=coalition)
 
 
 def equilibrium_census(game, alpha=ONE):
     """Exhaustive census of alpha-approximate equilibria with PoA/PoS."""
-    _check_size(game)
     alpha = Fraction(alpha)
     opt_profile, opt_w = None, None
     equilibria, eq_welfares = [], []
-    for profile in itertools.product(range(1, game.m + 1), repeat=game.n):
+    for profile in _profiles(game):
         w = welfare_total(game, profile)
         if opt_w is None or w > opt_w:
             opt_profile, opt_w = profile, w
@@ -204,14 +209,25 @@ def _welfare_ratio(opt_w, eq_w):
     return opt_w / eq_w
 
 
+def _hybrid_alpha(alpha):
+    """alpha as a Fraction, if it lies in the hybrid algorithm's range."""
+    alpha = Fraction(alpha)
+    if not (PHI_APPROX <= alpha <= 2):
+        raise ValueError("alpha must lie in [1618/1000, 2]")
+    return alpha
+
+
+def _balanced_fraction(alpha, gamma, inv_m):
+    """The balanced two-term welfare fraction at 1/m = inv_m."""
+    return (alpha - 1) / (1 + ((gamma + 1) / alpha) * (alpha - (1 + inv_m)))
+
+
 def welfare_lower_bound(alpha, gamma, m):
     """Guaranteed welfare fraction of the hybrid algorithm's output.
 
     gamma may be +inf; m may be +inf, treated as the 1/m -> 0 limit.
     """
-    alpha = Fraction(alpha)
-    if not (PHI_APPROX <= alpha <= 2):
-        raise ValueError("alpha must lie in [1618/1000, 2]")
+    alpha = _hybrid_alpha(alpha)
     inf_m = m == INF
     if not inf_m and (not isinstance(m, int) or m < 1):
         raise ValueError("m must be an integer >= 1 or inf")
@@ -227,7 +243,7 @@ def welfare_lower_bound(alpha, gamma, m):
         return lemma_frac
     inv_m = Fraction(0) if inf_m else Fraction(1, m)
     if inf_m or gamma + 1 <= alpha * m:
-        return (alpha - 1) / (1 + ((gamma + 1) / alpha) * (alpha - (1 + inv_m)))
+        return _balanced_fraction(alpha, gamma, inv_m)
     return max(alpha / (gamma + 1), lemma_frac)
 
 
@@ -246,8 +262,7 @@ def table_fraction(alpha, gamma, m):
     gamma = Fraction(gamma)
     if gamma + 1 <= alpha * m:
         return guaranteed
-    balanced = (alpha - 1) / (1 + ((gamma + 1) / alpha) * (alpha - (1 + Fraction(1, m))))
-    return max(guaranteed, balanced)
+    return max(guaranteed, _balanced_fraction(alpha, gamma, Fraction(1, m)))
 
 
 def payment_stabilize(game, profile, opt_welfare):

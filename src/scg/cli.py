@@ -27,18 +27,10 @@ class CliError(Exception):
     pass
 
 
-def _parse_alpha(text):
+def _parse_rational(text, flag):
+    """The rational value of option `flag`; an error names the flag."""
     try:
-        return parse_rational(text, "alpha")
-    except ParseError as exc:
-        raise CliError(str(exc))
-
-
-def _parse_gamma(text):
-    if text == "inf":
-        return INF
-    try:
-        return parse_rational(text, "gamma")
+        return parse_rational(text, flag)
     except ParseError as exc:
         raise CliError(str(exc))
 
@@ -90,12 +82,6 @@ def _load_instance(path):
         raise CliError(str(exc))
 
 
-def _fmt(x):
-    if x == INF:
-        return "inf"
-    return format_rational(x)
-
-
 def _profile_str(profile):
     return ",".join(str(s) for s in profile)
 
@@ -106,17 +92,20 @@ def _profile_str(profile):
 def _cmd_gen(args):
     kind = args.kind
     if kind == "example1":
-        out = model.serialize_instance(generators.example1(_parse_alpha(args.r)))
+        out = model.serialize_instance(
+            generators.example1(_parse_rational(args.r, "r")))
     elif kind == "prop5":
         out = model.serialize_instance(
-            generators.prop5(args.m_int, _parse_alpha(args.r), _parse_alpha(args.eps)))
+            generators.prop5(args.m_int, _parse_rational(args.r, "r"),
+                             _parse_rational(args.eps, "eps")))
     elif kind == "symmetric-pos-tight":
         out = model.serialize_instance(
-            generators.symmetric_pos_tight(args.m_int, _parse_alpha(args.r),
-                                           _parse_alpha(args.eps)))
+            generators.symmetric_pos_tight(args.m_int,
+                                           _parse_rational(args.r, "r"),
+                                           _parse_rational(args.eps, "eps")))
     elif kind == "triangle":
         out = generalized.serialize_generalized(
-            generators.triangle_c(_parse_alpha(args.c)))
+            generators.triangle_c(_parse_rational(args.c, "c")))
     elif kind == "random":
         out = model.serialize_instance(
             generators.random_instance(args.n, args.m_int, args.seed))
@@ -131,8 +120,9 @@ def _cmd_gen(args):
                                                args.seed)
         out = generalized.serialize_generalized(ggame)
     elif kind == "random-omega":
+        omega = _parse_rational(args.omega, "omega")
         ogame = generators.random_omega(args.n, args.m_int, args.seed,
-                                        omega=_parse_alpha(args.omega))
+                                        omega=omega)
         out = generalized.serialize_omega(ogame)
     elif kind == "random-hypergraph":
         hgame, _gamma = generators.random_hypergraph_cc(args.n, args.m_int,
@@ -154,8 +144,8 @@ def _cmd_solve(args):
         profile, pi = generalized.lex_strong_eq(ogame)
         out = json.dumps({
             "profile": _profile_str(profile),
-            "mass_vector": [_fmt(x) for x in pi],
-            "alpha": _fmt(1 / ogame.omega),
+            "mass_vector": [format_rational(x) for x in pi],
+            "alpha": format_rational(1 / ogame.omega),
         }) + "\n"
         _write(args.out, out)
         return EXIT_OK
@@ -165,8 +155,9 @@ def _cmd_solve(args):
         profile, alpha_used, moves = generalized.one_shot_generalized(ggame, k0)
         out = json.dumps({
             "profile": _profile_str(profile),
-            "alpha_used": _fmt(alpha_used),
-            "moves": [{"player": i, "to": k, "old": _fmt(uo), "new": _fmt(un)}
+            "alpha_used": format_rational(alpha_used),
+            "moves": [{"player": i, "to": k, "old": format_rational(uo),
+                       "new": format_rational(un)}
                       for i, k, uo, un in moves],
         }) + "\n"
         _write(args.out, out)
@@ -185,30 +176,30 @@ def _cmd_solve(args):
         profile = dynamics.sqrt2_three(game)
         result = {"profile": _profile_str(profile)}
     elif algo == "oneshot":
-        alpha = _parse_alpha(args.alpha or "1")
+        alpha = _parse_rational(args.alpha or "1", "alpha")
         k0 = args.k0 if args.k0 is not None else 1
         profile, trace = dynamics.one_shot_alpha_br(game, k0, alpha)
         result = {"profile": _profile_str(profile),
                   "moves": len(trace.moves)}
     elif algo == "hybrid":
-        alpha = _parse_alpha(args.alpha or "2")
+        alpha = _parse_rational(args.alpha or "2", "alpha")
         opt_w = None
         if args.opt_oracle:
             _, opt_w = analysis.brute_force_optimum(game)
         report = dynamics.hybrid(game, alpha, opt_welfare=opt_w)
         result = {
             "profile": _profile_str(report.chosen),
-            "welfare": _fmt(report.chosen_welfare),
+            "welfare": format_rational(report.chosen_welfare),
             "s1": _profile_str(report.s1), "s2": _profile_str(report.s2),
-            "welfare_s1": _fmt(report.welfare_s1),
-            "welfare_s2": _fmt(report.welfare_s2),
+            "welfare_s1": format_rational(report.welfare_s1),
+            "welfare_s2": format_rational(report.welfare_s2),
         }
         if report.rho is not None:
-            result["rho"] = _fmt(report.rho)
+            result["rho"] = format_rational(report.rho)
             result["rho_decimal"] = f"{float(report.rho):.4f}"
     else:
         raise CliError(f"unknown algorithm {algo!r}")
-    result["welfare"] = _fmt(model.welfare_total(
+    result["welfare"] = format_rational(model.welfare_total(
         game, _parse_profile(result["profile"], game.n)))
     _write(args.out, json.dumps(result) + "\n")
     return EXIT_OK
@@ -218,13 +209,13 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    alpha = _parse_alpha(args.alpha or "1")
+    alpha = _parse_rational(args.alpha or "1", "alpha")
     if args.mode == "generalized":
         ggame = generalized.parse_generalized(_read(args.infile))
         profile = _parse_profile(args.profile, ggame.n)
         report = generalized.verify_generalized(ggame, profile)
         ok = report.max_factor <= alpha
-        payload = {"max_factor": _fmt(report.max_factor),
+        payload = {"max_factor": format_rational(report.max_factor),
                    "witness": report.witness, "stable": ok}
         _write(args.out, json.dumps(payload) + "\n")
         return EXIT_OK if ok else EXIT_VERIFY
@@ -234,7 +225,7 @@ def _cmd_verify(args):
     if args.mode == "nash":
         report = analysis.deviation_report(game, profile)
         ok = report.max_factor <= alpha
-        payload = {"max_factor": _fmt(report.max_factor),
+        payload = {"max_factor": format_rational(report.max_factor),
                    "witness": report.witness, "stable": ok}
     elif args.mode == "strong":
         report = analysis.verify_approx_strong(game, profile, alpha)
@@ -254,7 +245,7 @@ def _cmd_verify(args):
 
 def _cmd_census(args):
     game = _load_instance(args.infile)
-    alpha = _parse_alpha(args.alpha or "1")
+    alpha = _parse_rational(args.alpha or "1", "alpha")
     census = analysis.equilibrium_census(game, alpha)
     if args.format == "csv":
         buf = io.StringIO()
@@ -268,18 +259,19 @@ def _cmd_census(args):
             if strong_cap:
                 is_strong = str(analysis.verify_approx_strong(
                     game, profile, alpha).verdict == "stable-at-alpha").lower()
-            writer.writerow([_profile_str(profile), _fmt(w), _fmt(mf),
-                             str(mf <= 1).lower(), is_strong])
+            writer.writerow([_profile_str(profile), format_rational(w),
+                             format_rational(mf), str(mf <= 1).lower(),
+                             is_strong])
         _write(args.out, buf.getvalue())
         return EXIT_OK
     payload = {
-        "alpha": _fmt(alpha),
+        "alpha": format_rational(alpha),
         "opt_profile": _profile_str(census.opt_profile),
-        "opt_welfare": _fmt(census.opt_welfare),
+        "opt_welfare": format_rational(census.opt_welfare),
         "equilibria": [_profile_str(p) for p in census.equilibria],
         "exists": census.exists,
-        "poa": _fmt(census.poa) if census.poa is not None else None,
-        "pos": _fmt(census.pos) if census.pos is not None else None,
+        "poa": format_rational(census.poa) if census.poa is not None else None,
+        "pos": format_rational(census.pos) if census.pos is not None else None,
     }
     _write(args.out, json.dumps(payload) + "\n")
     return EXIT_OK
@@ -299,10 +291,10 @@ def _cmd_payments(args):
     post = analysis.post_payment_deviation_report(game, profile, plan)
     payload = {
         "profile": _profile_str(profile),
-        "payments": [_fmt(p) for p in plan.payments],
-        "total": _fmt(plan.total),
-        "nu": _fmt(plan.nu),
-        "post_payment_max_factor": _fmt(post.max_factor),
+        "payments": [format_rational(p) for p in plan.payments],
+        "total": format_rational(plan.total),
+        "nu": format_rational(plan.nu),
+        "post_payment_max_factor": format_rational(post.max_factor),
     }
     _write(args.out, json.dumps(payload) + "\n")
     return EXIT_OK if post.max_factor <= 1 else EXIT_VERIFY
@@ -316,8 +308,9 @@ def _split_list(text):
 
 
 def _cmd_bounds(args):
-    alphas = [_parse_alpha(t) for t in _split_list(args.alpha)]
-    gammas = [_parse_gamma(t) for t in _split_list(args.gamma)]
+    alphas = [_parse_rational(t, "alpha") for t in _split_list(args.alpha)]
+    gammas = [INF if t == "inf" else _parse_rational(t, "gamma")
+              for t in _split_list(args.gamma)]
     ms = [_parse_m(t) for t in _split_list(args.m)]
     if args.asymptotic and INF not in ms:
         ms.append(INF)
@@ -328,15 +321,15 @@ def _cmd_bounds(args):
                 frac = analysis.table_fraction(alpha, gamma, m)
                 rows.append((alpha, gamma, m, frac))
     if len(rows) == 1 and args.format != "csv":
-        _write(args.out, _fmt(rows[0][3]) + "\n")
+        _write(args.out, format_rational(rows[0][3]) + "\n")
         return EXIT_OK
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["alpha", "gamma", "m", "fraction", "decimal"])
     for alpha, gamma, m, frac in rows:
-        writer.writerow([_fmt(alpha), _fmt(gamma),
+        writer.writerow([format_rational(alpha), format_rational(gamma),
                          "inf" if m == INF else str(m),
-                         _fmt(frac), f"{float(frac):.4f}"])
+                         format_rational(frac), f"{float(frac):.4f}"])
     _write(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -356,7 +349,7 @@ def _cmd_audit_potential(args):
                                       seed=args.seed)
     payload = {
         "recovered": True,
-        "gamma": [_fmt(g) for g in cert.gamma],
+        "gamma": [format_rational(g) for g in cert.gamma],
         "trials": report.trials,
         "violations": report.violations,
     }

@@ -22,10 +22,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import _best_reply, _factor
+from .analysis import _best_reply, _factor, _hybrid_alpha
 from .model import (_EXACT, _inexact, _k_star, _not_int, player_utility,
                     welfare_total)
-from .rationals import PHI_APPROX, at_least_sqrt2_times, format_rational
+from .rationals import at_least_sqrt2_times, format_rational
 
 ONE = Fraction(1)
 
@@ -304,9 +304,7 @@ def hybrid(game, alpha, opt_welfare=None):
     alpha must lie in [1618/1000, 2].  When the brute-force optimum welfare
     is supplied, the welfare ratio rho is recorded in the report.
     """
-    alpha = Fraction(alpha)
-    if not (PHI_APPROX <= alpha <= 2):
-        raise ValueError("alpha must lie in [1618/1000, 2]")
+    alpha = _hybrid_alpha(alpha)
     k_star = _k_star(game)
     s1, _ = one_shot_alpha_br(game, k_star, alpha)
     s2, _ = one_shot_alpha_br(game, k_star, 1 / (alpha - 1))

@@ -12,6 +12,10 @@ Three model families live here:
   a fraction omega of the benefit and conflicted pairs may never co-locate;
   a lexicographically maximal mass vector gives a 1/omega-approximate
   strong equilibrium.
+
+All three follow the utility protocol of `scg.model`, so their oracles
+are the shared ones of `scg.analysis` (profile enumeration, deviation
+reports, group deviations) and `scg.potentials` (weight recovery).
 """
 
 from __future__ import annotations
@@ -21,14 +25,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .analysis import SizeError, _deviation_report
+from .analysis import (SizeError, _deviation_report, _group_deviation,
+                       _profiles)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
-from .model import _EXACT, _check_profile, _inexact
-from .rationals import (INF, ParseError, format_rational, parse_rational,
-                        supermodular_alpha)
+from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
+                    _inexact, _int_kernel, _not_int)
+from .potentials import PotentialCertificate, RecoveryFailure, _recover
+from .rationals import (INF, ParseError, _as_list, format_rational,
+                        load_object, parse_rational, supermodular_alpha)
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 TABLE_ENUM_CAP = 200_000  # subset-pair enumeration guard
@@ -57,8 +64,7 @@ class GeneralizedGame:
     tables: dict  # (i, k, frozenset) -> Fraction
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 1:
-            raise ValueError("need n >= 0 players and m >= 1 strategies")
+        _check_dims(self)
         for (i, k, others), u in self.tables.items():
             if not (0 <= i < self.n) or not (1 <= k <= self.m):
                 raise ValueError(f"table key ({i},{k}) out of range")
@@ -227,12 +233,8 @@ def triangle_nonexistence_check(c):
     equilibrium exists.
     """
     game = triangle_game(c)
-    best = None
-    for profile in itertools.product((1, 2, 3), repeat=3):
-        f = verify_generalized(game, profile).max_factor
-        if best is None or f < best:
-            best = f
-    return best
+    return min(verify_generalized(game, profile).max_factor
+               for profile in _profiles(game))
 
 
 def additive_tables(game):
@@ -257,31 +259,22 @@ def additive_tables(game):
     return GeneralizedGame(n=game.n, m=game.m, tables=tables)
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def parse_generalized(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    for key in ("n", "m", "tables"):
-        if key not in data:
-            raise ParseError(f"{key}: missing field")
+    data = load_object(text, ("n", "m", "tables"))
     tables = {}
     if not isinstance(data["tables"], list) or len(data["tables"]) != data["n"]:
         raise ParseError("tables: expected one entry list per player")
     for i, entries in enumerate(data["tables"]):
-        for idx, e in enumerate(entries):
+        for idx, e in enumerate(_as_list(entries, f"tables[{i}]")):
             where = f"tables[{i}][{idx}]"
             try:
                 k, subset = e["strategy"], e["others"]
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"{where}: missing strategy/others") from exc
-            if not _is_int(k):
+            if type(k) is not int:
                 raise ParseError(f"{where}.strategy: expected integer")
-            if not isinstance(subset, list) or not all(map(_is_int, subset)):
+            if (not isinstance(subset, list)
+                    or any(type(j) is not int for j in subset)):
                 raise ParseError(f"{where}.others: expected a list of integers")
             u = parse_rational(e.get("u"), f"{where}.u")
             key = (i, k, frozenset(subset))
@@ -330,7 +323,16 @@ class HypergraphGame:
     edges: tuple
 
     def __post_init__(self):
-        for e in self.edges:
+        _check_dims(self)
+        for idx, e in enumerate(self.edges):
+            for pos, i in enumerate(e.players):
+                if type(i) is not int:
+                    raise _not_int(f"edges[{idx}].players[{pos}]", i)
+            if type(e.weight) not in _EXACT:
+                raise _inexact(f"edges[{idx}].weight", e.weight)
+            for pos, share in enumerate(e.shares):
+                if type(share) not in _EXACT:
+                    raise _inexact(f"edges[{idx}].shares[{pos}]", share)
             if len(set(e.players)) != len(e.players) or not e.players:
                 raise ValueError("hyperedge members must be distinct and nonempty")
             if any(not (0 <= i < self.n) for i in e.players):
@@ -385,64 +387,20 @@ def hypergraph_cc_recover(hgame):
 
     Within a positive edge, shares are proportional to member weights (an
     anchored strategy contributes weight 0 and no share).  Weights are
-    propagated edge by edge and every remaining share is checked exactly.
+    propagated by `scg.potentials._recover`, which checks every share
+    exactly; a failure names the positive edge that forced a conflict.
     """
-    from .potentials import RecoveryFailure, PotentialCertificate
-
     positive = [e for e in hgame.edges if e.weight > 0]
     for e in positive:
         if any(s == 0 for s in e.shares):
             return RecoveryFailure(edge=tuple(e.players),
                                    reason="zero share admits no positive weights")
-    gamma = [None] * hgame.n
-    pending = list(positive)
-    while pending:
-        progressed = []
-        for e in pending:
-            known = next((idx for idx, i in enumerate(e.players)
-                          if gamma[i] is not None), None)
-            if known is None:
-                continue
-            base = gamma[e.players[known]] / e.shares[known]
-            for idx, i in enumerate(e.players):
-                expected = base * e.shares[idx]
-                if gamma[i] is None:
-                    gamma[i] = expected
-                elif gamma[i] != expected:
-                    return RecoveryFailure(
-                        edge=tuple(e.players),
-                        reason="edge forces two different weights")
-            progressed.append(e)
-        if progressed:
-            pending = [e for e in pending if e not in progressed]
-        else:
-            # every remaining edge sits in an untouched component: seed one
-            e = pending[0]
-            gamma[e.players[0]] = e.shares[0]
-    # normalize per component: group by connectivity through positive edges
-    comp = list(range(hgame.n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for e in positive:
-        for i in e.players[1:]:
-            comp[find(i)] = find(e.players[0])
-    groups = {}
-    for i in range(hgame.n):
-        if gamma[i] is not None:
-            groups.setdefault(find(i), []).append(i)
-    for members in groups.values():
-        low = min(gamma[i] for i in members)
-        for i in members:
-            gamma[i] /= low
-    for i in range(hgame.n):
-        if gamma[i] is None:
-            gamma[i] = ONE
-    return PotentialCertificate(gamma=tuple(gamma))
+    gamma, conflict = _recover(hgame.n, [(e.players, e.shares)
+                                         for e in positive])
+    if conflict is not None:
+        return RecoveryFailure(edge=tuple(positive[conflict[0]].players),
+                               reason="edge forces two different weights")
+    return PotentialCertificate(gamma=gamma)
 
 
 def hypergraph_potential(hgame, profile, cert):
@@ -472,23 +430,18 @@ def hypergraph_br_dynamics(hgame, start, step_cap=None):
 
 
 def parse_hypergraph(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    for key in ("n", "m", "edges"):
-        if key not in data:
-            raise ParseError(f"{key}: missing field")
+    data = load_object(text, ("n", "m", "edges"))
     edges = []
-    for idx, raw in enumerate(data["edges"]):
+    for idx, raw in enumerate(_as_list(data["edges"], "edges")):
         where = f"edges[{idx}]"
         try:
-            players = tuple(raw["players"])
+            players = tuple(_as_list(raw["players"], f"{where}.players"))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}: missing players") from exc
         w = parse_rational(raw.get("w"), f"{where}.w")
         shares = tuple(parse_rational(s, f"{where}.shares[{i}]")
-                       for i, s in enumerate(raw.get("shares", [])))
+                       for i, s in enumerate(
+                           _as_list(raw.get("shares", []), f"{where}.shares")))
         edges.append(Hyperedge(players=players, weight=w, shares=shares,
                                anchor=raw.get("anchor")))
     try:
@@ -516,9 +469,10 @@ def serialize_hypergraph(hgame):
 
 
 @dataclass(frozen=True)
-class OmegaGame:
+class OmegaGame(_KernelGame):
     """Pairs labeled one/zero/conflict; zero pairs earn a fraction omega of
-    the full benefit a_i * b_j; conflicted pairs may never co-locate."""
+    the full benefit a_i * b_j; conflicted pairs may never co-locate (see
+    `feasible`), and in a utility a conflicted partner pays nothing."""
 
     n: int
     m: int
@@ -528,6 +482,13 @@ class OmegaGame:
     omega: Fraction
 
     def __post_init__(self):
+        _check_dims(self)
+        for name in ("a", "b"):
+            for i, v in enumerate(getattr(self, name)):
+                if type(v) not in _EXACT:
+                    raise _inexact(f"{name}[{i}]", v)
+        if type(self.omega) not in _EXACT:
+            raise _inexact("omega", self.omega)
         if not (Fraction(1, 2) <= self.omega <= 1):
             raise ValueError("omega must lie in [1/2, 1]")
         if len(self.a) != self.n or len(self.b) != self.n:
@@ -545,6 +506,21 @@ class OmegaGame:
                 if i != j and lab != self.labels[j][i]:
                     raise ValueError(f"labels[{i}][{j}]: not symmetric")
 
+    @cached_property
+    def _kernel(self):
+        """The `scg.model.IntKernel`, built on first use and kept: no own
+        values; i's partners are the players not in conflict with i."""
+        nbrs = [[] for _ in range(self.n)]
+        gains = [[] for _ in range(self.n)]
+        for i, row in enumerate(self.labels):
+            for j, lab in enumerate(row):
+                if j == i or lab == "conflict":
+                    continue
+                gain = self.a[i] * self.b[j]
+                nbrs[i].append(j)
+                gains[i].append(gain if lab == "one" else self.omega * gain)
+        return _int_kernel([(0,) * self.m] * self.n, nbrs, gains)
+
     def feasible(self, profile):
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -554,21 +530,6 @@ class OmegaGame:
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
-
-
-def omega_utility(ogame, profile, i):
-    u = ZERO
-    for j in range(ogame.n):
-        if j == i or profile[j] != profile[i]:
-            continue
-        lab = ogame.labels[i][j]
-        if lab == "one":
-            u += ogame.a[i] * ogame.b[j]
-        elif lab == "zero":
-            u += ogame.omega * ogame.a[i] * ogame.b[j]
-        else:
-            raise ValueError("infeasible profile: conflicted co-location")
-    return u
 
 
 def mass_vector(ogame, profile):
@@ -583,74 +544,50 @@ def lex_compare(pi1, pi2):
     """-1/0/1 comparing sorted-non-increasing vectors lexicographically."""
     s1 = sorted(pi1, reverse=True)
     s2 = sorted(pi2, reverse=True)
-    if s1 < s2:
-        return -1
-    if s1 > s2:
-        return 1
-    return 0
+    return (s1 > s2) - (s1 < s2)
 
 
 def lex_strong_eq(ogame):
     """Feasible state with lexicographically maximal mass vector.
 
-    Ties break toward the lexicographically smallest profile.  The result
-    is a 1/omega-approximate strong equilibrium; at omega = 1 it is an
-    exact strong equilibrium.
+    Ties break toward the lexicographically smallest profile: `max` keeps
+    the first maximum, and the key, the mass vector sorted non-increasing,
+    orders profiles as `lex_compare` does.  The result is a
+    1/omega-approximate strong equilibrium; at omega = 1 it is an exact
+    strong equilibrium.
     """
-    if ogame.m ** ogame.n > 10**7:
-        raise SizeError(f"state space {ogame.m}^{ogame.n} too large")
-    best_profile, best_pi = None, None
-    for profile in itertools.product(range(1, ogame.m + 1), repeat=ogame.n):
-        if not ogame.feasible(profile):
-            continue
-        pi = mass_vector(ogame, profile)
-        if best_pi is None or lex_compare(pi, best_pi) > 0:
-            best_profile, best_pi = profile, pi
-    if best_profile is None:
+    best = max(filter(ogame.feasible, _profiles(ogame)), default=None,
+               key=lambda p: sorted(mass_vector(ogame, p), reverse=True))
+    if best is None:
         raise ValueError("no feasible state exists")
-    return best_profile, best_pi
+    return best, mass_vector(ogame, best)
 
 
 def verify_omega_strong(ogame, profile, alpha):
-    """Exhaustive feasible group-deviation check at factor alpha."""
+    """Exhaustive feasible group-deviation check at factor alpha: the first
+    feasible alternative profile in which every player who changed strategy
+    improves by a factor strictly greater than alpha, or None."""
     ogame.validate_profile(profile)
     if not ogame.feasible(profile):
         raise ValueError("profile is infeasible")
-    alpha = Fraction(alpha)
-    base = [omega_utility(ogame, profile, i) for i in range(ogame.n)]
-    for alt in itertools.product(range(1, ogame.m + 1), repeat=ogame.n):
-        coalition = tuple(i for i in range(ogame.n) if alt[i] != profile[i])
-        if not coalition or not ogame.feasible(alt):
-            continue
-        violated = True
-        for i in coalition:
-            u_new = omega_utility(ogame, alt, i)
-            if base[i] == 0:
-                improving = u_new > 0  # any gain from nothing beats any factor
-            else:
-                improving = u_new > alpha * base[i]
-            if not improving:
-                violated = False
-                break
-        if violated:
-            return alt
-    return None
+    base = [ogame.scaled_utilities(profile, i)[k - 1]
+            for i, k in enumerate(profile)]
+    return _group_deviation(ogame, profile, base, Fraction(alpha),
+                            ogame.feasible)[0]
 
 
 def parse_omega(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    for key in ("n", "m", "a", "b", "labels", "omega"):
-        if key not in data:
-            raise ParseError(f"{key}: missing field")
+    data = load_object(text, ("n", "m", "a", "b", "labels", "omega"))
+
+    def values(name):
+        return tuple(parse_rational(v, f"{name}[{i}]")
+                     for i, v in enumerate(_as_list(data[name], name)))
+
     try:
         return OmegaGame(
-            n=data["n"], m=data["m"],
-            a=tuple(parse_rational(v, f"a[{i}]") for i, v in enumerate(data["a"])),
-            b=tuple(parse_rational(v, f"b[{i}]") for i, v in enumerate(data["b"])),
-            labels=tuple(tuple(row) for row in data["labels"]),
+            n=data["n"], m=data["m"], a=values("a"), b=values("b"),
+            labels=tuple(tuple(_as_list(row, f"labels[{i}]")) for i, row
+                         in enumerate(_as_list(data["labels"], "labels"))),
             omega=parse_rational(data["omega"], "omega"),
         )
     except (ValueError, TypeError) as exc:

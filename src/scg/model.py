@@ -10,20 +10,20 @@ function, so evaluation is safe to parallelize without coordination.
 Strategies are 1-based (1..m); player indices are 0-based.
 
 Utility protocol: every game family (``GameInstance`` here,
-``GeneralizedGame`` and ``HypergraphGame`` in ``scg.generalized``) has
-``utilities(profile, i)``, which returns player i's utility for each
-strategy 1..m against the others' strategies in ``profile``, as a list
-indexed ``k - 1``.  It trusts the profile: public entry points validate a
-profile once.  ``player_utility`` is the validated single-player wrapper
-over it.
+``GeneralizedGame``, ``HypergraphGame`` and ``OmegaGame`` in
+``scg.generalized``) has ``utilities(profile, i)``, which returns player
+i's utility for each strategy 1..m against the others' strategies in
+``profile``, as a list indexed ``k - 1``.  It trusts the profile: public
+entry points validate a profile once.  ``player_utility`` is the validated
+single-player wrapper over it.
 
-The verifiers and dynamics read every best response, gate, deviation gain
-and payment from ``scaled_utilities(profile, i)`` instead, which is the
-same vector times the game's positive ``scale``.  On ``GameInstance`` the
-scale is the lcm L of the denominators of every intrinsic value and every
-directed gain ``share * w`` and ``(1 - share) * w``, so the vector is
-plain ints, read from an integer copy of the instance built on first use;
-``utilities`` is ``Fraction(u, L)`` of it.  On the other families the
+The verifiers, dynamics and oracles read every best response, gate,
+deviation gain and payment from ``scaled_utilities(profile, i)`` instead,
+which is the same vector times the game's positive ``scale``.  On
+``GameInstance`` and ``OmegaGame`` the scale is the lcm L of the
+denominators of every intrinsic value and every directed gain, so the
+vector is plain ints, read from an `IntKernel` built on first use;
+``utilities`` is ``Fraction(u, L)`` of it.  On tables and hypergraphs the
 scale is 1 and ``scaled_utilities`` is ``utilities``.  Orders, maxima,
 differences' signs and the ratios of two entries are the same at any
 positive scale, so callers compare the scaled values directly (a gate
@@ -40,7 +40,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .rationals import INF, ParseError, format_rational, parse_rational
+from .rationals import (INF, ParseError, _as_list, format_rational,
+                        load_object, parse_rational)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,12 +62,13 @@ class Edge:
 
 
 class IntKernel(NamedTuple):
-    """A `GameInstance` scaled to ints by the common denominator ``scale``.
+    """A game scaled to ints by the common denominator ``scale``.
 
-    ``rows[i][k - 1]`` is w_i^k times scale; ``nbrs[i]`` lists i's
-    neighbours and ``gains[i]``, aligned with it, i's own coordination gain
-    with each, times scale.  Flat int lists, so a utility vector is built
-    with int additions only.
+    ``rows[i][k - 1]`` is player i's own value for strategy k (w_i^k on a
+    `GameInstance`) times scale; ``nbrs[i]`` lists the players whose
+    company pays i and ``gains[i]``, aligned with it, i's gain from each,
+    times scale.  Flat int lists, so a utility vector is built with int
+    additions only.
     """
 
     scale: int
@@ -75,19 +77,50 @@ class IntKernel(NamedTuple):
     gains: list
 
 
+def _int_kernel(rows, nbrs, gains):
+    """The `IntKernel` of exact value rows and gain lists, scaled by the
+    lcm of all their denominators."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row),
+                     *(g.denominator for row in gains for g in row))
+    return IntKernel(
+        scale, [[v.numerator * (scale // v.denominator) for v in row]
+                for row in rows],
+        nbrs, [[g.numerator * (scale // g.denominator) for g in row]
+               for row in gains])
+
+
+class _KernelGame:
+    """The utility protocol of a game whose ``_kernel`` is an `IntKernel`."""
+
+    @property
+    def scale(self):
+        """The common denominator L of the integer kernel."""
+        return self._kernel.scale
+
+    def scaled_utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m times `scale`, as ints;
+        trusts the profile.  O(deg + m)."""
+        _, rows, nbrs, gains = self._kernel
+        us = rows[i].copy()
+        for j, gain in zip(nbrs[i], gains[i]):
+            us[profile[j] - 1] += gain
+        return us
+
+    def utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m; trusts the profile."""
+        scale = self._kernel.scale
+        return [Fraction(u, scale) for u in self.scaled_utilities(profile, i)]
+
+
 @dataclass(frozen=True)
-class GameInstance:
+class GameInstance(_KernelGame):
     n: int
     m: int
     intrinsic: tuple  # n rows of m Fractions, intrinsic[i][k-1] = w_i^k
     edges: tuple      # tuple of Edge
 
     def __post_init__(self):
-        if type(self.n) is not int or type(self.m) is not int:
-            name = "n" if type(self.n) is not int else "m"
-            raise _not_int(name, getattr(self, name))
-        if self.n < 0 or self.m < 1:
-            raise ValueError("need n >= 0 players and m >= 1 strategies")
+        _check_dims(self)
         if len(self.intrinsic) != self.n:
             raise ValueError("intrinsic matrix must have one row per player")
         for i, row in enumerate(self.intrinsic):
@@ -134,39 +167,12 @@ class GameInstance:
             gains[e.i].append(gain)
             nbrs[e.j].append(e.i)
             gains[e.j].append(e.w - gain)  # (1 - share_ij) * w
-        scale = math.lcm(*(v.denominator for row in self.intrinsic
-                           for v in row),
-                         *(g.denominator for row in gains for g in row))
-        rows = [[v.numerator * (scale // v.denominator) for v in row]
-                for row in self.intrinsic]
-        gains = [[g.numerator * (scale // g.denominator) for g in row]
-                 for row in gains]
-        return IntKernel(scale, rows, nbrs, gains)
-
-    @property
-    def scale(self):
-        """The common denominator L of the integer kernel: the lcm of the
-        denominators of every intrinsic value and directed gain."""
-        return self._kernel.scale
+        return _int_kernel(self.intrinsic, nbrs, gains)
 
     @cached_property
     def edge_weight(self):
         """Unordered-pair -> weight lookup."""
         return {frozenset((e.i, e.j)): e.w for e in self.edges}
-
-    def scaled_utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m times `scale`, as ints;
-        trusts the profile.  O(deg + m)."""
-        _, rows, nbrs, gains = self._kernel
-        us = rows[i].copy()
-        for j, gain in zip(nbrs[i], gains[i]):
-            us[profile[j] - 1] += gain
-        return us
-
-    def utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m; trusts the profile."""
-        scale = self._kernel.scale
-        return [Fraction(u, scale) for u in self.scaled_utilities(profile, i)]
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
@@ -185,6 +191,18 @@ def _inexact(where, value):
 
 def _not_int(where, value):
     return ValueError(f"{where}: expected an int, got {type(value).__name__}")
+
+
+def _check_dims(game):
+    """Reject a player count n or strategy count m that is not an int (or
+    is a bool), a negative n or an m below 1; shared by every game
+    family's constructor."""
+    for name in ("n", "m"):
+        value = getattr(game, name)
+        if type(value) is not int:
+            raise _not_int(name, value)
+    if game.n < 0 or game.m < 1:
+        raise ValueError("need n >= 0 players and m >= 1 strategies")
 
 
 def _check_profile(game, profile):
@@ -321,15 +339,7 @@ def instance_stats(game):
 
 
 def parse_instance(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("top level: expected object")
-    for key in ("n", "m", "intrinsic", "edges"):
-        if key not in data:
-            raise ParseError(f"{key}: missing field")
+    data = load_object(text, ("n", "m", "intrinsic", "edges"))
     n, m = data["n"], data["m"]
     if not isinstance(n, int) or not isinstance(m, int):
         raise ParseError("n/m: must be integers")
@@ -345,9 +355,7 @@ def parse_instance(text):
             raise ParseError(f"intrinsic[{i}]: negative entry")
         intrinsic.append(parsed)
     edges = []
-    if not isinstance(data["edges"], list):
-        raise ParseError("edges: expected list")
-    for idx, raw in enumerate(data["edges"]):
+    for idx, raw in enumerate(_as_list(data["edges"], "edges")):
         if not isinstance(raw, dict):
             raise ParseError(f"edges[{idx}]: expected object")
         try:
@@ -355,7 +363,7 @@ def parse_instance(text):
         except KeyError as exc:
             raise ParseError(f"edges[{idx}]: missing endpoint") from exc
         for name, v in (("i", i), ("j", j)):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 raise ParseError(f"edges[{idx}].{name}: expected integer")
         w = parse_rational(raw.get("w"), f"edges[{idx}].w")
         share = parse_rational(raw.get("share_ij"), f"edges[{idx}].share_ij")

@@ -6,19 +6,20 @@ weights via share_ij = g_i / (g_i + g_j) admits an ordinal potential
     Phi(s) = sum_i w_i^{s_i} / g_i  +  sum_{s_i = s_j} w(i,j) / (g_i + g_j),
 
 so gated best-response dynamics cannot cycle on such instances.  Recovery
-propagates weights along a spanning tree of the positive-weight graph and
-checks the remaining edges exactly; failure carries a witness edge.
+(`_recover`, shared with `scg.generalized.hypergraph_cc_recover`)
+propagates weights depth-first through the positive-weight relationships
+and checks every other constraint exactly; failure carries a witness edge.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import _profiles
 from .model import _EXACT, _inexact, player_utility
 from .rationals import format_rational, parse_rational
 
@@ -61,6 +62,47 @@ class AuditReport:
         return self.violations == 0
 
 
+def _recover(n, groups):
+    """Influence weights for n players in proportion to the shares of each
+    (members, positive shares) group, depth-first from each unweighted
+    player in index order: the first member i of a group to be reached sets
+    gamma_j = gamma_i * share_j / share_i for the others; components are
+    normalized to minimum weight 1.  Returns (weights, None), or (None,
+    (g, i, j)) when group g gives j, reached from i, a second weight."""
+    incident = [[] for _ in range(n)]  # (group number, own share)
+    for g, (members, shares) in enumerate(groups):
+        for i, share in zip(members, shares):
+            incident[i].append((g, share))
+    reached = [False] * len(groups)
+    gamma = [None] * n
+    for root in range(n):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = ONE
+        component, stack = [root], [root]
+        while stack:
+            i = stack.pop()
+            for g, share in incident[i]:
+                if reached[g]:
+                    continue  # its constraints on i hold already
+                reached[g] = True
+                base = gamma[i] / share
+                for j, s_j in zip(*groups[g]):
+                    if j == i:
+                        continue
+                    expected = base * s_j
+                    if gamma[j] is None:
+                        gamma[j] = expected
+                        component.append(j)
+                        stack.append(j)
+                    elif gamma[j] != expected:
+                        return None, (g, i, j)
+        low = min(gamma[i] for i in component)
+        for i in component:
+            gamma[i] /= low
+    return tuple(gamma), None
+
+
 def cc_recover(game):
     """Recover influence weights from split coefficients, or fail with the
     inconsistent edge.
@@ -74,33 +116,12 @@ def cc_recover(game):
         if e.share_ij == 0 or e.share_ij == 1:
             return RecoveryFailure(edge=(e.i, e.j),
                                    reason="share 0 or 1 admits no positive weights")
-    adj = [[] for _ in range(game.n)]
-    for e in positive:
-        # gamma_j = gamma_i * share_ji / share_ij along edge (i, j)
-        adj[e.i].append((e.j, e.share_ji / e.share_ij))
-        adj[e.j].append((e.i, e.share_ij / e.share_ji))
-    gamma = [None] * game.n
-    for root in range(game.n):
-        if gamma[root] is not None:
-            continue
-        gamma[root] = ONE
-        component = [root]
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j, ratio in adj[i]:
-                expected = gamma[i] * ratio
-                if gamma[j] is None:
-                    gamma[j] = expected
-                    component.append(j)
-                    stack.append(j)
-                elif gamma[j] != expected:
-                    return RecoveryFailure(edge=(i, j),
-                                           reason="cycle forces two different weights")
-        low = min(gamma[i] for i in component)
-        for i in component:
-            gamma[i] /= low
-    return PotentialCertificate(gamma=tuple(gamma))
+    gamma, conflict = _recover(game.n, [((e.i, e.j), (e.share_ij, e.share_ji))
+                                        for e in positive])
+    if conflict is not None:
+        return RecoveryFailure(edge=conflict[1:],
+                               reason="cycle forces two different weights")
+    return PotentialCertificate(gamma=gamma)
 
 
 def certificate_shares_match(game, cert):
@@ -215,7 +236,7 @@ def _same_sign(row, profile, old_k, new_k):
 
 
 def _every_deviation(game):
-    for profile in itertools.product(range(1, game.m + 1), repeat=game.n):
+    for profile in _profiles(game):
         for i in range(game.n):
             for new_k in range(1, game.m + 1):
                 if new_k != profile[i]:

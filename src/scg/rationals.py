@@ -8,6 +8,7 @@ correctly against Fraction values, so no wrapper type is needed.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -37,6 +38,28 @@ def parse_rational(text, field="value"):
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{field}: not a rational: {text!r}") from exc
+
+
+def load_object(text, fields):
+    """Decode JSON text that must be an object holding every one of
+    `fields`; a ParseError names what is wrong."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("top level: expected object")
+    for key in fields:
+        if key not in data:
+            raise ParseError(f"{key}: missing field")
+    return data
+
+
+def _as_list(value, field):
+    """`value` if it is a JSON list, else a ParseError naming `field`."""
+    if not isinstance(value, list):
+        raise ParseError(f"{field}: expected a list")
+    return value
 
 
 def format_rational(x):

@@ -227,6 +227,15 @@ def test_bad_table_field_exits_2(tmp_path, capsys, command):
                             "expected a list of integers\n")
 
 
+@pytest.mark.parametrize("flag", ["r", "eps", "c", "omega"])
+def test_rational_flag_errors_name_the_flag(capsys, flag):
+    kind = {"eps": "prop5", "c": "triangle", "omega": "random-omega"}
+    assert main(["gen", kind.get(flag, "example1"), f"--{flag}", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: not a rational: 'x'\n"
+
+
 # One malformed input per subcommand.  "{bool_n}" is an instance whose n is
 # the JSON boolean true, "{pair}" a valid two-strategy instance.
 MALFORMED = {
@@ -241,20 +250,37 @@ MALFORMED = {
 }
 
 
+# More malformed inputs: "{tables_5}" is a table game whose player 0 has the
+# entry list 5, "{omega_a_5}" an omega game whose a is 5.
+MALFORMED_FIELDS = {
+    "verify-generalized-entry-list": [
+        "verify", "generalized", "--in", "{tables_5}", "--profile", "1"],
+    "solve-lexstrong-a": ["solve", "lexstrong", "--in", "{omega_a_5}"],
+}
+
+
 def test_malformed_input_covers_every_subcommand():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert set(MALFORMED) == set(sub.choices)
 
 
-@pytest.mark.parametrize("command", sorted(MALFORMED))
+@pytest.mark.parametrize("command",
+                         sorted(MALFORMED) + sorted(MALFORMED_FIELDS))
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, pair,
                                                command):
     bool_n = tmp_path / "bool-n.json"
     bool_n.write_text(json.dumps({"n": True, "m": 3,
                                   "intrinsic": [["1", "0", "0"]],
                                   "edges": []}))
-    argv = [a.format(bool_n=bool_n, pair=pair) for a in MALFORMED[command]]
+    tables_5 = tmp_path / "tables-5.json"
+    tables_5.write_text(json.dumps({"n": 1, "m": 1, "tables": [5]}))
+    omega_a_5 = tmp_path / "omega-a-5.json"
+    omega = json.loads(serialize_omega(random_omega(2, 2, 0)))
+    omega_a_5.write_text(json.dumps(dict(omega, a=5)))
+    argv = [a.format(bool_n=bool_n, pair=pair, tables_5=tables_5,
+                     omega_a_5=omega_a_5)
+            for a in {**MALFORMED, **MALFORMED_FIELDS}[command]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

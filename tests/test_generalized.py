@@ -183,6 +183,16 @@ def test_parse_names_strategy_and_others(entry, field):
     assert str(exc.value).startswith(field)
 
 
+@pytest.mark.parametrize("tables,field", [
+    ([5], "tables[0]"),
+    ([{"strategy": 1, "others": [], "u": "1"}], "tables[0]"),
+])
+def test_parse_names_a_non_list_entry_list(tables, field):
+    with pytest.raises(ParseError) as exc:
+        parse_generalized(json.dumps({"n": 1, "m": 1, "tables": tables}))
+    assert str(exc.value).startswith(f"{field}: expected a list")
+
+
 def test_generalized_json_round_trip():
     for c in (Fraction(3, 2), 2):
         g = triangle_game(c)
@@ -251,6 +261,17 @@ def test_hypergraph_potential_is_ordinal_and_dynamics_converge():
             assert ((du > 0) - (du < 0)) == ((dphi > 0) - (dphi < 0))
 
 
+@pytest.mark.parametrize("edges,field", [
+    (5, "edges"),
+    ([{"players": 0, "w": "1", "shares": ["1"]}], "edges[0].players"),
+    ([{"players": [0], "w": "1", "shares": "1"}], "edges[0].shares"),
+])
+def test_parse_hypergraph_names_a_non_list_field(edges, field):
+    with pytest.raises(ParseError) as exc:
+        parse_hypergraph(json.dumps({"n": 1, "m": 1, "edges": edges}))
+    assert str(exc.value).startswith(f"{field}: expected a list")
+
+
 def test_hypergraph_json_round_trip():
     hg, _ = random_hypergraph_cc(4, 3, 5)
     assert parse_hypergraph(serialize_hypergraph(hg)) == hg
@@ -317,6 +338,86 @@ def test_group_stability_scales_with_bonus():
 def test_omega_json_round_trip():
     og = random_omega(4, 3, 11, omega=Fraction(3, 4))
     assert parse_omega(serialize_omega(og)) == og
+
+
+@pytest.mark.parametrize("field,value", [
+    ("a", 5), ("b", "1"), ("labels", {}), ("labels", [["zero", "zero"], 7]),
+])
+def test_parse_omega_names_a_non_list_field(field, value):
+    data = json.loads(serialize_omega(unit_omega(2, 2, H)))
+    data[field] = value
+    name = "labels[1]" if field == "labels" and value != {} else field
+    with pytest.raises(ParseError) as exc:
+        parse_omega(json.dumps(data))
+    assert str(exc.value) == f"{name}: expected a list"
+
+
+def test_omega_size_guard_reads_like_every_other():
+    og = unit_omega(15, 3, H)  # 3^15 profiles
+    for check in (lambda: lex_strong_eq(og),
+                  lambda: verify_omega_strong(og, (1,) * 15, 2)):
+        with pytest.raises(SizeError, match="^profile space 3\\^15 "
+                                            "exceeds cap 10000000$"):
+            check()
+
+
+def test_omega_zero_baseline_follows_the_package_rule():
+    # a lone player has utility 0 everywhere: 0 -> 0 is factor 1, which
+    # exceeds alpha only below 1
+    og = unit_omega(1, 2, H)
+    assert verify_omega_strong(og, (1,), Fraction(1, 2)) == (2,)
+    assert verify_omega_strong(og, (1,), Fraction(1)) is None
+
+
+def _omega(**fields):
+    base = dict(n=2, m=2, a=(1, 1), b=(1, 1),
+                labels=(("zero", "zero"), ("zero", "zero")), omega=H)
+    base.update(fields)
+    return OmegaGame(**base)
+
+
+def _hypergraph(n=2, m=2, **edge):
+    fields = dict(players=(0, 1), weight=Fraction(1), shares=(H, H))
+    fields.update(edge)
+    return HypergraphGame(n=n, m=m, edges=(Hyperedge(**fields),))
+
+
+@pytest.mark.parametrize("build,where", [
+    pytest.param(lambda: HypergraphGame(n=2, m=0, edges=()),
+                 "^need n >= 0 players", id="hypergraph-m-0"),
+    pytest.param(lambda: HypergraphGame(n=2.0, m=2, edges=()),
+                 "^n: expected an int", id="hypergraph-float-n"),
+    pytest.param(lambda: GeneralizedGame(n=True, m=1, tables={}),
+                 "^n: expected an int", id="tables-bool-n"),
+    pytest.param(lambda: GeneralizedGame(n=1, m=False, tables={}),
+                 "^m: expected an int", id="tables-bool-m"),
+    pytest.param(lambda: _omega(m=True), "^m: expected an int",
+                 id="omega-bool-m"),
+    pytest.param(lambda: _omega(a=(0.5, 1)),
+                 "^a\\[0\\]: expected an int or Fraction",
+                 id="omega-float-a"),
+    pytest.param(lambda: _omega(b=(1, True)),
+                 "^b\\[1\\]: expected an int or Fraction",
+                 id="omega-bool-b"),
+    pytest.param(lambda: _omega(omega=0.5),
+                 "^omega: expected an int or Fraction",
+                 id="omega-float-omega"),
+    pytest.param(lambda: _hypergraph(weight=1.5),
+                 "^edges\\[0\\]\\.weight: expected",
+                 id="hyperedge-float-weight"),
+    pytest.param(lambda: _hypergraph(shares=(0.5, 0.5)),
+                 "^edges\\[0\\]\\.shares\\[0\\]: expected",
+                 id="hyperedge-float-share"),
+    pytest.param(lambda: _hypergraph(players=(0, 1.0)),
+                 "^edges\\[0\\]\\.players\\[1\\]: expected an int",
+                 id="hyperedge-float-member"),
+])
+def test_family_constructors_reject_floats_and_bools(build, where):
+    with pytest.raises(ValueError, match=where):
+        build()
+    # plain ints stay exact values
+    assert _omega().utilities((1, 1), 0) == [H, 0]
+    assert _hypergraph(weight=2, shares=(1, 0)).utilities((1, 1), 0) == [2, 0]
 
 
 def test_omega_validation():

@@ -8,10 +8,14 @@ references kept here: the Fraction utility-vector and welfare loops that
 `GameInstance` used before it was scaled to one integer denominator, the
 gate ``u_new >= alpha * u_old`` and the factor ``u_new / u_old`` computed
 on Fractions, best responses found by a per-strategy scan, the degree as a
-Fraction ratio over every pair of table entries, and the audit with both
-changes computed as Fractions on every trial.  Instances mix fractional
-values, all-int values (scale 1) and coprime denominators whose lcm
-exceeds 2**64.  Runs are derandomized and small.
+Fraction ratio over every pair of table entries, the audit with both
+changes computed as Fractions on every trial, the Fraction group-deviation
+loop and the `lex_compare` loop that omega games had of their own, the
+depth-first weight recovery `cc_recover` had of its own and the
+edge-by-edge sweep with union-find normalization of the hypergraph
+recovery.  Instances mix fractional values, all-int values (scale 1) and
+coprime denominators whose lcm exceeds 2**64.  Runs are derandomized and
+small.
 """
 
 import itertools
@@ -19,6 +23,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,14 +35,19 @@ from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
                           hybrid, one_shot_alpha_br, run_dynamics,
                           sqrt2_three, strong_two)
-from scg.generalized import (GeneralizedGame, additive_tables,
+from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
+                             OmegaGame, additive_tables,
+                             hypergraph_cc_recover, lex_compare,
+                             lex_strong_eq, mass_vector,
                              one_shot_generalized, supermodularity_degree,
-                             triangle_game, verify_generalized)
-from scg.generators import (example1, random_hypergraph_cc,
+                             triangle_game, verify_generalized,
+                             verify_omega_strong)
+from scg.generators import (example1, random_cc, random_hypergraph_cc,
                             random_supermodular)
 from scg.model import (Edge, GameInstance, player_utility, welfare,
                        welfare_total)
-from scg.potentials import (AuditReport, PotentialCertificate, ordinal_audit,
+from scg.potentials import (AuditReport, PotentialCertificate,
+                            RecoveryFailure, cc_recover, ordinal_audit,
                             potential_value)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -570,3 +580,278 @@ def test_sampled_audit_matches_fraction_audit(case, trials, seed):
     report = ordinal_audit(game, cert, trials=trials, seed=seed)
     assert report.trials == trials  # the sampled branch
     assert report == reference_audit(game, cert, trials, seed)
+
+
+# --- one oracle layer for every family ---------------------------------------
+
+
+def reference_omega_utility(og, profile, i):
+    """The Fraction utility of an omega game before it had an integer
+    kernel; a conflicted co-location is an error."""
+    u = Fraction(0)
+    for j in range(og.n):
+        if j == i or profile[j] != profile[i]:
+            continue
+        lab = og.labels[i][j]
+        if lab == "one":
+            u += og.a[i] * og.b[j]
+        elif lab == "zero":
+            u += og.omega * og.a[i] * og.b[j]
+        else:
+            raise ValueError("infeasible profile: conflicted co-location")
+    return u
+
+
+def reference_omega_strong(og, profile, alpha):
+    """The Fraction group-deviation loop of omega games, with its own
+    zero-baseline rule: any gain from nothing beats any factor."""
+    base = [reference_omega_utility(og, profile, i) for i in range(og.n)]
+    for alt in _profiles(og):
+        coalition = tuple(i for i in range(og.n) if alt[i] != profile[i])
+        if not coalition or not og.feasible(alt):
+            continue
+        violated = True
+        for i in coalition:
+            u_new = reference_omega_utility(og, alt, i)
+            if base[i] == 0:
+                improving = u_new > 0
+            else:
+                improving = u_new > alpha * base[i]
+            if not improving:
+                violated = False
+                break
+        if violated:
+            return alt
+    return None
+
+
+def reference_lex_strong_eq(og):
+    """The explicit `lex_compare` loop: a later profile replaces the best
+    one only with a strictly larger mass vector."""
+    best_profile, best_pi = None, None
+    for profile in _profiles(og):
+        if not og.feasible(profile):
+            continue
+        pi = mass_vector(og, profile)
+        if best_pi is None or lex_compare(pi, best_pi) > 0:
+            best_profile, best_pi = profile, pi
+    if best_profile is None:
+        raise ValueError("no feasible state exists")
+    return best_profile, best_pi
+
+
+# a, b > 0; one coprime denominator so that the omega kernel's scale is big
+omega_values = st.sampled_from((1, 2, Fraction(1, 2), Fraction(5, 3),
+                                Fraction(P61 + 1, P61)))
+
+
+@st.composite
+def omega_games(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    labels = [["zero"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            labels[i][j] = labels[j][i] = draw(
+                st.sampled_from(("one", "zero", "conflict")))
+    return OmegaGame(
+        n=n, m=m, a=tuple(draw(omega_values) for _ in range(n)),
+        b=tuple(draw(omega_values) for _ in range(n)),
+        labels=tuple(tuple(row) for row in labels),
+        omega=draw(st.sampled_from((Fraction(1, 2), Fraction(3, 4),
+                                    Fraction(5, 7), Fraction(1)))))
+
+
+@SETTINGS
+@given(omega_games(), st.data())
+def test_omega_oracles_match_the_fraction_loops(og, data):
+    profile = tuple(data.draw(st.integers(1, og.m)) for _ in range(og.n))
+    for i in range(og.n):
+        scaled = og.scaled_utilities(profile, i)
+        assert all(type(u) is int for u in scaled)
+        assert og.utilities(profile, i) == [Fraction(u, og.scale)
+                                            for u in scaled]
+        for k in range(1, og.m + 1):
+            probe = profile[:i] + (k,) + profile[i + 1:]
+            if og.feasible(probe):
+                assert (og.utilities(profile, i)[k - 1]
+                        == reference_omega_utility(og, probe, i))
+    try:
+        expected = reference_lex_strong_eq(og)
+    except ValueError:
+        with pytest.raises(ValueError, match="no feasible state"):
+            lex_strong_eq(og)
+        return
+    assert lex_strong_eq(og) == expected
+    for alpha in (Fraction(1), 1 / og.omega, Fraction(2)):
+        for q in (expected[0], profile):
+            if og.feasible(q):
+                assert (verify_omega_strong(og, q, alpha)
+                        == reference_omega_strong(og, q, alpha))
+
+
+def reference_cc_recover(game):
+    """The depth-first recovery `cc_recover` ran on its own adjacency."""
+    positive = [e for e in game.edges if e.w > 0]
+    for e in positive:
+        if e.share_ij == 0 or e.share_ij == 1:
+            return RecoveryFailure(
+                edge=(e.i, e.j),
+                reason="share 0 or 1 admits no positive weights")
+    adj = [[] for _ in range(game.n)]
+    for e in positive:
+        adj[e.i].append((e.j, e.share_ji / e.share_ij))
+        adj[e.j].append((e.i, e.share_ij / e.share_ji))
+    gamma = [None] * game.n
+    for root in range(game.n):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = Fraction(1)
+        component, stack = [root], [root]
+        while stack:
+            i = stack.pop()
+            for j, ratio in adj[i]:
+                expected = gamma[i] * ratio
+                if gamma[j] is None:
+                    gamma[j] = expected
+                    component.append(j)
+                    stack.append(j)
+                elif gamma[j] != expected:
+                    return RecoveryFailure(
+                        edge=(i, j),
+                        reason="cycle forces two different weights")
+        low = min(gamma[i] for i in component)
+        for i in component:
+            gamma[i] /= low
+    return PotentialCertificate(gamma=tuple(gamma))
+
+
+def reference_hypergraph_recover(hg):
+    """The edge-by-edge sweep of the hypergraph recovery: propagate from any
+    edge with a weighted member, seed an untouched edge when none has one,
+    then normalize per union-find component."""
+    positive = [e for e in hg.edges if e.weight > 0]
+    for e in positive:
+        if any(s == 0 for s in e.shares):
+            return RecoveryFailure(
+                edge=tuple(e.players),
+                reason="zero share admits no positive weights")
+    gamma = [None] * hg.n
+    pending = list(positive)
+    while pending:
+        progressed = []
+        for e in pending:
+            known = next((idx for idx, i in enumerate(e.players)
+                          if gamma[i] is not None), None)
+            if known is None:
+                continue
+            base = gamma[e.players[known]] / e.shares[known]
+            for idx, i in enumerate(e.players):
+                expected = base * e.shares[idx]
+                if gamma[i] is None:
+                    gamma[i] = expected
+                elif gamma[i] != expected:
+                    return RecoveryFailure(
+                        edge=tuple(e.players),
+                        reason="edge forces two different weights")
+            progressed.append(e)
+        if progressed:
+            pending = [e for e in pending if e not in progressed]
+        else:
+            e = pending[0]
+            gamma[e.players[0]] = e.shares[0]
+    comp = list(range(hg.n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for e in positive:
+        for i in e.players[1:]:
+            comp[find(i)] = find(e.players[0])
+    groups = {}
+    for i in range(hg.n):
+        if gamma[i] is not None:
+            groups.setdefault(find(i), []).append(i)
+    for members in groups.values():
+        low = min(gamma[i] for i in members)
+        for i in members:
+            gamma[i] /= low
+    return PotentialCertificate(
+        gamma=tuple(Fraction(1) if g is None else g for g in gamma))
+
+
+def _perturbations(count, seed):
+    """(edge index, new share, zero the weight?) for one to three of
+    `count` edges.  Shares 0 and 1 admit no weights; the others usually
+    break the consistency of a cycle through the edge."""
+    rng = random.Random(seed)
+    return [(rng.randrange(count),
+             rng.choice((Fraction(0), Fraction(1), Fraction(1, 2),
+                         Fraction(1, 3), Fraction(2, 5), Fraction(5, 7))),
+             rng.random() < 0.15)
+            for _ in range(rng.randint(1, 3) if count else 0)]
+
+
+# a failing cycle needs a perturbed edge on a cycle, in about one case in ten
+RECOVERY_SETTINGS = settings(SETTINGS, max_examples=200)
+
+
+@RECOVERY_SETTINGS
+@given(st.integers(1, 8), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_cc_recover_matches_the_old_dfs(n, seed, perturb_seed):
+    consistent, _gamma = random_cc(n, 2, seed)
+    edges = list(consistent.edges)
+    for k, share, zero_weight in _perturbations(len(edges), perturb_seed):
+        e = edges[k]
+        edges[k] = Edge(e.i, e.j, 0 if zero_weight else e.w, share)
+    perturbed = GameInstance(n=n, m=2, intrinsic=consistent.intrinsic,
+                             edges=tuple(edges))
+    for g in (consistent, perturbed):
+        assert cc_recover(g) == reference_cc_recover(g)
+
+
+@RECOVERY_SETTINGS
+@given(st.integers(2, 8), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_hypergraph_recovery_matches_the_old_sweep(n, seed, perturb_seed):
+    consistent, _gamma = random_hypergraph_cc(n, 2, seed)
+    edges = list(consistent.edges)
+    for k, share, zero_weight in _perturbations(len(edges), perturb_seed):
+        e = edges[k]
+        if len(e.players) > 1:  # member 0 takes `share`, the rest split 1 - it
+            rest = (1 - share) / (len(e.players) - 1)
+            edges[k] = Hyperedge(
+                e.players, 0 if zero_weight else e.weight,
+                (share,) + (rest,) * (len(e.players) - 1), e.anchor)
+    perturbed = HypergraphGame(n=n, m=2, edges=tuple(edges))
+    for hg in (consistent, perturbed):
+        got = hypergraph_cc_recover(hg)
+        expected = reference_hypergraph_recover(hg)
+        assert type(got) is type(expected)
+        if isinstance(expected, PotentialCertificate):
+            assert got == expected
+        else:  # the witness may be another inconsistent positive hyperedge
+            assert got.reason == expected.reason
+            assert got.edge in {tuple(e.players) for e in hg.edges
+                                if e.weight > 0}
+
+
+def _lex_first_optimum(g):
+    top = max(fraction_welfare_total(g, p) for p in _profiles(g))
+    return min(p for p in _profiles(g) if fraction_welfare_total(g, p) == top)
+
+
+# the optima (2, 2) and (3, 3) tie, and neither is the first profile
+TIED_OPTIMA = GameInstance(n=2, m=3, intrinsic=((0, 1, 1), (0, 1, 1)),
+                           edges=(Edge(0, 1, 1, Fraction(1, 2)),))
+
+
+@SETTINGS
+@given(small_games)
+@example(TIED_OPTIMA)
+def test_optimum_ties_go_to_the_smallest_profile(g):
+    profile, w = brute_force_optimum(g)
+    assert profile == _lex_first_optimum(g)
+    assert w == fraction_welfare_total(g, profile)
+    assert equilibrium_census(g).opt_profile == profile

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from scg.rationals import (INF, ParseError, at_least_sqrt2_times,
-                           format_rational, parse_rational, supermodular_alpha)
+                           format_rational, load_object, parse_rational,
+                           supermodular_alpha)
 
 
 def test_parse_plain_and_fraction():
@@ -22,6 +23,18 @@ def test_parse_rejects_garbage(bad):
 def test_parse_error_names_field():
     with pytest.raises(ParseError, match="edges\\[0\\]\\.w"):
         parse_rational("nope", "edges[0].w")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "^malformed JSON"),
+    ("[1]", "^top level: expected object"),
+    ('"n"', "^top level: expected object"),
+    ('{"n": 1}', "^m: missing field"),
+])
+def test_load_object_names_what_is_wrong(text, message):
+    with pytest.raises(ParseError, match=message):
+        load_object(text, ("n", "m"))
+    assert load_object('{"n": 1, "m": 2, "x": 3}', ("n", "m"))["x"] == 3
 
 
 def test_format_round_trip():
