@@ -105,7 +105,7 @@ def _cmd_gen(args):
                                            _parse_rational(args.eps, "eps")))
     elif kind == "triangle":
         out = generalized.serialize_generalized(
-            generators.triangle_c(_parse_rational(args.c, "c")))
+            generalized.triangle_game(_parse_rational(args.c, "c")))
     elif kind == "random":
         out = model.serialize_instance(
             generators.random_instance(args.n, args.m_int, args.seed))

@@ -15,14 +15,14 @@ Three model families live here:
 
 All three follow the utility protocol of `scg.model`, so their oracles
 are the shared ones of `scg.analysis` (profile enumeration, deviation
-reports, group deviations) and `scg.potentials` (weight recovery).
+reports, group deviations) and `scg.potentials` (weight recovery; on
+hypergraphs also the group potential and its ordinal audit).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,8 +31,9 @@ from .analysis import (SizeError, _deviation_report, _group_deviation,
                        _profiles)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
-                    _inexact, _int_kernel, _not_int)
-from .potentials import PotentialCertificate, RecoveryFailure, _recover
+                    _GroupGame, _gains, _incidence, _inexact,
+                    _int_kernel, _not_int, _scaled_ints)
+from .potentials import _recover, potential_value
 from .rationals import (INF, ParseError, _as_list, format_rational,
                         load_object, parse_rational, supermodular_alpha)
 
@@ -65,11 +66,15 @@ class GeneralizedGame:
 
     def __post_init__(self):
         _check_dims(self)
+        n, m = self.n, self.m
         for (i, k, others), u in self.tables.items():
-            if not (0 <= i < self.n) or not (1 <= k <= self.m):
-                raise ValueError(f"table key ({i},{k}) out of range")
-            if i in others or any(not (0 <= j < self.n) for j in others):
-                raise ValueError(f"table key ({i},{k},{set(others)}): bad set")
+            if not (type(i) is int and type(k) is int and 0 <= i < n
+                    and 1 <= k <= m and i not in others
+                    and all(type(j) is int and 0 <= j < n for j in others)):
+                raise ValueError(
+                    f"table key ({i!r},{k!r},{set(others)!r}): need an int "
+                    f"player in 0..{n - 1} not among the others, an int "
+                    f"strategy in 1..{m} and int others in 0..{n - 1}")
             if type(u) not in _EXACT:
                 raise _inexact(f"table entry ({i},{k},{set(others)})", u)
             if u < 0:
@@ -102,6 +107,13 @@ class GeneralizedGame:
     def validate_profile(self, profile):
         _check_profile(self, profile)
 
+    @cached_property
+    def _degree(self):
+        """The complementarity degree, computed on first use and kept; a
+        `SizeError` is not kept, so every query raises it."""
+        return _supermodularity_degree(self)
+
+
 
 def welfare_generalized(ggame, profile):
     ggame.validate_profile(profile)
@@ -122,8 +134,13 @@ def supermodularity_degree(ggame):
     only that minimum over k' is paired with each entry.  Each player's
     table is scaled to integers by the lcm of its denominators, sets become
     bitmasks, and the running maximum is an integer pair compared by
-    cross-multiplication; only the result is a Fraction.
+    cross-multiplication; only the result is a Fraction.  Computed once
+    per game and kept.
     """
+    return ggame._degree
+
+
+def _supermodularity_degree(ggame):
     by_player = {}
     for (i, k, others), u in ggame.tables.items():
         by_player.setdefault(i, []).append((k, others, u))
@@ -133,12 +150,11 @@ def supermodularity_degree(ggame):
                         f"({total_pairs} pairs)")
     num, den = 1, 1
     for entries in by_player.values():
-        scale = math.lcm(*(u.denominator for _, _, u in entries))
         rows = {}    # k -> {mask: scaled entry}
         lowest = {}  # mask -> smallest scaled entry over every strategy
-        for k, others, u in entries:
+        _, scaled = _scaled_ints([u for _, _, u in entries])
+        for (k, others, _), v in zip(entries, scaled):
             mask = sum(1 << j for j in others)
-            v = u.numerator * (scale // u.denominator)
             rows.setdefault(k, {})[mask] = v
             if v < lowest.get(mask, v + 1):
                 lowest[mask] = v
@@ -309,15 +325,9 @@ class Hyperedge:
     shares: tuple           # per member, summing to 1
     anchor: int | None = None  # strategy the edge is pinned to, if any
 
-    def pays(self, profile):
-        strategies = {profile[i] for i in self.players}
-        if len(strategies) != 1:
-            return False
-        return self.anchor is None or strategies == {self.anchor}
-
 
 @dataclass(frozen=True)
-class HypergraphGame:
+class HypergraphGame(_GroupGame):
     n: int
     m: int
     edges: tuple
@@ -333,6 +343,8 @@ class HypergraphGame:
             for pos, share in enumerate(e.shares):
                 if type(share) not in _EXACT:
                     raise _inexact(f"edges[{idx}].shares[{pos}]", share)
+            if e.anchor is not None and type(e.anchor) is not int:
+                raise _not_int(f"edges[{idx}].anchor", e.anchor)
             if len(set(e.players)) != len(e.players) or not e.players:
                 raise ValueError("hyperedge members must be distinct and nonempty")
             if any(not (0 <= i < self.n) for i in e.players):
@@ -346,23 +358,39 @@ class HypergraphGame:
             if any(s < 0 for s in e.shares) or sum(e.shares, ZERO) != 1:
                 raise ValueError("shares must be nonnegative and sum to 1")
 
+    @property
+    def groups(self):
+        """The edges as (members, weight, shares, anchor) groups."""
+        return [(e.players, e.weight, e.shares, e.anchor) for e in self.edges]
+
+    @cached_property
+    def _incidence(self):
+        """Per player, the `scg.model._incidence` row of the player's gains
+        shares[pos] * weight, built on first use and kept."""
+        return _incidence(self.n, self.m, self.groups, _gains)
+
+    @cached_property
+    def intrinsic(self):
+        """Per player, the row of what i's singleton edges pay at each
+        strategy: the part of i's utility that is i's alone."""
+        return tuple(tuple(own) for own, _, _ in self._incidence)
+
     def utilities(self, profile, i):
         """Player i's utility for each strategy 1..m; trusts the profile.
 
         An edge pays i at k when every other member plays k (any k if i is
-        its only member) and k is the edge's anchor, if it has one.
+        its only member) and k is the edge's anchor, if it has one.  Reads
+        i's incidence row, so a call is O(deg * edge size), not O(|E|).
         """
-        us = [ZERO] * self.m
-        for e in self.edges:
-            if i not in e.players:
-                continue
-            others = {profile[j] for j in e.players if j != i}
-            if len(others) > 1:
-                continue
-            gain = e.shares[e.players.index(i)] * e.weight
-            for k in others or range(1, self.m + 1):
-                if e.anchor is None or k == e.anchor:
-                    us[k - 1] += gain
+        own, pairs, rest = self._incidence[i]
+        us = own.copy()
+        for j, gain in pairs:
+            us[profile[j] - 1] += gain
+        for others, anchor, gain in rest:
+            k = profile[others[0]]
+            if (anchor is None or anchor == k) and all(profile[j] == k
+                                                        for j in others):
+                us[k - 1] += gain
         return us
 
     scale = 1
@@ -370,16 +398,6 @@ class HypergraphGame:
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
-
-
-def hypergraph_utility(hgame, profile, i, strategy=None):
-    k = profile[i] if strategy is None else strategy
-    return hgame.utilities(profile, i)[k - 1]
-
-
-def hypergraph_welfare(hgame, profile):
-    hgame.validate_profile(profile)
-    return sum((e.weight for e in hgame.edges if e.pays(profile)), ZERO)
 
 
 def hypergraph_cc_recover(hgame):
@@ -390,27 +408,14 @@ def hypergraph_cc_recover(hgame):
     propagated by `scg.potentials._recover`, which checks every share
     exactly; a failure names the positive edge that forced a conflict.
     """
-    positive = [e for e in hgame.edges if e.weight > 0]
-    for e in positive:
-        if any(s == 0 for s in e.shares):
-            return RecoveryFailure(edge=tuple(e.players),
-                                   reason="zero share admits no positive weights")
-    gamma, conflict = _recover(hgame.n, [(e.players, e.shares)
-                                         for e in positive])
-    if conflict is not None:
-        return RecoveryFailure(edge=tuple(positive[conflict[0]].players),
-                               reason="edge forces two different weights")
-    return PotentialCertificate(gamma=gamma)
+    return _recover(hgame, "zero share admits no positive weights",
+                    "edge forces two different weights", witness_group=True)
 
 
 def hypergraph_potential(hgame, profile, cert):
-    """Phi(s) = sum over paying edges of w_e / (sum of member weights)."""
-    hgame.validate_profile(profile)
-    phi = ZERO
-    for e in hgame.edges:
-        if e.pays(profile):
-            phi += e.weight / sum((cert.gamma[i] for i in e.players), ZERO)
-    return phi
+    """Phi(s) = sum over paying edges of w_e / (sum of member weights);
+    `scg.potentials.potential_value` of the hypergraph."""
+    return potential_value(hgame, profile, cert)
 
 
 def hypergraph_br_dynamics(hgame, start, step_cap=None):

@@ -11,8 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
-                          OmegaGame, triangle_game)
+from .generalized import GeneralizedGame, Hyperedge, HypergraphGame, OmegaGame
 from .model import Edge, GameInstance
 from .rationals import SQRT2_APPROX
 
@@ -81,12 +80,6 @@ def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
         intrinsic.append(tuple(row))
     edges = tuple(Edge(i=0, j=j, w=2 * r, share_ij=HALF) for j in range(1, m))
     return GameInstance(n=m, m=m, intrinsic=tuple(intrinsic), edges=edges)
-
-
-def triangle_c(c):
-    """Generalized three-player family with no c'-approximate equilibrium
-    for any c' < c."""
-    return triangle_game(c)
 
 
 def _random_fraction(rng, num_max, den_choices=(1, 2, 3)):

@@ -29,6 +29,12 @@ differences' signs and the ratios of two entries are the same at any
 positive scale, so callers compare the scaled values directly (a gate
 ``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
 scale only for what they record.
+
+Group view: ``GameInstance`` and ``HypergraphGame`` also list themselves
+as (members, weight, shares, anchor) ``groups``, a pairwise game being an
+anchored singleton per intrinsic value and a pair per edge.
+``_incidence`` indexes groups by player; ``scg.potentials`` writes the
+potential, its audit and the weight recovery once over groups.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .rationals import (INF, ParseError, _as_list, format_rational,
@@ -77,16 +84,77 @@ class IntKernel(NamedTuple):
     gains: list
 
 
+def _scaled_ints(values):
+    """(L, the values times L as ints) for exact values, with L the lcm of
+    their denominators.  L is positive, so orders, signs of sums and
+    ratios of the values are those of the ints."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _int_kernel(rows, nbrs, gains):
     """The `IntKernel` of exact value rows and gain lists, scaled by the
     lcm of all their denominators."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row),
-                     *(g.denominator for row in gains for g in row))
-    return IntKernel(
-        scale, [[v.numerator * (scale // v.denominator) for v in row]
-                for row in rows],
-        nbrs, [[g.numerator * (scale // g.denominator) for g in row]
-               for row in gains])
+    scale, ints = _scaled_ints([v for row in (*rows, *gains) for v in row])
+    it = iter(ints)
+    return IntKernel(scale, [list(islice(it, len(row))) for row in rows],
+                     nbrs, [list(islice(it, len(row))) for row in gains])
+
+
+def _gains(members, weight, shares):
+    """Each member's gain from a paying group."""
+    return [share * weight for share in shares]
+
+
+def _incidence(n, m, groups, values):
+    """Per player i, the positive-weight groups that contain i, valued for
+    i at ``values(members, weight, shares)[pos]`` (pos: i's place among
+    the members), as (own, pairs, rest): the singletons folded into one
+    row over strategies 1..m (an anchored one at its anchor, an unanchored
+    one at every strategy), (j, value) per unanchored pair {i, j}, and
+    (others, anchor, value) per other group."""
+    own = [[ZERO] * m for _ in range(n)]
+    pairs = [[] for _ in range(n)]
+    rest = [[] for _ in range(n)]
+    for members, weight, shares, anchor in groups:
+        if not weight:
+            continue
+        vs = values(members, weight, shares)
+        if len(members) == 1:
+            for k in range(m) if anchor is None else (anchor - 1,):
+                own[members[0]][k] += vs[0]
+        elif len(members) == 2 and anchor is None:
+            i, j = members
+            pairs[i].append((j, vs[0]))
+            pairs[j].append((i, vs[1]))
+        else:
+            for pos, i in enumerate(members):
+                rest[i].append((members[:pos] + members[pos + 1:], anchor,
+                                vs[pos]))
+    return list(zip(own, pairs, rest))
+
+
+def _int_row(row):
+    """One player's `_incidence` row times the lcm of its denominators."""
+    own, pairs, rest = row
+    _, ints = _scaled_ints([*own, *(v for _, v in pairs),
+                            *(v for *_, v in rest)])
+    it = iter(ints)
+    return (list(islice(it, len(own))), [(j, next(it)) for j, _ in pairs],
+            [(others, anchor, next(it)) for others, anchor, _ in rest])
+
+
+class _GroupGame:
+    """A game that lists itself as (members, weight, shares, anchor)
+    groups in ``groups``."""
+
+    @cached_property
+    def _int_gains(self):
+        """Per player, the `_incidence` row of the player's gains
+        shares[pos] * weight, each scaled to ints by its own lcm; built on
+        first use and kept."""
+        return [_int_row(row)
+                for row in _incidence(self.n, self.m, self.groups, _gains)]
 
 
 class _KernelGame:
@@ -113,7 +181,7 @@ class _KernelGame:
 
 
 @dataclass(frozen=True)
-class GameInstance(_KernelGame):
+class GameInstance(_KernelGame, _GroupGame):
     n: int
     m: int
     intrinsic: tuple  # n rows of m Fractions, intrinsic[i][k-1] = w_i^k
@@ -169,10 +237,15 @@ class GameInstance(_KernelGame):
             gains[e.j].append(e.w - gain)  # (1 - share_ij) * w
         return _int_kernel(self.intrinsic, nbrs, gains)
 
-    @cached_property
-    def edge_weight(self):
-        """Unordered-pair -> weight lookup."""
-        return {frozenset((e.i, e.j)): e.w for e in self.edges}
+    @property
+    def groups(self):
+        """The game as (members, weight, shares, anchor) groups: one
+        singleton ((i,), w_i^k, (1,), k) per intrinsic value and one pair
+        ((i, j), w, (share_ij, 1 - share_ij), None) per edge."""
+        return ([((i,), v, (ONE,), k) for i, row in enumerate(self.intrinsic)
+                 for k, v in enumerate(row, 1)]
+                + [((e.i, e.j), e.w, (e.share_ij, e.share_ji), None)
+                   for e in self.edges])
 
     def validate_profile(self, profile):
         _check_profile(self, profile)

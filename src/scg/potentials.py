@@ -1,28 +1,43 @@
 """Influence-weight recovery and ordinal potential auditing.
 
-An instance whose split coefficients all arise from per-player influence
-weights via share_ij = g_i / (g_i + g_j) admits an ordinal potential
+Both potential game families are lists of groups (members, weight,
+shares, anchor).  A group pays when all its members play one strategy,
+its anchor if it has one, and then member i earns shares[i] * weight.  A
+`scg.generalized.HypergraphGame` lists its hyperedges as groups.  A
+pairwise `scg.model.GameInstance` is the special case of one anchored
+singleton ((i,), w_i^k, (1,), k) per intrinsic value and one unanchored
+pair ((i, j), w(i,j), (share_ij, 1 - share_ij), None) per edge.
+
+When every positive group's shares arise from per-player influence
+weights, share_i = g_i / sum_{j in e} g_j, the game has the ordinal
+potential
+
+    Phi(s) = sum over paying groups e of w_e / sum_{i in e} g_i,
+
+which on a pairwise game reads
 
     Phi(s) = sum_i w_i^{s_i} / g_i  +  sum_{s_i = s_j} w(i,j) / (g_i + g_j),
 
-so gated best-response dynamics cannot cycle on such instances.  Recovery
-(`_recover`, shared with `scg.generalized.hypergraph_cc_recover`)
-propagates weights depth-first through the positive-weight relationships
-and checks every other constraint exactly; failure carries a witness edge.
+so gated best-response dynamics cannot cycle on such games.
+`potential_value`, `potential_delta`, `ordinal_audit`, the weight
+recovery `_recover` (behind `cc_recover` and
+`scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
+are written once over the groups and take either family.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import _EXACT, _inexact, player_utility
+from .model import (_EXACT, _incidence, _inexact, _int_row,
+                    player_utility)
 from .rationals import format_rational, parse_rational
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -62,20 +77,26 @@ class AuditReport:
         return self.violations == 0
 
 
-def _recover(n, groups):
-    """Influence weights for n players in proportion to the shares of each
-    (members, positive shares) group, depth-first from each unweighted
-    player in index order: the first member i of a group to be reached sets
-    gamma_j = gamma_i * share_j / share_i for the others; components are
-    normalized to minimum weight 1.  Returns (weights, None), or (None,
-    (g, i, j)) when group g gives j, reached from i, a second weight."""
-    incident = [[] for _ in range(n)]  # (group number, own share)
+def _recover(game, zero_reason, conflict_reason, witness_group):
+    """Influence weights in proportion to the shares of each positive
+    group of two or more members (singletons constrain nothing),
+    depth-first from each unweighted player in index order: the first
+    member i of a group to be reached sets gamma_j = gamma_i * share_j /
+    share_i for the others; components are normalized to minimum weight 1.
+    A `RecoveryFailure` names the first group with a zero share, or, when
+    j reached from i gets a second weight, the group if `witness_group`
+    and (i, j) otherwise."""
+    groups = [(members, shares) for members, w, shares, _ in game.groups
+              if w > 0 and len(members) > 1]
+    incident = [[] for _ in range(game.n)]  # (group number, own share)
     for g, (members, shares) in enumerate(groups):
+        if 0 in shares:
+            return RecoveryFailure(edge=tuple(members), reason=zero_reason)
         for i, share in zip(members, shares):
             incident[i].append((g, share))
     reached = [False] * len(groups)
-    gamma = [None] * n
-    for root in range(n):
+    gamma = [None] * game.n
+    for root in range(game.n):
         if gamma[root] is not None:
             continue
         gamma[root] = ONE
@@ -96,11 +117,13 @@ def _recover(n, groups):
                         component.append(j)
                         stack.append(j)
                     elif gamma[j] != expected:
-                        return None, (g, i, j)
+                        return RecoveryFailure(
+                            edge=tuple(groups[g][0]) if witness_group
+                            else (i, j), reason=conflict_reason)
         low = min(gamma[i] for i in component)
         for i in component:
             gamma[i] /= low
-    return tuple(gamma), None
+    return PotentialCertificate(gamma=tuple(gamma))
 
 
 def cc_recover(game):
@@ -111,29 +134,17 @@ def cc_recover(game):
     edges are payoff-irrelevant.  Players not on any positive-weight edge
     get weight 1.
     """
-    positive = [e for e in game.edges if e.w > 0]
-    for e in positive:
-        if e.share_ij == 0 or e.share_ij == 1:
-            return RecoveryFailure(edge=(e.i, e.j),
-                                   reason="share 0 or 1 admits no positive weights")
-    gamma, conflict = _recover(game.n, [((e.i, e.j), (e.share_ij, e.share_ji))
-                                        for e in positive])
-    if conflict is not None:
-        return RecoveryFailure(edge=conflict[1:],
-                               reason="cycle forces two different weights")
-    return PotentialCertificate(gamma=gamma)
+    return _recover(game, "share 0 or 1 admits no positive weights",
+                    "cycle forces two different weights", witness_group=False)
 
 
 def certificate_shares_match(game, cert):
-    """Exact round-trip check: every positive-weight edge's split equals
-    g_i / (g_i + g_j)."""
-    for e in game.edges:
-        if e.w == 0:
-            continue
-        gi, gj = Fraction(cert.gamma[e.i]), cert.gamma[e.j]
-        if e.share_ij != gi / (gi + gj):
-            return False
-    return True
+    """Exact round-trip check: in every positive-weight group each
+    member's share equals g_i / (sum of member weights)."""
+    gamma = [Fraction(g) for g in cert.gamma]
+    return all(share == gamma[i] / sum(gamma[j] for j in members)
+               for members, w, shares, _ in game.groups if w > 0
+               for i, share in zip(members, shares))
 
 
 def _check_certificate(game, cert):
@@ -150,81 +161,57 @@ def _check_certificate(game, cert):
 
 
 def potential_value(game, profile, cert):
+    """Phi(profile) of a `GameInstance` or a `HypergraphGame`, exactly:
+    the sum of w / (sum of member weights) over the paying groups."""
     game.validate_profile(profile)
     _check_certificate(game, cert)
     gamma = [Fraction(g) for g in cert.gamma]
-    phi = Fraction(0)
-    for i in range(game.n):
-        phi += game.intrinsic[i][profile[i] - 1] / gamma[i]
-    for e in game.edges:
-        if profile[e.i] == profile[e.j]:
-            phi += e.w / (gamma[e.i] + gamma[e.j])
+    phi = ZERO
+    for members, weight, _, anchor in game.groups:
+        k = profile[members[0]]
+        if anchor in (None, k) and all(profile[j] == k for j in members):
+            phi += weight / sum(gamma[j] for j in members)
     return phi
 
 
 def potential_delta(game, profile, i, new_strategy, cert):
-    """Phi(deviated) - Phi(profile) computed from player i's terms only.
-
-    All other terms of the potential cancel exactly, so this equals the
-    full difference; a unit test asserts the identity.
-    """
+    """Phi(deviated) - Phi(profile) when player i moves to new_strategy."""
     player_utility(game, profile, i, new_strategy)  # validates the arguments
-    return _potential_delta(game, profile, i, new_strategy, cert)
-
-
-def _potential_delta(game, profile, i, new_k, cert):
-    old_k = profile[i]
-    if old_k == new_k:
-        return Fraction(0)
-    gi = Fraction(cert.gamma[i])
-    delta = (game.intrinsic[i][new_k - 1] - game.intrinsic[i][old_k - 1]) / gi
-    weights = game.edge_weight
-    for j in game._kernel.nbrs[i]:
-        if profile[j] == new_k:
-            delta += weights[frozenset((i, j))] / (gi + cert.gamma[j])
-        elif profile[j] == old_k:
-            delta -= weights[frozenset((i, j))] / (gi + cert.gamma[j])
-    return delta
-
-
-def _audit_one(game, cert, profile, i, new_k):
-    """(du, dphi) of one deviation, as exact Fractions."""
-    us = game.utilities(profile, i)
-    du = us[new_k - 1] - us[profile[i] - 1]
-    return du, _potential_delta(game, profile, i, new_k, cert)
-
-
-def _scaled(values):
-    """The values times the lcm of their denominators, as ints.  The scale
-    is positive, so every sum of the values keeps its sign."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    moved = list(profile)
+    moved[i] = new_strategy
+    return (potential_value(game, moved, cert)
+            - potential_value(game, profile, cert))
 
 
 def _sign_rows(game, cert):
-    """Per player i, the terms of du and dphi a deviation of i can touch,
-    scaled to ints: (intrinsic row, w_i^k / g_i row, [(j, own gain,
-    w_ij / (g_i + g_j))] over i's neighbours).  The utility terms are the
-    game's integer kernel; the potential terms share one scale per
-    player."""
+    """Per player i, the terms of du and dphi a deviation of i can touch:
+    the `scg.model._incidence` rows of i's gains and of the potential
+    terms w / (sum of member weights), each scaled to ints by its own lcm
+    and zipped into (own gain row, own potential row, [(j, gain, pot)]
+    over unanchored pairs, [(others, anchor, gain, pot)] over the other
+    groups)."""
     gamma = [Fraction(g) for g in cert.gamma]
-    _, us_rows, nbrs, gains = game._kernel
+    groups = game.groups
+    pots = _incidence(game.n, game.m, groups, lambda members, w, _: (
+        # the sum starts at a Fraction: adding one to int 0 is slow
+        [w / sum(map(gamma.__getitem__, members[1:]), gamma[members[0]])]
+        * len(members)))
     rows = []
-    for i in range(game.n):
-        gi, m = gamma[i], game.m
-        ps = _scaled([*(v / gi for v in game.intrinsic[i]),
-                      *(game.edge_weight[frozenset((i, j))] / (gi + gamma[j])
-                        for j in nbrs[i])])
-        rows.append((us_rows[i], ps[:m], list(zip(nbrs[i], gains[i], ps[m:]))))
+    for (own_u, pairs_u, rest_u), p in zip(game._int_gains, pots):
+        own_p, pairs_p, rest_p = _int_row(p)
+        rows.append((own_u, own_p,
+                     [(j, du, dp) for (j, du), (_, dp) in zip(pairs_u, pairs_p)],
+                     [(others, anchor, du, dp) for (others, anchor, du),
+                      (*_, dp) in zip(rest_u, rest_p)]))
     return rows
 
 
 def _same_sign(row, profile, old_k, new_k):
     """Whether du and dphi of moving from old_k to new_k share a sign."""
-    own_u, own_p, nbrs = row
+    own_u, own_p, pairs, rest = row
     du = own_u[new_k - 1] - own_u[old_k - 1]
     dp = own_p[new_k - 1] - own_p[old_k - 1]
-    for j, gain, pot in nbrs:
+    for j, gain, pot in pairs:
         k = profile[j]
         if k == new_k:
             du += gain
@@ -232,6 +219,13 @@ def _same_sign(row, profile, old_k, new_k):
         elif k == old_k:
             du -= gain
             dp -= pot
+    for others, anchor, gain, pot in rest:
+        k = profile[others[0]]
+        if (k in (new_k, old_k) and anchor in (None, k)
+                and all(profile[j] == k for j in others)):
+            sign = 1 if k == new_k else -1
+            du += sign * gain
+            dp += sign * pot
     return (du > 0) - (du < 0) == (dp > 0) - (dp < 0)
 
 
@@ -261,9 +255,11 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     exhaustively instead; otherwise `trials` must be at least 1, so the
     audit never passes without checking anything.
 
-    Signs are decided in ints, in O(deg) per trial, from per-player rows
-    scaled once per audit; the exact Fraction (du, dphi) is computed only
-    for the reported counterexample, the first violating triple."""
+    Takes a `GameInstance` or a `HypergraphGame`.  Signs are decided in
+    ints, in O(deg) per trial (times the group size for groups of three
+    or more), from per-player rows scaled once per audit; the exact
+    Fraction (du, dphi) is computed only for the reported counterexample,
+    the first violating triple."""
     _check_certificate(game, cert)
     if game.n == 0 or game.m < 2:
         return AuditReport(trials=0, violations=0, counterexample=None)
@@ -283,7 +279,9 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
             continue
         violations += 1
         if counterexample is None:
-            du, dphi = _audit_one(game, cert, profile, i, new_k)
-            counterexample = (profile, i, new_k, du, dphi)
+            us = game.utilities(profile, i)
+            counterexample = (profile, i, new_k,
+                              us[new_k - 1] - us[profile[i] - 1],
+                              potential_delta(game, profile, i, new_k, cert))
     return AuditReport(trials=done, violations=violations,
                        counterexample=counterexample)

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from scg import generalized
 from scg.analysis import SizeError
 from scg.dynamics import one_shot_alpha_br
 from scg.generalized import (TABLE_ENUM_CAP, GeneralizedGame, Hyperedge, HypergraphGame,
                              OmegaGame, TableError, additive_tables,
                              hypergraph_br_dynamics, hypergraph_cc_recover,
-                             hypergraph_potential, hypergraph_utility,
+                             hypergraph_potential,
                              lex_compare, lex_strong_eq, mass_vector,
                              one_shot_generalized, parse_generalized,
                              parse_hypergraph, parse_omega,
@@ -89,6 +90,7 @@ def test_triangle_minmax_factor_equals_parameter():
 
 def test_triangle_tables_contain_the_stated_powers():
     g = triangle_game(2)
+    assert (g.n, g.m) == (3, 3)
     # player 0 favors strategy 1 and benefits from player 1
     assert g.utility(0, 1, frozenset()) == 4
     assert g.utility(0, 1, frozenset({1})) == 8
@@ -157,8 +159,27 @@ def test_degree_cap_counts_entry_pairs():
     side = math.isqrt(TABLE_ENUM_CAP)
     assert side ** 2 <= TABLE_ENUM_CAP < (side + 1) ** 2
     assert supermodularity_degree(one_row(side)) == 1
+    big = one_row(side + 1)
+    for _ in range(2):  # a SizeError is not kept: every query raises it
+        with pytest.raises(SizeError, match="pairs"):
+            supermodularity_degree(big)
     with pytest.raises(SizeError, match="pairs"):
-        supermodularity_degree(one_row(side + 1))
+        one_shot_generalized(big, 1)
+
+
+def test_degree_is_computed_once_per_game(monkeypatch):
+    calls = []
+    compute = generalized._supermodularity_degree
+    monkeypatch.setattr(generalized, "_supermodularity_degree",
+                        lambda gg: calls.append(gg) or compute(gg))
+    gg = pair_table()
+    assert supermodularity_degree(gg) == 2
+    _, alpha, _ = one_shot_generalized(gg, 1)
+    assert alpha == supermodular_alpha(Fraction(2))
+    assert supermodularity_degree(gg) == 2
+    assert calls == [gg]
+    supermodularity_degree(pair_table())  # a new game computes its own
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("value", [0.5, True])
@@ -234,8 +255,8 @@ def test_inconsistent_hypergraph_shares_fail():
 def test_anchored_edges_pay_only_at_their_strategy():
     hg = HypergraphGame(n=2, m=2, edges=(
         Hyperedge(players=(0, 1), weight=Fraction(4), shares=(H, H), anchor=2),))
-    assert hypergraph_utility(hg, (2, 2), 0) == 2
-    assert hypergraph_utility(hg, (1, 1), 0) == 0
+    assert hg.utilities((2, 2), 0)[2 - 1] == 2
+    assert hg.utilities((1, 1), 0)[1 - 1] == 0
 
 
 def test_hypergraph_potential_is_ordinal_and_dynamics_converge():
@@ -254,22 +275,32 @@ def test_hypergraph_potential_is_ordinal_and_dynamics_converge():
             if k == profile[i]:
                 continue
             moved = profile[:i] + (k,) + profile[i + 1:]
-            du = (hypergraph_utility(hg, profile, i, strategy=k)
-                  - hypergraph_utility(hg, profile, i))
+            du = (hg.utilities(profile, i)[k - 1]
+                  - hg.utilities(profile, i)[profile[i] - 1])
             dphi = (hypergraph_potential(hg, moved, cert)
                     - hypergraph_potential(hg, profile, cert))
             assert ((du > 0) - (du < 0)) == ((dphi > 0) - (dphi < 0))
 
 
-@pytest.mark.parametrize("edges,field", [
-    (5, "edges"),
-    ([{"players": 0, "w": "1", "shares": ["1"]}], "edges[0].players"),
-    ([{"players": [0], "w": "1", "shares": "1"}], "edges[0].shares"),
+@pytest.mark.parametrize("edges,message", [
+    pytest.param(5, "edges: expected a list", id="5-edges"),
+    pytest.param([{"players": 0, "w": "1", "shares": ["1"]}],
+                 "edges[0].players: expected a list",
+                 id="edges1-edges[0].players"),
+    pytest.param([{"players": [0], "w": "1", "shares": "1"}],
+                 "edges[0].shares: expected a list",
+                 id="edges2-edges[0].shares"),
+    pytest.param([{"players": [0], "w": "1", "shares": ["1"], "anchor": "1"}],
+                 "edges[0].anchor: expected an int, got str",
+                 id="edges3-edges[0].anchor"),
+    pytest.param([{"players": [0], "w": "1", "shares": ["1"], "anchor": 1.0}],
+                 "edges[0].anchor: expected an int, got float",
+                 id="edges4-edges[0].anchor"),
 ])
-def test_parse_hypergraph_names_a_non_list_field(edges, field):
+def test_parse_hypergraph_names_a_non_list_field(edges, message):
     with pytest.raises(ParseError) as exc:
         parse_hypergraph(json.dumps({"n": 1, "m": 1, "edges": edges}))
-    assert str(exc.value).startswith(f"{field}: expected a list")
+    assert str(exc.value).startswith(message)
 
 
 def test_hypergraph_json_round_trip():
@@ -411,6 +442,28 @@ def _hypergraph(n=2, m=2, **edge):
     pytest.param(lambda: _hypergraph(players=(0, 1.0)),
                  "^edges\\[0\\]\\.players\\[1\\]: expected an int",
                  id="hyperedge-float-member"),
+    pytest.param(lambda: _hypergraph(anchor=True),
+                 "^edges\\[0\\]\\.anchor: expected an int, got bool",
+                 id="hyperedge-bool-anchor"),
+    pytest.param(lambda: _hypergraph(anchor=1.0),
+                 "^edges\\[0\\]\\.anchor: expected an int, got float",
+                 id="hyperedge-float-anchor"),
+    pytest.param(lambda: GeneralizedGame(n=2, m=1, tables={
+        (True, 1, frozenset()): 1, (0.0, 1, frozenset()): 2}),
+                 "^table key \\(True,1,set\\(\\)\\): need an int player "
+                 "in 0..1 not among the others", id="tables-bool-player"),
+    pytest.param(lambda: GeneralizedGame(n=2, m=1, tables={
+        (0.0, 1, frozenset()): 2}),
+                 "^table key \\(0\\.0,1,set\\(\\)\\)", id="tables-float-player"),
+    pytest.param(lambda: GeneralizedGame(n=2, m=2, tables={
+        (0, 2.0, frozenset()): 2}),
+                 "^table key \\(0,2\\.0,set\\(\\)\\)", id="tables-float-strategy"),
+    pytest.param(lambda: GeneralizedGame(n=2, m=1, tables={
+        (0, True, frozenset()): 2}),
+                 "^table key \\(0,True,set\\(\\)\\)", id="tables-bool-strategy"),
+    pytest.param(lambda: GeneralizedGame(n=2, m=1, tables={
+        (0, 1, frozenset({True})): 2}),
+                 "^table key \\(0,1,\\{True\\}\\)", id="tables-bool-other"),
 ])
 def test_family_constructors_reject_floats_and_bools(build, where):
     with pytest.raises(ValueError, match=where):

@@ -5,7 +5,7 @@ import pytest
 from scg.analysis import brute_force_optimum, equilibrium_census
 from scg.generators import (example1, prop5, random_cc, random_hypergraph_cc,
                             random_instance, random_omega, random_supermodular,
-                            random_symmetric, symmetric_pos_tight, triangle_c)
+                            random_symmetric, symmetric_pos_tight)
 from scg.model import instance_stats, serialize_instance, welfare_total
 from scg.potentials import PotentialCertificate, cc_recover
 from scg.rationals import SQRT2_APPROX
@@ -51,11 +51,6 @@ def test_even_split_star_stability_gap():
     assert c.exists
     assert float(c.pos) > 2 - Fraction(1, m) - Fraction(1, 100)
     assert c.pos <= 2 - Fraction(1, m)
-
-
-def test_triangle_wrapper():
-    g = triangle_c(2)
-    assert (g.n, g.m) == (3, 3)
 
 
 def test_generation_is_deterministic():

@@ -37,7 +37,8 @@ from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
                           sqrt2_three, strong_two)
 from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
                              OmegaGame, additive_tables,
-                             hypergraph_cc_recover, lex_compare,
+                             hypergraph_cc_recover, hypergraph_potential,
+                             lex_compare,
                              lex_strong_eq, mass_vector,
                              one_shot_generalized, supermodularity_degree,
                              triangle_game, verify_generalized,
@@ -48,7 +49,7 @@ from scg.model import (Edge, GameInstance, player_utility, welfare,
                        welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
                             RecoveryFailure, cc_recover, ordinal_audit,
-                            potential_value)
+                            potential_delta, potential_value)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -399,19 +400,35 @@ def test_table_one_shot_makes_the_same_moves(g, data, alpha):
                            mv.new_utility) for mv in trace.moves)
 
 
+def _pays(e, profile):
+    """Whether hyperedge e pays: its members play one strategy, its anchor
+    if it has one."""
+    strategies = {profile[i] for i in e.players}
+    return len(strategies) == 1 and e.anchor in (None, *strategies)
+
+
 @SETTINGS
 @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 10**6),
        st.data())
 def test_hypergraph_kernel_matches_paying_edges(n, m, seed, data):
-    hg, _gamma = random_hypergraph_cc(n, m, seed)
+    """`utilities` reads the per-player incidence kernel; each entry must
+    be the sum over the edges that would pay i there."""
+    if data.draw(st.booleans()):
+        hg, _gamma = random_hypergraph_cc(n, m, seed)
+    else:
+        hg, _cert = data.draw(certified_hypergraphs(st.just(n), st.just(m)))
     profile = tuple(data.draw(st.integers(1, m)) for _ in range(n))
     for i in range(n):
+        assert hg.intrinsic[i] == tuple(
+            sum((e.weight for e in hg.edges
+                 if e.players == (i,) and e.anchor in (None, k)), Fraction(0))
+            for k in range(1, m + 1))
         expected = []
         for k in range(1, m + 1):
             probe = profile[:i] + (k,) + profile[i + 1:]
             expected.append(sum((e.shares[e.players.index(i)] * e.weight
                                  for e in hg.edges
-                                 if i in e.players and e.pays(probe)),
+                                 if i in e.players and _pays(e, probe)),
                                 Fraction(0)))
         assert hg.utilities(profile, i) == expected
 
@@ -503,10 +520,58 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+def reference_potential_value(game, profile, cert):
+    """The Fraction potential of a pairwise game, term by term, as it was
+    written before both families shared one group potential."""
+    gamma = [Fraction(g) for g in cert.gamma]
+    phi = Fraction(0)
+    for i in range(game.n):
+        phi += game.intrinsic[i][profile[i] - 1] / gamma[i]
+    for e in game.edges:
+        if profile[e.i] == profile[e.j]:
+            phi += e.w / (gamma[e.i] + gamma[e.j])
+    return phi
+
+
+def reference_potential_delta(game, profile, i, new_k, cert):
+    """The pairwise potential change of player i's move from i's own terms
+    only: every other term cancels."""
+    old_k = profile[i]
+    if old_k == new_k:
+        return Fraction(0)
+    gi = Fraction(cert.gamma[i])
+    delta = (game.intrinsic[i][new_k - 1] - game.intrinsic[i][old_k - 1]) / gi
+    for e in game.edges:
+        if i not in (e.i, e.j):
+            continue
+        j = e.j if e.i == i else e.i
+        if profile[j] == new_k:
+            delta += e.w / (gi + cert.gamma[j])
+        elif profile[j] == old_k:
+            delta -= e.w / (gi + cert.gamma[j])
+    return delta
+
+
+def reference_hypergraph_potential(hgame, profile, cert):
+    """The edge-by-edge Fraction loop of the hypergraph potential."""
+    phi = Fraction(0)
+    for e in hgame.edges:
+        if _pays(e, profile):
+            phi += e.weight / sum((cert.gamma[i] for i in e.players),
+                                  Fraction(0))
+    return phi
+
+
+def reference_potential(game, profile, cert):
+    if isinstance(game, HypergraphGame):
+        return reference_hypergraph_potential(game, profile, cert)
+    return reference_potential_value(game, profile, cert)
+
+
 def reference_audit(game, cert, trials, seed):
     """The per-trial Fraction audit: du from the utility vector and dphi
-    as the difference of two full potential values, on the same triples
-    in the same order as `ordinal_audit`."""
+    as the difference of two full reference potential values, on the same
+    triples in the same order as `ordinal_audit`."""
     if game.m ** game.n * game.n * game.m <= 20_000:
         triples = [(p, i, k)
                    for p in itertools.product(range(1, game.m + 1),
@@ -528,8 +593,8 @@ def reference_audit(game, cert, trials, seed):
         us = game.utilities(p, i)
         du = us[k - 1] - us[p[i] - 1]
         moved = p[:i] + (k,) + p[i + 1:]
-        dphi = potential_value(game, moved, cert) - potential_value(game, p,
-                                                                    cert)
+        dphi = (reference_potential(game, moved, cert)
+                - reference_potential(game, p, cert))
         if _sign(du) != _sign(dphi):
             violations += 1
             if counterexample is None:
@@ -540,24 +605,56 @@ def reference_audit(game, cert, trials, seed):
 
 weights = st.sampled_from((1, 2, 3, Fraction(1, 2), Fraction(5, 3))).map(
     Fraction)
+perturbations = st.sampled_from((5, 7, Fraction(1, 5)))
+
+
+def _perturbed(draw, gamma):
+    """The certificate of the weights or, half the time, of the weights
+    with one player's scaled, which can break the potential."""
+    gamma = list(gamma)
+    if draw(st.booleans()):
+        gamma[draw(st.integers(0, len(gamma) - 1))] *= draw(perturbations)
+    return PotentialCertificate(gamma=tuple(gamma))
 
 
 @st.composite
 def certified_games(draw, sizes, ms):
-    """A game whose shares come from influence weights, with that
-    certificate or, half the time, one whose weight for one player is
-    scaled, which can break the potential."""
+    """A game whose shares come from influence weights, with their
+    certificate or a perturbed one."""
     n, m = draw(sizes), draw(ms)
     gamma = [draw(weights) for _ in range(n)]
     intrinsic = tuple(tuple(draw(values) for _ in range(m)) for _ in range(n))
     edges = tuple(Edge(i, j, draw(values), gamma[i] / (gamma[i] + gamma[j]))
                   for i in range(n) for j in range(i + 1, n)
                   if draw(st.booleans()))
-    if draw(st.booleans()):
-        gamma[draw(st.integers(0, n - 1))] *= draw(
-            st.sampled_from((5, Fraction(1, 5))))
     game = GameInstance(n=n, m=m, intrinsic=intrinsic, edges=edges)
-    return game, PotentialCertificate(gamma=tuple(gamma))
+    return game, _perturbed(draw, gamma)
+
+
+@st.composite
+def certified_hypergraphs(draw, sizes, ms):
+    """A hypergraph game whose shares come from influence weights, with
+    their certificate or a perturbed one.  Edges have one to four members,
+    any of `values` as weight (zero included) and an anchor or none, so
+    unanchored and anchored singletons, pairs and larger groups occur."""
+    n, m = draw(sizes), draw(ms)
+    gamma = [draw(weights) for _ in range(n)]
+    edges = []
+    for _ in range(draw(st.integers(0, n + 3))):
+        players = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=min(4, n), unique=True)))
+        total = sum(gamma[i] for i in players)
+        edges.append(Hyperedge(
+            players=players, weight=draw(values),
+            shares=tuple(gamma[i] / total for i in players),
+            anchor=draw(st.none() | st.integers(1, m))))
+    game = HypergraphGame(n=n, m=m, edges=tuple(edges))
+    return game, _perturbed(draw, gamma)
+
+
+def certified(sizes, ms):
+    """Either family, certified as above."""
+    return certified_games(sizes, ms) | certified_hypergraphs(sizes, ms)
 
 
 # violations are rare in the small cases hypothesis tries first
@@ -565,7 +662,7 @@ AUDIT_SETTINGS = settings(SETTINGS, max_examples=200)
 
 
 @AUDIT_SETTINGS
-@given(certified_games(st.integers(2, 4), st.integers(2, 3)))
+@given(certified(st.integers(2, 4), st.integers(2, 3)))
 @example((example1(1), PotentialCertificate(gamma=(Fraction(1),) * 3)))
 def test_exhaustive_audit_matches_fraction_audit(case):
     game, cert = case
@@ -573,13 +670,33 @@ def test_exhaustive_audit_matches_fraction_audit(case):
 
 
 @SETTINGS
-@given(certified_games(st.integers(7, 9), st.just(3)), st.integers(1, 150),
+@given(certified(st.integers(7, 9), st.just(3)), st.integers(1, 150),
        st.integers(0, 10**6))
 def test_sampled_audit_matches_fraction_audit(case, trials, seed):
     game, cert = case
     report = ordinal_audit(game, cert, trials=trials, seed=seed)
     assert report.trials == trials  # the sampled branch
     assert report == reference_audit(game, cert, trials, seed)
+
+
+@SETTINGS
+@given(certified(st.integers(1, 6), st.integers(1, 3)), st.data())
+def test_group_potential_matches_the_references(case, data):
+    game, cert = case
+    profile = tuple(data.draw(st.integers(1, game.m)) for _ in range(game.n))
+    i = data.draw(st.integers(0, game.n - 1))
+    k = data.draw(st.integers(1, game.m))
+    moved = profile[:i] + (k,) + profile[i + 1:]
+    phi = potential_value(game, profile, cert)
+    assert phi == reference_potential(game, profile, cert)
+    assert type(phi) is Fraction
+    if isinstance(game, HypergraphGame):
+        assert hypergraph_potential(game, profile, cert) == phi
+        expected = (reference_hypergraph_potential(game, moved, cert)
+                    - reference_hypergraph_potential(game, profile, cert))
+    else:
+        expected = reference_potential_delta(game, profile, i, k, cert)
+    assert potential_delta(game, profile, i, k, cert) == expected
 
 
 # --- one oracle layer for every family ---------------------------------------

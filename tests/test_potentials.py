@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from scg.generators import example1, random_cc, random_instance, random_symmetric
+from scg.generalized import Hyperedge, HypergraphGame, hypergraph_cc_recover
+from scg.generators import (example1, random_cc, random_hypergraph_cc,
+                            random_instance, random_symmetric)
 from scg.model import Edge, GameInstance, player_utility
 from scg.potentials import (PotentialCertificate, RecoveryFailure, cc_recover,
                             certificate_shares_match, ordinal_audit,
@@ -175,3 +177,45 @@ def test_nonpositive_weight_is_named(weight):
         ordinal_audit(g, cert)
     with pytest.raises(ValueError, match="gamma\\[1\\]"):
         potential_value(g, (1, 1, 1, 1), cert)
+
+
+def test_hypergraph_audit_is_clean_and_catches_a_scaled_weight():
+    caught = 0
+    for n in range(8, 21, 3):
+        for seed in range(2):
+            hg, _ = random_hypergraph_cc(n, 3, seed)
+            cert = hypergraph_cc_recover(hg)
+            rep = ordinal_audit(hg, cert, trials=500, seed=seed)
+            assert rep.ok and rep.trials == 500
+            gamma = list(cert.gamma)
+            gamma[0] *= 7
+            bad = ordinal_audit(hg, PotentialCertificate(gamma=tuple(gamma)),
+                                trials=500, seed=seed)
+            caught += bad.violations
+            if bad.counterexample is not None:
+                profile, i, k, du, dphi = bad.counterexample
+                us = hg.utilities(profile, i)
+                assert du == us[k - 1] - us[profile[i] - 1]
+                assert (du > 0) - (du < 0) != (dphi > 0) - (dphi < 0)
+    assert caught > 0
+
+
+def test_pairwise_game_audits_as_its_hypergraph():
+    """A pairwise game and the hypergraph of its groups (anchored
+    singletons for intrinsic values, pairs for edges) have the same
+    utilities, potential and audit."""
+    g, _ = random_cc(4, 3, 11)
+    hg = HypergraphGame(n=g.n, m=g.m, edges=tuple(
+        Hyperedge(players=members, weight=w, shares=shares, anchor=anchor)
+        for members, w, shares, anchor in g.groups))
+    cert = cc_recover(g)
+    assert hypergraph_cc_recover(hg) == cert
+    fake = PotentialCertificate(gamma=(1, 5, 1, 2))
+    for profile in itertools.product(range(1, 4), repeat=4):
+        for i in range(4):
+            assert hg.utilities(profile, i) == g.utilities(profile, i)
+            assert player_utility(hg, profile, i) == player_utility(g, profile, i)
+        assert (potential_value(hg, profile, fake)
+                == potential_value(g, profile, fake))
+    assert ordinal_audit(hg, fake) == ordinal_audit(g, fake)
+    assert ordinal_audit(g, fake).violations > 0
