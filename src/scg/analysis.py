@@ -1,8 +1,19 @@
 """Verifiers and brute-force oracles.
 
 Everything here is exact: deviation factors, welfare comparisons and the
-price-of-anarchy/stability ratios are rationals, and equilibrium censuses
+price-of-anarchy/stability ratios are rationals, and the exhaustive oracles
 enumerate the full m^n profile space (guarded at 10^7 profiles).
+
+`brute_force_optimum` and `equilibrium_census` run on one incremental walk,
+`_walk`, that visits the profiles in lexicographic (`itertools.product`)
+order, so the optimum is the lexicographically smallest maximizer and the
+equilibria come in that order.  The walk keeps each player's scaled int
+utility vector, the scaled welfare and, for the census, the number of
+players whose best reply beats alpha, and updates them only for the players
+that move and the players they pay: O(deg * m) per profile, amortised.
+The group-deviation check, which drops most profiles at the first
+coalition member who does not gain, the ordinal audit and the omega-game
+oracle still enumerate with `_profiles`.
 """
 
 from __future__ import annotations
@@ -11,8 +22,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (_EXACT, _inexact, instance_stats, player_utility, welfare,
-                    welfare_total)
+# player_utility is not called here; it stays importable from scg.analysis,
+# where the benchmark's tracer tests look for it
+from .model import (_EXACT, _inexact, instance_stats, player_utility,
+                    welfare)
 from .rationals import INF, PHI_APPROX
 
 ONE = Fraction(1)
@@ -24,12 +37,18 @@ class SizeError(RuntimeError):
     """Exhaustive enumeration would exceed the profile-space guard."""
 
 
-def _profiles(game):
-    """Every profile of the game, in lexicographic order; raises SizeError
-    at once when there are more than PROFILE_SPACE_CAP of them."""
+def _check_cap(game):
+    """Raise SizeError when the game has more than PROFILE_SPACE_CAP
+    profiles."""
     if game.m ** game.n > PROFILE_SPACE_CAP:
         raise SizeError(
             f"profile space {game.m}^{game.n} exceeds cap {PROFILE_SPACE_CAP}")
+
+
+def _profiles(game):
+    """Every profile of the game, in lexicographic order; raises SizeError
+    at once when there are more than PROFILE_SPACE_CAP of them."""
+    _check_cap(game)
     return itertools.product(range(1, game.m + 1), repeat=game.n)
 
 
@@ -137,11 +156,96 @@ def deviation_report(game, profile):
     return _deviation_report(game, profile)
 
 
+def _walk(game, alpha=None):
+    """One incremental pass over every profile, in `_profiles` order.
+
+    Returns (optimum, its welfare, alpha-equilibria, their welfares): the
+    optimum is the first welfare maximum met, so ties go to the
+    lexicographically smallest profile, and the equilibria come in
+    lexicographic order; with `alpha` None the last two are empty.
+
+    The walk is an odometer: a step moves the last player not yet at m up
+    one strategy and returns the players after it from m to 1, on average
+    m / (m - 1) moves.  It keeps every player's scaled int utility vector
+    and the scaled welfare W = sum_i us_i[s_i].  When player i moves from a
+    to b, each player j paid by i's company has g_ji taken off us_j[a] and
+    put on us_j[b]; W gains i's own us_i[b] - us_i[a], less g_ji per such j
+    at a and plus g_ji per such j at b.  Only the movers and the players
+    they pay have their status, whether their best-reply factor exceeds
+    alpha, decided again.  A step costs O(deg * m).  A Fraction is built
+    only for a recorded welfare.  Reads the integer kernel, so its own
+    scale is the divisor whatever `game.scale` says.
+    """
+    _check_cap(game)
+    n, m = game.n, game.m
+    scale, rows, nbrs, gains = game._kernel
+    pays = [[] for _ in range(n)]  # pays[i]: (j, g_ji) per j paid by i
+    for j in range(n):
+        for i, g in zip(nbrs[j], gains[j]):
+            if g:
+                pays[i].append((j, g))
+    s = [0] * n  # 0-based strategies
+    us = [row.copy() for row in rows]
+    for i in range(n):
+        for j, g in pays[i]:
+            us[j][0] += g
+    w = sum(u[0] for u in us)
+    best_w, best = w, (1,) * n
+    # factors are at least 1, so below alpha = 1 nothing is an equilibrium
+    track = alpha is not None and alpha >= 1
+    equilibria, welfares = [], []
+    if track:
+        # for alpha >= 1, `_factor_exceeds(u_old, u_new, alpha)` is
+        # u_new * den > num * u_old, a zero u_old included
+        num, den = alpha.numerator, alpha.denominator
+        bad = [max(u) * den > num * u[0] for u in us]
+        n_bad = sum(bad)
+        # a step moves players p..n-1: they and whoever they pay
+        touched = [sorted({*range(p, n),
+                           *(j for i in range(p, n) for j, _ in pays[i])})
+                   for p in range(n)]
+    top = m - 1
+    while True:
+        if track and not n_bad:
+            equilibria.append(tuple(k + 1 for k in s))
+            welfares.append(Fraction(w, scale))
+        p = n - 1
+        while p >= 0 and s[p] == top:
+            p -= 1
+        if p < 0:
+            break
+        for i in range(p, n):
+            a = s[i]
+            b = a + 1 if i == p else 0
+            u = us[i]
+            w += u[b] - u[a]
+            s[i] = b
+            for j, g in pays[i]:
+                u = us[j]
+                u[a] -= g
+                u[b] += g
+                k = s[j]
+                if k == a:
+                    w -= g
+                elif k == b:
+                    w += g
+        if w > best_w:
+            best_w, best = w, tuple(k + 1 for k in s)
+        if track:
+            for j in touched[p]:
+                u = us[j]
+                f = max(u) * den > num * u[s[j]]
+                if f != bad[j]:
+                    bad[j] = f
+                    n_bad += 1 if f else -1
+    return best, Fraction(best_w, scale), equilibria, welfares
+
+
 def brute_force_optimum(game):
     """Exact welfare maximizer; ties go to the lexicographically smallest
-    profile, the first maximum `max` meets."""
-    best = max(_profiles(game), key=lambda p: welfare_total(game, p))
-    return best, welfare_total(game, best)
+    profile."""
+    best, best_w, _, _ = _walk(game)
+    return best, best_w
 
 
 def _group_deviation(game, profile, base, alpha, feasible=None):
@@ -169,10 +273,8 @@ def verify_approx_strong(game, profile, alpha):
     """
     game.validate_profile(profile)
     alpha = Fraction(alpha)
-    scale = game.scale
-    # integral: every utility is a multiple of 1 / scale
-    base = [int(player_utility(game, profile, i)[0] * scale)
-            for i in range(game.n)]
+    base = [game.scaled_utilities(profile, i)[k - 1]
+            for i, k in enumerate(profile)]
     alt, coalition = _group_deviation(game, profile, base, alpha)
     return StrongDeviationReport(
         verdict="stable-at-alpha" if alt is None else "violated",
@@ -182,15 +284,7 @@ def verify_approx_strong(game, profile, alpha):
 def equilibrium_census(game, alpha=ONE):
     """Exhaustive census of alpha-approximate equilibria with PoA/PoS."""
     alpha = Fraction(alpha)
-    opt_profile, opt_w = None, None
-    equilibria, eq_welfares = [], []
-    for profile in _profiles(game):
-        w = welfare_total(game, profile)
-        if opt_w is None or w > opt_w:
-            opt_profile, opt_w = profile, w
-        if deviation_report(game, profile).max_factor <= alpha:
-            equilibria.append(profile)
-            eq_welfares.append(w)
+    opt_profile, opt_w, equilibria, eq_welfares = _walk(game, alpha)
     exists = bool(equilibria)
     poa = pos = None
     if exists:

@@ -10,6 +10,7 @@ from scg.analysis import (SizeError, brute_force_optimum, deviation_report,
                           post_payment_deviation_report, semi_smoothness_check,
                           table_fraction, verify_approx_strong,
                           welfare_lower_bound)
+from scg.generalized import Hyperedge, HypergraphGame
 from scg.generators import example1, prop5, random_instance, random_symmetric
 from scg.model import Edge, GameInstance, welfare_total
 
@@ -75,6 +76,28 @@ def test_group_deviation_witness():
     assert rep.verdict == "violated"
     assert rep.witness_profile == (2, 2) and rep.coalition == (0, 1)
     assert verify_approx_strong(g, (2, 2), Fraction(1)).verdict == "stable-at-alpha"
+
+
+def test_oracles_on_degenerate_games():
+    empty = GameInstance(n=0, m=3, intrinsic=(), edges=())
+    assert brute_force_optimum(empty) == ((), 0)
+    assert equilibrium_census(empty, Fraction(1, 2)).equilibria == ()
+    assert equilibrium_census(empty, Fraction(1)).equilibria == ((),)
+    single = GameInstance(n=2, m=1, intrinsic=((Fraction(1),), (Fraction(2),)),
+                          edges=(Edge(0, 1, Fraction(3), Fraction(1, 2)),))
+    assert not equilibrium_census(single, Fraction(1, 2)).exists
+    assert equilibrium_census(single, Fraction(1)).exists
+
+
+def test_strong_check_keeps_fractional_baselines():
+    # scale 1: the baseline 1/2 used to be truncated to 0, so the move to
+    # 2/5 looked like an infinite improvement
+    g = HypergraphGame(n=1, m=2, edges=(
+        Hyperedge((0,), Fraction(1, 2), (Fraction(1),), 1),
+        Hyperedge((0,), Fraction(2, 5), (Fraction(1),), 2)))
+    assert deviation_report(g, (1,)).max_factor == 1
+    rep = verify_approx_strong(g, (1,), Fraction(1))
+    assert rep.verdict == "stable-at-alpha" and rep.witness_profile is None
 
 
 def test_census_flags_nonexistence():

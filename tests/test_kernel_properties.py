@@ -43,8 +43,9 @@ from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
                              one_shot_generalized, supermodularity_degree,
                              triangle_game, verify_generalized,
                              verify_omega_strong)
-from scg.generators import (example1, random_cc, random_hypergraph_cc,
-                            random_supermodular)
+from scg.generators import (example1, prop5, random_cc,
+                            random_hypergraph_cc, random_instance,
+                            random_supermodular, random_symmetric)
 from scg.model import (Edge, GameInstance, player_utility, welfare,
                        welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
@@ -329,11 +330,21 @@ def test_payments_match_the_reference(case, extra):
             == reference_report(g, profile, bonus=paid))
 
 
+NO_PLAYERS = GameInstance(n=0, m=2, intrinsic=(), edges=())
+ONE_STRATEGY = GameInstance(n=2, m=1, intrinsic=((1,), (Fraction(1, 2),)),
+                            edges=(Edge(0, 1, 2, Fraction(1, 3)),))
+
+
 @SETTINGS
-@given(game_and_profile(small_games), alphas)
+@given(game_and_profile(instances(ns=st.integers(0, 4))),
+       st.one_of(st.just(Fraction(1, 2)), alphas))
+@example((NO_PLAYERS, ()), Fraction(1, 2))
+@example((NO_PLAYERS, ()), Fraction(1))
+@example((ONE_STRATEGY, (1, 1)), Fraction(1, 2))
 def test_oracles_match_the_reference(case, alpha):
     g, profile = case
     assert brute_force_optimum(g) == reference_optimum(g)
+    assert brute_force_optimum(_fraction_game(g)) == brute_force_optimum(g)
     assert equilibrium_census(g, alpha) == reference_census(g, alpha)
     assert (verify_approx_strong(g, profile, alpha)
             == reference_strong(g, profile, alpha))
@@ -967,8 +978,19 @@ TIED_OPTIMA = GameInstance(n=2, m=3, intrinsic=((0, 1, 1), (0, 1, 1)),
 @SETTINGS
 @given(small_games)
 @example(TIED_OPTIMA)
+@example(example1(1))  # three-way tie (1, 1, 1), (2, 2, 2), (3, 3, 3)
+@example(prop5(4))  # (2, 2, 2, 2), (3, 3, 3, 3) and (4, 4, 4, 4) tie
 def test_optimum_ties_go_to_the_smallest_profile(g):
     profile, w = brute_force_optimum(g)
     assert profile == _lex_first_optimum(g)
     assert w == fraction_welfare_total(g, profile)
-    assert equilibrium_census(g).opt_profile == profile
+    assert equilibrium_census(g) == reference_census(g, Fraction(1))
+
+
+@pytest.mark.parametrize("n, m", ((5, 3), (6, 3), (5, 4), (7, 3)))
+@pytest.mark.parametrize("generate", (random_instance, random_symmetric))
+def test_oracles_match_the_reference_at_benchmark_sizes(generate, n, m):
+    for seed, alpha in ((0, Fraction(1)), (1, Fraction(3, 2))):
+        g = generate(n, m, seed)
+        assert brute_force_optimum(g) == reference_optimum(g)
+        assert equilibrium_census(g, alpha) == reference_census(g, alpha)
