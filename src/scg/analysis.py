@@ -11,9 +11,12 @@ equilibria come in that order.  The walk keeps each player's scaled int
 utility vector, the scaled welfare and, for the census, the number of
 players whose best reply beats alpha, and updates them only for the players
 that move and the players they pay: O(deg * m) per profile, amortised.
-The group-deviation check, which drops most profiles at the first
-coalition member who does not gain, the ordinal audit and the omega-game
-oracle still enumerate with `_profiles`.
+The group-deviation check, `_group_deviation`, is a depth-first search in
+the same order that cuts a subtree as soon as an upper bound on one
+deviator's utility fails the factor test, so it returns the first
+violating profile without visiting the profiles it rules out.  The
+ordinal audit and the omega game's lexicographic oracle still enumerate
+with `_profiles`.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ def _profiles(game):
     at once when there are more than PROFILE_SPACE_CAP of them."""
     _check_cap(game)
     return itertools.product(range(1, game.m + 1), repeat=game.n)
+
+
+def _exact_alpha(alpha):
+    """alpha as a Fraction; an inexact type (float, bool, str) is refused,
+    as `scg.dynamics.MoveRule` refuses it."""
+    if type(alpha) not in _EXACT:
+        raise _inexact("alpha", alpha)
+    return Fraction(alpha)
 
 
 def _factor(u_old, u_new):
@@ -248,20 +259,111 @@ def brute_force_optimum(game):
     return best, best_w
 
 
-def _group_deviation(game, profile, base, alpha, feasible=None):
+def _group_deviation(game, profile, alpha, feasible=None):
     """(alt, coalition) for the first profile alt, in lexicographic order and
     admitted by `feasible` if given, in which every player who changed
-    strategy beats `base` (scaled utilities at `profile`) by a factor above
-    alpha, decided by `_factor_exceeds`; (None, None) if there is none."""
-    for alt in _profiles(game):
-        coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
-        if not coalition or feasible is not None and not feasible(alt):
+    strategy beats its scaled utility at `profile` by a factor above alpha,
+    decided as `_factor_exceeds` decides it; (None, None) if there is none.
+
+    A depth-first search gives players 0..n-1 their strategies in turn,
+    each trying 1..m in ascending order, so it meets the leaves in
+    `_profiles` order and its first accepted leaf is the first such alt.
+    On a game with an `IntKernel` it bounds every deviator's utility from
+    above: its own value at its new strategy, plus its gains from the
+    earlier players there, plus all its gains from the later players; a
+    later player who takes another strategy takes its gain off.  Gains are
+    nonnegative, so a bound only falls as the search goes deeper, and a
+    subtree is cut, with nothing lost, as soon as one deviator's bound
+    fails `_factor_exceeds`; a leaf that is reached then needs only a
+    coalition and `feasible`.  A game without a kernel is searched with no
+    bound and each leaf checked in full.  The stack is explicit, so n is
+    bounded only by the profile-space cap.
+    """
+    _check_cap(game)
+    n, m = game.n, game.m
+    home = [k - 1 for k in profile]
+    s = [-1] * n  # 0-based strategies of players 0..p-1; -1 if unassigned
+    kernel = getattr(game, "_kernel", None)
+    if kernel is None:
+        base = [game.scaled_utilities(profile, i)[k]
+                for i, k in enumerate(home)]
+
+        def enter(p, b):
+            return True
+
+        def leave(p, b):
+            pass
+    else:
+        _, rows, nbrs, gains = kernel
+        back = [[] for _ in range(n)]   # back[p]: (j, g_pj) per j < p
+        ahead = [0] * n                 # ahead[p]: sum of g_pj over j > p
+        payees = [[] for _ in range(n)]  # payees[p]: (i, g_ip) per i < p
+        base = []
+        for i, k in enumerate(home):
+            u = rows[i][k]
+            for j, g in zip(nbrs[i], gains[i]):
+                if not g:
+                    continue
+                if home[j] == k:
+                    u += g
+                if j < i:
+                    back[i].append((j, g))
+                else:
+                    ahead[i] += g
+                    payees[j].append((i, g))
+            base.append(u)
+        bound = [0] * n  # a deviator's upper bound at the current depth
+
+        def enter(p, b):
+            """Give p strategy b unless that leaves some deviator's bound
+            failing the factor test."""
+            if b != home[p]:
+                u = rows[p][b] + ahead[p]
+                for j, g in back[p]:
+                    if s[j] == b:
+                        u += g
+                if not _factor_exceeds(base[p], u, alpha):
+                    return False
+                bound[p] = u
+            hit = [(i, g) for i, g in payees[p]
+                   if s[i] != home[i] and s[i] != b]
+            for i, g in hit:
+                if not _factor_exceeds(base[i], bound[i] - g, alpha):
+                    return False
+            for i, g in hit:
+                bound[i] -= g
+            return True
+
+        def leave(p, b):
+            for i, g in payees[p]:
+                if s[i] != home[i] and s[i] != b:
+                    bound[i] += g
+
+    p = 0
+    while p >= 0:
+        if p == n:
+            coalition = tuple(i for i in range(n) if s[i] != home[i])
+            alt = tuple(k + 1 for k in s)
+            if (coalition and (feasible is None or feasible(alt))
+                    and (kernel is not None
+                         or all(_factor_exceeds(
+                             base[i], game.scaled_utilities(alt, i)[s[i]],
+                             alpha) for i in coalition))):
+                return alt, coalition
+            p -= 1
             continue
-        if all(_factor_exceeds(base[i],
-                               game.scaled_utilities(alt, i)[alt[i] - 1],
-                               alpha)
-               for i in coalition):
-            return alt, coalition
+        b = s[p]
+        if b >= 0:
+            leave(p, b)
+        b += 1
+        while b < m and not enter(p, b):
+            b += 1
+        if b < m:
+            s[p] = b
+            p += 1
+        else:
+            s[p] = -1
+            p -= 1
     return None, None
 
 
@@ -272,10 +374,8 @@ def verify_approx_strong(game, profile, alpha):
     strategy improves by a factor strictly greater than alpha.
     """
     game.validate_profile(profile)
-    alpha = Fraction(alpha)
-    base = [game.scaled_utilities(profile, i)[k - 1]
-            for i, k in enumerate(profile)]
-    alt, coalition = _group_deviation(game, profile, base, alpha)
+    alpha = _exact_alpha(alpha)
+    alt, coalition = _group_deviation(game, profile, alpha)
     return StrongDeviationReport(
         verdict="stable-at-alpha" if alt is None else "violated",
         alpha=alpha, witness_profile=alt, coalition=coalition)
@@ -283,7 +383,7 @@ def verify_approx_strong(game, profile, alpha):
 
 def equilibrium_census(game, alpha=ONE):
     """Exhaustive census of alpha-approximate equilibria with PoA/PoS."""
-    alpha = Fraction(alpha)
+    alpha = _exact_alpha(alpha)
     opt_profile, opt_w, equilibria, eq_welfares = _walk(game, alpha)
     exists = bool(equilibria)
     poa = pos = None

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .analysis import (SizeError, _deviation_report, _group_deviation,
-                       _profiles)
+from .analysis import (SizeError, _deviation_report, _exact_alpha,
+                       _group_deviation, _profiles)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
                     _GroupGame, _gains, _incidence, _inexact,
@@ -575,9 +575,7 @@ def verify_omega_strong(ogame, profile, alpha):
     ogame.validate_profile(profile)
     if not ogame.feasible(profile):
         raise ValueError("profile is infeasible")
-    base = [ogame.scaled_utilities(profile, i)[k - 1]
-            for i, k in enumerate(profile)]
-    return _group_deviation(ogame, profile, base, Fraction(alpha),
+    return _group_deviation(ogame, profile, _exact_alpha(alpha),
                             ogame.feasible)[0]
 
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from scg.analysis import (SizeError, brute_force_optimum, deviation_report,
+from scg.analysis import (SizeError, StrongDeviationReport,
+                          brute_force_optimum, deviation_report,
                           equilibrium_census, mip_check, payment_stabilize,
                           post_payment_deviation_report, semi_smoothness_check,
                           table_fraction, verify_approx_strong,
                           welfare_lower_bound)
-from scg.generalized import Hyperedge, HypergraphGame
+from scg.generalized import (Hyperedge, HypergraphGame, OmegaGame,
+                             verify_omega_strong)
 from scg.generators import example1, prop5, random_instance, random_symmetric
 from scg.model import Edge, GameInstance, welfare_total
 
@@ -87,6 +89,42 @@ def test_oracles_on_degenerate_games():
                           edges=(Edge(0, 1, Fraction(3), Fraction(1, 2)),))
     assert not equilibrium_census(single, Fraction(1, 2)).exists
     assert equilibrium_census(single, Fraction(1)).exists
+
+
+def test_strong_check_on_degenerate_games():
+    # m = 1 leaves every player one strategy: nothing to deviate to, and a
+    # search that recursed per player would overflow the stack here
+    n = 3000
+    line = GameInstance(
+        n=n, m=1, intrinsic=((Fraction(1),),) * n,
+        edges=tuple(Edge(i, i + 1, Fraction(2), Fraction(1, 3))
+                    for i in range(n - 1)))
+    for alpha in (Fraction(0), Fraction(1)):
+        rep = verify_approx_strong(line, (1,) * n, alpha)
+        assert rep == StrongDeviationReport("stable-at-alpha", alpha)
+    empty = GameInstance(n=0, m=3, intrinsic=(), edges=())
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(2)):
+        rep = verify_approx_strong(empty, (), alpha)
+        assert rep == StrongDeviationReport("stable-at-alpha", alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.1, True, "3/2"])
+def test_group_checks_and_census_refuse_an_inexact_alpha(alpha):
+    g = two_player()
+    og = OmegaGame(n=2, m=2, a=(1, 1), b=(1, 1),
+                   labels=(("zero", "one"), ("one", "zero")),
+                   omega=Fraction(1, 2))
+    message = (f"^alpha: expected an int or Fraction, "
+               f"got {type(alpha).__name__}$")
+    for check in (lambda: verify_approx_strong(g, (1, 2), alpha),
+                  lambda: equilibrium_census(g, alpha),
+                  lambda: verify_omega_strong(og, (1, 1), alpha)):
+        with pytest.raises(ValueError, match=message):
+            check()
+    # an int is exact and means the same as its Fraction
+    assert (verify_approx_strong(g, (1, 2), 1)
+            == verify_approx_strong(g, (1, 2), Fraction(1)))
+    assert equilibrium_census(g, 1) == equilibrium_census(g, Fraction(1))
 
 
 def test_strong_check_keeps_fractional_baselines():

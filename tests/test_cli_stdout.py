@@ -4,7 +4,8 @@ The census, the payment plan at the optimum, the hybrid run with the
 optimum supplied, the strong-equilibrium verifier and the no-strong-
 equilibrium scan are run on seeded instances, and their output is compared
 byte for byte with the bytes they printed before the census and the
-optimum moved onto one incremental walk over the profiles.
+optimum moved onto one incremental walk over the profiles, and before the
+group-deviation check became a pruned search.
 """
 
 import pytest
@@ -83,6 +84,14 @@ EXPECTED = [
      '"coalition": [2]}\n'),
     ('e1', ['verify', 'strong', '--alpha', '3/2', '--profile', '1,2,3'], 0,
      '{"verdict": "stable-at-alpha"}\n'),
+    # coalitions of two and three whose first deviator leaves strategy 1
+    # behind, so the search backs out of player 0's first branch
+    ('sym', ['verify', 'strong', '--profile', '3,2,2,3,2,2'], 4,
+     '{"verdict": "violated", "witness_profile": "2,2,2,2,2,2", '
+     '"coalition": [0, 3]}\n'),
+    ('p5', ['verify', 'strong', '--profile', '3,3,1'], 4,
+     '{"verdict": "violated", "witness_profile": "2,2,2", '
+     '"coalition": [0, 1, 2]}\n'),
     (None, ['search-no-sne', '--count', '5'], 0,
      '{"scanned": 5, "without_strong_equilibrium": []}\n'),
     (None, ['search-no-sne', '--n', '5', '--seed', '3', '--count', '5'], 0,

@@ -13,7 +13,8 @@ changes computed as Fractions on every trial, the Fraction group-deviation
 loop and the `lex_compare` loop that omega games had of their own, the
 depth-first weight recovery `cc_recover` had of its own and the
 edge-by-edge sweep with union-find normalization of the hypergraph
-recovery.  Instances mix fractional values, all-int values (scale 1) and
+recovery.  The pruned group-deviation search is also compared with the
+flat scan over every profile that it replaced.  Instances mix fractional values, all-int values (scale 1) and
 coprime denominators whose lcm exceeds 2**64.  Runs are derandomized and
 small.
 """
@@ -28,8 +29,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
-                          StrongDeviationReport, brute_force_optimum,
-                          deviation_report, equilibrium_census,
+                          StrongDeviationReport, _factor_exceeds,
+                          brute_force_optimum, deviation_report,
+                          equilibrium_census,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
@@ -994,3 +996,104 @@ def test_oracles_match_the_reference_at_benchmark_sizes(generate, n, m):
         g = generate(n, m, seed)
         assert brute_force_optimum(g) == reference_optimum(g)
         assert equilibrium_census(g, alpha) == reference_census(g, alpha)
+
+
+# --- the pruned group-deviation search ----------------------------------------
+
+
+def flat_group_deviation(game, profile, alpha, feasible=None):
+    """The flat scan the group-deviation check was before it became a pruned
+    search: every profile in lexicographic order, each coalition member's
+    utility rebuilt by `scaled_utilities`."""
+    base = [game.scaled_utilities(profile, i)[k - 1]
+            for i, k in enumerate(profile)]
+    for alt in _profiles(game):
+        coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
+        if not coalition or feasible is not None and not feasible(alt):
+            continue
+        if all(_factor_exceeds(base[i],
+                               game.scaled_utilities(alt, i)[alt[i] - 1],
+                               alpha)
+               for i in coalition):
+            return alt, coalition
+    return None, None
+
+
+def flat_strong(game, profile, alpha):
+    alt, coalition = flat_group_deviation(game, profile, alpha)
+    return StrongDeviationReport(
+        "stable-at-alpha" if alt is None else "violated", alpha, alt,
+        coalition)
+
+
+GROUP_SETTINGS = settings(SETTINGS, max_examples=150)
+strong_alphas = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1),
+                                 Fraction(3, 2), Fraction(2)))
+
+# at (1, 1, 1) players 0 and 1 have utility 0: their own values there are
+# 0 and the edge between them weighs 0
+ZERO_BASELINES = GameInstance(
+    n=3, m=2, intrinsic=((0, 1), (0, 0), (1, 1)),
+    edges=(Edge(0, 1, 0, Fraction(1, 2)), Edge(1, 2, 2, Fraction(1, 3))))
+
+
+@GROUP_SETTINGS
+@given(game_and_profile(instances(ns=st.integers(0, 6))), strong_alphas)
+@example((ZERO_BASELINES, (1, 1, 1)), Fraction(0))
+@example((ZERO_BASELINES, (1, 1, 1)), Fraction(1))
+@example((NO_PLAYERS, ()), Fraction(0))
+@example((ONE_STRATEGY, (1, 1)), Fraction(1, 2))
+def test_group_search_matches_the_flat_scan(case, alpha):
+    """At a drawn profile, mostly not an equilibrium, and at the first two
+    equilibria, the search returns the flat scan's (alt, coalition), and
+    the report is the Fraction reference's."""
+    g, profile = case
+    nash = equilibrium_census(g, Fraction(1)).equilibria[:2]
+    for q in (profile, *nash):
+        got = verify_approx_strong(g, q, alpha)
+        assert got == flat_strong(g, q, alpha)
+        assert got == reference_strong(g, q, alpha)
+
+
+@GROUP_SETTINGS
+@given(omega_games(), strong_alphas, st.data())
+def test_omega_group_search_matches_the_flat_scan(og, alpha, data):
+    """The feasible path, at a drawn profile and at the lexicographic
+    strong equilibrium.  The omega reference treats a zero baseline as
+    beaten only by a positive utility, which is the package rule from
+    alpha = 1 up."""
+    profiles = [tuple(data.draw(st.integers(1, og.m)) for _ in range(og.n))]
+    try:
+        profiles.append(lex_strong_eq(og)[0])
+    except ValueError:
+        pass
+    for q in filter(og.feasible, profiles):
+        got = verify_omega_strong(og, q, alpha)
+        assert got == flat_group_deviation(og, q, alpha, og.feasible)[0]
+        if alpha >= 1:
+            assert got == reference_omega_strong(og, q, alpha)
+
+
+@GROUP_SETTINGS
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6),
+       strong_alphas, st.data())
+def test_kernel_less_group_search_matches_the_flat_scan(n, m, seed, alpha,
+                                                        data):
+    """A hypergraph game has no integer kernel: the search runs unbounded
+    and checks each leaf on its Fraction utilities."""
+    hg, _gamma = random_hypergraph_cc(n, m, seed)
+    profile = tuple(data.draw(st.integers(1, m)) for _ in range(n))
+    assert verify_approx_strong(hg, profile, alpha) == flat_strong(
+        hg, profile, alpha)
+
+
+@pytest.mark.parametrize("n, m", ((5, 3), (6, 3), (5, 4), (7, 3)))
+@pytest.mark.parametrize("generate", (random_instance, random_symmetric))
+def test_group_search_matches_the_flat_scan_at_benchmark_sizes(generate, n,
+                                                               m):
+    for seed in range(3):
+        g = generate(n, m, seed)
+        for profile in equilibrium_census(g, Fraction(1)).equilibria:
+            for alpha in (Fraction(1), Fraction(3, 2)):
+                assert (verify_approx_strong(g, profile, alpha)
+                        == flat_strong(g, profile, alpha))
