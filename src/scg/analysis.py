@@ -55,11 +55,12 @@ def _profiles(game):
     return itertools.product(range(1, game.m + 1), repeat=game.n)
 
 
-def _exact_alpha(alpha):
-    """alpha as a Fraction; an inexact type (float, bool, str) is refused,
-    as `scg.dynamics.MoveRule` refuses it."""
+def _exact_alpha(alpha, name="alpha"):
+    """alpha as a Fraction; an inexact type (float, bool, str) is refused
+    with an error naming the argument `name`.  Every factor alpha and
+    every imbalance gamma an entry point takes passes through here."""
     if type(alpha) not in _EXACT:
-        raise _inexact("alpha", alpha)
+        raise _inexact(name, alpha)
     return Fraction(alpha)
 
 
@@ -404,8 +405,9 @@ def _welfare_ratio(opt_w, eq_w):
 
 
 def _hybrid_alpha(alpha):
-    """alpha as a Fraction, if it lies in the hybrid algorithm's range."""
-    alpha = Fraction(alpha)
+    """alpha as a Fraction, if it is exact and lies in the hybrid
+    algorithm's range."""
+    alpha = _exact_alpha(alpha)
     if not (PHI_APPROX <= alpha <= 2):
         raise ValueError("alpha must lie in [1618/1000, 2]")
     return alpha
@@ -419,14 +421,15 @@ def _balanced_fraction(alpha, gamma, inv_m):
 def welfare_lower_bound(alpha, gamma, m):
     """Guaranteed welfare fraction of the hybrid algorithm's output.
 
-    gamma may be +inf; m may be +inf, treated as the 1/m -> 0 limit.
+    alpha and a finite gamma must be exact (an int or a Fraction) and m an
+    int; gamma may be +inf; m may be +inf, treated as the 1/m -> 0 limit.
     """
     alpha = _hybrid_alpha(alpha)
     inf_m = m == INF
-    if not inf_m and (not isinstance(m, int) or m < 1):
+    if not inf_m and (type(m) is not int or m < 1):
         raise ValueError("m must be an integer >= 1 or inf")
     if gamma != INF:
-        gamma = Fraction(gamma)
+        gamma = _exact_alpha(gamma, "gamma")
         if gamma < 1:
             raise ValueError("gamma must be >= 1 or inf")
 

@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 2 argument error, 3 enumeration size guard,
 4 verification failure.
+
+The subcommands call the parsers and the library directly: the parsers
+only decode, the game constructors and the library entry points decide
+what is valid, and `main` turns every rejection (a `ValueError`, which a
+`ParseError` and a `CliError` are) into one line ``error: <message>`` and
+exit code 2.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 
 from . import analysis, dynamics, generalized, generators, model, potentials
 from .analysis import SizeError
-from .rationals import INF, ParseError, format_rational, parse_rational
+from .rationals import INF, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -23,16 +29,8 @@ EXIT_SIZE = 3
 EXIT_VERIFY = 4
 
 
-class CliError(Exception):
-    pass
-
-
-def _parse_rational(text, flag):
-    """The rational value of option `flag`; an error names the flag."""
-    try:
-        return parse_rational(text, flag)
-    except ParseError as exc:
-        raise CliError(str(exc))
+class CliError(ValueError):
+    """A bad argument or file the CLI itself finds."""
 
 
 def _parse_m(text):
@@ -75,13 +73,6 @@ def _write(path, text):
         raise CliError(f"cannot write {path}: {exc}")
 
 
-def _load_instance(path):
-    try:
-        return model.parse_instance(_read(path))
-    except ParseError as exc:
-        raise CliError(str(exc))
-
-
 def _profile_str(profile):
     return ",".join(str(s) for s in profile)
 
@@ -93,19 +84,19 @@ def _cmd_gen(args):
     kind = args.kind
     if kind == "example1":
         out = model.serialize_instance(
-            generators.example1(_parse_rational(args.r, "r")))
+            generators.example1(parse_rational(args.r, "r")))
     elif kind == "prop5":
         out = model.serialize_instance(
-            generators.prop5(args.m_int, _parse_rational(args.r, "r"),
-                             _parse_rational(args.eps, "eps")))
+            generators.prop5(args.m_int, parse_rational(args.r, "r"),
+                             parse_rational(args.eps, "eps")))
     elif kind == "symmetric-pos-tight":
         out = model.serialize_instance(
             generators.symmetric_pos_tight(args.m_int,
-                                           _parse_rational(args.r, "r"),
-                                           _parse_rational(args.eps, "eps")))
+                                           parse_rational(args.r, "r"),
+                                           parse_rational(args.eps, "eps")))
     elif kind == "triangle":
         out = generalized.serialize_generalized(
-            generalized.triangle_game(_parse_rational(args.c, "c")))
+            generalized.triangle_game(parse_rational(args.c, "c")))
     elif kind == "random":
         out = model.serialize_instance(
             generators.random_instance(args.n, args.m_int, args.seed))
@@ -120,7 +111,7 @@ def _cmd_gen(args):
                                                args.seed)
         out = generalized.serialize_generalized(ggame)
     elif kind == "random-omega":
-        omega = _parse_rational(args.omega, "omega")
+        omega = parse_rational(args.omega, "omega")
         ogame = generators.random_omega(args.n, args.m_int, args.seed,
                                         omega=omega)
         out = generalized.serialize_omega(ogame)
@@ -163,7 +154,7 @@ def _cmd_solve(args):
         _write(args.out, out)
         return EXIT_OK
 
-    game = _load_instance(args.infile)
+    game = model.parse_instance(_read(args.infile))
     if algo == "algorithm1":
         start = (_parse_profile(args.profile, game.n) if args.profile
                  else tuple([1] * game.n))
@@ -176,13 +167,13 @@ def _cmd_solve(args):
         profile = dynamics.sqrt2_three(game)
         result = {"profile": _profile_str(profile)}
     elif algo == "oneshot":
-        alpha = _parse_rational(args.alpha or "1", "alpha")
+        alpha = parse_rational(args.alpha or "1", "alpha")
         k0 = args.k0 if args.k0 is not None else 1
         profile, trace = dynamics.one_shot_alpha_br(game, k0, alpha)
         result = {"profile": _profile_str(profile),
                   "moves": len(trace.moves)}
     elif algo == "hybrid":
-        alpha = _parse_rational(args.alpha or "2", "alpha")
+        alpha = parse_rational(args.alpha or "2", "alpha")
         opt_w = None
         if args.opt_oracle:
             _, opt_w = analysis.brute_force_optimum(game)
@@ -209,25 +200,12 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    alpha = _parse_rational(args.alpha or "1", "alpha")
-    if args.mode == "generalized":
-        ggame = generalized.parse_generalized(_read(args.infile))
-        profile = _parse_profile(args.profile, ggame.n)
-        report = generalized.verify_generalized(ggame, profile)
-        ok = report.max_factor <= alpha
-        payload = {"max_factor": format_rational(report.max_factor),
-                   "witness": report.witness, "stable": ok}
-        _write(args.out, json.dumps(payload) + "\n")
-        return EXIT_OK if ok else EXIT_VERIFY
-
-    game = _load_instance(args.infile)
+    alpha = parse_rational(args.alpha or "1", "alpha")
+    parse = (generalized.parse_generalized if args.mode == "generalized"
+             else model.parse_instance)
+    game = parse(_read(args.infile))
     profile = _parse_profile(args.profile, game.n)
-    if args.mode == "nash":
-        report = analysis.deviation_report(game, profile)
-        ok = report.max_factor <= alpha
-        payload = {"max_factor": format_rational(report.max_factor),
-                   "witness": report.witness, "stable": ok}
-    elif args.mode == "strong":
+    if args.mode == "strong":
         report = analysis.verify_approx_strong(game, profile, alpha)
         ok = report.verdict == "stable-at-alpha"
         payload = {"verdict": report.verdict}
@@ -235,7 +213,10 @@ def _cmd_verify(args):
             payload["witness_profile"] = _profile_str(report.witness_profile)
             payload["coalition"] = list(report.coalition)
     else:
-        raise CliError(f"unknown verify mode {args.mode!r}")
+        report = analysis.deviation_report(game, profile)
+        ok = report.max_factor <= alpha
+        payload = {"max_factor": format_rational(report.max_factor),
+                   "witness": report.witness, "stable": ok}
     _write(args.out, json.dumps(payload) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -244,8 +225,8 @@ def _cmd_verify(args):
 
 
 def _cmd_census(args):
-    game = _load_instance(args.infile)
-    alpha = _parse_rational(args.alpha or "1", "alpha")
+    game = model.parse_instance(_read(args.infile))
+    alpha = parse_rational(args.alpha or "1", "alpha")
     census = analysis.equilibrium_census(game, alpha)
     if args.format == "csv":
         buf = io.StringIO()
@@ -281,7 +262,7 @@ def _cmd_census(args):
 
 
 def _cmd_payments(args):
-    game = _load_instance(args.infile)
+    game = model.parse_instance(_read(args.infile))
     opt_profile, opt_w = analysis.brute_force_optimum(game)
     profile = (_parse_profile(args.profile, game.n) if args.profile
                else opt_profile)
@@ -308,8 +289,8 @@ def _split_list(text):
 
 
 def _cmd_bounds(args):
-    alphas = [_parse_rational(t, "alpha") for t in _split_list(args.alpha)]
-    gammas = [INF if t == "inf" else _parse_rational(t, "gamma")
+    alphas = [parse_rational(t, "alpha") for t in _split_list(args.alpha)]
+    gammas = [INF if t == "inf" else parse_rational(t, "gamma")
               for t in _split_list(args.gamma)]
     ms = [_parse_m(t) for t in _split_list(args.m)]
     if args.asymptotic and INF not in ms:
@@ -338,7 +319,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_audit_potential(args):
-    game = _load_instance(args.infile)
+    game = model.parse_instance(_read(args.infile))
     cert = potentials.cc_recover(game)
     if isinstance(cert, potentials.RecoveryFailure):
         _write(args.out, json.dumps({"recovered": False,
@@ -476,13 +457,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # CliError, ParseError and library rejections
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
 

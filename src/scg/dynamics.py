@@ -13,7 +13,11 @@ rule always produce the same trace.  There are two schedules:
 * the continuing sweep of `_two_strategy_phase` (inside `algorithm1_two`
   and `sqrt2_three`) moves players from one fixed strategy to another and
   goes on with the next index after a move; passes repeat until one makes
-  no move.
+  no move.  It looks only at players on the source strategy, so in
+  `sqrt2_three` the players already at strategy 3 never move again.
+
+Every factor alpha, of a `MoveRule` or of an entry point, passes through
+`scg.analysis._exact_alpha`, which refuses a float, a bool or a str.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import _best_reply, _factor, _hybrid_alpha
-from .model import (_EXACT, _inexact, _k_star, _not_int, player_utility,
-                    welfare_total)
+from .analysis import _best_reply, _exact_alpha, _factor, _hybrid_alpha
+from .model import _k_star, _not_int, player_utility, welfare_total
 from .rationals import at_least_sqrt2_times, format_rational
 
 ONE = Fraction(1)
@@ -41,8 +44,7 @@ class MoveRule:
     alpha: Fraction = ONE
 
     def __post_init__(self):
-        if type(self.alpha) not in _EXACT:
-            raise _inexact("alpha", self.alpha)
+        _exact_alpha(self.alpha)
 
     def allows(self, u_old, u_new):
         """Decided by cross-multiplication, so utilities given at any one
@@ -174,20 +176,19 @@ def _one_shot(game, k0, alpha):
                            movable=lambda profile, i: profile[i] == k0)
 
 
-def _two_strategy_phase(game, profile, source, target, movable=None):
+def _two_strategy_phase(game, profile, source, target):
     """Move players from `source` to `target` while it strictly improves.
 
     A continuing sweep: after a move the scan goes on with the next player,
-    and passes repeat until one moves no one.  Restricted to
-    `movable` players when given; returns the final profile.
+    and passes repeat until one moves no one.  Only players at `source`
+    are looked at, and a move puts a player at `target`, so players at any
+    third strategy stay where they are; returns the final profile.
     """
     profile = list(profile)
     changed = True
     while changed:
         changed = False
         for i in range(game.n):
-            if movable is not None and i not in movable:
-                continue
             if profile[i] != source:
                 continue
             us = game.scaled_utilities(profile, i)
@@ -267,10 +268,8 @@ def sqrt2_three(game):
         raise ValueError("sqrt2_three requires exactly three strategies")
 
     def stabilize(profile):
-        movable = {i for i in range(game.n) if profile[i] in (1, 2)}
-        profile = _two_strategy_phase(game, profile, 1, 2, movable)
-        profile = _two_strategy_phase(game, profile, 2, 1, movable)
-        return profile
+        profile = _two_strategy_phase(game, profile, 1, 2)
+        return _two_strategy_phase(game, profile, 2, 1)
 
     profile = stabilize(tuple([1] * game.n))
     while True:
@@ -294,7 +293,7 @@ def one_shot_alpha_br(game, k0, alpha):
     Only players still at k0 may move, each at most once, to their best
     response when it clears the alpha gate.  Returns (profile, trace).
     """
-    trace = _one_shot(game, k0, Fraction(alpha))
+    trace = _one_shot(game, k0, _exact_alpha(alpha))
     return trace.terminal, trace
 
 

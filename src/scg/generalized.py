@@ -31,8 +31,8 @@ from .analysis import (SizeError, _deviation_report, _exact_alpha,
                        _group_deviation, _profiles)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
-                    _GroupGame, _gains, _incidence, _inexact,
-                    _int_kernel, _not_int, _scaled_ints)
+                    _gains, _incidence, _inexact, _int_kernel, _not_int,
+                    _scaled_ints)
 from .potentials import _recover, potential_value
 from .rationals import (INF, ParseError, _as_list, format_rational,
                         load_object, parse_rational, supermodular_alpha)
@@ -42,8 +42,9 @@ ZERO = Fraction(0)
 TABLE_ENUM_CAP = 200_000  # subset-pair enumeration guard
 
 
-class TableError(KeyError):
-    """A utility table was queried at an unspecified (strategy, set) entry."""
+class TableError(ValueError):
+    """A utility table was queried at an unspecified (strategy, set) entry:
+    the game is incomplete, so the CLI reports it as bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def one_shot_generalized(ggame, k0, alpha=None):
             raise ValueError("unbounded complementarity: no finite gate exists")
         alpha = supermodular_alpha(r)
     else:
-        alpha = Fraction(alpha)
+        alpha = _exact_alpha(alpha)
     trace = _one_shot(ggame, k0, alpha)
     moves = tuple((mv.player, mv.to_strategy, mv.old_utility, mv.new_utility)
                   for mv in trace.moves)
@@ -327,7 +328,7 @@ class Hyperedge:
 
 
 @dataclass(frozen=True)
-class HypergraphGame(_GroupGame):
+class HypergraphGame:
     n: int
     m: int
     edges: tuple

@@ -144,19 +144,6 @@ def _int_row(row):
             [(others, anchor, next(it)) for others, anchor, _ in rest])
 
 
-class _GroupGame:
-    """A game that lists itself as (members, weight, shares, anchor)
-    groups in ``groups``."""
-
-    @cached_property
-    def _int_gains(self):
-        """Per player, the `_incidence` row of the player's gains
-        shares[pos] * weight, each scaled to ints by its own lcm; built on
-        first use and kept."""
-        return [_int_row(row)
-                for row in _incidence(self.n, self.m, self.groups, _gains)]
-
-
 class _KernelGame:
     """The utility protocol of a game whose ``_kernel`` is an `IntKernel`."""
 
@@ -181,7 +168,7 @@ class _KernelGame:
 
 
 @dataclass(frozen=True)
-class GameInstance(_KernelGame, _GroupGame):
+class GameInstance(_KernelGame):
     n: int
     m: int
     intrinsic: tuple  # n rows of m Fractions, intrinsic[i][k-1] = w_i^k
@@ -190,15 +177,15 @@ class GameInstance(_KernelGame, _GroupGame):
     def __post_init__(self):
         _check_dims(self)
         if len(self.intrinsic) != self.n:
-            raise ValueError("intrinsic matrix must have one row per player")
+            raise ValueError("intrinsic: expected n rows")
         for i, row in enumerate(self.intrinsic):
             if len(row) != self.m:
-                raise ValueError(f"intrinsic row {i} must have m entries")
+                raise ValueError(f"intrinsic[{i}]: expected m entries")
             for k, v in enumerate(row):
                 if type(v) not in _EXACT:
                     raise _inexact(f"intrinsic[{i}][{k}]", v)
                 if v < 0:
-                    raise ValueError(f"intrinsic row {i}: negative entry")
+                    raise ValueError(f"intrinsic[{i}][{k}]: negative entry")
         seen = set()
         n = self.n
         for e in self.edges:
@@ -219,9 +206,9 @@ class GameInstance(_KernelGame, _GroupGame):
             if type(share) not in _EXACT:
                 raise _inexact(f"edge ({i},{j}).share_ij", share)
             if w < 0:
-                raise ValueError(f"edge ({i},{j}): negative weight")
+                raise ValueError(f"edge ({i},{j}).w: negative weight")
             if not (0 <= share <= 1):
-                raise ValueError(f"edge ({i},{j}): share out of range")
+                raise ValueError(f"edge ({i},{j}).share_ij: share out of range")
 
     @cached_property
     def _kernel(self):
@@ -412,21 +399,14 @@ def instance_stats(game):
 
 
 def parse_instance(text):
+    """Decode an instance file.  `GameInstance` decides what is valid; a
+    rejection is raised as a ParseError with its message."""
     data = load_object(text, ("n", "m", "intrinsic", "edges"))
-    n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int):
-        raise ParseError("n/m: must be integers")
     intrinsic = []
-    rows = data["intrinsic"]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ParseError("intrinsic: expected n rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise ParseError(f"intrinsic[{i}]: expected m entries")
-        parsed = tuple(parse_rational(v, f"intrinsic[{i}][{k}]") for k, v in enumerate(row))
-        if any(v < 0 for v in parsed):
-            raise ParseError(f"intrinsic[{i}]: negative entry")
-        intrinsic.append(parsed)
+    for i, row in enumerate(_as_list(data["intrinsic"], "intrinsic")):
+        intrinsic.append(tuple(
+            parse_rational(v, f"intrinsic[{i}][{k}]")
+            for k, v in enumerate(_as_list(row, f"intrinsic[{i}]"))))
     edges = []
     for idx, raw in enumerate(_as_list(data["edges"], "edges")):
         if not isinstance(raw, dict):
@@ -440,13 +420,10 @@ def parse_instance(text):
                 raise ParseError(f"edges[{idx}].{name}: expected integer")
         w = parse_rational(raw.get("w"), f"edges[{idx}].w")
         share = parse_rational(raw.get("share_ij"), f"edges[{idx}].share_ij")
-        if w < 0:
-            raise ParseError(f"edges[{idx}].w: negative weight")
-        if not (0 <= share <= 1):
-            raise ParseError(f"edges[{idx}].share_ij: share out of range")
         edges.append(Edge(i=i, j=j, w=w, share_ij=share))
     try:
-        return GameInstance(n=n, m=m, intrinsic=tuple(intrinsic), edges=tuple(edges))
+        return GameInstance(n=data["n"], m=data["m"],
+                            intrinsic=tuple(intrinsic), edges=tuple(edges))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

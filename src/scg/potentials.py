@@ -22,7 +22,11 @@ so gated best-response dynamics cannot cycle on such games.
 `potential_value`, `potential_delta`, `ordinal_audit`, the weight
 recovery `_recover` (behind `cc_recover` and
 `scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
-are written once over the groups and take either family.
+are written once over the groups and take either family.  The audit takes
+only the potential side from the groups: a deviation's utility change is
+read from the game's own `scaled_utilities`, the vector every dynamic and
+verifier reads, so the audit checks the potential against the utilities
+the rest of the package computes.
 """
 
 from __future__ import annotations
@@ -183,50 +187,35 @@ def potential_delta(game, profile, i, new_strategy, cert):
             - potential_value(game, profile, cert))
 
 
-def _sign_rows(game, cert):
-    """Per player i, the terms of du and dphi a deviation of i can touch:
-    the `scg.model._incidence` rows of i's gains and of the potential
-    terms w / (sum of member weights), each scaled to ints by its own lcm
-    and zipped into (own gain row, own potential row, [(j, gain, pot)]
-    over unanchored pairs, [(others, anchor, gain, pot)] over the other
-    groups)."""
+def _potential_rows(game, cert):
+    """Per player i, the potential terms w / (sum of member weights) a
+    deviation of i can touch: i's `scg.model._incidence` row of them,
+    scaled to ints by its own lcm, as (own row, [(j, pot)] over unanchored
+    pairs, [(others, anchor, pot)] over the other groups)."""
     gamma = [Fraction(g) for g in cert.gamma]
-    groups = game.groups
-    pots = _incidence(game.n, game.m, groups, lambda members, w, _: (
+    pots = _incidence(game.n, game.m, game.groups, lambda members, w, _: (
         # the sum starts at a Fraction: adding one to int 0 is slow
         [w / sum(map(gamma.__getitem__, members[1:]), gamma[members[0]])]
         * len(members)))
-    rows = []
-    for (own_u, pairs_u, rest_u), p in zip(game._int_gains, pots):
-        own_p, pairs_p, rest_p = _int_row(p)
-        rows.append((own_u, own_p,
-                     [(j, du, dp) for (j, du), (_, dp) in zip(pairs_u, pairs_p)],
-                     [(others, anchor, du, dp) for (others, anchor, du),
-                      (*_, dp) in zip(rest_u, rest_p)]))
-    return rows
+    return [_int_row(row) for row in pots]
 
 
-def _same_sign(row, profile, old_k, new_k):
-    """Whether du and dphi of moving from old_k to new_k share a sign."""
-    own_u, own_p, pairs, rest = row
-    du = own_u[new_k - 1] - own_u[old_k - 1]
-    dp = own_p[new_k - 1] - own_p[old_k - 1]
-    for j, gain, pot in pairs:
+def _potential_change(row, profile, old_k, new_k):
+    """dphi of moving from old_k to new_k, at the scale of `row`."""
+    own, pairs, rest = row
+    dp = own[new_k - 1] - own[old_k - 1]
+    for j, pot in pairs:
         k = profile[j]
         if k == new_k:
-            du += gain
             dp += pot
         elif k == old_k:
-            du -= gain
             dp -= pot
-    for others, anchor, gain, pot in rest:
+    for others, anchor, pot in rest:
         k = profile[others[0]]
         if (k in (new_k, old_k) and anchor in (None, k)
                 and all(profile[j] == k for j in others)):
-            sign = 1 if k == new_k else -1
-            du += sign * gain
-            dp += sign * pot
-    return (du > 0) - (du < 0) == (dp > 0) - (dp < 0)
+            dp += pot if k == new_k else -pot
+    return dp
 
 
 def _every_deviation(game):
@@ -255,11 +244,13 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     exhaustively instead; otherwise `trials` must be at least 1, so the
     audit never passes without checking anything.
 
-    Takes a `GameInstance` or a `HypergraphGame`.  Signs are decided in
-    ints, in O(deg) per trial (times the group size for groups of three
-    or more), from per-player rows scaled once per audit; the exact
-    Fraction (du, dphi) is computed only for the reported counterexample,
-    the first violating triple."""
+    Takes a `GameInstance` or a `HypergraphGame`.  du is read from
+    `game.scaled_utilities(profile, i)`, the utility kernel every dynamic
+    and verifier reads; dphi is summed in ints from per-player potential
+    rows scaled once per audit, in O(deg) per trial (times the group size
+    for groups of three or more).  Only signs are compared, so the two
+    scales need not agree; the exact Fraction (du, dphi) is computed only
+    for the reported counterexample, the first violating triple."""
     _check_certificate(game, cert)
     if game.n == 0 or game.m < 2:
         return AuditReport(trials=0, violations=0, counterexample=None)
@@ -270,18 +261,20 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
         raise ValueError(f"trials must be >= 1, got {trials}")
     else:
         deviations = _sampled_deviations(game, trials, seed)
-    rows = _sign_rows(game, cert)
+    rows = _potential_rows(game, cert)
     done = violations = 0
     counterexample = None
     for profile, i, new_k in deviations:
         done += 1
-        if _same_sign(rows[i], profile, profile[i], new_k):
+        old_k = profile[i]
+        us = game.scaled_utilities(profile, i)
+        du = us[new_k - 1] - us[old_k - 1]
+        dp = _potential_change(rows[i], profile, old_k, new_k)
+        if (du > 0) - (du < 0) == (dp > 0) - (dp < 0):
             continue
         violations += 1
         if counterexample is None:
-            us = game.utilities(profile, i)
-            counterexample = (profile, i, new_k,
-                              us[new_k - 1] - us[profile[i] - 1],
+            counterexample = (profile, i, new_k, Fraction(du, game.scale),
                               potential_delta(game, profile, i, new_k, cert))
     return AuditReport(trials=done, violations=violations,
                        counterexample=counterexample)

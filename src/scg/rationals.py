@@ -1,9 +1,12 @@
 """Exact rational arithmetic helpers.
 
-Every utility, weight and share in this package is a `fractions.Fraction`.
-Positive infinity (used for the relationship-imbalance parameter and for
-improvement factors over a zero baseline) is `math.inf`, which orders
-correctly against Fraction values, so no wrapper type is needed.
+Every utility, weight, share and factor this package takes is exact, an
+int or a `fractions.Fraction`, and every value it reports is a Fraction;
+the kernels in between work on the same values scaled to ints by their
+common denominator (see `scg.model`).  Positive infinity (used for the
+relationship-imbalance parameter and for improvement factors over a zero
+baseline) is `math.inf`, which orders correctly against Fraction values,
+so no wrapper type is needed.
 """
 
 from __future__ import annotations

@@ -11,9 +11,11 @@ from scg.analysis import (SizeError, StrongDeviationReport,
                           post_payment_deviation_report, semi_smoothness_check,
                           table_fraction, verify_approx_strong,
                           welfare_lower_bound)
+from scg.dynamics import hybrid, one_shot_alpha_br
 from scg.generalized import (Hyperedge, HypergraphGame, OmegaGame,
-                             verify_omega_strong)
-from scg.generators import example1, prop5, random_instance, random_symmetric
+                             one_shot_generalized, verify_omega_strong)
+from scg.generators import (example1, prop5, random_instance,
+                            random_supermodular, random_symmetric)
 from scg.model import Edge, GameInstance, welfare_total
 
 
@@ -174,6 +176,44 @@ def test_closed_form_fraction_values():
         welfare_lower_bound(Fraction(3, 2), Fraction(1), 4)
     with pytest.raises(ValueError):
         welfare_lower_bound(Fraction(2), Fraction(1, 2), 4)
+
+
+@pytest.mark.parametrize("value", [1.7, True, "7/4"])
+def test_bounds_and_one_shots_refuse_an_inexact_alpha_or_gamma(value):
+    g = two_player()
+    gg = random_supermodular(3, 2, 1, 1)
+    message = "^{}: expected an int or Fraction, got " + type(value).__name__
+    for check in (lambda: hybrid(g, value),
+                  lambda: welfare_lower_bound(value, 1, 3),
+                  lambda: table_fraction(value, 1, 3),
+                  lambda: one_shot_alpha_br(g, 1, value),
+                  lambda: one_shot_generalized(gg, 1, value)):
+        with pytest.raises(ValueError, match=message.format("alpha")):
+            check()
+    for check in (lambda: welfare_lower_bound(2, value, 3),
+                  lambda: table_fraction(2, value, 3)):
+        with pytest.raises(ValueError, match=message.format("gamma")):
+            check()
+
+
+@pytest.mark.parametrize("m", [3.0, True, Fraction(3), "3"])
+def test_bounds_refuse_a_non_int_m(m):
+    for bound in (welfare_lower_bound, table_fraction):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            bound(2, 1, m)
+
+
+def test_bounds_and_one_shots_take_exact_ints():
+    # an int is exact and means the same as its Fraction; inf stays allowed
+    g = two_player()
+    assert welfare_lower_bound(2, 1, 3) == Fraction(3, 5)
+    assert table_fraction(2, 10, 4) == table_fraction(Fraction(2), 10, 4)
+    assert welfare_lower_bound(2, math.inf, math.inf) == 0
+    assert hybrid(g, 2) == hybrid(g, Fraction(2))
+    assert one_shot_alpha_br(g, 1, 1) == one_shot_alpha_br(g, 1, Fraction(1))
+    gg = random_supermodular(3, 2, 1, 1)
+    assert one_shot_generalized(gg, 1, 3) == one_shot_generalized(
+        gg, 1, Fraction(3))
 
 
 def test_table_fraction_never_below_guarantee():

@@ -251,12 +251,20 @@ MALFORMED = {
 
 
 # More malformed inputs: "{tables_5}" is a table game whose player 0 has the
-# entry list 5, "{omega_a_5}" an omega game whose a is 5.
+# entry list 5, "{omega_a_5}" an omega game whose a is 5, "{gaps}" a table
+# game with no entry for player 0 next to player 1.
 MALFORMED_FIELDS = {
     "verify-generalized-entry-list": [
         "verify", "generalized", "--in", "{tables_5}", "--profile", "1"],
     "solve-lexstrong-a": ["solve", "lexstrong", "--in", "{omega_a_5}"],
+    "verify-generalized-incomplete-table": [
+        "verify", "generalized", "--in", "{gaps}", "--profile", "1,1"],
+    "solve-oneshot-gen-incomplete-table": [
+        "solve", "oneshot-gen", "--in", "{gaps}"],
 }
+
+INCOMPLETE_TABLES = {"n": 2, "m": 1, "tables": [
+    [{"strategy": 1, "others": [], "u": "1"}], []]}
 
 
 def test_malformed_input_covers_every_subcommand():
@@ -278,11 +286,26 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, pair,
     omega_a_5 = tmp_path / "omega-a-5.json"
     omega = json.loads(serialize_omega(random_omega(2, 2, 0)))
     omega_a_5.write_text(json.dumps(dict(omega, a=5)))
+    gaps = tmp_path / "gaps.json"
+    gaps.write_text(json.dumps(INCOMPLETE_TABLES))
     argv = [a.format(bool_n=bool_n, pair=pair, tables_5=tables_5,
-                     omega_a_5=omega_a_5)
+                     omega_a_5=omega_a_5, gaps=gaps)
             for a in {**MALFORMED, **MALFORMED_FIELDS}[command]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "generalized", "--profile", "1,1"],
+    ["solve", "oneshot-gen"],
+])
+def test_incomplete_table_names_the_missing_entry(tmp_path, capsys, command):
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(INCOMPLETE_TABLES))
+    assert main(command + ["--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no entry for player 0, strategy 1, set [1]\n"

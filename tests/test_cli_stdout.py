@@ -5,7 +5,8 @@ optimum supplied, the strong-equilibrium verifier and the no-strong-
 equilibrium scan are run on seeded instances, and their output is compared
 byte for byte with the bytes they printed before the census and the
 optimum moved onto one incremental walk over the profiles, and before the
-group-deviation check became a pruned search.
+group-deviation check became a pruned search.  The `verify generalized`
+cases were recorded before it and `verify nash` shared one code path.
 """
 
 import pytest
@@ -17,6 +18,7 @@ GEN = {
     "sym": ["random-symmetric", "--n", "6", "--m", "3", "--seed", "4"],
     "e1": ["example1"],
     "p5": ["prop5"],
+    "tri": ["triangle", "--c", "2"],
 }
 
 # (instance, command, exit code, stdout)
@@ -92,6 +94,10 @@ EXPECTED = [
     ('p5', ['verify', 'strong', '--profile', '3,3,1'], 4,
      '{"verdict": "violated", "witness_profile": "2,2,2", '
      '"coalition": [0, 1, 2]}\n'),
+    ('tri', ['verify', 'generalized', '--profile', '1,2,3', '--alpha', '2'],
+     0, '{"max_factor": "2", "witness": 0, "stable": true}\n'),
+    ('tri', ['verify', 'generalized', '--profile', '1,2,3', '--alpha', '1'],
+     4, '{"max_factor": "2", "witness": 0, "stable": false}\n'),
     (None, ['search-no-sne', '--count', '5'], 0,
      '{"scanned": 5, "without_strong_equilibrium": []}\n'),
     (None, ['search-no-sne', '--n', '5', '--seed', '3', '--count', '5'], 0,

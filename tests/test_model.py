@@ -125,6 +125,21 @@ def test_parse_errors_name_fields():
     with pytest.raises(ParseError, match="share out of range"):
         parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["1"]],'
                        '"edges":[{"i":0,"j":1,"w":"1","share_ij":"3/2"}]}')
+    # value rules are checked once, by GameInstance, whose messages name
+    # the field
+    with pytest.raises(ParseError,
+                       match="^intrinsic\\[1\\]\\[0\\]: negative entry$"):
+        parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["-1"]],"edges":[]}')
+    with pytest.raises(ParseError,
+                       match="^edge \\(0,1\\)\\.w: negative weight$"):
+        parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["1"]],'
+                       '"edges":[{"i":0,"j":1,"w":"-1","share_ij":"1/2"}]}')
+    for share in ("3/2", "-1/2"):
+        with pytest.raises(ParseError, match="^edge \\(0,1\\)\\.share_ij: "
+                                             "share out of range$"):
+            parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["1"]],'
+                           '"edges":[{"i":0,"j":1,"w":"1","share_ij":"'
+                           + share + '"}]}')
     with pytest.raises(ParseError, match="malformed JSON"):
         parse_instance("{")
     with pytest.raises(ParseError, match="intrinsic"):
