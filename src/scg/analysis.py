@@ -11,12 +11,15 @@ equilibria come in that order.  The walk keeps each player's scaled int
 utility vector, the scaled welfare and, for the census, the number of
 players whose best reply beats alpha, and updates them only for the players
 that move and the players they pay: O(deg * m) per profile, amortised.
-The group-deviation check, `_group_deviation`, is a depth-first search in
-the same order that cuts a subtree as soon as an upper bound on one
-deviator's utility fails the factor test, so it returns the first
-violating profile without visiting the profiles it rules out.  The
-ordinal audit and the omega game's lexicographic oracle still enumerate
-with `_profiles`.
+It reads a game's `scg.model.IntKernel`, so it takes the games whose
+kernel has no ``rest`` groups (pairwise, omega, and hypergraph games of
+singletons and unanchored pairs) and refuses the others with a
+ValueError.  The group-deviation check, `_group_deviation`, is a
+depth-first search in the same order that cuts a subtree as soon as an
+upper bound on one deviator's utility fails the factor test, so it
+returns the first violating profile without visiting the profiles it
+rules out.  The ordinal audit and the omega game's lexicographic oracle
+still enumerate with `_profiles`.
 """
 
 from __future__ import annotations
@@ -186,11 +189,21 @@ def _walk(game, alpha=None):
     they pay have their status, whether their best-reply factor exceeds
     alpha, decided again.  A step costs O(deg * m).  A Fraction is built
     only for a recorded welfare.  Reads the integer kernel, so its own
-    scale is the divisor whatever `game.scale` says.
+    scale is the divisor whatever `game.scale` says.  A game without a
+    kernel, or whose kernel has ``rest`` groups, is refused with a
+    ValueError before any work, as one past the profile-space cap is with
+    a SizeError.
     """
     _check_cap(game)
+    kernel = getattr(game, "_kernel", None)
+    if kernel is None or kernel.rest:
+        raise ValueError(
+            f"the exhaustive walk reads an integer kernel of singletons and "
+            f"unanchored pairs, and this {type(game).__name__} has "
+            + ("no integer kernel" if kernel is None
+               else "a group of three or more or an anchored pair"))
     n, m = game.n, game.m
-    scale, rows, nbrs, gains = game._kernel
+    scale, rows, nbrs, gains, _ = kernel
     pays = [[] for _ in range(n)]  # pays[i]: (j, g_ji) per j paid by i
     for j in range(n):
         for i, g in zip(nbrs[j], gains[j]):
@@ -269,23 +282,24 @@ def _group_deviation(game, profile, alpha, feasible=None):
     A depth-first search gives players 0..n-1 their strategies in turn,
     each trying 1..m in ascending order, so it meets the leaves in
     `_profiles` order and its first accepted leaf is the first such alt.
-    On a game with an `IntKernel` it bounds every deviator's utility from
-    above: its own value at its new strategy, plus its gains from the
-    earlier players there, plus all its gains from the later players; a
-    later player who takes another strategy takes its gain off.  Gains are
-    nonnegative, so a bound only falls as the search goes deeper, and a
-    subtree is cut, with nothing lost, as soon as one deviator's bound
-    fails `_factor_exceeds`; a leaf that is reached then needs only a
-    coalition and `feasible`.  A game without a kernel is searched with no
-    bound and each leaf checked in full.  The stack is explicit, so n is
-    bounded only by the profile-space cap.
+    On a game whose `IntKernel` has no ``rest`` groups it bounds every
+    deviator's utility from above: its own value at its new strategy, plus
+    its gains from the earlier players there, plus all its gains from the
+    later players; a later player who takes another strategy takes its
+    gains off.  Gains are nonnegative, so a bound only falls as the search
+    goes deeper, and a subtree is cut, with nothing lost, as soon as one
+    deviator's bound fails `_factor_exceeds`; a leaf that is reached then
+    needs only a coalition and `feasible`.  Any other game is searched
+    with no bound and each leaf checked in full.  The stack is explicit,
+    so n is bounded only by the profile-space cap.
     """
     _check_cap(game)
     n, m = game.n, game.m
     home = [k - 1 for k in profile]
     s = [-1] * n  # 0-based strategies of players 0..p-1; -1 if unassigned
     kernel = getattr(game, "_kernel", None)
-    if kernel is None:
+    if kernel is None or kernel.rest:
+        kernel = None  # no bound: the leaves are checked in full
         base = [game.scaled_utilities(profile, i)[k]
                 for i, k in enumerate(home)]
 
@@ -295,7 +309,7 @@ def _group_deviation(game, profile, alpha, feasible=None):
         def leave(p, b):
             pass
     else:
-        _, rows, nbrs, gains = kernel
+        _, rows, nbrs, gains, _ = kernel
         back = [[] for _ in range(n)]   # back[p]: (j, g_pj) per j < p
         ahead = [0] * n                 # ahead[p]: sum of g_pj over j > p
         payees = [[] for _ in range(n)]  # payees[p]: (i, g_ip) per i < p
@@ -326,14 +340,17 @@ def _group_deviation(game, profile, alpha, feasible=None):
                 if not _factor_exceeds(base[p], u, alpha):
                     return False
                 bound[p] = u
+            # one deviator may pay p through several entries (parallel
+            # pairs), so every gain comes off before any bound is tested
             hit = [(i, g) for i, g in payees[p]
                    if s[i] != home[i] and s[i] != b]
             for i, g in hit:
-                if not _factor_exceeds(base[i], bound[i] - g, alpha):
-                    return False
-            for i, g in hit:
                 bound[i] -= g
-            return True
+            if all(_factor_exceeds(base[i], bound[i], alpha) for i, _ in hit):
+                return True
+            for i, g in hit:
+                bound[i] += g
+            return False
 
         def leave(p, b):
             for i, g in payees[p]:

@@ -115,12 +115,10 @@ def _cmd_gen(args):
         ogame = generators.random_omega(args.n, args.m_int, args.seed,
                                         omega=omega)
         out = generalized.serialize_omega(ogame)
-    elif kind == "random-hypergraph":
+    else:  # "random-hypergraph", the last of the subparser's choices
         hgame, _gamma = generators.random_hypergraph_cc(args.n, args.m_int,
                                                         args.seed)
         out = generalized.serialize_hypergraph(hgame)
-    else:
-        raise CliError(f"unknown generator kind {kind!r}")
     _write(args.out, out)
     return EXIT_OK
 
@@ -172,7 +170,7 @@ def _cmd_solve(args):
         profile, trace = dynamics.one_shot_alpha_br(game, k0, alpha)
         result = {"profile": _profile_str(profile),
                   "moves": len(trace.moves)}
-    elif algo == "hybrid":
+    else:  # "hybrid", the last of the subparser's choices left
         alpha = parse_rational(args.alpha or "2", "alpha")
         opt_w = None
         if args.opt_oracle:
@@ -188,8 +186,6 @@ def _cmd_solve(args):
         if report.rho is not None:
             result["rho"] = format_rational(report.rho)
             result["rho_decimal"] = f"{float(report.rho):.4f}"
-    else:
-        raise CliError(f"unknown algorithm {algo!r}")
     result["welfare"] = format_rational(model.welfare_total(
         game, _parse_profile(result["profile"], game.n)))
     _write(args.out, json.dumps(result) + "\n")

@@ -31,8 +31,7 @@ from .analysis import (SizeError, _deviation_report, _exact_alpha,
                        _group_deviation, _profiles)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
-                    _gains, _incidence, _inexact, _int_kernel, _not_int,
-                    _scaled_ints)
+                    _inexact, _int_kernel, _not_int, _scaled_ints)
 from .potentials import _recover, potential_value
 from .rationals import (INF, ParseError, _as_list, format_rational,
                         load_object, parse_rational, supermodular_alpha)
@@ -262,7 +261,7 @@ def additive_tables(game):
     if game.n > 12:
         raise ValueError("additive table expansion capped at n = 12")
     players = range(game.n)
-    scale, rows, nbrs, gains = game._kernel
+    scale, rows, nbrs, gains, _ = game._kernel
     tables = {}
     for i in players:
         gain = dict(zip(nbrs[i], gains[i]))
@@ -328,7 +327,7 @@ class Hyperedge:
 
 
 @dataclass(frozen=True)
-class HypergraphGame:
+class HypergraphGame(_KernelGame):
     n: int
     m: int
     edges: tuple
@@ -365,37 +364,29 @@ class HypergraphGame:
         return [(e.players, e.weight, e.shares, e.anchor) for e in self.edges]
 
     @cached_property
-    def _incidence(self):
-        """Per player, the `scg.model._incidence` row of the player's gains
-        shares[pos] * weight, built on first use and kept."""
-        return _incidence(self.n, self.m, self.groups, _gains)
+    def _kernel(self):
+        """The `scg.model.IntKernel` of the positive edges, each paying its
+        member at position pos shares[pos] * weight; built on first use
+        and kept."""
+        return _int_kernel([(0,) * self.m] * self.n, [
+            (e.players, e.anchor, [share * e.weight for share in e.shares])
+            for e in self.edges if e.weight])
 
     @cached_property
     def intrinsic(self):
         """Per player, the row of what i's singleton edges pay at each
         strategy: the part of i's utility that is i's alone."""
-        return tuple(tuple(own) for own, _, _ in self._incidence)
+        scale = self.scale
+        return tuple(tuple(Fraction(v, scale) for v in row)
+                     for row in self._kernel.rows)
 
-    def utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m; trusts the profile.
-
-        An edge pays i at k when every other member plays k (any k if i is
-        its only member) and k is the edge's anchor, if it has one.  Reads
-        i's incidence row, so a call is O(deg * edge size), not O(|E|).
-        """
-        own, pairs, rest = self._incidence[i]
-        us = own.copy()
-        for j, gain in pairs:
-            us[profile[j] - 1] += gain
-        for others, anchor, gain in rest:
-            k = profile[others[0]]
-            if (anchor is None or anchor == k) and all(profile[j] == k
-                                                        for j in others):
-                us[k - 1] += gain
-        return us
-
-    scale = 1
-    scaled_utilities = utilities
+    def scaled_utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m times `scale`, as ints;
+        trusts the profile.  An edge pays i at k when every other member
+        plays k (any k if i is its only member) and k is the edge's anchor,
+        if it has one.  Reads i's kernel entries, so a call is O(deg *
+        edge size + m), not O(|E|)."""
+        return self._kernel.scaled_utilities(profile, i)
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
@@ -515,17 +506,14 @@ class OmegaGame(_KernelGame):
     @cached_property
     def _kernel(self):
         """The `scg.model.IntKernel`, built on first use and kept: no own
-        values; i's partners are the players not in conflict with i."""
-        nbrs = [[] for _ in range(self.n)]
-        gains = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.labels):
-            for j, lab in enumerate(row):
-                if j == i or lab == "conflict":
-                    continue
-                gain = self.a[i] * self.b[j]
-                nbrs[i].append(j)
-                gains[i].append(gain if lab == "one" else self.omega * gain)
-        return _int_kernel([(0,) * self.m] * self.n, nbrs, gains)
+        values; one pair per two players not in conflict, paying i a_i * b_j
+        on a "one" label and omega times that on a "zero" label."""
+        a, b, omega = self.a, self.b, self.omega
+        return _int_kernel([(0,) * self.m] * self.n, [
+            ((i, j), None, (a[i] * b[j], a[j] * b[i]) if lab == "one"
+             else (omega * a[i] * b[j], omega * a[j] * b[i]))
+            for i, row in enumerate(self.labels)
+            for j, lab in enumerate(row[i + 1:], i + 1) if lab != "conflict"])
 
     def feasible(self, profile):
         for i in range(self.n):

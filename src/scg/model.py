@@ -20,21 +20,25 @@ single-player wrapper over it.
 The verifiers, dynamics and oracles read every best response, gate,
 deviation gain and payment from ``scaled_utilities(profile, i)`` instead,
 which is the same vector times the game's positive ``scale``.  On
-``GameInstance`` and ``OmegaGame`` the scale is the lcm L of the
-denominators of every intrinsic value and every directed gain, so the
-vector is plain ints, read from an `IntKernel` built on first use;
-``utilities`` is ``Fraction(u, L)`` of it.  On tables and hypergraphs the
-scale is 1 and ``scaled_utilities`` is ``utilities``.  Orders, maxima,
-differences' signs and the ratios of two entries are the same at any
-positive scale, so callers compare the scaled values directly (a gate
-``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
-scale only for what they record.
+``GameInstance``, ``OmegaGame`` and ``HypergraphGame`` the scale is the lcm
+L of the denominators of every own value and every group's gains, so the
+vector is plain ints, read from an `IntKernel` built on first use by
+`_int_kernel`, the one builder of kernels; ``utilities`` is
+``Fraction(u, L)`` of it.  On tables the scale is 1 and
+``scaled_utilities`` is ``utilities``.  Orders, maxima, differences' signs
+and the ratios of two entries are the same at any positive scale, so
+callers compare the scaled values directly (a gate ``u_new >= alpha *
+u_old`` by cross-multiplication) and divide by the scale only for what
+they record.
 
 Group view: ``GameInstance`` and ``HypergraphGame`` also list themselves
 as (members, weight, shares, anchor) ``groups``, a pairwise game being an
-anchored singleton per intrinsic value and a pair per edge.
-``_incidence`` indexes groups by player; ``scg.potentials`` writes the
-potential, its audit and the weight recovery once over groups.
+anchored singleton per intrinsic value and a pair per edge.  An
+`IntKernel` indexes valued groups by player: singletons fold into own
+rows, unanchored pairs into neighbour and gain lists, and every other
+group into ``rest``.  ``scg.potentials`` writes the potential, its audit
+and the weight recovery once over groups; the audit reads the potential
+as one more `IntKernel`.
 """
 
 from __future__ import annotations
@@ -69,19 +73,40 @@ class Edge:
 
 
 class IntKernel(NamedTuple):
-    """A game scaled to ints by the common denominator ``scale``.
+    """A game scaled to ints by the common denominator ``scale``, its
+    groups indexed by player.
 
     ``rows[i][k - 1]`` is player i's own value for strategy k (w_i^k on a
-    `GameInstance`) times scale; ``nbrs[i]`` lists the players whose
-    company pays i and ``gains[i]``, aligned with it, i's gain from each,
-    times scale.  Flat int lists, so a utility vector is built with int
-    additions only.
+    `GameInstance`, plus what i's singleton groups pay there) times scale;
+    ``nbrs[i]`` lists the players whose company pays i through an
+    unanchored pair and ``gains[i]``, aligned with it, i's gain from each,
+    times scale.  ``rest[i]`` lists (others, anchor, gain) for every other
+    group with i, a group of three or more or an anchored pair; ``rest`` is
+    empty, with no per-player lists, when there is no such group, as on
+    every pairwise game.  Flat int lists, so a utility vector is built with
+    int additions only.
     """
 
     scale: int
     rows: list
     nbrs: list
     gains: list
+    rest: list
+
+    def scaled_utilities(self, profile, i):
+        """Player i's vector, as `_KernelGame.scaled_utilities` reads it,
+        plus the ``rest`` groups that pay i at a strategy: all their other
+        members play it, and it is their anchor if they have one.  O(deg *
+        group size + m)."""
+        _, rows, nbrs, gains, rest = self
+        us = rows[i].copy()
+        for j, gain in zip(nbrs[i], gains[i]):
+            us[profile[j] - 1] += gain
+        for others, anchor, gain in rest[i] if rest else ():
+            k = profile[others[0]]
+            if anchor in (None, k) and all(profile[j] == k for j in others):
+                us[k - 1] += gain
+        return us
 
 
 def _scaled_ints(values):
@@ -92,56 +117,39 @@ def _scaled_ints(values):
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _int_kernel(rows, nbrs, gains):
-    """The `IntKernel` of exact value rows and gain lists, scaled by the
-    lcm of all their denominators."""
-    scale, ints = _scaled_ints([v for row in (*rows, *gains) for v in row])
+def _int_kernel(own, groups):
+    """The `IntKernel` of n rows of exact own values and a list of valued
+    groups (members, anchor, values), values[pos] being what the group
+    pays members[pos], all scaled by the lcm of every denominator.  A
+    singleton folds into its member's row, at its anchor or, unanchored,
+    at every strategy; an unanchored pair goes to ``nbrs`` and ``gains``;
+    every other group goes to ``rest``."""
+    values = [v for row in own for v in row]
+    values += [v for _, _, vs in groups for v in vs]
+    scale, ints = _scaled_ints(values)
     it = iter(ints)
-    return IntKernel(scale, [list(islice(it, len(row))) for row in rows],
-                     nbrs, [list(islice(it, len(row))) for row in gains])
-
-
-def _gains(members, weight, shares):
-    """Each member's gain from a paying group."""
-    return [share * weight for share in shares]
-
-
-def _incidence(n, m, groups, values):
-    """Per player i, the positive-weight groups that contain i, valued for
-    i at ``values(members, weight, shares)[pos]`` (pos: i's place among
-    the members), as (own, pairs, rest): the singletons folded into one
-    row over strategies 1..m (an anchored one at its anchor, an unanchored
-    one at every strategy), (j, value) per unanchored pair {i, j}, and
-    (others, anchor, value) per other group."""
-    own = [[ZERO] * m for _ in range(n)]
-    pairs = [[] for _ in range(n)]
-    rest = [[] for _ in range(n)]
-    for members, weight, shares, anchor in groups:
-        if not weight:
-            continue
-        vs = values(members, weight, shares)
-        if len(members) == 1:
-            for k in range(m) if anchor is None else (anchor - 1,):
-                own[members[0]][k] += vs[0]
-        elif len(members) == 2 and anchor is None:
+    rows = [list(islice(it, len(row))) for row in own]
+    nbrs = [[] for _ in rows]
+    gains = [[] for _ in rows]
+    rest = []
+    for members, anchor, _ in groups:  # the values are read from `it`
+        if len(members) == 2 and anchor is None:
             i, j = members
-            pairs[i].append((j, vs[0]))
-            pairs[j].append((i, vs[1]))
+            nbrs[i].append(j)
+            gains[i].append(next(it))
+            nbrs[j].append(i)
+            gains[j].append(next(it))
+        elif len(members) == 1:
+            row, v = rows[members[0]], next(it)
+            for k in range(len(row)) if anchor is None else (anchor - 1,):
+                row[k] += v
         else:
+            if not rest:
+                rest = [[] for _ in rows]
             for pos, i in enumerate(members):
                 rest[i].append((members[:pos] + members[pos + 1:], anchor,
-                                vs[pos]))
-    return list(zip(own, pairs, rest))
-
-
-def _int_row(row):
-    """One player's `_incidence` row times the lcm of its denominators."""
-    own, pairs, rest = row
-    _, ints = _scaled_ints([*own, *(v for _, v in pairs),
-                            *(v for *_, v in rest)])
-    it = iter(ints)
-    return (list(islice(it, len(own))), [(j, next(it)) for j, _ in pairs],
-            [(others, anchor, next(it)) for others, anchor, _ in rest])
+                                next(it)))
+    return IntKernel(scale, rows, nbrs, gains, rest)
 
 
 class _KernelGame:
@@ -154,8 +162,9 @@ class _KernelGame:
 
     def scaled_utilities(self, profile, i):
         """Player i's utility for each strategy 1..m times `scale`, as ints;
-        trusts the profile.  O(deg + m)."""
-        _, rows, nbrs, gains = self._kernel
+        trusts the profile.  O(deg + m).  Reads no ``rest`` group: a game
+        that has them overrides it with `IntKernel.scaled_utilities`."""
+        _, rows, nbrs, gains, _ = self._kernel
         us = rows[i].copy()
         for j, gain in zip(nbrs[i], gains[i]):
             us[profile[j] - 1] += gain
@@ -184,7 +193,7 @@ class GameInstance(_KernelGame):
             for k, v in enumerate(row):
                 if type(v) not in _EXACT:
                     raise _inexact(f"intrinsic[{i}][{k}]", v)
-                if v < 0:
+                if v.numerator < 0:  # no Fraction comparison: this is hot
                     raise ValueError(f"intrinsic[{i}][{k}]: negative entry")
         seen = set()
         n = self.n
@@ -205,24 +214,20 @@ class GameInstance(_KernelGame):
                 raise _inexact(f"edge ({i},{j}).w", w)
             if type(share) not in _EXACT:
                 raise _inexact(f"edge ({i},{j}).share_ij", share)
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError(f"edge ({i},{j}).w: negative weight")
-            if not (0 <= share <= 1):
+            # a denominator is positive, so this is 0 <= share <= 1
+            if not (0 <= share.numerator <= share.denominator):
                 raise ValueError(f"edge ({i},{j}).share_ij: share out of range")
 
     @cached_property
     def _kernel(self):
         """The `IntKernel`, built from `intrinsic` and `edges` on first use
         (never at construction) and kept."""
-        nbrs = [[] for _ in range(self.n)]
-        gains = [[] for _ in range(self.n)]
-        for e in self.edges:
-            gain = e.share_ij * e.w
-            nbrs[e.i].append(e.j)
-            gains[e.i].append(gain)
-            nbrs[e.j].append(e.i)
-            gains[e.j].append(e.w - gain)  # (1 - share_ij) * w
-        return _int_kernel(self.intrinsic, nbrs, gains)
+        return _int_kernel(self.intrinsic, [
+            # j's gain is (1 - share_ij) * w
+            ((e.i, e.j), None, (gain := e.share_ij * e.w, e.w - gain))
+            for e in self.edges])
 
     @property
     def groups(self):

@@ -23,10 +23,13 @@ so gated best-response dynamics cannot cycle on such games.
 recovery `_recover` (behind `cc_recover` and
 `scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
 are written once over the groups and take either family.  The audit takes
-only the potential side from the groups: a deviation's utility change is
-read from the game's own `scaled_utilities`, the vector every dynamic and
-verifier reads, so the audit checks the potential against the utilities
-the rest of the package computes.
+only the potential side from the groups, as one more `scg.model.IntKernel`
+in which every member of a group earns the group's potential term, so
+player i's vector of that kernel changes by dphi as i moves.  A
+deviation's utility change is read from the game's own
+`scaled_utilities`, the vector every dynamic and verifier reads, so the
+audit checks the potential against the utilities the rest of the package
+computes.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import (_EXACT, _incidence, _inexact, _int_row,
-                    player_utility)
+from .model import _EXACT, _inexact, _int_kernel, player_utility
 from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
@@ -187,35 +189,18 @@ def potential_delta(game, profile, i, new_strategy, cert):
             - potential_value(game, profile, cert))
 
 
-def _potential_rows(game, cert):
-    """Per player i, the potential terms w / (sum of member weights) a
-    deviation of i can touch: i's `scg.model._incidence` row of them,
-    scaled to ints by its own lcm, as (own row, [(j, pot)] over unanchored
-    pairs, [(others, anchor, pot)] over the other groups)."""
+def _potential_kernel(game, cert):
+    """The potential as one more `scg.model.IntKernel`: each positive group
+    valued w / (sum of member weights) for every member.  Entry k of
+    player i's vector is then the sum of the terms that pay with i at k and
+    the others where they are, so a move's dphi is the difference of two
+    entries; every term without i cancels."""
     gamma = [Fraction(g) for g in cert.gamma]
-    pots = _incidence(game.n, game.m, game.groups, lambda members, w, _: (
+    return _int_kernel([(0,) * game.m] * game.n, [
         # the sum starts at a Fraction: adding one to int 0 is slow
-        [w / sum(map(gamma.__getitem__, members[1:]), gamma[members[0]])]
-        * len(members)))
-    return [_int_row(row) for row in pots]
-
-
-def _potential_change(row, profile, old_k, new_k):
-    """dphi of moving from old_k to new_k, at the scale of `row`."""
-    own, pairs, rest = row
-    dp = own[new_k - 1] - own[old_k - 1]
-    for j, pot in pairs:
-        k = profile[j]
-        if k == new_k:
-            dp += pot
-        elif k == old_k:
-            dp -= pot
-    for others, anchor, pot in rest:
-        k = profile[others[0]]
-        if (k in (new_k, old_k) and anchor in (None, k)
-                and all(profile[j] == k for j in others)):
-            dp += pot if k == new_k else -pot
-    return dp
+        (members, anchor, [w / sum(map(gamma.__getitem__, members[1:]),
+                                   gamma[members[0]])] * len(members))
+        for members, w, _, anchor in game.groups if w])
 
 
 def _every_deviation(game):
@@ -246,11 +231,12 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
 
     Takes a `GameInstance` or a `HypergraphGame`.  du is read from
     `game.scaled_utilities(profile, i)`, the utility kernel every dynamic
-    and verifier reads; dphi is summed in ints from per-player potential
-    rows scaled once per audit, in O(deg) per trial (times the group size
-    for groups of three or more).  Only signs are compared, so the two
-    scales need not agree; the exact Fraction (du, dphi) is computed only
-    for the reported counterexample, the first violating triple."""
+    and verifier reads; dphi from the same reader of the potential's own
+    `scg.model.IntKernel`, built once per audit, in O(deg + m) per trial
+    (times the group size for groups of three or more, and anchored
+    pairs).  Only signs are compared, so the two scales need not agree;
+    the exact Fraction (du, dphi) is computed only for the reported
+    counterexample, the first violating triple."""
     _check_certificate(game, cert)
     if game.n == 0 or game.m < 2:
         return AuditReport(trials=0, violations=0, counterexample=None)
@@ -261,7 +247,7 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
         raise ValueError(f"trials must be >= 1, got {trials}")
     else:
         deviations = _sampled_deviations(game, trials, seed)
-    rows = _potential_rows(game, cert)
+    potential = _potential_kernel(game, cert)
     done = violations = 0
     counterexample = None
     for profile, i, new_k in deviations:
@@ -269,7 +255,8 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
         old_k = profile[i]
         us = game.scaled_utilities(profile, i)
         du = us[new_k - 1] - us[old_k - 1]
-        dp = _potential_change(rows[i], profile, old_k, new_k)
+        ps = potential.scaled_utilities(profile, i)
+        dp = ps[new_k - 1] - ps[old_k - 1]
         if (du > 0) - (du < 0) == (dp > 0) - (dp < 0):
             continue
         violations += 1

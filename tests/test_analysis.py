@@ -14,8 +14,9 @@ from scg.analysis import (SizeError, StrongDeviationReport,
 from scg.dynamics import hybrid, one_shot_alpha_br
 from scg.generalized import (Hyperedge, HypergraphGame, OmegaGame,
                              one_shot_generalized, verify_omega_strong)
-from scg.generators import (example1, prop5, random_instance,
-                            random_supermodular, random_symmetric)
+from scg.generators import (example1, prop5, random_hypergraph_cc,
+                            random_instance, random_supermodular,
+                            random_symmetric)
 from scg.model import Edge, GameInstance, welfare_total
 
 
@@ -69,6 +70,25 @@ def test_size_guard():
         equilibrium_census(g, Fraction(1))
     with pytest.raises(SizeError):
         verify_approx_strong(g, tuple([1] * 25), Fraction(1))
+
+
+def test_walk_refuses_a_game_it_cannot_walk():
+    """The optimum, census and semi-smoothness check walk an integer
+    kernel of singletons and unanchored pairs; a table game has no kernel
+    and this hypergraph has groups of three, so both are refused with one
+    ValueError naming the reason."""
+    hg = random_hypergraph_cc(3, 2, 0)[0]
+    tables = random_supermodular(3, 2, 1, 0)
+    runs = (brute_force_optimum, equilibrium_census,
+            lambda g: semi_smoothness_check(g, (1,) * g.n))
+    for game, why in ((hg, "a group of three or more or an anchored pair"),
+                      (tables, "no integer kernel")):
+        for run in runs:
+            with pytest.raises(ValueError) as exc:
+                run(game)
+            assert type(exc.value) is ValueError
+            assert str(exc.value).endswith(
+                f"this {type(game).__name__} has {why}")
 
 
 def test_group_deviation_witness():

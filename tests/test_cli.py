@@ -162,9 +162,11 @@ def test_audit_potential_command(tmp_path, capsys, cyclic):
 def test_argument_errors_exit_2(tmp_path, capsys):
     assert main(["bounds", "--alpha", "x", "--gamma", "1", "--m", "4"]) == 2
     assert main(["solve", "hybrid", "--in", str(tmp_path / "missing.json")]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (["frobnicate"], ["gen", "frobnicate"],
+                 ["solve", "frobnicate", "--in", str(tmp_path / "g.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_size_guard_exit_3(tmp_path, capsys):

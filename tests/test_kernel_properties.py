@@ -14,9 +14,11 @@ loop and the `lex_compare` loop that omega games had of their own, the
 depth-first weight recovery `cc_recover` had of its own and the
 edge-by-edge sweep with union-find normalization of the hypergraph
 recovery.  The pruned group-deviation search is also compared with the
-flat scan over every profile that it replaced.  Instances mix fractional values, all-int values (scale 1) and
-coprime denominators whose lcm exceeds 2**64.  Runs are derandomized and
-small.
+flat scan over every profile that it replaced, and the optimum and census
+of hypergraph games of singletons and pairs with a flat scan over the
+Fraction utilities summed from paying edges.  Instances mix fractional
+values, all-int values (scale 1) and coprime denominators whose lcm
+exceeds 2**64.  Runs are derandomized and small.
 """
 
 import itertools
@@ -420,11 +422,24 @@ def _pays(e, profile):
     return len(strategies) == 1 and e.anchor in (None, *strategies)
 
 
+def reference_hypergraph_utilities(hg, profile, i):
+    """Player i's Fraction utility vector, each entry summed over the edges
+    that would pay i there."""
+    expected = []
+    for k in range(1, hg.m + 1):
+        probe = profile[:i] + (k,) + profile[i + 1:]
+        expected.append(sum((e.shares[e.players.index(i)] * e.weight
+                             for e in hg.edges
+                             if i in e.players and _pays(e, probe)),
+                            Fraction(0)))
+    return expected
+
+
 @SETTINGS
 @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 10**6),
        st.data())
 def test_hypergraph_kernel_matches_paying_edges(n, m, seed, data):
-    """`utilities` reads the per-player incidence kernel; each entry must
+    """`utilities` reads the hypergraph's integer kernel; each entry must
     be the sum over the edges that would pay i there."""
     if data.draw(st.booleans()):
         hg, _gamma = random_hypergraph_cc(n, m, seed)
@@ -436,14 +451,73 @@ def test_hypergraph_kernel_matches_paying_edges(n, m, seed, data):
             sum((e.weight for e in hg.edges
                  if e.players == (i,) and e.anchor in (None, k)), Fraction(0))
             for k in range(1, m + 1))
-        expected = []
-        for k in range(1, m + 1):
-            probe = profile[:i] + (k,) + profile[i + 1:]
-            expected.append(sum((e.shares[e.players.index(i)] * e.weight
-                                 for e in hg.edges
-                                 if i in e.players and _pays(e, probe)),
-                                Fraction(0)))
-        assert hg.utilities(profile, i) == expected
+        assert hg.utilities(profile, i) == reference_hypergraph_utilities(
+            hg, profile, i)
+
+
+@st.composite
+def pair_hypergraphs(draw):
+    """A hypergraph game of singletons, anchored or not, and unanchored
+    pairs, parallel pairs included, with any shares: every group is one the
+    integer kernel folds into its rows or its pair lists."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    edges = []
+    for _ in range(draw(st.integers(0, n + 3))):
+        w = draw(values)
+        if n < 2 or draw(st.booleans()):
+            edges.append(Hyperedge((draw(st.integers(0, n - 1)),), w,
+                                   (Fraction(1),),
+                                   draw(st.none() | st.integers(1, m))))
+        else:
+            pair = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                       max_size=2, unique=True)))
+            share = draw(shares)
+            edges.append(Hyperedge(pair, w, (share, 1 - share)))
+    return HypergraphGame(n=n, m=m, edges=tuple(edges))
+
+
+def reference_hypergraph_census(hg, alpha):
+    """The census of a hypergraph game by a flat scan over every profile:
+    welfare summed over the paying edges, factors from the Fraction
+    utility vectors."""
+    def welfare_of(p):
+        return sum((e.weight for e in hg.edges if _pays(e, p)), Fraction(0))
+
+    def stable(p):
+        for i in range(hg.n):
+            us = reference_hypergraph_utilities(hg, p, i)
+            if fraction_factor(us[p[i] - 1], max(us)) > alpha:
+                return False
+        return True
+
+    profiles = list(_profiles(hg))
+    opt_profile = max(profiles, key=welfare_of)  # the first maximum
+    opt_w = welfare_of(opt_profile)
+    eq = [p for p in profiles if stable(p)]
+    ws = [welfare_of(p) for p in eq]
+
+    def ratio(w):
+        if w == 0:
+            return Fraction(1) if opt_w == 0 else math.inf
+        return opt_w / w
+
+    return EquilibriumCensus(
+        alpha=alpha, opt_profile=opt_profile, opt_welfare=opt_w,
+        equilibria=tuple(eq), equilibrium_welfares=tuple(ws),
+        poa=ratio(min(ws)) if eq else None,
+        pos=ratio(max(ws)) if eq else None, exists=bool(eq))
+
+
+@SETTINGS
+@given(pair_hypergraphs(), alphas)
+def test_pair_hypergraph_oracles_match_the_flat_scan(hg, alpha):
+    """The incremental walk takes a hypergraph of singletons and pairs;
+    its optimum and census are the flat scan's."""
+    assert not hg._kernel.rest
+    census = reference_hypergraph_census(hg, alpha)
+    assert brute_force_optimum(hg) == (census.opt_profile,
+                                       census.opt_welfare)
+    assert equilibrium_census(hg, alpha) == census
 
 
 @SETTINGS
@@ -1077,10 +1151,15 @@ def test_omega_group_search_matches_the_flat_scan(og, alpha, data):
 @GROUP_SETTINGS
 @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6),
        strong_alphas, st.data())
-def test_kernel_less_group_search_matches_the_flat_scan(n, m, seed, alpha,
-                                                        data):
-    """A hypergraph game has no integer kernel: the search runs unbounded
-    and checks each leaf on its Fraction utilities."""
+def test_hypergraph_group_search_matches_the_flat_scan(n, m, seed, alpha,
+                                                       data):
+    """A hypergraph with groups of three or anchored pairs is searched
+    unbounded, each leaf checked on its utility vectors; one of singletons
+    and unanchored pairs is searched with the kernel's bound.  Two-player
+    hypergraphs have parallel pairs, so one player pays a deviator through
+    several kernel entries."""
+    if data.draw(st.booleans()):
+        n = 2
     hg, _gamma = random_hypergraph_cc(n, m, seed)
     profile = tuple(data.draw(st.integers(1, m)) for _ in range(n))
     assert verify_approx_strong(hg, profile, alpha) == flat_strong(
