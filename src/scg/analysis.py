@@ -2,23 +2,22 @@
 
 Everything here is exact: deviation factors, welfare comparisons and the
 price-of-anarchy/stability ratios are rationals, and the exhaustive oracles
-enumerate the full m^n profile space (guarded at 10^7 profiles).
+search the full m^n profile space (guarded at 10^7 profiles).
 
-`brute_force_optimum` and `equilibrium_census` run on one incremental walk,
-`_walk`, that visits the profiles in lexicographic (`itertools.product`)
-order, so the optimum is the lexicographically smallest maximizer and the
-equilibria come in that order.  The walk keeps each player's scaled int
-utility vector, the scaled welfare and, for the census, the number of
-players whose best reply beats alpha, and updates them only for the players
-that move and the players they pay: O(deg * m) per profile, amortised.
-It reads a game's `scg.model.IntKernel`, so it takes the games whose
-kernel has no ``rest`` groups (pairwise, omega, and hypergraph games of
-singletons and unanchored pairs) and refuses the others with a
-ValueError.  The group-deviation check, `_group_deviation`, is a
-depth-first search in the same order that cuts a subtree as soon as an
-upper bound on one deviator's utility fails the factor test, so it
-returns the first violating profile without visiting the profiles it
-rules out.  The ordinal audit and the omega game's lexicographic oracle
+`brute_force_optimum`, `equilibrium_census` and the group-deviation check
+`_group_deviation` run on one pruned depth-first search, `_search`, that
+meets the profiles in lexicographic (`itertools.product`) order, so the
+optimum is the lexicographically smallest maximizer, the equilibria come
+in that order and the first violating profile is the one returned.  Each
+oracle gives the search an `enter`/`leave` pair that cuts a subtree as
+soon as no profile in it can count: the optimum by a branch and bound on
+the welfare, the census as soon as a placed player is surely unstable, the
+group check as soon as an upper bound on one deviator's utility fails the
+factor test.  They read a game's `scg.model.IntKernel`; the optimum and
+the census take the games whose kernel has no ``rest`` groups (pairwise,
+omega, and hypergraph games of singletons and unanchored pairs) and refuse
+the others with a ValueError, while the group check searches those
+unbounded.  The ordinal audit and the omega game's lexicographic oracle
 still enumerate with `_profiles`.
 """
 
@@ -60,8 +59,9 @@ def _profiles(game):
 
 def _exact_alpha(alpha, name="alpha"):
     """alpha as a Fraction; an inexact type (float, bool, str) is refused
-    with an error naming the argument `name`.  Every factor alpha and
-    every imbalance gamma an entry point takes passes through here."""
+    with an error naming the argument `name`.  Every factor alpha,
+    imbalance gamma, supplied optimum welfare and rational generator
+    parameter an entry point takes passes through here."""
     if type(alpha) not in _EXACT:
         raise _inexact(name, alpha)
     return Fraction(alpha)
@@ -171,106 +171,148 @@ def deviation_report(game, profile):
     return _deviation_report(game, profile)
 
 
-def _walk(game, alpha=None):
-    """One incremental pass over every profile, in `_profiles` order.
+def _search(s, m, enter, leave):
+    """Depth-first search yielding at each leaf, where `s` holds the
+    profile's 0-based strategies; -1 marks a player not yet placed, as all
+    are at first.  Players 0..n-1 are placed in turn, each trying 0..m-1,
+    so the leaves come in `_profiles` order.  ``s[p] = b`` is set before
+    ``enter(p, b)``, whose false answer cuts the subtree; ``leave(p, b)``
+    undoes an entered (p, b) on the way back, with ``s[p]`` still b and
+    every later player at -1.  The stack is explicit, so n is bounded only
+    by the profile-space cap."""
+    n = len(s)
+    p = 0
+    while p >= 0:
+        if p == n:
+            yield
+            p -= 1
+            continue
+        b = s[p]
+        if b >= 0:
+            leave(p, b)
+        while b + 1 < m:
+            b += 1
+            s[p] = b
+            if enter(p, b):
+                p += 1
+                break
+        else:
+            s[p] = -1
+            p -= 1
 
-    Returns (optimum, its welfare, alpha-equilibria, their welfares): the
-    optimum is the first welfare maximum met, so ties go to the
-    lexicographically smallest profile, and the equilibria come in
-    lexicographic order; with `alpha` None the last two are empty.
 
-    The walk is an odometer: a step moves the last player not yet at m up
-    one strategy and returns the players after it from m to 1, on average
-    m / (m - 1) moves.  It keeps every player's scaled int utility vector
-    and the scaled welfare W = sum_i us_i[s_i].  When player i moves from a
-    to b, each player j paid by i's company has g_ji taken off us_j[a] and
-    put on us_j[b]; W gains i's own us_i[b] - us_i[a], less g_ji per such j
-    at a and plus g_ji per such j at b.  Only the movers and the players
-    they pay have their status, whether their best-reply factor exceeds
-    alpha, decided again.  A step costs O(deg * m).  A Fraction is built
-    only for a recorded welfare.  Reads the integer kernel, so its own
-    scale is the divisor whatever `game.scale` says.  A game without a
-    kernel, or whose kernel has ``rest`` groups, is refused with a
-    ValueError before any work, as one past the profile-space cap is with
-    a SizeError.
+def _free(p, b):
+    """An `enter` that cuts nothing, or a `leave` with nothing to undo."""
+    return True
+
+
+def _kernel_pays(game):
+    """The game's `IntKernel` and, per player i, the (j, g_ji) for each
+    player j that i's company pays, zero gains left out.  Past the cap a
+    SizeError, and for a game without a kernel, or whose kernel has
+    ``rest`` groups, a ValueError naming the reason, come before any work.
     """
     _check_cap(game)
     kernel = getattr(game, "_kernel", None)
     if kernel is None or kernel.rest:
         raise ValueError(
-            f"the exhaustive walk reads an integer kernel of singletons and "
-            f"unanchored pairs, and this {type(game).__name__} has "
+            f"the exhaustive search reads an integer kernel of singletons "
+            f"and unanchored pairs, and this {type(game).__name__} has "
             + ("no integer kernel" if kernel is None
                else "a group of three or more or an anchored pair"))
-    n, m = game.n, game.m
-    scale, rows, nbrs, gains, _ = kernel
-    pays = [[] for _ in range(n)]  # pays[i]: (j, g_ji) per j paid by i
-    for j in range(n):
-        for i, g in zip(nbrs[j], gains[j]):
+    pays = [[] for _ in range(game.n)]
+    for j, (nbrs, gains) in enumerate(zip(kernel.nbrs, kernel.gains)):
+        for i, g in zip(nbrs, gains):
             if g:
                 pays[i].append((j, g))
-    s = [0] * n  # 0-based strategies
-    us = [row.copy() for row in rows]
-    for i in range(n):
-        for j, g in pays[i]:
-            us[j][0] += g
-    w = sum(u[0] for u in us)
-    best_w, best = w, (1,) * n
-    # factors are at least 1, so below alpha = 1 nothing is an equilibrium
-    track = alpha is not None and alpha >= 1
-    equilibria, welfares = [], []
-    if track:
-        # for alpha >= 1, `_factor_exceeds(u_old, u_new, alpha)` is
-        # u_new * den > num * u_old, a zero u_old included
-        num, den = alpha.numerator, alpha.denominator
-        bad = [max(u) * den > num * u[0] for u in us]
-        n_bad = sum(bad)
-        # a step moves players p..n-1: they and whoever they pay
-        touched = [sorted({*range(p, n),
-                           *(j for i in range(p, n) for j, _ in pays[i])})
-                   for p in range(n)]
-    top = m - 1
-    while True:
-        if track and not n_bad:
-            equilibria.append(tuple(k + 1 for k in s))
-            welfares.append(Fraction(w, scale))
-        p = n - 1
-        while p >= 0 and s[p] == top:
-            p -= 1
-        if p < 0:
-            break
-        for i in range(p, n):
-            a = s[i]
-            b = a + 1 if i == p else 0
-            u = us[i]
-            w += u[b] - u[a]
-            s[i] = b
-            for j, g in pays[i]:
-                u = us[j]
-                u[a] -= g
-                u[b] += g
-                k = s[j]
-                if k == a:
-                    w -= g
-                elif k == b:
-                    w += g
-        if w > best_w:
-            best_w, best = w, tuple(k + 1 for k in s)
-        if track:
-            for j in touched[p]:
-                u = us[j]
-                f = max(u) * den > num * u[s[j]]
-                if f != bad[j]:
-                    bad[j] = f
-                    n_bad += 1 if f else -1
-    return best, Fraction(best_w, scale), equilibria, welfares
+    return kernel, pays
 
 
 def brute_force_optimum(game):
     """Exact welfare maximizer; ties go to the lexicographically smallest
-    profile."""
-    best, best_w, _, _ = _walk(game)
-    return best, best_w
+    profile.
+
+    A branch and bound on `_search`.  ``w[p]`` is the scaled welfare of
+    players 0..p-1 alone, own values and the pairs among them; ``tail[p]``
+    adds up the largest own value of each later player and the gains of
+    every pair with a later member.  A subtree whose bound w + tail is no
+    more than the best welfare met is cut, so the first maximum met, the
+    lexicographically smallest, is kept.
+    """
+    (scale, rows, nbrs, gains, _), pays = _kernel_pays(game)
+    n = game.n
+    # links[i]: (j, g) for each gain between i and another player j
+    links = [[*zip(nbrs[i], gains[i]), *pays[i]] for i in range(n)]
+    tail = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tail[i] = (tail[i + 1] + max(rows[i])
+                   + sum(g for j, g in links[i] if j < i))
+    s = [-1] * n
+    w = [0] * (n + 1)
+    best, best_w = None, -1  # welfares are nonnegative
+
+    def enter(p, b):
+        u = w[p] + rows[p][b]
+        for j, g in links[p]:
+            if s[j] == b:
+                u += g
+        w[p + 1] = u
+        return u + tail[p + 1] > best_w
+
+    for _ in _search(s, game.m, enter, _free):
+        best, best_w = tuple([k + 1 for k in s]), w[n]
+    return best, Fraction(best_w, scale)
+
+
+def _equilibria(game, alpha):
+    """The alpha-equilibria, alpha >= 1, in lexicographic order, their
+    welfares as scaled ints, and the scale.
+
+    A search on `_search` keeping, per player i, ``lo[i]``, its scaled
+    vector from the placed players, and ``rem[i]``, its gains from the
+    others, which raise one entry of lo[i] by at most rem[i].  So a placed
+    i at k is surely unstable once max(lo[i]) * den > num * (lo[i][k] +
+    rem[i]), the factor test for alpha >= 1.  p is tested when placed, and
+    so is every placed player p pays, whose lo and rem change; at a leaf
+    every rem is 0 and the test is exact.  ``w`` is the prefix welfare.
+    """
+    (scale, rows, _, gains, _), pays = _kernel_pays(game)
+    n, m = game.n, game.m
+    num, den = alpha.numerator, alpha.denominator
+    s = [-1] * n
+    lo = [row.copy() for row in rows]
+    rem = [sum(g) for g in gains]
+    w = [0] * (n + 1)
+
+    def leave(p, b):
+        for j, g in pays[p]:
+            lo[j][b] -= g
+            rem[j] += g
+
+    def enter(p, b):
+        u = lo[p]
+        if max(u) * den > num * (u[b] + rem[p]):
+            return False
+        dw = u[b]
+        for j, g in pays[p]:
+            lo[j][b] += g
+            rem[j] -= g
+        for j, g in pays[p]:
+            k = s[j]
+            if k == b:
+                dw += g
+            u = lo[j]
+            if k >= 0 and max(u) * den > num * (u[k] + rem[j]):
+                leave(p, b)
+                return False
+        w[p + 1] = w[p] + dw
+        return True
+
+    equilibria, welfares = [], []
+    for _ in _search(s, m, enter, leave):
+        equilibria.append(tuple([k + 1 for k in s]))
+        welfares.append(w[n])
+    return equilibria, welfares, scale
 
 
 def _group_deviation(game, profile, alpha, feasible=None):
@@ -279,109 +321,61 @@ def _group_deviation(game, profile, alpha, feasible=None):
     strategy beats its scaled utility at `profile` by a factor above alpha,
     decided as `_factor_exceeds` decides it; (None, None) if there is none.
 
-    A depth-first search gives players 0..n-1 their strategies in turn,
-    each trying 1..m in ascending order, so it meets the leaves in
-    `_profiles` order and its first accepted leaf is the first such alt.
-    On a game whose `IntKernel` has no ``rest`` groups it bounds every
-    deviator's utility from above: its own value at its new strategy, plus
-    its gains from the earlier players there, plus all its gains from the
-    later players; a later player who takes another strategy takes its
-    gains off.  Gains are nonnegative, so a bound only falls as the search
-    goes deeper, and a subtree is cut, with nothing lost, as soon as one
-    deviator's bound fails `_factor_exceeds`; a leaf that is reached then
-    needs only a coalition and `feasible`.  Any other game is searched
-    with no bound and each leaf checked in full.  The stack is explicit,
-    so n is bounded only by the profile-space cap.
+    Runs on `_search`.  On a game whose `IntKernel` has no ``rest`` groups
+    it bounds each deviator's utility by its own value at its new strategy
+    plus its gains from every player there or not yet placed.  A bound only
+    falls as the search goes deeper, so a subtree is cut as soon as one
+    fails `_factor_exceeds`, and a leaf reached needs only a coalition and
+    `feasible`.  Any other game is searched unbounded, each leaf checked
+    in full.
     """
     _check_cap(game)
-    n, m = game.n, game.m
     home = [k - 1 for k in profile]
-    s = [-1] * n  # 0-based strategies of players 0..p-1; -1 if unassigned
+    base = [game.scaled_utilities(profile, i)[k] for i, k in enumerate(home)]
+    s = [-1] * game.n
     kernel = getattr(game, "_kernel", None)
     if kernel is None or kernel.rest:
         kernel = None  # no bound: the leaves are checked in full
-        base = [game.scaled_utilities(profile, i)[k]
-                for i, k in enumerate(home)]
-
-        def enter(p, b):
-            return True
-
-        def leave(p, b):
-            pass
+        enter = leave = _free
     else:
-        _, rows, nbrs, gains, _ = kernel
-        back = [[] for _ in range(n)]   # back[p]: (j, g_pj) per j < p
-        ahead = [0] * n                 # ahead[p]: sum of g_pj over j > p
-        payees = [[] for _ in range(n)]  # payees[p]: (i, g_ip) per i < p
-        base = []
-        for i, k in enumerate(home):
-            u = rows[i][k]
-            for j, g in zip(nbrs[i], gains[i]):
-                if not g:
-                    continue
-                if home[j] == k:
-                    u += g
-                if j < i:
-                    back[i].append((j, g))
-                else:
-                    ahead[i] += g
-                    payees[j].append((i, g))
-            base.append(u)
-        bound = [0] * n  # a deviator's upper bound at the current depth
+        (_, rows, nbrs, gains, _), pays = _kernel_pays(game)
+        bound = [0] * game.n  # a deviator's upper bound at the current depth
 
         def enter(p, b):
             """Give p strategy b unless that leaves some deviator's bound
             failing the factor test."""
             if b != home[p]:
-                u = rows[p][b] + ahead[p]
-                for j, g in back[p]:
-                    if s[j] == b:
+                u = rows[p][b]
+                for j, g in zip(nbrs[p], gains[p]):
+                    if s[j] == b or s[j] < 0:
                         u += g
                 if not _factor_exceeds(base[p], u, alpha):
                     return False
                 bound[p] = u
             # one deviator may pay p through several entries (parallel
             # pairs), so every gain comes off before any bound is tested
-            hit = [(i, g) for i, g in payees[p]
-                   if s[i] != home[i] and s[i] != b]
+            hit = [(i, g) for i, g in pays[p] if s[i] not in (home[i], b, -1)]
             for i, g in hit:
                 bound[i] -= g
             if all(_factor_exceeds(base[i], bound[i], alpha) for i, _ in hit):
                 return True
-            for i, g in hit:
-                bound[i] += g
+            leave(p, b)
             return False
 
         def leave(p, b):
-            for i, g in payees[p]:
-                if s[i] != home[i] and s[i] != b:
+            for i, g in pays[p]:
+                if s[i] not in (home[i], b, -1):
                     bound[i] += g
 
-    p = 0
-    while p >= 0:
-        if p == n:
-            coalition = tuple(i for i in range(n) if s[i] != home[i])
-            alt = tuple(k + 1 for k in s)
-            if (coalition and (feasible is None or feasible(alt))
-                    and (kernel is not None
-                         or all(_factor_exceeds(
-                             base[i], game.scaled_utilities(alt, i)[s[i]],
-                             alpha) for i in coalition))):
-                return alt, coalition
-            p -= 1
-            continue
-        b = s[p]
-        if b >= 0:
-            leave(p, b)
-        b += 1
-        while b < m and not enter(p, b):
-            b += 1
-        if b < m:
-            s[p] = b
-            p += 1
-        else:
-            s[p] = -1
-            p -= 1
+    for _ in _search(s, game.m, enter, leave):
+        coalition = tuple(i for i, k in enumerate(s) if k != home[i])
+        alt = tuple([k + 1 for k in s])
+        if (coalition and (feasible is None or feasible(alt))
+                and (kernel is not None
+                     or all(_factor_exceeds(
+                         base[i], game.scaled_utilities(alt, i)[s[i]], alpha)
+                         for i in coalition))):
+            return alt, coalition
     return None, None
 
 
@@ -402,17 +396,19 @@ def verify_approx_strong(game, profile, alpha):
 def equilibrium_census(game, alpha=ONE):
     """Exhaustive census of alpha-approximate equilibria with PoA/PoS."""
     alpha = _exact_alpha(alpha)
-    opt_profile, opt_w, equilibria, eq_welfares = _walk(game, alpha)
-    exists = bool(equilibria)
+    opt_profile, opt_w = brute_force_optimum(game)
+    # factors are at least 1, so below alpha = 1 nothing is an equilibrium
+    equilibria, welfares, scale = (_equilibria(game, alpha) if alpha >= 1
+                                   else ([], [], 1))
     poa = pos = None
-    if exists:
-        worst, best = min(eq_welfares), max(eq_welfares)
-        poa = _welfare_ratio(opt_w, worst)
-        pos = _welfare_ratio(opt_w, best)
-    return EquilibriumCensus(alpha=alpha, opt_profile=opt_profile,
-                             opt_welfare=opt_w, equilibria=tuple(equilibria),
-                             equilibrium_welfares=tuple(eq_welfares),
-                             poa=poa, pos=pos, exists=exists)
+    if equilibria:  # the extremes are found on the ints, scale > 0
+        poa = _welfare_ratio(opt_w, Fraction(min(welfares), scale))
+        pos = _welfare_ratio(opt_w, Fraction(max(welfares), scale))
+    return EquilibriumCensus(
+        alpha=alpha, opt_profile=opt_profile, opt_welfare=opt_w,
+        equilibria=tuple(equilibria),
+        equilibrium_welfares=tuple([Fraction(w, scale) for w in welfares]),
+        poa=poa, pos=pos, exists=bool(equilibria))
 
 
 def _welfare_ratio(opt_w, eq_w):
@@ -483,6 +479,7 @@ def payment_stabilize(game, profile, opt_welfare):
     """Minimal per-player payments (conditional on staying) that make the
     profile a Nash equilibrium of the payment-augmented game."""
     game.validate_profile(profile)
+    opt_welfare = _exact_alpha(opt_welfare, "opt_welfare")
     if opt_welfare <= 0:
         raise ValueError("optimum welfare must be positive")
     scale = game.scale

@@ -312,6 +312,7 @@ def hybrid(game, alpha, opt_welfare=None):
     chosen, chosen_w = (s1, w1) if w1 >= w2 else (s2, w2)
     rho = None
     if opt_welfare is not None:
+        opt_welfare = _exact_alpha(opt_welfare, "opt_welfare")
         if opt_welfare <= 0:
             raise ValueError("optimum welfare must be positive")
         rho = chosen_w / opt_welfare

@@ -218,7 +218,7 @@ def triangle_game(c):
     both pay c^3; alone they pay c^2 and c; the last strategy pays c with
     the benefactor and nothing alone.  The third player never matters.
     """
-    c = Fraction(c)
+    c = _exact_alpha(c, "c")
     if c < 1:
         raise ValueError("c must be >= 1")
     n, m = 3, 3

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .analysis import _exact_alpha
 from .generalized import GeneralizedGame, Hyperedge, HypergraphGame, OmegaGame
 from .model import Edge, GameInstance
 from .rationals import SQRT2_APPROX
@@ -26,7 +27,7 @@ def example1(r=1):
     next strategy (cyclically); each player fully captures the benefit of
     one directed relationship of weight r around the cycle.
     """
-    r = Fraction(r)
+    r = _exact_alpha(r, "r")
     if r <= 0:
         raise ValueError("r must be positive")
     n = m = 3
@@ -49,7 +50,7 @@ def prop5(m, r=1, eps=Fraction(1, 100)):
     has intrinsic 2*eps at her own strategy, so she strictly prefers
     isolation to her eps-sized share, pushing equilibria apart.
     """
-    r, eps = Fraction(r), Fraction(eps)
+    r, eps = _exact_alpha(r, "r"), _exact_alpha(eps, "eps")
     if m < 2 or r < 1 or eps <= 0:
         raise ValueError("need m >= 2, r >= 1, eps > 0")
     intrinsic = [tuple([r] * m)]
@@ -70,7 +71,7 @@ def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
     connect player 0 to everyone, so gathering at strategy 1 is worth
     (2m-1)r + eps but no one will stay there for r alone.
     """
-    r, eps = Fraction(r), Fraction(eps)
+    r, eps = _exact_alpha(r, "r"), _exact_alpha(eps, "eps")
     if m < 2 or r <= 0 or eps <= 0:
         raise ValueError("need m >= 2, r > 0, eps > 0")
     intrinsic = []
@@ -197,7 +198,7 @@ def random_omega(n, m, seed, omega=HALF, value_max=5):
             labels[i][j] = labels[j][i] = lab
     return OmegaGame(n=n, m=m, a=a, b=b,
                      labels=tuple(tuple(row) for row in labels),
-                     omega=Fraction(omega))
+                     omega=_exact_alpha(omega, "omega"))
 
 
 def random_hypergraph_cc(n, m, seed, gamma_max=5, weight_max=8, edge_count=None):

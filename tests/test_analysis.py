@@ -72,8 +72,8 @@ def test_size_guard():
         verify_approx_strong(g, tuple([1] * 25), Fraction(1))
 
 
-def test_walk_refuses_a_game_it_cannot_walk():
-    """The optimum, census and semi-smoothness check walk an integer
+def test_search_refuses_a_game_it_cannot_search():
+    """The optimum, census and semi-smoothness check search an integer
     kernel of singletons and unanchored pairs; a table game has no kernel
     and this hypergraph has groups of three, so both are refused with one
     ValueError naming the reason."""
@@ -265,6 +265,14 @@ def test_payment_argument_errors():
     g = two_player()
     with pytest.raises(ValueError):
         payment_stabilize(g, (2, 2), Fraction(0))
+    # a float optimum would make nu and rho floats
+    message = "^opt_welfare: expected an int or Fraction, got float$"
+    with pytest.raises(ValueError, match=message):
+        payment_stabilize(example1(1), (1, 2, 3), 2.5)
+    with pytest.raises(ValueError, match=message):
+        hybrid(example1(1), 2, opt_welfare=2.5)
+    assert type(payment_stabilize(g, (2, 2), 11).nu) is Fraction
+    assert type(hybrid(g, 2, opt_welfare=11).rho) is Fraction
     plan = payment_stabilize(g, (2, 2), Fraction(11))
     for payments, where in (((Fraction(-1), Fraction(0)), r"\[0\]: negative"),
                             ((Fraction(1), 0.5), r"payments\[1\]"),

@@ -3,10 +3,12 @@
 The census, the payment plan at the optimum, the hybrid run with the
 optimum supplied, the strong-equilibrium verifier and the no-strong-
 equilibrium scan are run on seeded instances, and their output is compared
-byte for byte with the bytes they printed before the census and the
-optimum moved onto one incremental walk over the profiles, and before the
-group-deviation check became a pruned search.  The `verify generalized`
-cases were recorded before it and `verify nash` shared one code path.
+byte for byte with the bytes they printed while the census and the optimum
+still visited every profile, before the three of them moved onto one
+pruned depth-first search.  The n=14 census and payments were recorded from
+the incremental walk that visited all 3**14 profiles.  The `verify
+generalized` cases were recorded before it and `verify nash` shared one
+code path.
 """
 
 import pytest
@@ -19,6 +21,7 @@ GEN = {
     "e1": ["example1"],
     "p5": ["prop5"],
     "tri": ["triangle", "--c", "2"],
+    "r14": ["random", "--n", "14", "--m", "3", "--seed", "5"],
 }
 
 # (instance, command, exit code, stdout)
@@ -98,6 +101,16 @@ EXPECTED = [
      0, '{"max_factor": "2", "witness": 0, "stable": true}\n'),
     ('tri', ['verify', 'generalized', '--profile', '1,2,3', '--alpha', '1'],
      4, '{"max_factor": "2", "witness": 0, "stable": false}\n'),
+    ('r14', ['census'], 0,
+     '{"alpha": "1", "opt_profile": "2,2,2,2,2,2,2,2,2,2,2,2,2,2", '
+     '"opt_welfare": "2111/6", "equilibria": '
+     '["1,1,1,1,1,1,1,1,1,1,1,1,1,1", "2,2,2,2,2,2,2,2,2,2,2,2,2,2", '
+     '"3,3,3,3,3,3,3,3,3,3,3,3,3,3"], "exists": true, '
+     '"poa": "2111/1982", "pos": "1"}\n'),
+    ('r14', ['payments'], 0,
+     '{"profile": "2,2,2,2,2,2,2,2,2,2,2,2,2,2", "payments": ["0", "0", '
+     '"0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+     '"total": "0", "nu": "0", "post_payment_max_factor": "1"}\n'),
     (None, ['search-no-sne', '--count', '5'], 0,
      '{"scanned": 5, "without_strong_equilibrium": []}\n'),
     (None, ['search-no-sne', '--n', '5', '--seed', '3', '--count', '5'], 0,

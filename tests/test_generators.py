@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from scg.analysis import brute_force_optimum, equilibrium_census
+from scg.generalized import triangle_game
 from scg.generators import (example1, prop5, random_cc, random_hypergraph_cc,
                             random_instance, random_omega, random_supermodular,
                             random_symmetric, symmetric_pos_tight)
@@ -22,6 +23,23 @@ def test_cyclic_instance_shape():
     assert g2.intrinsic[0][0] == SQRT2_APPROX * Fraction(5, 2)
     with pytest.raises(ValueError):
         example1(0)
+
+
+@pytest.mark.parametrize("value", [0.1, True, "1/2"])
+def test_family_parameters_refuse_an_inexact_value(value):
+    """A float would become its binary fraction: example1(0.1) would weigh
+    3602879701896397/36028797018963968."""
+    for name, build in (("r", lambda: example1(value)),
+                        ("r", lambda: prop5(3, value)),
+                        ("eps", lambda: prop5(3, 1, value)),
+                        ("r", lambda: symmetric_pos_tight(3, value)),
+                        ("eps", lambda: symmetric_pos_tight(3, 1, value)),
+                        ("omega", lambda: random_omega(3, 2, 0, omega=value)),
+                        ("c", lambda: triangle_game(value))):
+        with pytest.raises(ValueError, match=(
+                f"^{name}: expected an int or Fraction, "
+                f"got {type(value).__name__}$")):
+            build()
 
 
 def test_star_family_shape():

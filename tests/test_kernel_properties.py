@@ -14,9 +14,10 @@ loop and the `lex_compare` loop that omega games had of their own, the
 depth-first weight recovery `cc_recover` had of its own and the
 edge-by-edge sweep with union-find normalization of the hypergraph
 recovery.  The pruned group-deviation search is also compared with the
-flat scan over every profile that it replaced, and the optimum and census
-of hypergraph games of singletons and pairs with a flat scan over the
-Fraction utilities summed from paying edges.  Instances mix fractional
+flat scan over every profile that it replaced; the optimum and census
+searches with the incremental lexicographic walk that they replaced,
+`_walk`, and with flat scans over the Fraction utilities of pairwise,
+omega and pair-hypergraph games.  Instances mix fractional
 values, all-int values (scale 1) and coprime denominators whose lcm
 exceeds 2**64.  Runs are derandomized and small.
 """
@@ -31,9 +32,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
-                          StrongDeviationReport, _factor_exceeds,
-                          brute_force_optimum, deviation_report,
-                          equilibrium_census,
+                          StrongDeviationReport, _check_cap, _factor_exceeds,
+                          _welfare_ratio, brute_force_optimum,
+                          deviation_report, equilibrium_census,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
@@ -75,6 +76,9 @@ VALUE_KINDS = {
 alphas = st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2),
                           Fraction(3 * 10**20 + 1, 2 * 10**20),
                           Fraction(2**65 + 1, 2**64 + 1)))
+# factors below 1 included, where no profile is an equilibrium
+strong_alphas = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1),
+                                 Fraction(3, 2), Fraction(2)))
 hybrid_alphas = st.sampled_from((Fraction(1618, 1000), Fraction(7, 4),
                                  Fraction(2), Fraction(2**65 + 1, 2**64 + 1)))
 
@@ -511,8 +515,8 @@ def reference_hypergraph_census(hg, alpha):
 @SETTINGS
 @given(pair_hypergraphs(), alphas)
 def test_pair_hypergraph_oracles_match_the_flat_scan(hg, alpha):
-    """The incremental walk takes a hypergraph of singletons and pairs;
-    its optimum and census are the flat scan's."""
+    """The optimum and census search takes a hypergraph of singletons and
+    pairs; its optimum and census are the flat scan's."""
     assert not hg._kernel.rest
     census = reference_hypergraph_census(hg, alpha)
     assert brute_force_optimum(hg) == (census.opt_profile,
@@ -1072,6 +1076,198 @@ def test_oracles_match_the_reference_at_benchmark_sizes(generate, n, m):
         assert equilibrium_census(g, alpha) == reference_census(g, alpha)
 
 
+# --- the optimum and census search against the walk it replaced --------------
+
+
+def _walk(game, alpha=None):
+    """One incremental pass over every profile, in `_profiles` order.
+
+    Returns (optimum, its welfare, alpha-equilibria, their welfares): the
+    optimum is the first welfare maximum met, so ties go to the
+    lexicographically smallest profile, and the equilibria come in
+    lexicographic order; with `alpha` None the last two are empty.
+
+    The walk is an odometer: a step moves the last player not yet at m up
+    one strategy and returns the players after it from m to 1, on average
+    m / (m - 1) moves.  It keeps every player's scaled int utility vector
+    and the scaled welfare W = sum_i us_i[s_i].  When player i moves from a
+    to b, each player j paid by i's company has g_ji taken off us_j[a] and
+    put on us_j[b]; W gains i's own us_i[b] - us_i[a], less g_ji per such j
+    at a and plus g_ji per such j at b.  Only the movers and the players
+    they pay have their status, whether their best-reply factor exceeds
+    alpha, decided again.  A step costs O(deg * m).  A Fraction is built
+    only for a recorded welfare.  Reads the integer kernel, so its own
+    scale is the divisor whatever `game.scale` says.  A game without a
+    kernel, or whose kernel has ``rest`` groups, is refused with a
+    ValueError before any work, as one past the profile-space cap is with
+    a SizeError.
+    """
+    _check_cap(game)
+    kernel = getattr(game, "_kernel", None)
+    if kernel is None or kernel.rest:
+        raise ValueError(
+            f"the exhaustive walk reads an integer kernel of singletons and "
+            f"unanchored pairs, and this {type(game).__name__} has "
+            + ("no integer kernel" if kernel is None
+               else "a group of three or more or an anchored pair"))
+    n, m = game.n, game.m
+    scale, rows, nbrs, gains, _ = kernel
+    pays = [[] for _ in range(n)]  # pays[i]: (j, g_ji) per j paid by i
+    for j in range(n):
+        for i, g in zip(nbrs[j], gains[j]):
+            if g:
+                pays[i].append((j, g))
+    s = [0] * n  # 0-based strategies
+    us = [row.copy() for row in rows]
+    for i in range(n):
+        for j, g in pays[i]:
+            us[j][0] += g
+    w = sum(u[0] for u in us)
+    best_w, best = w, (1,) * n
+    # factors are at least 1, so below alpha = 1 nothing is an equilibrium
+    track = alpha is not None and alpha >= 1
+    equilibria, welfares = [], []
+    if track:
+        # for alpha >= 1, `_factor_exceeds(u_old, u_new, alpha)` is
+        # u_new * den > num * u_old, a zero u_old included
+        num, den = alpha.numerator, alpha.denominator
+        bad = [max(u) * den > num * u[0] for u in us]
+        n_bad = sum(bad)
+        # a step moves players p..n-1: they and whoever they pay
+        touched = [sorted({*range(p, n),
+                           *(j for i in range(p, n) for j, _ in pays[i])})
+                   for p in range(n)]
+    top = m - 1
+    while True:
+        if track and not n_bad:
+            equilibria.append(tuple(k + 1 for k in s))
+            welfares.append(Fraction(w, scale))
+        p = n - 1
+        while p >= 0 and s[p] == top:
+            p -= 1
+        if p < 0:
+            break
+        for i in range(p, n):
+            a = s[i]
+            b = a + 1 if i == p else 0
+            u = us[i]
+            w += u[b] - u[a]
+            s[i] = b
+            for j, g in pays[i]:
+                u = us[j]
+                u[a] -= g
+                u[b] += g
+                k = s[j]
+                if k == a:
+                    w -= g
+                elif k == b:
+                    w += g
+        if w > best_w:
+            best_w, best = w, tuple(k + 1 for k in s)
+        if track:
+            for j in touched[p]:
+                u = us[j]
+                f = max(u) * den > num * u[s[j]]
+                if f != bad[j]:
+                    bad[j] = f
+                    n_bad += 1 if f else -1
+    return best, Fraction(best_w, scale), equilibria, welfares
+
+
+def walk_census(game, alpha):
+    """The census as `equilibrium_census` built it on `_walk`."""
+    opt_profile, opt_w, equilibria, eq_welfares = _walk(game, alpha)
+    exists = bool(equilibria)
+    poa = pos = None
+    if exists:
+        worst, best = min(eq_welfares), max(eq_welfares)
+        poa = _welfare_ratio(opt_w, worst)
+        pos = _welfare_ratio(opt_w, best)
+    return EquilibriumCensus(alpha=alpha, opt_profile=opt_profile,
+                             opt_welfare=opt_w, equilibria=tuple(equilibria),
+                             equilibrium_welfares=tuple(eq_welfares),
+                             poa=poa, pos=pos, exists=exists)
+
+
+def reference_omega_utilities(og, profile, i):
+    """Player i's Fraction utility vector in an omega game, each entry
+    summed over the other players there; a conflicted partner pays
+    nothing."""
+    us = [Fraction(0)] * og.m
+    for j in range(og.n):
+        lab = og.labels[i][j]
+        if j != i and lab != "conflict":
+            full = og.a[i] * og.b[j]
+            us[profile[j] - 1] += full if lab == "one" else og.omega * full
+    return us
+
+
+def reference_omega_census(og, alpha):
+    """The census of an omega game, feasible or not, by a flat scan: the
+    welfare is the sum of the players' utilities."""
+    def welfare_of(p):
+        return sum((reference_omega_utilities(og, p, i)[p[i] - 1]
+                    for i in range(og.n)), Fraction(0))
+
+    def stable(p):
+        for i in range(og.n):
+            us = reference_omega_utilities(og, p, i)
+            if fraction_factor(us[p[i] - 1], max(us)) > alpha:
+                return False
+        return True
+
+    profiles = list(_profiles(og))
+    opt_profile = max(profiles, key=welfare_of)  # the first maximum
+    opt_w = welfare_of(opt_profile)
+    eq = [p for p in profiles if stable(p)]
+    ws = [welfare_of(p) for p in eq]
+
+    def ratio(w):
+        if w == 0:
+            return Fraction(1) if opt_w == 0 else math.inf
+        return opt_w / w
+
+    return EquilibriumCensus(
+        alpha=alpha, opt_profile=opt_profile, opt_welfare=opt_w,
+        equilibria=tuple(eq), equilibrium_welfares=tuple(ws),
+        poa=ratio(min(ws)) if eq else None,
+        pos=ratio(max(ws)) if eq else None, exists=bool(eq))
+
+
+def flat_census(game, alpha):
+    """The flat Fraction scan of the game's family."""
+    if isinstance(game, HypergraphGame):
+        return reference_hypergraph_census(game, alpha)
+    if isinstance(game, OmegaGame):
+        return reference_omega_census(game, alpha)
+    return reference_census(game, alpha)
+
+
+# every one of the 3**11 profiles is an equilibrium, so nothing is cut
+ALL_TIES = GameInstance(n=11, m=3, intrinsic=((1, 1, 1),) * 11, edges=())
+
+
+@SETTINGS
+@given(instances(ns=st.integers(0, 7)) | pair_hypergraphs() | omega_games(),
+       strong_alphas)
+@example(ALL_TIES, Fraction(1))
+@example(NO_PLAYERS, Fraction(1))
+@example(NO_PLAYERS, Fraction(1, 2))
+@example(ONE_STRATEGY, Fraction(1))
+@example(ONE_STRATEGY, Fraction(0))
+def test_search_oracles_match_the_walk_and_the_flat_scan(game, alpha):
+    """The optimum and the census equal the walk's (profile, welfare, the
+    equilibria in order, their welfares, PoA and PoS), and the flat Fraction
+    scan's up to 3**7 profiles; larger spaces, the all-ties game's, are
+    checked against the walk only."""
+    census = walk_census(game, alpha)
+    assert brute_force_optimum(game) == (census.opt_profile,
+                                         census.opt_welfare)
+    assert equilibrium_census(game, alpha) == census
+    if game.m ** game.n <= 3 ** 7:
+        assert census == flat_census(game, alpha)
+
+
 # --- the pruned group-deviation search ----------------------------------------
 
 
@@ -1101,8 +1297,6 @@ def flat_strong(game, profile, alpha):
 
 
 GROUP_SETTINGS = settings(SETTINGS, max_examples=150)
-strong_alphas = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1),
-                                 Fraction(3, 2), Fraction(2)))
 
 # at (1, 1, 1) players 0 and 1 have utility 0: their own values there are
 # 0 and the edge between them weighs 0
