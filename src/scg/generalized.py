@@ -33,8 +33,8 @@ from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
                     _inexact, _int_kernel, _not_int, _scaled_ints)
 from .potentials import _recover, potential_value
-from .rationals import (INF, ParseError, _as_list, format_rational,
-                        load_object, parse_rational, supermodular_alpha)
+from .rationals import (INF, ParseError, _as_list, load_object,
+                        rational_reader, rational_writer, supermodular_alpha)
 
 ZERO = Fraction(0)
 
@@ -114,7 +114,6 @@ class GeneralizedGame:
         return _supermodularity_degree(self)
 
 
-
 def welfare_generalized(ggame, profile):
     ggame.validate_profile(profile)
     return sum((ggame.utility_in_profile(profile, i) for i in range(ggame.n)),
@@ -152,7 +151,7 @@ def _supermodularity_degree(ggame):
     for entries in by_player.values():
         rows = {}    # k -> {mask: scaled entry}
         lowest = {}  # mask -> smallest scaled entry over every strategy
-        _, scaled = _scaled_ints([u for _, _, u in entries])
+        _, scaled = _scaled_ints([u.as_integer_ratio() for *_, u in entries])
         for (k, others, _), v in zip(entries, scaled):
             mask = sum(1 << j for j in others)
             rows.setdefault(k, {})[mask] = v
@@ -277,7 +276,7 @@ def additive_tables(game):
 
 def parse_generalized(text):
     data = load_object(text, ("n", "m", "tables"))
-    tables = {}
+    tables, read = {}, rational_reader()
     if not isinstance(data["tables"], list) or len(data["tables"]) != data["n"]:
         raise ParseError("tables: expected one entry list per player")
     for i, entries in enumerate(data["tables"]):
@@ -292,7 +291,7 @@ def parse_generalized(text):
             if (not isinstance(subset, list)
                     or any(type(j) is not int for j in subset)):
                 raise ParseError(f"{where}.others: expected a list of integers")
-            u = parse_rational(e.get("u"), f"{where}.u")
+            u = read(e.get("u"), f"{where}.u")
             key = (i, k, frozenset(subset))
             if key in tables:
                 raise ParseError(f"{where}: duplicate entry")
@@ -304,12 +303,12 @@ def parse_generalized(text):
 
 
 def serialize_generalized(ggame):
-    per_player = [[] for _ in range(ggame.n)]
+    per_player, write = [[] for _ in range(ggame.n)], rational_writer()
     for (i, k, others), u in sorted(ggame.tables.items(),
                                     key=lambda kv: (kv[0][0], kv[0][1],
                                                     sorted(kv[0][2]))):
         per_player[i].append({"strategy": k, "others": sorted(others),
-                              "u": format_rational(u)})
+                              "u": write(u)})
     return json.dumps({"n": ggame.n, "m": ggame.m, "tables": per_player}) + "\n"
 
 
@@ -369,7 +368,8 @@ class HypergraphGame(_KernelGame):
         member at position pos shares[pos] * weight; built on first use
         and kept."""
         return _int_kernel([(0,) * self.m] * self.n, [
-            (e.players, e.anchor, [share * e.weight for share in e.shares])
+            (e.players, e.anchor,
+             [(share * e.weight).as_integer_ratio() for share in e.shares])
             for e in self.edges if e.weight])
 
     @cached_property
@@ -428,15 +428,15 @@ def hypergraph_br_dynamics(hgame, start, step_cap=None):
 
 def parse_hypergraph(text):
     data = load_object(text, ("n", "m", "edges"))
-    edges = []
+    edges, read = [], rational_reader()
     for idx, raw in enumerate(_as_list(data["edges"], "edges")):
         where = f"edges[{idx}]"
         try:
             players = tuple(_as_list(raw["players"], f"{where}.players"))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}: missing players") from exc
-        w = parse_rational(raw.get("w"), f"{where}.w")
-        shares = tuple(parse_rational(s, f"{where}.shares[{i}]")
+        w = read(raw.get("w"), f"{where}.w")
+        shares = tuple(read(s, f"{where}.shares[{i}]")
                        for i, s in enumerate(
                            _as_list(raw.get("shares", []), f"{where}.shares")))
         edges.append(Hyperedge(players=players, weight=w, shares=shares,
@@ -448,16 +448,16 @@ def parse_hypergraph(text):
 
 
 def serialize_hypergraph(hgame):
-    data = {
+    write = rational_writer()
+    return json.dumps({
         "n": hgame.n, "m": hgame.m,
         "edges": [
-            {"players": list(e.players), "w": format_rational(e.weight),
-             "shares": [format_rational(s) for s in e.shares],
+            {"players": list(e.players), "w": write(e.weight),
+             "shares": [write(s) for s in e.shares],
              "anchor": e.anchor}
             for e in hgame.edges
         ],
-    }
-    return json.dumps(data) + "\n"
+    }) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +510,9 @@ class OmegaGame(_KernelGame):
         on a "one" label and omega times that on a "zero" label."""
         a, b, omega = self.a, self.b, self.omega
         return _int_kernel([(0,) * self.m] * self.n, [
-            ((i, j), None, (a[i] * b[j], a[j] * b[i]) if lab == "one"
-             else (omega * a[i] * b[j], omega * a[j] * b[i]))
+            ((i, j), None, [v.as_integer_ratio() for v in (
+                (a[i] * b[j], a[j] * b[i]) if lab == "one"
+                else (omega * a[i] * b[j], omega * a[j] * b[i]))])
             for i, row in enumerate(self.labels)
             for j, lab in enumerate(row[i + 1:], i + 1) if lab != "conflict"])
 
@@ -570,9 +571,10 @@ def verify_omega_strong(ogame, profile, alpha):
 
 def parse_omega(text):
     data = load_object(text, ("n", "m", "a", "b", "labels", "omega"))
+    read = rational_reader()
 
     def values(name):
-        return tuple(parse_rational(v, f"{name}[{i}]")
+        return tuple(read(v, f"{name}[{i}]")
                      for i, v in enumerate(_as_list(data[name], name)))
 
     try:
@@ -580,18 +582,18 @@ def parse_omega(text):
             n=data["n"], m=data["m"], a=values("a"), b=values("b"),
             labels=tuple(tuple(_as_list(row, f"labels[{i}]")) for i, row
                          in enumerate(_as_list(data["labels"], "labels"))),
-            omega=parse_rational(data["omega"], "omega"),
+            omega=read(data["omega"], "omega"),
         )
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_omega(ogame):
-    data = {
+    write = rational_writer()
+    return json.dumps({
         "n": ogame.n, "m": ogame.m,
-        "a": [format_rational(v) for v in ogame.a],
-        "b": [format_rational(v) for v in ogame.b],
+        "a": [write(v) for v in ogame.a],
+        "b": [write(v) for v in ogame.b],
         "labels": [list(row) for row in ogame.labels],
-        "omega": format_rational(ogame.omega),
-    }
-    return json.dumps(data) + "\n"
+        "omega": write(ogame.omega),
+    }) + "\n"

@@ -95,10 +95,14 @@ def random_instance(n, m, seed, weight_max=10, edge_prob=Fraction(1, 2)):
     intrinsic = tuple(
         tuple(_random_fraction(rng, weight_max) for _ in range(m))
         for _ in range(n))
+    p, q = edge_prob.as_integer_ratio()
+    # rng.random() = k/2**53 < p/q iff int k < ceil(2**53 p/q) =: c, and the
+    # float c/2**53 is exact for 0 <= c <= 2**53, so one float test decides
+    cut = -(-(p << 53) // q) / 2**53
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < cut:
                 w = Fraction(rng.randint(1, weight_max))
                 share = Fraction(rng.randint(1, 9), 10)
                 edges.append(Edge(i=i, j=j, w=w, share_ij=share))

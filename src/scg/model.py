@@ -22,14 +22,15 @@ deviation gain and payment from ``scaled_utilities(profile, i)`` instead,
 which is the same vector times the game's positive ``scale``.  On
 ``GameInstance``, ``OmegaGame`` and ``HypergraphGame`` the scale is the lcm
 L of the denominators of every own value and every group's gains, so the
-vector is plain ints, read from an `IntKernel` built on first use by
-`_int_kernel`, the one builder of kernels; ``utilities`` is
-``Fraction(u, L)`` of it.  On tables the scale is 1 and
-``scaled_utilities`` is ``utilities``.  Orders, maxima, differences' signs
-and the ratios of two entries are the same at any positive scale, so
-callers compare the scaled values directly (a gate ``u_new >= alpha *
-u_old`` by cross-multiplication) and divide by the scale only for what
-they record.
+vector is plain ints, read from an `IntKernel` that `_int_kernel`, the one
+kernel builder, makes on first use from reduced (numerator, denominator)
+int pairs, so even a pairwise game's edge gains take no Fraction
+arithmetic; ``utilities`` is ``Fraction(u, L)`` of it.  On tables the
+scale is 1 and ``scaled_utilities`` is ``utilities``.  Orders, maxima,
+differences' signs and the ratios of two entries are the same at any
+positive scale, so callers compare the scaled values directly (a gate
+``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
+scale only for what they record.
 
 Group view: ``GameInstance`` and ``HypergraphGame`` also list themselves
 as (members, weight, shares, anchor) ``groups``, a pairwise game being an
@@ -51,8 +52,8 @@ from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
-from .rationals import (INF, ParseError, _as_list, format_rational,
-                        load_object, parse_rational)
+from .rationals import (INF, ParseError, _as_list, load_object,
+                        rational_reader, rational_writer)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,8 +84,8 @@ class IntKernel(NamedTuple):
     times scale.  ``rest[i]`` lists (others, anchor, gain) for every other
     group with i, a group of three or more or an anchored pair; ``rest`` is
     empty, with no per-player lists, when there is no such group, as on
-    every pairwise game.  Flat int lists, so a utility vector is built with
-    int additions only.
+    every pairwise game.  Flat int lists, made by `_int_kernel` from int
+    pairs, so a utility vector takes int additions only.
     """
 
     scale: int
@@ -109,24 +110,24 @@ class IntKernel(NamedTuple):
         return us
 
 
-def _scaled_ints(values):
-    """(L, the values times L as ints) for exact values, with L the lcm of
-    their denominators.  L is positive, so orders, signs of sums and
-    ratios of the values are those of the ints."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _scaled_ints(pairs):
+    """(L, the values times L as ints) for exact values given as reduced
+    (numerator, denominator) int pairs, L the lcm of the denominators.  L
+    is positive, so orders, signs and ratios are those of the values."""
+    scale = math.lcm(*{d for _, d in pairs})
+    return scale, [p * (scale // d) for p, d in pairs]
 
 
 def _int_kernel(own, groups):
     """The `IntKernel` of n rows of exact own values and a list of valued
     groups (members, anchor, values), values[pos] being what the group
-    pays members[pos], all scaled by the lcm of every denominator.  A
-    singleton folds into its member's row, at its anchor or, unanchored,
-    at every strategy; an unanchored pair goes to ``nbrs`` and ``gains``;
-    every other group goes to ``rest``."""
-    values = [v for row in own for v in row]
-    values += [v for _, _, vs in groups for v in vs]
-    scale, ints = _scaled_ints(values)
+    pays members[pos] as a reduced int pair (p, q), all scaled by the lcm
+    of every q.  A singleton folds into its member's row, at its anchor
+    or, unanchored, at every strategy; an unanchored pair goes to ``nbrs``
+    and ``gains``; every other group goes to ``rest``."""
+    pairs = [v.as_integer_ratio() for row in own for v in row]
+    pairs += [v for _, _, vs in groups for v in vs]
+    scale, ints = _scaled_ints(pairs)
     it = iter(ints)
     rows = [list(islice(it, len(row))) for row in own]
     nbrs = [[] for _ in rows]
@@ -206,7 +207,7 @@ class GameInstance(_KernelGame):
                 raise ValueError(f"edge ({i},{j}): self-loop")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}): player index out of range")
-            key = frozenset((i, j))
+            key = min(i, j) * n + max(i, j)
             if key in seen:
                 raise ValueError(f"edge ({i},{j}): duplicate pair")
             seen.add(key)
@@ -223,11 +224,17 @@ class GameInstance(_KernelGame):
     @cached_property
     def _kernel(self):
         """The `IntKernel`, built from `intrinsic` and `edges` on first use
-        (never at construction) and kept."""
-        return _int_kernel(self.intrinsic, [
-            # j's gain is (1 - share_ij) * w
-            ((e.i, e.j), None, (gain := e.share_ij * e.w, e.w - gain))
-            for e in self.edges])
+        (never at construction) and kept.  An edge with w = a/b and share_ij
+        = c/d pays i ac/bd and j a(d-c)/bd, reduced on ints."""
+        groups = []
+        for e in self.edges:
+            a, b = e.w.as_integer_ratio()
+            c, d = e.share_ij.as_integer_ratio()
+            bd, gi, gj = b * d, a * c, a * (d - c)
+            ri, rj = math.gcd(gi, bd), math.gcd(gj, bd)
+            groups.append(((e.i, e.j), None,
+                           ((gi // ri, bd // ri), (gj // rj, bd // rj))))
+        return _int_kernel(self.intrinsic, groups)
 
     @property
     def groups(self):
@@ -350,23 +357,13 @@ def welfare(game, profile):
 
 
 def welfare_total(game, profile):
-    """Social welfare u(s) without the per-player breakdown (hot path).
-
-    Sums as one int pair (num, den), growing den by lcm, and builds one
-    Fraction at the end.  Reads the instance's own values, not its integer
-    kernel, so summing a welfare keeps no integer copy of the game alive.
-    """
+    """Social welfare u(s) without the per-player breakdown (hot path): one
+    Fraction of the own values scaled to ints by `_scaled_ints`, not of the
+    integer kernel, so summing a welfare keeps no integer copy alive."""
     values = [row[k - 1] for row, k in zip(game.intrinsic, profile)]
     values += [e.w for e in game.edges if profile[e.i] == profile[e.j]]
-    num, den = 0, 1
-    for v in values:
-        p, d = v.as_integer_ratio()
-        if den % d:
-            grown = den // math.gcd(den, d) * d
-            num *= grown // den
-            den = grown
-        num += p * (den // d)
-    return Fraction(num, den)
+    scale, ints = _scaled_ints([v.as_integer_ratio() for v in values])
+    return Fraction(sum(ints), scale)
 
 
 def _k_star(game):
@@ -407,10 +404,10 @@ def parse_instance(text):
     """Decode an instance file.  `GameInstance` decides what is valid; a
     rejection is raised as a ParseError with its message."""
     data = load_object(text, ("n", "m", "intrinsic", "edges"))
-    intrinsic = []
+    intrinsic, read = [], rational_reader()
     for i, row in enumerate(_as_list(data["intrinsic"], "intrinsic")):
         intrinsic.append(tuple(
-            parse_rational(v, f"intrinsic[{i}][{k}]")
+            read(v, f"intrinsic[{i}][{k}]")
             for k, v in enumerate(_as_list(row, f"intrinsic[{i}]"))))
     edges = []
     for idx, raw in enumerate(_as_list(data["edges"], "edges")):
@@ -423,8 +420,8 @@ def parse_instance(text):
         for name, v in (("i", i), ("j", j)):
             if type(v) is not int:
                 raise ParseError(f"edges[{idx}].{name}: expected integer")
-        w = parse_rational(raw.get("w"), f"edges[{idx}].w")
-        share = parse_rational(raw.get("share_ij"), f"edges[{idx}].share_ij")
+        w = read(raw.get("w"), f"edges[{idx}].w")
+        share = read(raw.get("share_ij"), f"edges[{idx}].share_ij")
         edges.append(Edge(i=i, j=j, w=w, share_ij=share))
     try:
         return GameInstance(n=data["n"], m=data["m"],
@@ -434,14 +431,10 @@ def parse_instance(text):
 
 
 def serialize_instance(game):
-    data = {
-        "n": game.n,
-        "m": game.m,
-        "intrinsic": [[format_rational(v) for v in row] for row in game.intrinsic],
-        "edges": [
-            {"i": e.i, "j": e.j, "w": format_rational(e.w),
-             "share_ij": format_rational(e.share_ij)}
-            for e in game.edges
-        ],
-    }
-    return json.dumps(data) + "\n"
+    write = rational_writer()
+    return json.dumps({
+        "n": game.n, "m": game.m,
+        "intrinsic": [list(map(write, row)) for row in game.intrinsic],
+        "edges": [{"i": e.i, "j": e.j, "w": write(e.w),
+                   "share_ij": write(e.share_ij)} for e in game.edges],
+    }) + "\n"

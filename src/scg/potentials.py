@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .analysis import _profiles
 from .model import _EXACT, _inexact, _int_kernel, player_utility
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, rational_reader, rational_writer
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,13 +55,13 @@ class PotentialCertificate:
     gamma: tuple  # positive Fractions, one per player
 
     def to_json(self):
-        return json.dumps([format_rational(g) for g in self.gamma]) + "\n"
+        return json.dumps(list(map(rational_writer(), self.gamma))) + "\n"
 
     @staticmethod
     def from_json(text):
-        raw = json.loads(text)
+        raw, read = json.loads(text), rational_reader()
         return PotentialCertificate(
-            gamma=tuple(parse_rational(v, f"gamma[{i}]") for i, v in enumerate(raw)))
+            gamma=tuple(read(v, f"gamma[{i}]") for i, v in enumerate(raw)))
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,9 @@ def _potential_kernel(game, cert):
     gamma = [Fraction(g) for g in cert.gamma]
     return _int_kernel([(0,) * game.m] * game.n, [
         # the sum starts at a Fraction: adding one to int 0 is slow
-        (members, anchor, [w / sum(map(gamma.__getitem__, members[1:]),
-                                   gamma[members[0]])] * len(members))
+        (members, anchor, [(w / sum(map(gamma.__getitem__, members[1:]),
+                                    gamma[members[0]])).as_integer_ratio()]
+         * len(members))
         for members, w, _, anchor in game.groups if w])
 
 

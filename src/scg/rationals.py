@@ -43,6 +43,20 @@ def parse_rational(text, field="value"):
         raise ParseError(f"{field}: not a rational: {text!r}") from exc
 
 
+def rational_reader():
+    """A `parse_rational` for one file, parsing each distinct string once.
+    A bad string is never kept, so it names the first field holding it."""
+    memo = {}
+
+    def read(text, field):
+        if type(text) is not str:
+            return parse_rational(text, field)
+        if text not in memo:
+            memo[text] = parse_rational(text, field)
+        return memo[text]
+    return read
+
+
 def load_object(text, fields):
     """Decode JSON text that must be an object holding every one of
     `fields`; a ParseError names what is wrong."""
@@ -69,10 +83,21 @@ def format_rational(x):
     """Render a Fraction (or inf) as the wire form "p/q" / "p" / "inf"."""
     if x == INF:
         return "inf"
-    frac = Fraction(x)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    num, den = x.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def rational_writer():
+    """A `format_rational` for one file's exact values, formatting each once,
+    keyed on the (numerator, denominator) pair: a Fraction hashes slowly."""
+    memo = {}
+
+    def write(x):
+        key = x.as_integer_ratio()
+        if key not in memo:
+            memo[key] = format_rational(x)
+        return memo[key]
+    return write
 
 
 def at_least_sqrt2_times(x, y):

@@ -6,6 +6,8 @@ deviation report, the oracles, the integer complementarity degree and the
 integer potential audit are compared with straightforward Fraction
 references kept here: the Fraction utility-vector and welfare loops that
 `GameInstance` used before it was scaled to one integer denominator, the
+kernel it built from Fraction edge gains before they were int pairs, the
+``rng.random() < Fraction(edge_prob)`` edge draw of `random_instance`, the
 gate ``u_new >= alpha * u_old`` and the factor ``u_new / u_old`` computed
 on Fractions, best responses found by a per-strategy scan, the degree as a
 Fraction ratio over every pair of table entries, the audit with both
@@ -26,6 +28,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,6 +40,7 @@ from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
                           deviation_report, equilibrium_census,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
+from scg import generators
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
                           hybrid, one_shot_alpha_br, run_dynamics,
                           sqrt2_three, strong_two)
@@ -290,6 +294,117 @@ def test_kernel_matches_edge_sum(case):
     w = welfare_total(g, profile)
     assert type(w) is Fraction
     assert w == fraction_welfare_total(g, profile) == welfare(g, profile).total
+
+
+def fraction_kernel(g):
+    """(scale, rows, nbrs, gains) as `GameInstance._kernel` built them
+    before its edge gains were int pairs: the gains as the Fractions
+    ``share_ij * w`` and ``w - share_ij * w``, every value scaled by the
+    lcm of the denominators."""
+    edge_gains = [(gain := e.share_ij * e.w, e.w - gain) for e in g.edges]
+    values = [v for row in g.intrinsic for v in row]
+    values += [x for pair in edge_gains for x in pair]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = iter([v.numerator * (scale // v.denominator) for v in values])
+    rows = [list(itertools.islice(ints, len(row))) for row in g.intrinsic]
+    nbrs, gains = [[] for _ in rows], [[] for _ in rows]
+    for e in g.edges:
+        for i, j in ((e.i, e.j), (e.j, e.i)):
+            nbrs[i].append(j)
+            gains[i].append(next(ints))
+    return scale, rows, nbrs, gains
+
+
+# weights with w = 0 and coprime denominators whose lcm exceeds 2**64, and
+# shares at both ends of [0, 1], as ints or Fractions
+edge_weights = st.sampled_from((0, 3, Fraction(0), Fraction(5, 2),
+                                Fraction(2 * P61 + 1, P61),
+                                Fraction(P30 + 2, P30)))
+edge_shares = st.sampled_from((0, 1, Fraction(0), Fraction(1),
+                               Fraction(1, 3), Fraction(7, 10),
+                               Fraction(P31 - 1, P31)))
+
+
+@SETTINGS
+@given(instances(), instances(kinds=("coprime",)), edge_weights,
+       edge_shares, st.data())
+def test_int_pair_kernel_matches_the_fraction_kernel(g, coprime, w, share,
+                                                     data):
+    """The kernel built from int-pair gains has the scale, rows, neighbours
+    and gains of the one built by Fraction arithmetic, on drawn instances
+    and on one whose every edge has the drawn weight and share."""
+    n = data.draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                unique=True))
+    edges = tuple(Edge(i, j, w, share) for i, j in chosen)
+    same = GameInstance(n=n, m=2, intrinsic=((Fraction(1, 3), 0),) * n,
+                        edges=edges)
+    for game in (g, coprime, same):
+        kernel = game._kernel
+        assert (kernel.scale, kernel.rows, kernel.nbrs,
+                kernel.gains) == fraction_kernel(game)
+        assert kernel.rest == []
+
+
+def reference_random_edges(n, m, seed, edge_prob, weight_max=10,
+                           rng_type=random.Random):
+    """The edges `random_instance` drew before its int threshold: each pair
+    kept when ``rng.random() < Fraction(edge_prob)``."""
+    rng = rng_type(seed)
+    for _ in range(n * m):  # the intrinsic draws come first
+        rng.randint(0, weight_max)
+        rng.choice((1, 2, 3))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < Fraction(edge_prob):
+                w = Fraction(rng.randint(1, weight_max))
+                edges.append(Edge(i, j, w, Fraction(rng.randint(1, 9), 10)))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 30))
+def test_random_instance_draws_the_fraction_threshold_edges(n):
+    probs = [0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(2, 1)]
+    probs += [4 / (n - 1)] if n > 1 else []
+    for seed in range(4):
+        assert (random_instance(n, 3, seed).edges
+                == reference_random_edges(n, 3, seed, Fraction(1, 2)))
+        for edge_prob in probs:
+            assert (random_instance(n, 3, seed, edge_prob=edge_prob).edges
+                    == reference_random_edges(n, 3, seed, edge_prob))
+
+
+@pytest.mark.parametrize("edge_prob", (Fraction(1, 3), Fraction(1, 2),
+                                       0.1, Fraction(1, 10**30)))
+def test_random_instance_threshold_is_exact_at_its_edge(monkeypatch,
+                                                        edge_prob):
+    """`rng.random()` is k / 2**53; the draws just below, at and just above
+    the least k that rejects a pair must split as the Fraction test does."""
+    cut = math.ceil(Fraction(edge_prob) * 2**53)
+    draws = [max(cut + d, 0) / 2**53 for d in (-2, -1, 0, 1)] * 3
+
+    class NearCut(random.Random):
+        """Deals `draws` in turn from random(); randint and choice still
+        read the seeded generator through getrandbits."""
+
+        def random(self):
+            return draws[next(self.calls) % len(draws)]
+
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
+        def seed(self, a=None, version=2):
+            super().seed(a, version)
+            self.calls = itertools.count()
+
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=NearCut))
+    n = 6  # 15 pairs: every draw above, more than once
+    edges = random_instance(n, 1, 0, edge_prob=edge_prob).edges
+    assert edges == reference_random_edges(n, 1, 0, edge_prob,
+                                           rng_type=NearCut)
+    assert 0 < len(edges) < n * (n - 1) // 2
 
 
 @SETTINGS

@@ -149,6 +149,29 @@ def test_parse_errors_name_fields():
                        '"edges":[{"i":0,"j":1,"w":"x","share_ij":"1/2"}]}')
 
 
+def test_repeated_strings_decode_once_and_name_the_first_bad_field():
+    # one bad string in four fields: the first of them, in file order, is
+    # named, whichever the parser reaches through a parsed-string memo
+    with pytest.raises(ParseError,
+                       match="^intrinsic\\[0\\]\\[1\\]: not a rational: 'x'$"):
+        parse_instance('{"n":2,"m":2,"intrinsic":[["1/2","x"],["x","1/2"]],'
+                       '"edges":[{"i":0,"j":1,"w":"x","share_ij":"x"}]}')
+    with pytest.raises(ParseError, match="^edges\\[0\\]\\.share_ij: "
+                                         "not a rational: '2/0'$"):
+        parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["1"]],"edges":['
+                       '{"i":0,"j":1,"w":"1","share_ij":"2/0"},'
+                       '{"i":1,"j":0,"w":"2/0","share_ij":"1/2"}]}')
+    # a JSON number is not a string: 1 decodes, 1.0 is refused by name
+    with pytest.raises(ParseError, match="^intrinsic\\[1\\]\\[0\\]: expected"):
+        parse_instance('{"n":2,"m":1,"intrinsic":[[1],[1.0]],"edges":[]}')
+    g = parse_instance('{"n":2,"m":2,"intrinsic":[["2/4","1/2"],["3",3]],'
+                       '"edges":[{"i":0,"j":1,"w":"1/2","share_ij":"1/2"}]}')
+    half = Fraction(1, 2)
+    assert g.intrinsic == ((half, half), (Fraction(3), Fraction(3)))
+    assert g.edges == (Edge(0, 1, half, half),)
+    assert all(type(v) is Fraction for row in g.intrinsic for v in row)
+
+
 def test_exact_rational_round_trip():
     text = ('{"n":1,"m":1,"intrinsic":[["7/3"]],"edges":[]}')
     g = parse_instance(text)

@@ -5,6 +5,7 @@ import pytest
 
 from scg.rationals import (INF, ParseError, at_least_sqrt2_times,
                            format_rational, load_object, parse_rational,
+                           rational_reader, rational_writer,
                            supermodular_alpha)
 
 
@@ -41,6 +42,30 @@ def test_format_round_trip():
     for x in (Fraction(7, 3), Fraction(5), Fraction(0), Fraction(-2, 9)):
         assert parse_rational(format_rational(x)) == x
     assert format_rational(INF) == "inf"
+
+
+def test_format_and_its_writer_give_the_wire_strings():
+    cases = {7: "7", -5: "-5", 0: "0", Fraction(6, 3): "2",
+             Fraction(-3, 4): "-3/4", Fraction(7, 3): "7/3", 0.5: "1/2"}
+    write = rational_writer()
+    for x, text in [*cases.items(), *cases.items()]:
+        assert format_rational(x) == write(x) == text
+    # equal values of different types share one wire form
+    assert write(Fraction(7)) == write(7) == "7"
+    assert format_rational(INF) == "inf"
+
+
+def test_reader_parses_each_string_once_and_keeps_no_failure():
+    read = rational_reader()
+    first = read("3/6", "a")
+    assert first == Fraction(1, 2) and read("3/6", "b") is first
+    assert read(4, "c") == Fraction(4) and read("4", "d") == 4
+    for bad, field in (("x", "e"), ("x", "f"), (1.0, "g"), ([1], "h")):
+        with pytest.raises(ParseError, match=f"^{field}: "):
+            read(bad, field)
+    assert read(1, "i") == 1
+    with pytest.raises(ParseError, match="^j: "):
+        read(1.0, "j")
 
 
 def test_sqrt2_comparison_is_exact():
