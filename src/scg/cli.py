@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -448,9 +449,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `build_parser`, built once per process: parsing reads
+    it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeError as exc:

@@ -4,17 +4,26 @@ Scheduling is deterministic everywhere, and best-response ties break toward
 staying put, then toward the lowest strategy index, so the same game and
 rule always produce the same trace.  There are two schedules:
 
-* the gated loop (`_gated_dynamics`) scans players in ascending index and
-  restarts the pass after every move; the first player whose best response
-  clears the `MoveRule` gate moves.  `run_dynamics`, `one_shot_alpha_br`,
+* the gated loop (`_gated_dynamics`) moves the lowest-indexed player whose
+  best response clears the `MoveRule` gate, then looks again from player
+  0.  `run_dynamics`, `one_shot_alpha_br`,
   `scg.generalized.one_shot_generalized` and
   `scg.generalized.hypergraph_br_dynamics` all run it, on any game with the
   `scaled_utilities(profile, i)` protocol of `scg.model`;
-* the continuing sweep of `_two_strategy_phase` (inside `algorithm1_two`
-  and `sqrt2_three`) moves players from one fixed strategy to another and
-  goes on with the next index after a move; passes repeat until one makes
-  no move.  It looks only at players on the source strategy, so in
-  `sqrt2_three` the players already at strategy 3 never move again.
+* the continuing sweep (`_sweep`, inside `algorithm1_two` and
+  `sqrt2_three`) moves players from one fixed strategy to another: the
+  next mover is the lowest eligible index above the last mover, wrapping
+  round to the lowest eligible index overall, until no one is eligible.
+  It looks only at players on the source strategy, so in `sqrt2_three`
+  the players already at strategy 3 never move again.
+
+Both schedules are event-driven over one `_Run` per run: the profile, one
+cached scaled vector per player and each player's hearers, the players
+whose vector its move can change.  A move dirties its hearers' vectors and
+queues them as candidates in a min-heap, so it costs one vector per hearer
+when the loop next reads it, not a rescan of up to n players.
+`sqrt2_three` shares one `_Run` between its sweeps and its sqrt(2) gate
+scan.
 
 Every factor alpha, of a `MoveRule` or of an entry point, passes through
 `scg.analysis._exact_alpha`, which refuses a float, a bool or a str.
@@ -25,9 +34,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .analysis import _best_reply, _exact_alpha, _factor, _hybrid_alpha
-from .model import _k_star, _not_int, player_utility, welfare_total
+from .model import (_KernelGame, _k_star, _not_int, player_utility,
+                    welfare_total)
 from .rationals import at_least_sqrt2_times, format_rational
 
 ONE = Fraction(1)
@@ -108,51 +119,123 @@ def best_response(game, profile, i):
     return best_k, best_u, _factor(current, best_u)
 
 
-def _gated_dynamics(game, start, rule, movable=None, step_cap=None):
-    """The restart-after-every-move gated best-response loop.
+class _Run:
+    """The state every loop of one run reads: the profile as a list, one
+    cached scaled vector per player, per player the hearers (the players
+    whose vector a move by that player can change) and the log of movers.
 
-    Each pass scans players in ascending index and moves the first one
-    (among those `movable(profile, i)` admits, when given) whose best
-    response clears `rule`; the pass then restarts from player 0.  Stops at
-    convergence, after `step_cap` moves (default m^n * n), or on reaching a
-    profile seen before.  Works on any game with `scaled_utilities`; trusts
-    `start`.
+    A move marks the mover's hearers dirty; a dirty vector is recomputed
+    by ``game.scaled_utilities`` only when a loop next reads it, so a
+    table game, where every player hears every other, makes the same
+    calls as a rescan of every player would.  A vector is read against the
+    others' strategies, so the mover's own stays valid.
+    """
+
+    __slots__ = ("game", "profile", "vecs", "hearers", "movers")
+
+    def __init__(self, game, start):
+        self.game = game
+        self.profile = list(start)
+        self.vecs = [None] * game.n
+        self.hearers = _hearers(game)
+        self.movers = []
+
+    def vec(self, i):
+        us = self.vecs[i]
+        if us is None:
+            us = self.vecs[i] = self.game.scaled_utilities(self.profile, i)
+        return us
+
+    def move(self, i, k):
+        self.profile[i] = k
+        self.movers.append(i)
+        vecs = self.vecs
+        for j in self.hearers[i]:
+            vecs[j] = None
+
+    def touched(self, since):
+        """The players whose strategy or vector the moves from the
+        `since`-th on may have changed: every player if `since` is None."""
+        if since is None:
+            return range(self.game.n)
+        out = set()
+        for i in self.movers[since:]:
+            out.add(i)
+            out.update(self.hearers[i])
+        return out
+
+
+def _hearers(game):
+    """Per player, the players whose vector a move by that player can
+    change: the kernel's ``nbrs`` as they are, plus the co-members of
+    every ``rest`` group when the kernel has some; on a table game,
+    everyone."""
+    if not isinstance(game, _KernelGame):
+        return [range(game.n)] * game.n
+    _, _, nbrs, _, rest = game._kernel
+    if not rest:
+        return nbrs
+    return [list(set(nb).union(*(others for others, _, _ in groups)))
+            for nb, groups in zip(nbrs, rest)]
+
+
+def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
+    """Gated best-response dynamics in which the lowest-indexed player
+    whose best response clears `rule` moves (among the players still at
+    `k0`, when given).
+
+    Candidates wait in a min-heap: it starts with every player, and a
+    move pushes the mover's hearers, the only players whose eligibility it
+    can change (the mover now plays a best response to the same others);
+    each pop re-checks the player.  Stops at convergence, after `step_cap`
+    moves (default m^n * n), or on reaching a profile seen before.  Works
+    on any game with `scaled_utilities`; trusts `start`.
     """
     if step_cap is None:
         step_cap = (game.m ** game.n) * max(game.n, 1)
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
     scale = game.scale
-    profile = tuple(start)
-    seen = {profile}
+    run = _Run(game, start)
+    profile, hearers = run.profile, run.hearers
+    seen = {tuple(profile)}
     moves = []
-    while True:
-        for i in range(game.n):
-            if movable is not None and not movable(profile, i):
-                continue
-            us = game.scaled_utilities(profile, i)
-            k, u_new = _best_reply(us, profile[i])
-            u_old = us[profile[i] - 1]
-            if k != profile[i] and rule.allows(u_old, u_new):
-                break
-        else:
-            return DynamicsTrace(tuple(moves), profile, "converged")
-        moves.append(Move(i, profile[i], k, Fraction(u_old, scale),
+    heap = list(range(game.n))
+    queued = [True] * game.n
+    while heap:
+        i = heappop(heap)
+        queued[i] = False
+        s = profile[i]
+        if k0 is not None and s != k0:
+            continue
+        us = run.vec(i)
+        k, u_new = _best_reply(us, s)
+        u_old = us[s - 1]
+        if k == s or not rule.allows(u_old, u_new):
+            continue
+        moves.append(Move(i, s, k, Fraction(u_old, scale),
                           Fraction(u_new, scale)))
-        profile = profile[:i] + (k,) + profile[i + 1:]
+        run.move(i, k)
+        terminal = tuple(profile)
         if len(moves) >= step_cap:
-            return DynamicsTrace(tuple(moves), profile, "step-cap")
-        if profile in seen:
-            return DynamicsTrace(tuple(moves), profile, "cycle-detected")
-        seen.add(profile)
+            return DynamicsTrace(tuple(moves), terminal, "step-cap")
+        size = len(seen)
+        seen.add(terminal)  # hashes the n-tuple once, not for `in` too
+        if len(seen) == size:
+            return DynamicsTrace(tuple(moves), terminal, "cycle-detected")
+        for j in hearers[i]:
+            if not queued[j]:
+                queued[j] = True
+                heappush(heap, j)
+    return DynamicsTrace(tuple(moves), tuple(profile), "converged")
 
 
 def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
     """Gated best-response dynamics from a starting profile.
 
-    Applies the first eligible move in player order, restarting the pass
-    after each move; stops at convergence, a revisited profile, or the
-    step cap (default m^n * n).
+    Moves the lowest-indexed player whose best response clears `rule`,
+    then looks again from player 0; stops at convergence, a revisited
+    profile, or the step cap (default m^n * n).
     """
     game.validate_profile(start)
     return _gated_dynamics(game, start, rule, step_cap=step_cap)
@@ -172,30 +255,41 @@ def _one_shot(game, k0, alpha):
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     _check_start(game, k0)
-    return _gated_dynamics(game, (k0,) * game.n, MoveRule(alpha=alpha),
-                           movable=lambda profile, i: profile[i] == k0)
+    return _gated_dynamics(game, (k0,) * game.n, MoveRule(alpha=alpha), k0)
 
 
-def _two_strategy_phase(game, profile, source, target):
+def _sweep(run, source, target, since=None):
     """Move players from `source` to `target` while it strictly improves.
 
-    A continuing sweep: after a move the scan goes on with the next player,
-    and passes repeat until one moves no one.  Only players at `source`
-    are looked at, and a move puts a player at `target`, so players at any
-    third strategy stay where they are; returns the final profile.
+    A continuing sweep: the next mover is the lowest eligible index above
+    the last mover, else the lowest eligible index overall; the phase
+    stops when no player is eligible.  Candidates wait in two min-heaps,
+    `ahead` of the last mover and `behind` it, swapped when `ahead` runs
+    dry; a move queues the mover's hearers still at `source`.  The first
+    candidates are the players at `source` that the moves from the
+    `since`-th on touched (every player at `source` if `since` is None):
+    a phase ends with every player at `source` ineligible.  Only players
+    at `source` are looked at, and a move puts a player at `target`, so
+    players at any third strategy stay where they are.  Returns the log
+    position to pass as `since` to the next phase of the same kind.
     """
-    profile = list(profile)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(game.n):
-            if profile[i] != source:
-                continue
-            us = game.scaled_utilities(profile, i)
-            if us[target - 1] > us[source - 1]:
-                profile[i] = target
-                changed = True
-    return tuple(profile)
+    profile, hearers = run.profile, run.hearers
+    ahead = sorted(i for i in run.touched(since) if profile[i] == source)
+    behind = []
+    queued = set(ahead)
+    while ahead or behind:
+        if not ahead:
+            ahead, behind = behind, ahead
+        i = heappop(ahead)
+        queued.discard(i)
+        us = run.vec(i)
+        if us[target - 1] > us[source - 1]:
+            run.move(i, target)
+            for j in hearers[i]:
+                if profile[j] == source and j not in queued:
+                    queued.add(j)
+                    heappush(ahead if j > i else behind, j)
+    return len(run.movers)
 
 
 def algorithm1_two(game, start):
@@ -203,13 +297,15 @@ def algorithm1_two(game, start):
 
     First lets players leave strategy 1 for 2 while that is an improving
     best response, then the reverse.  The result is checked to be a Nash
-    equilibrium before returning.
+    equilibrium, on vectors computed afresh, before returning.
     """
     if game.m != 2:
         raise ValueError("algorithm1_two requires exactly two strategies")
     game.validate_profile(start)
-    profile = _two_strategy_phase(game, start, source=1, target=2)
-    profile = _two_strategy_phase(game, profile, source=2, target=1)
+    run = _Run(game, start)
+    _sweep(run, source=1, target=2)
+    _sweep(run, source=2, target=1)
+    profile = tuple(run.profile)
     for i, k in enumerate(profile):
         us = game.scaled_utilities(profile, i)
         if max(us) > us[k - 1]:
@@ -266,25 +362,29 @@ def sqrt2_three(game):
     """
     if game.m != 3:
         raise ValueError("sqrt2_three requires exactly three strategies")
-
-    def stabilize(profile):
-        profile = _two_strategy_phase(game, profile, 1, 2)
-        return _two_strategy_phase(game, profile, 2, 1)
-
-    profile = stabilize(tuple([1] * game.n))
+    run = _Run(game, [1] * game.n)
+    profile = run.profile
+    # each loop reads only the players that the moves since its last turn
+    # touched; players at 3 never move again
+    since_12 = since_21 = since_gate = None
+    gate, queued = [], set()
     while True:
-        mover = None
-        for i in range(game.n):
-            if profile[i] == 3:
-                continue
-            us = game.scaled_utilities(profile, i)
+        since_12 = _sweep(run, 1, 2, since_12)
+        since_21 = _sweep(run, 2, 1, since_21)
+        for j in run.touched(since_gate):
+            if profile[j] != 3 and j not in queued:
+                queued.add(j)
+                heappush(gate, j)
+        since_gate = len(run.movers)
+        while gate:
+            i = heappop(gate)
+            queued.discard(i)
+            us = run.vec(i)
             if us[2] > 0 and at_least_sqrt2_times(us[2], us[profile[i] - 1]):
-                mover = i
+                run.move(i, 3)
                 break
-        if mover is None:
-            return profile
-        profile = profile[:mover] + (3,) + profile[mover + 1:]
-        profile = stabilize(profile)
+        else:
+            return tuple(profile)
 
 
 def one_shot_alpha_br(game, k0, alpha):

@@ -19,7 +19,12 @@ recovery.  The pruned group-deviation search is also compared with the
 flat scan over every profile that it replaced; the optimum and census
 searches with the incremental lexicographic walk that they replaced,
 `_walk`, and with flat scans over the Fraction utilities of pairwise,
-omega and pair-hypergraph games.  Instances mix fractional
+omega and pair-hypergraph games.  The event-driven dynamics are compared
+with the loops they replaced, the gated loop that rescans from player 0
+after every move and the pass-based continuing sweep, on every family,
+tables included: the same traces, the same sweep movers in order, the
+same `TableError` of an incomplete table, and on tables the same
+`scaled_utilities` calls.  Instances mix fractional
 values, all-int values (scale 1) and coprime denominators whose lcm
 exceeds 2**64.  Runs are derandomized and small.
 """
@@ -35,19 +40,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
-                          StrongDeviationReport, _check_cap, _factor_exceeds,
-                          _welfare_ratio, brute_force_optimum,
+                          StrongDeviationReport, _best_reply, _check_cap,
+                          _factor_exceeds, _welfare_ratio,
+                          brute_force_optimum,
                           deviation_report, equilibrium_census,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
 from scg import generators
-from scg.dynamics import (DynamicsTrace, Move, MoveRule, algorithm1_two,
-                          hybrid, one_shot_alpha_br, run_dynamics,
-                          sqrt2_three, strong_two)
+from scg.dynamics import (DynamicsTrace, Move, MoveRule, _Run, _sweep,
+                          algorithm1_two, hybrid, one_shot_alpha_br,
+                          run_dynamics, sqrt2_three, strong_two)
 from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
-                             OmegaGame, additive_tables,
-                             hypergraph_cc_recover, hypergraph_potential,
-                             lex_compare,
+                             OmegaGame, TableError, additive_tables,
+                             hypergraph_br_dynamics, hypergraph_cc_recover,
+                             hypergraph_potential, lex_compare,
                              lex_strong_eq, mass_vector,
                              one_shot_generalized, supermodularity_degree,
                              triangle_game, verify_generalized,
@@ -60,6 +66,7 @@ from scg.model import (Edge, GameInstance, player_utility, welfare,
 from scg.potentials import (AuditReport, PotentialCertificate,
                             RecoveryFailure, cc_recover, ordinal_audit,
                             potential_delta, potential_value)
+from scg.rationals import at_least_sqrt2_times
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -1485,3 +1492,279 @@ def test_group_search_matches_the_flat_scan_at_benchmark_sizes(generate, n,
             for alpha in (Fraction(1), Fraction(3, 2)):
                 assert (verify_approx_strong(g, profile, alpha)
                         == flat_strong(g, profile, alpha))
+
+
+# --- the event-driven dynamics against the loops they replaced ---------------
+
+
+def restart_dynamics(game, start, rule, k0=None, step_cap=None):
+    """The gated loop before it was event-driven: each pass scans the
+    players from 0, reads `scaled_utilities` afresh for every player that
+    may move (with `k0`, the players still at k0) and moves the first whose
+    best response clears `rule`; then the pass restarts from player 0."""
+    if step_cap is None:
+        step_cap = (game.m ** game.n) * max(game.n, 1)
+    scale = game.scale
+    profile = tuple(start)
+    seen = {profile}
+    moves = []
+    while True:
+        for i in range(game.n):
+            if k0 is not None and profile[i] != k0:
+                continue
+            us = game.scaled_utilities(profile, i)
+            k, u_new = _best_reply(us, profile[i])
+            u_old = us[profile[i] - 1]
+            if k != profile[i] and rule.allows(u_old, u_new):
+                break
+        else:
+            return DynamicsTrace(tuple(moves), profile, "converged")
+        moves.append(Move(i, profile[i], k, Fraction(u_old, scale),
+                          Fraction(u_new, scale)))
+        profile = profile[:i] + (k,) + profile[i + 1:]
+        if len(moves) >= step_cap:
+            return DynamicsTrace(tuple(moves), profile, "step-cap")
+        if profile in seen:
+            return DynamicsTrace(tuple(moves), profile, "cycle-detected")
+        seen.add(profile)
+
+
+def pass_sweep(game, profile, source, target):
+    """The continuing sweep before it was event-driven: passes over the
+    players at `source`, each going on with the next player after a move,
+    until a pass moves no one.  Returns the profile and the movers in
+    order."""
+    profile = list(profile)
+    movers = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(game.n):
+            if profile[i] != source:
+                continue
+            us = game.scaled_utilities(profile, i)
+            if us[target - 1] > us[source - 1]:
+                profile[i] = target
+                movers.append(i)
+                changed = True
+    return tuple(profile), movers
+
+
+def pass_algorithm1_two(game, start):
+    profile, _ = pass_sweep(game, start, 1, 2)
+    return pass_sweep(game, profile, 2, 1)[0]
+
+
+def event_sweep(game, start, source, target):
+    """`_sweep` from `start`, as (profile, movers in order)."""
+    run = _Run(game, start)
+    _sweep(run, source, target)
+    return tuple(run.profile), run.movers
+
+
+def pass_sqrt2_three(game):
+    """`sqrt2_three` on pass sweeps, with the sqrt(2) gate scanned from
+    player 0 after every move to strategy 3."""
+    profile = pass_algorithm1_two(game, (1,) * game.n)
+    while True:
+        for i in range(game.n):
+            if profile[i] == 3:
+                continue
+            us = game.scaled_utilities(profile, i)
+            if us[2] > 0 and at_least_sqrt2_times(us[2], us[profile[i] - 1]):
+                break
+        else:
+            return profile
+        profile = pass_algorithm1_two(game,
+                                      profile[:i] + (3,) + profile[i + 1:])
+
+
+def outcome(run, *args):
+    """What `run(*args)` returns, or the message of its `TableError`."""
+    try:
+        return run(*args)
+    except TableError as exc:
+        return "TableError", str(exc)
+
+
+def restart_br_dynamics(game, start, step_cap=None):
+    """`hypergraph_br_dynamics`'s result from the restart loop."""
+    trace = restart_dynamics(game, start, MoveRule(), step_cap=step_cap)
+    return (trace.terminal, tuple((mv.player, mv.from_strategy,
+                                   mv.to_strategy) for mv in trace.moves),
+            trace.reason)
+
+
+def restart_one_shot_generalized(ggame, k0, alpha):
+    """`one_shot_generalized`'s result, at a given gate, from the restart
+    loop."""
+    trace = restart_dynamics(ggame, (k0,) * ggame.n, MoveRule(alpha), k0=k0)
+    return trace.terminal, alpha, tuple(
+        (mv.player, mv.to_strategy, mv.old_utility, mv.new_utility)
+        for mv in trace.moves)
+
+
+step_caps = st.sampled_from((None, 1, 2, 3))
+
+# a 3-member group, an anchored pair and an anchored singleton: every kind
+# of `rest` group, and players who hear a move through nothing else
+REST_GROUPS = HypergraphGame(n=5, m=3, edges=(
+    Hyperedge((0, 1, 2), Fraction(3), (Fraction(1, 3),) * 3),
+    Hyperedge((2, 3), Fraction(2), (Fraction(1, 2),) * 2, anchor=2),
+    Hyperedge((3, 4), Fraction(1), (Fraction(1, 4), Fraction(3, 4))),
+    Hyperedge((4,), Fraction(1), (Fraction(1),), anchor=1)))
+
+rest_hypergraphs = (
+    certified_hypergraphs(st.integers(1, 6), st.integers(1, 3)).map(
+        lambda case: case[0])
+    | st.builds(lambda n, m, seed: random_hypergraph_cc(n, m, seed)[0],
+                st.integers(2, 8), st.integers(1, 3), st.integers(0, 10**6)))
+
+tables = (sparse_tables()
+          | st.builds(random_supermodular, st.integers(1, 4),
+                      st.integers(1, 3), st.sampled_from((1, 2)),
+                      st.integers(0, 10**6))
+          | instances(ns=st.integers(1, 4)).map(additive_tables))
+
+
+@st.composite
+def started(draw, games):
+    """(game, a start profile, a one-shot start strategy)."""
+    game = draw(games)
+    start = tuple(draw(st.integers(1, game.m)) for _ in range(game.n))
+    return game, start, draw(st.integers(1, game.m))
+
+
+@SETTINGS
+@given(started(omega_games() | rest_hypergraphs | instances()), alphas,
+       step_caps)
+@example((REST_GROUPS, (1, 2, 3, 1, 2), 1), Fraction(1), None)
+@example((REST_GROUPS, (3, 3, 1, 2, 2), 2), Fraction(3, 2), 2)
+def test_gated_dynamics_match_the_restart_loop(case, alpha, step_cap):
+    game, start, k0 = case
+    rule = MoveRule(alpha)
+    assert (run_dynamics(game, start, rule, step_cap)
+            == restart_dynamics(game, start, rule, step_cap=step_cap))
+    assert (one_shot_alpha_br(game, k0, alpha)[1]
+            == restart_dynamics(game, (k0,) * game.n, rule, k0=k0))
+    if isinstance(game, HypergraphGame):
+        assert (hypergraph_br_dynamics(game, start, step_cap)
+                == restart_br_dynamics(game, start, step_cap))
+
+
+@SETTINGS
+@given(started(tables), alphas, step_caps)
+def test_table_dynamics_match_the_restart_loop(case, alpha, step_cap):
+    """Results, or the `TableError` message of an incomplete table."""
+    gg, start, k0 = case
+    assert (outcome(hypergraph_br_dynamics, gg, start, step_cap)
+            == outcome(restart_br_dynamics, gg, start, step_cap))
+    assert (outcome(one_shot_generalized, gg, k0, alpha)
+            == outcome(restart_one_shot_generalized, gg, k0, alpha))
+
+
+def logged_calls(run, gg):
+    """(the outcome of `run` on a copy of table game `gg`, the (profile,
+    player) of every `scaled_utilities` call it made)."""
+    calls = []
+
+    class Logged(GeneralizedGame):
+        def scaled_utilities(self, profile, i):
+            calls.append((tuple(profile), i))
+            return self.utilities(profile, i)
+
+    return outcome(run, Logged(n=gg.n, m=gg.m, tables=gg.tables)), calls
+
+
+@SETTINGS
+@given(started(tables), alphas, step_caps)
+def test_table_dynamics_make_the_restart_loops_calls(case, alpha, step_cap):
+    """On a table every player hears every move, so the lazily recomputed
+    vectors are read by the same calls, in the same order, as the restart
+    scan makes."""
+    gg, start, k0 = case
+    rule = MoveRule(alpha)
+    assert (logged_calls(lambda g: run_dynamics(g, start, rule, step_cap), gg)
+            == logged_calls(lambda g: restart_dynamics(
+                g, start, rule, step_cap=step_cap), gg))
+    assert (logged_calls(lambda g: one_shot_alpha_br(g, k0, alpha)[1], gg)
+            == logged_calls(lambda g: restart_dynamics(
+                g, (k0,) * g.n, rule, k0=k0), gg))
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1), Fraction(3, 2)))
+def test_missing_table_entry_raises_the_restart_loops_error(alpha):
+    """Dropping any one entry of a complete table, the one-shot run raises
+    the `TableError` the restart loop raises, naming the same entry, or
+    returns what it returns; some entries are first read after a move."""
+    gg = random_supermodular(3, 2, 2, 4)  # three moves at either gate
+    start = (1,) * gg.n
+    read_at_start = {(i, k, frozenset(j for j in range(gg.n)
+                                      if j != i and start[j] == k))
+                     for i in range(gg.n) for k in (1, 2)}
+    raised_late = []
+    for key in gg.tables:
+        holey = GeneralizedGame(n=gg.n, m=gg.m, tables={
+            k: v for k, v in gg.tables.items() if k != key})
+        got = outcome(one_shot_generalized, holey, 1, alpha)
+        assert got == outcome(restart_one_shot_generalized, holey, 1, alpha)
+        i, k, others = key
+        if got[0] == "TableError":
+            assert got[1] == (f"no entry for player {i}, strategy {k}, "
+                              f"set {sorted(others)}")
+            if key not in read_at_start:
+                raised_late.append(key)
+    assert raised_late
+
+
+@SETTINGS
+@given(started(instances(ns=st.integers(1, 8), ms=st.integers(2, 3))
+               | rest_hypergraphs.filter(lambda hg: hg.m > 1)))
+@example((REST_GROUPS, (1, 1, 1, 1, 1), 1))
+@example((REST_GROUPS, (2, 1, 3, 2, 1), 1))
+def test_sweeps_match_the_pass_loops(case):
+    """The same movers in the same order in either direction, a third
+    strategy left alone, and the same results of the algorithms."""
+    game, start, _ = case
+    for source, target in ((1, 2), (2, 1)):
+        assert (event_sweep(game, start, source, target)
+                == pass_sweep(game, start, source, target))
+    if game.m == 2:
+        assert (algorithm1_two(game, start)
+                == pass_algorithm1_two(game, start))
+    else:
+        assert sqrt2_three(game) == pass_sqrt2_three(game)
+
+
+@pytest.mark.parametrize("n", (20, 60, 150))
+def test_dynamics_match_the_old_loops_at_benchmark_sizes(n):
+    """Sparse games as in the dynamics benchmark, large enough for long
+    runs and sweeps that wrap round several times."""
+    for seed in range(3):
+        g = random_instance(n, 3, seed, edge_prob=Fraction(4, n - 1))
+        start = (1,) * n
+        assert (run_dynamics(g, start)
+                == restart_dynamics(g, start, MoveRule()))
+        for k0, alpha in ((1, Fraction(3, 2)), (2, Fraction(2))):
+            assert (one_shot_alpha_br(g, k0, alpha)[1]
+                    == restart_dynamics(g, (k0,) * n, MoveRule(alpha), k0))
+        assert sqrt2_three(g) == pass_sqrt2_three(g)
+        g2 = random_instance(n, 2, seed, edge_prob=Fraction(4, n - 1))
+        start = tuple(random.Random(seed).choices((1, 2), k=n))
+        assert algorithm1_two(g2, start) == pass_algorithm1_two(g2, start)
+        for source, target in ((1, 2), (2, 1)):
+            assert (event_sweep(g2, start, source, target)
+                    == pass_sweep(g2, start, source, target))
+
+
+@pytest.mark.parametrize("game", (example1(1), triangle_game(2),
+                                  triangle_game(Fraction(3, 2))))
+def test_cycles_and_step_caps_match_the_restart_loop(game):
+    reasons = set()
+    for start in itertools.product((1, 2, 3), repeat=3):
+        for step_cap in (None, 1, 2, 3):
+            trace = run_dynamics(game, start, MoveRule(), step_cap)
+            assert trace == restart_dynamics(game, start, MoveRule(),
+                                             step_cap=step_cap)
+            reasons.add(trace.reason)
+    assert {"step-cap", "cycle-detected"} <= reasons
