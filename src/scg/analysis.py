@@ -13,12 +13,12 @@ oracle gives the search an `enter`/`leave` pair that cuts a subtree as
 soon as no profile in it can count: the optimum by a branch and bound on
 the welfare, the census as soon as a placed player is surely unstable, the
 group check as soon as an upper bound on one deviator's utility fails the
-factor test.  They read a game's `scg.model.IntKernel`; the optimum and
-the census take the games whose kernel has no ``rest`` groups (pairwise,
-omega, and hypergraph games of singletons and unanchored pairs) and refuse
-the others with a ValueError, while the group check searches those
-unbounded.  The ordinal audit and the omega game's lexicographic oracle
-still enumerate with `_profiles`.
+factor test.  The cuts read a game's `scg.model.IntKernel` of singletons
+and unanchored pairs; a game without one, a table or a hypergraph with
+``rest`` groups, has every profile checked in full instead: by a flat scan
+over `_profiles` for the optimum and the census, by an unbounded search
+for the group check.  The ordinal audit and the omega game's
+lexicographic oracle also enumerate with `_profiles`.
 """
 
 from __future__ import annotations
@@ -208,18 +208,14 @@ def _free(p, b):
 
 def _kernel_pays(game):
     """The game's `IntKernel` and, per player i, the (j, g_ji) for each
-    player j that i's company pays, zero gains left out.  Past the cap a
-    SizeError, and for a game without a kernel, or whose kernel has
-    ``rest`` groups, a ValueError naming the reason, come before any work.
+    player j that i's company pays, zero gains left out; (None, None) for
+    a game without a kernel, or whose kernel has ``rest`` groups.  Past the
+    cap a SizeError comes before any work.
     """
     _check_cap(game)
     kernel = getattr(game, "_kernel", None)
     if kernel is None or kernel.rest:
-        raise ValueError(
-            f"the exhaustive search reads an integer kernel of singletons "
-            f"and unanchored pairs, and this {type(game).__name__} has "
-            + ("no integer kernel" if kernel is None
-               else "a group of three or more or an anchored pair"))
+        return None, None
     pays = [[] for _ in range(game.n)]
     for j, (nbrs, gains) in enumerate(zip(kernel.nbrs, kernel.gains)):
         for i, g in zip(nbrs, gains):
@@ -239,7 +235,13 @@ def brute_force_optimum(game):
     more than the best welfare met is cut, so the first maximum met, the
     lexicographically smallest, is kept.
     """
-    (scale, rows, nbrs, gains, _), pays = _kernel_pays(game)
+    kernel, pays = _kernel_pays(game)
+    if kernel is None:  # a flat scan; `max` keeps the first maximum
+        w, best = max(((sum(game.scaled_utilities(s, i)[k - 1]
+                            for i, k in enumerate(s)), s)
+                       for s in _profiles(game)), key=lambda ws: ws[0])
+        return best, Fraction(w, game.scale)
+    scale, rows, nbrs, gains, _ = kernel
     n = game.n
     # links[i]: (j, g) for each gain between i and another player j
     links = [[*zip(nbrs[i], gains[i]), *pays[i]] for i in range(n)]
@@ -276,9 +278,18 @@ def _equilibria(game, alpha):
     so is every placed player p pays, whose lo and rem change; at a leaf
     every rem is 0 and the test is exact.  ``w`` is the prefix welfare.
     """
-    (scale, rows, _, gains, _), pays = _kernel_pays(game)
+    kernel, pays = _kernel_pays(game)
     n, m = game.n, game.m
     num, den = alpha.numerator, alpha.denominator
+    equilibria, welfares = [], []
+    if kernel is None:  # a flat scan with the same factor test
+        for s in _profiles(game):
+            us = [game.scaled_utilities(s, i) for i in range(n)]
+            if all(max(u) * den <= num * u[k - 1] for u, k in zip(us, s)):
+                equilibria.append(s)
+                welfares.append(sum(u[k - 1] for u, k in zip(us, s)))
+        return equilibria, welfares, game.scale
+    scale, rows, _, gains, _ = kernel
     s = [-1] * n
     lo = [row.copy() for row in rows]
     rem = [sum(g) for g in gains]
@@ -308,7 +319,6 @@ def _equilibria(game, alpha):
         w[p + 1] = w[p] + dw
         return True
 
-    equilibria, welfares = [], []
     for _ in _search(s, m, enter, leave):
         equilibria.append(tuple([k + 1 for k in s]))
         welfares.append(w[n])
@@ -329,16 +339,14 @@ def _group_deviation(game, profile, alpha, feasible=None):
     `feasible`.  Any other game is searched unbounded, each leaf checked
     in full.
     """
-    _check_cap(game)
+    kernel, pays = _kernel_pays(game)
     home = [k - 1 for k in profile]
     base = [game.scaled_utilities(profile, i)[k] for i, k in enumerate(home)]
     s = [-1] * game.n
-    kernel = getattr(game, "_kernel", None)
-    if kernel is None or kernel.rest:
-        kernel = None  # no bound: the leaves are checked in full
+    if kernel is None:  # no bound: the leaves are checked in full
         enter = leave = _free
     else:
-        (_, rows, nbrs, gains, _), pays = _kernel_pays(game)
+        _, rows, nbrs, gains, _ = kernel
         bound = [0] * game.n  # a deviator's upper bound at the current depth
 
         def enter(p, b):

@@ -142,7 +142,9 @@ def _cmd_solve(args):
     if algo == "oneshot-gen":
         ggame = generalized.parse_generalized(_read(args.infile))
         k0 = args.k0 if args.k0 is not None else 1
-        profile, alpha_used, moves = generalized.one_shot_generalized(ggame, k0)
+        alpha = parse_rational(args.alpha, "alpha") if args.alpha else None
+        profile, alpha_used, moves = generalized.one_shot_generalized(
+            ggame, k0, alpha)
         out = json.dumps({
             "profile": _profile_str(profile),
             "alpha_used": format_rational(alpha_used),

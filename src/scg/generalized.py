@@ -13,10 +13,10 @@ Three model families live here:
   a lexicographically maximal mass vector gives a 1/omega-approximate
   strong equilibrium.
 
-All three follow the utility protocol of `scg.model`, so their oracles
-are the shared ones of `scg.analysis` (profile enumeration, deviation
-reports, group deviations) and `scg.potentials` (weight recovery; on
-hypergraphs also the group potential and its ordinal audit).
+All three follow the integer utility protocol of `scg.model`, so their
+oracles are the shared ones of `scg.analysis` (the optimum, the census,
+deviation reports, group deviations) and `scg.potentials` (weight
+recovery; on hypergraphs also the group potential and its ordinal audit).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cached_property
 from .analysis import (SizeError, _deviation_report, _exact_alpha,
                        _group_deviation, _profiles)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
-from .model import (_EXACT, _KernelGame, _check_dims, _check_profile,
+from .model import (_EXACT, _KernelGame, _ScaledGame, _check_dims,
                     _inexact, _int_kernel, _not_int, _scaled_ints)
 from .potentials import _recover, potential_value
 from .rationals import (INF, ParseError, _as_list, load_object,
@@ -52,7 +52,7 @@ class TableError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneralizedGame:
+class GeneralizedGame(_ScaledGame):
     """n players, m strategies, sparse tables u[(i, k, others)] -> Fraction.
 
     ``others`` is a frozenset of co-located players excluding i.  Querying
@@ -93,31 +93,43 @@ class GeneralizedGame:
                            if j != i and profile[j] == k)
         return self.utility(i, k, others)
 
-    def utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m; trusts the profile."""
-        groups = [[] for _ in range(self.m)]
+    @cached_property
+    def _view(self):
+        """(L, per player {mask * m + k - 1: the entry at k times L}), mask
+        the others' bitmask and L the lcm of the denominators; built once."""
+        m = self.m
+        scale, ints = _scaled_ints([u.as_integer_ratio()
+                                    for u in self.tables.values()])
+        rows = [{} for _ in range(self.n)]
+        for (i, k, others), v in zip(self.tables, ints):
+            rows[i][sum(1 << j for j in others) * m + k - 1] = v
+        return scale, rows
+
+    @property
+    def scale(self):
+        """The lcm L of the denominators of every table entry."""
+        return self._view[0]
+
+    def scaled_utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m times `scale`, as ints;
+        trusts the profile.  Raises the `TableError` of the first strategy
+        with no entry.  O(n + m)."""
+        m = self.m
+        masks = [0] * m
         for j, s in enumerate(profile):
-            if j != i:
-                groups[s - 1].append(j)
-        return [self.utility(i, k, group) for k, group in enumerate(groups, 1)]
-
-    scale = 1
-    scaled_utilities = utilities
-
-    def validate_profile(self, profile):
-        _check_profile(self, profile)
+            masks[s - 1] |= 1 << j
+        masks[profile[i] - 1] ^= 1 << i
+        row = self._view[1][i]
+        us = [row.get(mask * m + k) for k, mask in enumerate(masks)]
+        if None in us:
+            self.utility_in_profile(profile, i, us.index(None) + 1)  # raises
+        return us
 
     @cached_property
     def _degree(self):
         """The complementarity degree, computed on first use and kept; a
         `SizeError` is not kept, so every query raises it."""
         return _supermodularity_degree(self)
-
-
-def welfare_generalized(ggame, profile):
-    ggame.validate_profile(profile)
-    return sum((ggame.utility_in_profile(profile, i) for i in range(ggame.n)),
-               ZERO)
 
 
 def supermodularity_degree(ggame):
@@ -130,46 +142,37 @@ def supermodularity_degree(ggame):
     so the degree must bound those cross-strategy sums too.  Entries are
     nonnegative, so for a fixed (k, S, T) the ratio is largest, and a zero
     denominator appears if it appears at all, at the smallest u_i(k', T);
-    only that minimum over k' is paired with each entry.  Each player's
-    table is scaled to integers by the lcm of its denominators, sets become
-    bitmasks, and the running maximum is an integer pair compared by
-    cross-multiplication; only the result is a Fraction.  Computed once
-    per game and kept.
+    only that minimum over k' is paired with each entry.  Reads the
+    game's integer view, whose scale L leaves every ratio as it is; the
+    running maximum is an integer pair compared by cross-multiplication,
+    and only the result is a Fraction.  Computed once per game and kept.
     """
     return ggame._degree
 
 
 def _supermodularity_degree(ggame):
-    by_player = {}
-    for (i, k, others), u in ggame.tables.items():
-        by_player.setdefault(i, []).append((k, others, u))
-    total_pairs = sum(len(v) ** 2 for v in by_player.values())
+    m = ggame.m
+    view = ggame._view[1]
+    total_pairs = sum(len(row) ** 2 for row in view)
     if total_pairs > TABLE_ENUM_CAP:
         raise SizeError(f"table too large for pairwise enumeration "
                         f"({total_pairs} pairs)")
     num, den = 1, 1
-    for entries in by_player.values():
-        rows = {}    # k -> {mask: scaled entry}
+    for row in view:
         lowest = {}  # mask -> smallest scaled entry over every strategy
-        _, scaled = _scaled_ints([u.as_integer_ratio() for *_, u in entries])
-        for (k, others, _), v in zip(entries, scaled):
-            mask = sum(1 << j for j in others)
-            rows.setdefault(k, {})[mask] = v
-            if v < lowest.get(mask, v + 1):
-                lowest[mask] = v
-        for row in rows.values():
-            for mask1, u1 in row.items():
-                for mask2, u2 in lowest.items():
-                    top = row.get(mask1 | mask2)
-                    if top is None:
-                        continue
-                    bottom = u1 + u2
-                    if bottom == 0:
-                        if top > 0:
-                            return INF
-                        continue
-                    if top * den > num * bottom:
-                        num, den = top, bottom
+        for key, v in row.items():
+            lowest[key // m] = min(v, lowest.get(key // m, v))
+        for key, u1 in row.items():
+            mask1, k = divmod(key, m)
+            for mask2, u2 in lowest.items():
+                top = row.get((mask1 | mask2) * m + k)
+                if top is None:
+                    continue
+                bottom = u1 + u2
+                if bottom == 0 < top:
+                    return INF
+                if top * den > num * bottom:  # 0 > 0 on a zero bottom
+                    num, den = top, bottom
     return Fraction(num, den)
 
 
@@ -334,28 +337,31 @@ class HypergraphGame(_KernelGame):
     def __post_init__(self):
         _check_dims(self)
         for idx, e in enumerate(self.edges):
+            where = f"edges[{idx}]"
             for pos, i in enumerate(e.players):
                 if type(i) is not int:
-                    raise _not_int(f"edges[{idx}].players[{pos}]", i)
+                    raise _not_int(f"{where}.players[{pos}]", i)
             if type(e.weight) not in _EXACT:
-                raise _inexact(f"edges[{idx}].weight", e.weight)
+                raise _inexact(f"{where}.weight", e.weight)
             for pos, share in enumerate(e.shares):
                 if type(share) not in _EXACT:
-                    raise _inexact(f"edges[{idx}].shares[{pos}]", share)
+                    raise _inexact(f"{where}.shares[{pos}]", share)
             if e.anchor is not None and type(e.anchor) is not int:
-                raise _not_int(f"edges[{idx}].anchor", e.anchor)
+                raise _not_int(f"{where}.anchor", e.anchor)
             if len(set(e.players)) != len(e.players) or not e.players:
-                raise ValueError("hyperedge members must be distinct and nonempty")
+                raise ValueError(f"{where}.players: members must be distinct "
+                                 "and nonempty")
             if any(not (0 <= i < self.n) for i in e.players):
-                raise ValueError("hyperedge member out of range")
+                raise ValueError(f"{where}.players: member out of range")
             if e.anchor is not None and not (1 <= e.anchor <= self.m):
-                raise ValueError("anchor strategy out of range")
+                raise ValueError(f"{where}.anchor: strategy out of range")
             if e.weight < 0:
-                raise ValueError("negative hyperedge weight")
+                raise ValueError(f"{where}.weight: negative hyperedge weight")
             if len(e.shares) != len(e.players):
-                raise ValueError("one share per member required")
+                raise ValueError(f"{where}.shares: one per member required")
             if any(s < 0 for s in e.shares) or sum(e.shares, ZERO) != 1:
-                raise ValueError("shares must be nonnegative and sum to 1")
+                raise ValueError(f"{where}.shares: must be nonnegative and "
+                                 "sum to 1")
 
     @property
     def groups(self):
@@ -387,9 +393,6 @@ class HypergraphGame(_KernelGame):
         if it has one.  Reads i's kernel entries, so a call is O(deg *
         edge size + m), not O(|E|)."""
         return self._kernel.scaled_utilities(profile, i)
-
-    def validate_profile(self, profile):
-        _check_profile(self, profile)
 
 
 def hypergraph_cc_recover(hgame):
@@ -484,19 +487,19 @@ class OmegaGame(_KernelGame):
             for i, v in enumerate(getattr(self, name)):
                 if type(v) not in _EXACT:
                     raise _inexact(f"{name}[{i}]", v)
+            if len(getattr(self, name)) != self.n:
+                raise ValueError(f"{name}: must have one entry per player")
         if type(self.omega) not in _EXACT:
             raise _inexact("omega", self.omega)
         if not (Fraction(1, 2) <= self.omega <= 1):
             raise ValueError("omega must lie in [1/2, 1]")
-        if len(self.a) != self.n or len(self.b) != self.n:
-            raise ValueError("a and b must have one entry per player")
         if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.b):
             raise ValueError("a and b entries must be positive")
         if len(self.labels) != self.n:
-            raise ValueError("labels must be an n x n matrix")
+            raise ValueError("labels: must be an n x n matrix")
         for i, row in enumerate(self.labels):
             if len(row) != self.n:
-                raise ValueError("labels must be an n x n matrix")
+                raise ValueError(f"labels[{i}]: must be an n x n matrix")
             for j, lab in enumerate(row):
                 if lab not in ("one", "zero", "conflict"):
                     raise ValueError(f"labels[{i}][{j}]: unknown label {lab!r}")
@@ -522,9 +525,6 @@ class OmegaGame(_KernelGame):
                 if profile[i] == profile[j] and self.labels[i][j] == "conflict":
                     return False
         return True
-
-    def validate_profile(self, profile):
-        _check_profile(self, profile)
 
 
 def mass_vector(ogame, profile):

@@ -25,10 +25,12 @@ L of the denominators of every own value and every group's gains, so the
 vector is plain ints, read from an `IntKernel` that `_int_kernel`, the one
 kernel builder, makes on first use from reduced (numerator, denominator)
 int pairs, so even a pairwise game's edge gains take no Fraction
-arithmetic; ``utilities`` is ``Fraction(u, L)`` of it.  On tables the
-scale is 1 and ``scaled_utilities`` is ``utilities``.  Orders, maxima,
-differences' signs and the ratios of two entries are the same at any
-positive scale, so callers compare the scaled values directly (a gate
+arithmetic.  On tables L is the lcm of every entry's denominator, and the
+ints come from a per-player dict keyed by the others' bitmask and the
+strategy.  Every ``utilities`` is ``Fraction(u, L)`` of the ints, read
+by `_ScaledGame`, which also holds the one profile check.  Orders,
+maxima, differences' signs and the ratios of two entries are the same at
+any positive scale, so callers compare the scaled values directly (a gate
 ``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
 scale only for what they record.
 
@@ -153,7 +155,20 @@ def _int_kernel(own, groups):
     return IntKernel(scale, rows, nbrs, gains, rest)
 
 
-class _KernelGame:
+class _ScaledGame:
+    """What every game family shares: the profile check and the Fraction
+    reader of the ints that ``scaled_utilities`` gives at ``scale``."""
+
+    def validate_profile(self, profile):
+        _check_profile(self, profile)
+
+    def utilities(self, profile, i):
+        """Player i's utility for each strategy 1..m; trusts the profile."""
+        scale = self.scale
+        return [Fraction(u, scale) for u in self.scaled_utilities(profile, i)]
+
+
+class _KernelGame(_ScaledGame):
     """The utility protocol of a game whose ``_kernel`` is an `IntKernel`."""
 
     @property
@@ -170,11 +185,6 @@ class _KernelGame:
         for j, gain in zip(nbrs[i], gains[i]):
             us[profile[j] - 1] += gain
         return us
-
-    def utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m; trusts the profile."""
-        scale = self._kernel.scale
-        return [Fraction(u, scale) for u in self.scaled_utilities(profile, i)]
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ class GameInstance(_KernelGame):
                 + [((e.i, e.j), e.w, (e.share_ij, e.share_ji), None)
                    for e in self.edges])
 
-    def validate_profile(self, profile):
+    def validate_profile(self, profile):  # its own: bench/tracer.py wraps it
         _check_profile(self, profile)
 
 

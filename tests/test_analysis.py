@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -72,23 +73,33 @@ def test_size_guard():
         verify_approx_strong(g, tuple([1] * 25), Fraction(1))
 
 
-def test_search_refuses_a_game_it_cannot_search():
-    """The optimum, census and semi-smoothness check search an integer
-    kernel of singletons and unanchored pairs; a table game has no kernel
-    and this hypergraph has groups of three, so both are refused with one
-    ValueError naming the reason."""
+def test_search_scans_a_game_without_a_rest_free_kernel():
+    """A table game has no integer kernel and this hypergraph has groups of
+    three, so the optimum, census and semi-smoothness check scan every
+    profile; they equal a flat scan of the Fraction utilities."""
     hg = random_hypergraph_cc(3, 2, 0)[0]
     tables = random_supermodular(3, 2, 1, 0)
-    runs = (brute_force_optimum, equilibrium_census,
-            lambda g: semi_smoothness_check(g, (1,) * g.n))
-    for game, why in ((hg, "a group of three or more or an anchored pair"),
-                      (tables, "no integer kernel")):
-        for run in runs:
-            with pytest.raises(ValueError) as exc:
-                run(game)
-            assert type(exc.value) is ValueError
-            assert str(exc.value).endswith(
-                f"this {type(game).__name__} has {why}")
+    assert hg._kernel.rest
+    for game in (hg, tables):
+        profiles = list(itertools.product(range(1, game.m + 1),
+                                          repeat=game.n))
+        vectors = {p: [game.utilities(p, i) for i in range(game.n)]
+                   for p in profiles}
+        welfare = {p: sum(us[k - 1] for us, k in zip(vectors[p], p))
+                   for p in profiles}
+        opt = max(profiles, key=welfare.get)  # the first maximum
+        assert brute_force_optimum(game) == (opt, welfare[opt])
+        for alpha in (Fraction(1), Fraction(2)):
+            eq = tuple(p for p in profiles
+                       if all(max(us) <= alpha * us[k - 1]
+                              for us, k in zip(vectors[p], p)))
+            census = equilibrium_census(game, alpha)
+            assert census.equilibria == eq
+            assert census.equilibrium_welfares == tuple(welfare[p]
+                                                         for p in eq)
+        ones = (1,) * game.n
+        assert semi_smoothness_check(game, ones) == (
+            sum(map(sum, vectors[ones])) >= welfare[opt])
 
 
 def test_group_deviation_witness():

@@ -1,11 +1,16 @@
 import argparse
+import io
 import json
+import runpy
+import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from scg import generators
 from scg.cli import build_parser, main
-from scg.generators import random_supermodular, random_omega
+from scg.generators import example1, random_supermodular, random_omega
 from scg.generalized import serialize_generalized, serialize_omega
 from scg.model import Edge, GameInstance, serialize_instance
 
@@ -311,3 +316,67 @@ def test_incomplete_table_names_the_missing_entry(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no entry for player 0, strategy 1, set [1]\n"
+
+
+@pytest.mark.parametrize("command,err", [
+    (["bounds", "--alpha", "2", "--gamma", "1", "--m", "x"],
+     "error: m: expected integer or 'inf', got 'x'\n"),
+    (["verify", "nash", "--in", "{pair}", "--profile", "1,2,1"],
+     "error: profile: expected 2 entries, got 3\n"),
+    (["solve", "algorithm1", "--in", "{pair}", "--profile", "1"],
+     "error: profile: expected 2 entries, got 1\n"),
+    (["payments", "--in", "{zero}"],
+     "error: optimum welfare is zero; payments undefined\n"),
+    (["solve", "oneshot-gen", "--in", "{tri}", "--alpha", "1.5"],
+     "error: alpha: not a rational: '1.5'\n"),
+    (["solve", "oneshot-gen", "--in", "{tri}", "--alpha", "1/2"],
+     "error: alpha must be >= 1\n"),
+], ids=["bounds-m", "verify-profile-length", "solve-profile-length",
+        "payments-zero-optimum", "oneshot-gen-float-alpha",
+        "oneshot-gen-alpha-below-1"])
+def test_bad_argument_exits_2_with_its_line(tmp_path, capsys, pair, command,
+                                            err):
+    zero = tmp_path / "zero.json"
+    zero.write_text(serialize_instance(GameInstance(
+        n=2, m=1, intrinsic=((0,), (0,)), edges=())))
+    tri = tmp_path / "tri.json"
+    assert main(["gen", "triangle", "--c", "2", "--out", str(tri)]) == 0
+    argv = [a.format(pair=pair, zero=zero, tri=tri) for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_in_dash_reads_stdin(monkeypatch, capsys, pair):
+    command = ["verify", "nash", "--profile", "1,2", "--in"]
+    assert main(command + [pair]) == 0
+    expected = capsys.readouterr().out
+    with open(pair, encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    assert main(command + ["-"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_search_no_sne_reports_a_seed_without_one(monkeypatch, capsys):
+    """Every random symmetric game tried has had a strong equilibrium, so
+    the scan is fed the cyclic example, which has no equilibrium at all,
+    at seed 2."""
+    symmetric = generators.random_symmetric
+    monkeypatch.setattr(generators, "random_symmetric",
+                        lambda n, m, seed: (example1(1) if seed == 2
+                                            else symmetric(n, m, seed)))
+    assert main(["search-no-sne", "--n", "3", "--count", "4"]) == 0
+    assert capsys.readouterr().out == (
+        '{"scanned": 4, "without_strong_equilibrium": [2]}\n')
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["scg", "bounds", "--alpha", "2",
+                                      "--gamma", "1", "--m", "3"])
+    with warnings.catch_warnings():  # scg.cli is already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("scg.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "3/5\n"

@@ -8,7 +8,9 @@ still visited every profile, before the three of them moved onto one
 pruned depth-first search.  The n=14 census and payments were recorded from
 the incremental walk that visited all 3**14 profiles.  The `verify
 generalized` cases were recorded before it and `verify nash` shared one
-code path.
+code path.  The `bounds`, `gen` and `solve oneshot-gen` cases were recorded
+before tables were read through an integer view, except `solve
+oneshot-gen --alpha`, which ignored its gate until then.
 """
 
 import pytest
@@ -115,6 +117,47 @@ EXPECTED = [
      '{"scanned": 5, "without_strong_equilibrium": []}\n'),
     (None, ['search-no-sne', '--n', '5', '--seed', '3', '--count', '5'], 0,
      '{"scanned": 5, "without_strong_equilibrium": []}\n'),
+    (None, ['bounds', '--alpha', '2', '--gamma', '1', '--m', 'inf'], 0,
+     '1/2\n'),
+    (None, ['gen', 'symmetric-pos-tight', '--m', '3'], 0,
+     '{"n": 3, "m": 3, "intrinsic": [["101/100", "0", "0"], '
+     '["0", "101/100", "0"], ["0", "0", "101/100"]], "edges": '
+     '[{"i": 0, "j": 1, "w": "2", "share_ij": "1/2"}, '
+     '{"i": 0, "j": 2, "w": "2", "share_ij": "1/2"}]}\n'),
+    (None, ['gen', 'random-supermodular', '--n', '2', '--m', '2', '--r-int',
+            '2', '--seed', '3'], 0,
+     '{"n": 2, "m": 2, "tables": [[{"strategy": 1, "others": [], '
+     '"u": "1"}, {"strategy": 1, "others": [1], "u": "9"}, '
+     '{"strategy": 2, "others": [], "u": "16"}, {"strategy": 2, '
+     '"others": [1], "u": "36"}], [{"strategy": 1, "others": [], '
+     '"u": "16"}, {"strategy": 1, "others": [0], "u": "64"}, '
+     '{"strategy": 2, "others": [], "u": "1"}, {"strategy": 2, '
+     '"others": [0], "u": "25"}]]}\n'),
+    (None, ['gen', 'random-omega', '--n', '3', '--m', '2', '--seed', '3',
+            '--omega', '3/4'], 0,
+     '{"n": 3, "m": 2, "a": ["2", "5", "5"], "b": ["2", "3", "5"], '
+     '"labels": [["zero", "conflict", "zero"], ["conflict", "zero", '
+     '"zero"], ["zero", "zero", "zero"]], "omega": "3/4"}\n'),
+    (None, ['gen', 'random-hypergraph', '--n', '3', '--m', '2', '--seed',
+            '2'], 0,
+     '{"n": 3, "m": 2, "edges": [{"players": [0, 1, 2], "w": "1", '
+     '"shares": ["1/3", "1/3", "1/3"], "anchor": null}, {"players": '
+     '[1, 2], "w": "6", "shares": ["1/2", "1/2"], "anchor": null}, '
+     '{"players": [0, 1, 2], "w": "6", "shares": ["1/3", "1/3", "1/3"], '
+     '"anchor": null}, {"players": [0, 1, 2], "w": "3", "shares": '
+     '["1/3", "1/3", "1/3"], "anchor": null}, {"players": [0, 2], '
+     '"w": "3", "shares": ["1/2", "1/2"], "anchor": 2}, {"players": [0], '
+     '"w": "6", "shares": ["1"], "anchor": 1}, {"players": [2], "w": "7", '
+     '"shares": ["1"], "anchor": 2}]}\n'),
+    ('tri', ['solve', 'oneshot-gen'], 0,
+     '{"profile": "1,1,1", "alpha_used": "2732051/1000000", '
+     '"moves": []}\n'),
+    # the one output that changed: this gate was ignored and the measured
+    # degree's gate, 2732051/1000000, used instead
+    ('tri', ['solve', 'oneshot-gen', '--alpha', '3/2'], 0,
+     '{"profile": "2,2,3", "alpha_used": "3/2", "moves": [{"player": 1, '
+     '"to": 2, "old": "2", "new": "4"}, {"player": 0, "to": 2, "old": "4", '
+     '"new": "8"}, {"player": 2, "to": 3, "old": "2", "new": "4"}]}\n'),
 ]
 
 

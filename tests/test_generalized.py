@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from scg import generalized
-from scg.analysis import SizeError
+from scg.analysis import SizeError, equilibrium_census
 from scg.dynamics import one_shot_alpha_br
 from scg.generalized import (TABLE_ENUM_CAP, GeneralizedGame, Hyperedge, HypergraphGame,
                              OmegaGame, TableError, additive_tables,
@@ -19,8 +19,7 @@ from scg.generalized import (TABLE_ENUM_CAP, GeneralizedGame, Hyperedge, Hypergr
                              serialize_generalized, serialize_hypergraph,
                              serialize_omega, supermodularity_degree,
                              triangle_game, triangle_nonexistence_check,
-                             verify_generalized, verify_omega_strong,
-                             welfare_generalized)
+                             verify_generalized, verify_omega_strong)
 from scg.generators import (random_hypergraph_cc, random_instance,
                             random_omega, random_supermodular)
 from scg.potentials import PotentialCertificate, RecoveryFailure, cc_recover
@@ -124,6 +123,28 @@ def test_one_shot_factor_beats_degree_plus_one():
             mf = verify_generalized(gg, profile).max_factor
             assert mf <= max(used, d * (1 + 1 / used))
             assert mf < r + 1
+
+
+@pytest.mark.parametrize("r", (1, 2))
+def test_one_shot_profile_is_in_the_exhaustive_census(r):
+    """The complementarity result against the exact equilibrium set: on
+    tables of degree at most r, the one-shot dynamic's profile is an
+    (r + 1)-approximate equilibrium."""
+    for n in range(1, 6):
+        for seed in range(3):
+            gg = random_supermodular(n, 3, r, seed)
+            profile, _, _ = one_shot_generalized(gg, 1)
+            assert profile in equilibrium_census(gg, r + 1).equilibria
+
+
+@pytest.mark.parametrize("c", (1, Fraction(3, 2), 2, 3))
+def test_triangle_census_is_empty_below_c(c):
+    """No alpha-equilibrium of the triangle game below alpha = c, some at c,
+    as the min-max deviation factor says."""
+    game = triangle_game(c)
+    assert triangle_nonexistence_check(c) == c
+    for alpha in (c - Fraction(1, 100), c - Fraction(1, 10**9), c):
+        assert equilibrium_census(game, alpha).exists == (alpha >= c)
 
 
 def test_one_shot_single_player():
@@ -481,3 +502,49 @@ def test_omega_validation():
                   b=(Fraction(1), Fraction(1)),
                   labels=(("zero", "zero"), ("zero", "zero")),
                   omega=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("edge,message", [
+    (dict(players=(0, 0)),
+     "edges[1].players: members must be distinct and nonempty"),
+    (dict(players=(), shares=()),
+     "edges[1].players: members must be distinct and nonempty"),
+    (dict(players=(0, 3)), "edges[1].players: member out of range"),
+    (dict(players=(-1, 0)), "edges[1].players: member out of range"),
+    (dict(anchor=3), "edges[1].anchor: strategy out of range"),
+    (dict(anchor=0), "edges[1].anchor: strategy out of range"),
+    (dict(weight=Fraction(-1, 2)),
+     "edges[1].weight: negative hyperedge weight"),
+    (dict(shares=(Fraction(1),)), "edges[1].shares: one per member required"),
+    (dict(shares=(H, Fraction(1, 3))),
+     "edges[1].shares: must be nonnegative and sum to 1"),
+    (dict(shares=(2, -1)),
+     "edges[1].shares: must be nonnegative and sum to 1"),
+])
+def test_hypergraph_validation_names_the_edge_and_field(edge, message):
+    """The second edge is the bad one, so the message names its index."""
+    fields = dict(players=(1, 2), weight=Fraction(1), shares=(H, H))
+    fields.update(edge)
+    edges = (Hyperedge((0,), Fraction(1), (Fraction(1),)), Hyperedge(**fields))
+    with pytest.raises(ValueError) as exc:
+        HypergraphGame(n=3, m=2, edges=edges)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(omega=Fraction(1, 3)), "omega must lie in [1/2, 1]"),
+    (dict(a=(1,)), "a: must have one entry per player"),
+    (dict(b=(1, 1, 1)), "b: must have one entry per player"),
+    (dict(b=(1, 0)), "a and b entries must be positive"),
+    (dict(labels=(("zero", "zero"),)), "labels: must be an n x n matrix"),
+    (dict(labels=(("zero", "zero"), ("zero",))),
+     "labels[1]: must be an n x n matrix"),
+    (dict(labels=(("zero", "two"), ("two", "zero"))),
+     "labels[0][1]: unknown label 'two'"),
+    (dict(labels=(("zero", "one"), ("zero", "zero"))),
+     "labels[0][1]: not symmetric"),
+])
+def test_omega_validation_names_the_field(fields, message):
+    with pytest.raises(ValueError) as exc:
+        _omega(**fields)
+    assert str(exc.value) == message

@@ -24,7 +24,10 @@ with the loops they replaced, the gated loop that rescans from player 0
 after every move and the pass-based continuing sweep, on every family,
 tables included: the same traces, the same sweep movers in order, the
 same `TableError` of an incomplete table, and on tables the same
-`scaled_utilities` calls.  Instances mix fractional
+`scaled_utilities` calls.  Tables' integer view is compared with the
+table lookups they read before it, holes included, and the flat scans the
+oracles run on tables and on hypergraphs with larger or anchored groups
+with flat scans over the Fraction lookups.  Instances mix fractional
 values, all-int values (scale 1) and coprime denominators whose lcm
 exceeds 2**64.  Runs are derandomized and small.
 """
@@ -1671,7 +1674,7 @@ def logged_calls(run, gg):
     class Logged(GeneralizedGame):
         def scaled_utilities(self, profile, i):
             calls.append((tuple(profile), i))
-            return self.utilities(profile, i)
+            return super().scaled_utilities(profile, i)
 
     return outcome(run, Logged(n=gg.n, m=gg.m, tables=gg.tables)), calls
 
@@ -1768,3 +1771,156 @@ def test_cycles_and_step_caps_match_the_restart_loop(game):
                                              step_cap=step_cap)
             reasons.add(trace.reason)
     assert {"step-cap", "cycle-detected"} <= reasons
+
+
+# --- tables on the integer protocol, and the scans of the oracles ------------
+
+
+def reference_table_utilities(gg, profile, i):
+    """The Fraction vector tables had before their integer view: one
+    `utility` lookup per strategy, in 1..m order, so an absent entry raises
+    at the first strategy that has one."""
+    groups = [[] for _ in range(gg.m)]
+    for j, s in enumerate(profile):
+        if j != i:
+            groups[s - 1].append(j)
+    return [gg.utility(i, k, group) for k, group in enumerate(groups, 1)]
+
+
+def family_utilities(game):
+    """The Fraction reference vector of a table or hypergraph game."""
+    if isinstance(game, GeneralizedGame):
+        return lambda p, i: reference_table_utilities(game, p, i)
+    return lambda p, i: reference_hypergraph_utilities(game, p, i)
+
+
+def scan_census(game, alpha):
+    """The census by a flat scan over every profile on the Fraction
+    reference vectors, each read in profile then player order: the first
+    maximum, and the profiles where every factor is at most alpha."""
+    utilities = family_utilities(game)
+    profiles = list(_profiles(game))
+    vectors = [[utilities(p, i) for i in range(game.n)] for p in profiles]
+    welfares = [sum((us[k - 1] for us, k in zip(vs, p)), Fraction(0))
+                for p, vs in zip(profiles, vectors)]
+    opt_w = max(welfares)
+    opt_profile = profiles[welfares.index(opt_w)]
+    eq, ws = [], []
+    for p, vs, w in zip(profiles, vectors, welfares):
+        if all(fraction_factor(us[k - 1], max(us)) <= alpha
+               for us, k in zip(vs, p)):
+            eq.append(p)
+            ws.append(w)
+
+    def ratio(w):
+        if w == 0:
+            return Fraction(1) if opt_w == 0 else math.inf
+        return opt_w / w
+
+    return EquilibriumCensus(
+        alpha=alpha, opt_profile=opt_profile, opt_welfare=opt_w,
+        equilibria=tuple(eq), equilibrium_welfares=tuple(ws),
+        poa=ratio(min(ws)) if eq else None,
+        pos=ratio(max(ws)) if eq else None, exists=bool(eq))
+
+
+def scan_strong(game, profile, alpha):
+    """The group check by a flat scan on the Fraction reference vectors."""
+    utilities = family_utilities(game)
+    base = [utilities(profile, i)[k - 1] for i, k in enumerate(profile)]
+    for alt in _profiles(game):
+        coalition = tuple(i for i in range(game.n) if alt[i] != profile[i])
+        if coalition and all(
+                fraction_factor(base[i], utilities(alt, i)[alt[i] - 1])
+                > alpha for i in coalition):
+            return StrongDeviationReport("violated", alpha, alt, coalition)
+    return StrongDeviationReport("stable-at-alpha", alpha)
+
+
+census_alphas = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                                 Fraction(2)))
+
+# tables, complete or with holes, and hypergraphs with a group of three or
+# more or an anchored pair: the games with no rest-free kernel
+scanned_games = (
+    tables
+    | certified_hypergraphs(st.integers(1, 5), st.integers(1, 3)).map(
+        lambda case: case[0])
+    | st.builds(lambda n, m, seed: random_hypergraph_cc(n, m, seed)[0],
+                st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))
+).filter(lambda g: isinstance(g, GeneralizedGame) or g._kernel.rest)
+
+
+@SETTINGS
+@given(started(tables))
+def test_table_view_matches_the_fraction_lookups(case):
+    """`scale` is the lcm of every entry's denominator; `scaled_utilities`
+    is the lookups' vector times it, as ints, and `utilities` is the
+    lookups' vector; an incomplete table raises the lookups' error."""
+    gg, profile, _ = case
+    assert gg.scale == math.lcm(*(u.denominator for u in gg.tables.values()))
+    for i in range(gg.n):
+        expected = outcome(reference_table_utilities, gg, profile, i)
+        assert outcome(gg.utilities, profile, i) == expected
+        scaled = outcome(gg.scaled_utilities, profile, i)
+        if expected[0] == "TableError":
+            assert scaled == expected
+        else:
+            assert all(type(u) is int for u in scaled)
+            assert scaled == [u * gg.scale for u in expected]
+
+
+@pytest.mark.parametrize("gg", (random_supermodular(3, 2, 2, 4),
+                                random_supermodular(3, 3, 1, 7),
+                                triangle_game(Fraction(3, 2))))
+def test_every_table_hole_raises_the_lookups_error(gg):
+    """Dropping any one entry of a complete table, every vector read at
+    every profile is the lookups' or raises their `TableError`, naming
+    the same entry; building the view raises nothing."""
+    for key in gg.tables:
+        holey = GeneralizedGame(n=gg.n, m=gg.m, tables={
+            k: v for k, v in gg.tables.items() if k != key})
+        assert holey.scale >= 1  # the view is built without raising
+        raised = set()
+        for profile in _profiles(holey):
+            for i in range(holey.n):
+                got = outcome(holey.utilities, profile, i)
+                assert got == outcome(reference_table_utilities, holey,
+                                      profile, i)
+                if got[0] == "TableError":
+                    raised.add(got[1])
+        i, k, others = key
+        assert raised == {f"no entry for player {i}, strategy {k}, "
+                          f"set {sorted(others)}"}
+
+
+@SETTINGS
+@given(scanned_games, census_alphas)
+@example(REST_GROUPS, Fraction(1))
+@example(triangle_game(2), Fraction(2))
+def test_scan_oracles_match_the_fraction_scan(game, alpha):
+    """The optimum, the census and the semi-smoothness check of a game with
+    no rest-free kernel are the flat Fraction scan's, or raise its
+    `TableError`."""
+    census = outcome(scan_census, game, alpha)
+    raised = isinstance(census, tuple)
+    optimum = census if raised else (census.opt_profile, census.opt_welfare)
+    assert outcome(brute_force_optimum, game) == optimum
+    assert outcome(equilibrium_census, game, alpha) == census
+    if not raised:
+        profile = census.equilibria[0] if census.exists else (1,) * game.n
+        vectors = [family_utilities(game)(profile, i) for i in range(game.n)]
+        assert semi_smoothness_check(game, profile) == (
+            sum((sum(us, Fraction(0)) for us in vectors), Fraction(0))
+            >= census.opt_welfare)
+
+
+@GROUP_SETTINGS
+@given(started(scanned_games), strong_alphas)
+@example((REST_GROUPS, (1, 2, 3, 1, 2), 1), Fraction(1))
+def test_scan_group_check_matches_the_fraction_scan(case, alpha):
+    """The unbounded group search of a game with no rest-free kernel
+    returns the flat Fraction scan's report, or raises its `TableError`."""
+    game, profile, _ = case
+    assert (outcome(verify_approx_strong, game, profile, alpha)
+            == outcome(scan_strong, game, profile, alpha))
