@@ -188,12 +188,10 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     move pushes the mover's hearers, the only players whose eligibility it
     can change (the mover now plays a best response to the same others);
     each pop re-checks the player.  Stops at convergence, after `step_cap`
-    moves (default m^n * n), or on reaching a profile seen before.  Works
-    on any game with `scaled_utilities`; trusts `start`.
+    moves (None: no cap), or on reaching a profile seen before (within m^n
+    moves).  Works on any game with `scaled_utilities`; trusts `start`.
     """
-    if step_cap is None:
-        step_cap = (game.m ** game.n) * max(game.n, 1)
-    if step_cap < 1:
+    if step_cap is not None and step_cap < 1:
         raise ValueError("step_cap must be >= 1")
     scale = game.scale
     run = _Run(game, start)
@@ -217,7 +215,7 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
                           Fraction(u_new, scale)))
         run.move(i, k)
         terminal = tuple(profile)
-        if len(moves) >= step_cap:
+        if step_cap is not None and len(moves) >= step_cap:
             return DynamicsTrace(tuple(moves), terminal, "step-cap")
         size = len(seen)
         seen.add(terminal)  # hashes the n-tuple once, not for `in` too
@@ -235,7 +233,7 @@ def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
 
     Moves the lowest-indexed player whose best response clears `rule`,
     then looks again from player 0; stops at convergence, a revisited
-    profile, or the step cap (default m^n * n).
+    profile, or after `step_cap` moves (default no cap).
     """
     game.validate_profile(start)
     return _gated_dynamics(game, start, rule, step_cap=step_cap)

@@ -418,7 +418,7 @@ def hypergraph_br_dynamics(hgame, start, step_cap=None):
 
     Runs the gated loop of `scg.dynamics.run_dynamics` with the plain
     strict-improvement gate, so it has the same stop rule: "converged",
-    "step-cap" after `step_cap` moves (default m^n * n, must be >= 1), or
+    "step-cap" after `step_cap` moves (default no cap, must be >= 1), or
     "cycle-detected" as soon as a profile repeats.  Each move is
     (player, from strategy, to strategy).
     """

@@ -1,18 +1,25 @@
 """Instance generators: named families and seeded random corpora.
 
 Generation is a pure function of the parameters and the seed, so fixtures
-regenerate byte-identically.  Random rationals keep small denominators to
-keep exact arithmetic cheap.
+regenerate byte-identically.  Draws come from fixed ranges.
+`random_instance`, `random_cc` and `random_symmetric` share one draw: own
+values randint(0, 10) / choice(1, 2, 3), then each pair kept with
+probability `edge_prob` (1/2 for the last two) at weight 1..10, split at
+randint(1, 9) / 10, at gamma_i / (gamma_i + gamma_j) for influence weights
+gamma in 1..5 drawn first, or evenly.  `random_supermodular` draws base
+values 0..6 and directed pair gains 0..4, `random_omega` bonuses a, b in
+1..5, and `random_hypergraph_cc` gamma in 1..5, n + 2 groups of two or
+three players and anchored singletons, all at weight 1..8.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 from .analysis import _exact_alpha
-from .generalized import GeneralizedGame, Hyperedge, HypergraphGame, OmegaGame
+from .generalized import (GeneralizedGame, Hyperedge, HypergraphGame, OmegaGame,
+                          additive_tables)
 from .model import Edge, GameInstance
 from .rationals import SQRT2_APPROX
 
@@ -83,17 +90,17 @@ def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
     return GameInstance(n=m, m=m, intrinsic=tuple(intrinsic), edges=edges)
 
 
-def _random_fraction(rng, num_max, den_choices=(1, 2, 3)):
-    return Fraction(rng.randint(0, num_max), rng.choice(den_choices))
-
-
-def random_instance(n, m, seed, weight_max=10, edge_prob=Fraction(1, 2)):
-    """Random instance with interior split coefficients (finite imbalance)."""
+def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
+    """The draw of the pairwise families: after the size check,
+    `share_rule(rng)` makes the family's own draws and returns share(i, j),
+    drawn after the weight of each pair i < j that the pass keeps."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     rng = random.Random(seed)
+    share = share_rule(rng)
     intrinsic = tuple(
-        tuple(_random_fraction(rng, weight_max) for _ in range(m))
+        tuple(Fraction(rng.randint(0, 10), rng.choice((1, 2, 3)))
+              for _ in range(m))
         for _ in range(n))
     p, q = edge_prob.as_integer_ratio()
     # rng.random() = k/2**53 < p/q iff int k < ceil(2**53 p/q) =: c, and the
@@ -103,81 +110,65 @@ def random_instance(n, m, seed, weight_max=10, edge_prob=Fraction(1, 2)):
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < cut:
-                w = Fraction(rng.randint(1, weight_max))
-                share = Fraction(rng.randint(1, 9), 10)
-                edges.append(Edge(i=i, j=j, w=w, share_ij=share))
+                w = Fraction(rng.randint(1, 10))
+                edges.append(Edge(i=i, j=j, w=w, share_ij=share(i, j)))
     return GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges))
 
 
-def random_cc(n, m, seed, gamma_max=5, weight_max=10):
+def random_instance(n, m, seed, edge_prob=HALF):
+    """Random instance with interior split coefficients (finite imbalance)."""
+    def interior(rng):
+        return lambda i, j: Fraction(rng.randint(1, 9), 10)
+    return _random_pairwise(n, m, seed, interior, edge_prob)
+
+
+def random_cc(n, m, seed):
     """Random instance whose splits come from per-player influence weights,
     so weight recovery succeeds by construction."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    rng = random.Random(seed)
-    gamma = [Fraction(rng.randint(1, gamma_max)) for _ in range(n)]
-    intrinsic = tuple(
-        tuple(_random_fraction(rng, weight_max) for _ in range(m))
-        for _ in range(n))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                w = Fraction(rng.randint(1, weight_max))
-                edges.append(Edge(i=i, j=j, w=w,
-                                  share_ij=gamma[i] / (gamma[i] + gamma[j])))
-    return GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges)), tuple(gamma)
+    gamma = []
+
+    def influence(rng):
+        gamma.extend(Fraction(rng.randint(1, 5)) for _ in range(n))
+        return lambda i, j: gamma[i] / (gamma[i] + gamma[j])
+    return _random_pairwise(n, m, seed, influence), tuple(gamma)
 
 
-def random_symmetric(n, m, seed, weight_max=10):
+def random_symmetric(n, m, seed):
     """Random instance with every relationship split evenly."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    rng = random.Random(seed)
-    intrinsic = tuple(
-        tuple(_random_fraction(rng, weight_max) for _ in range(m))
-        for _ in range(n))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                edges.append(Edge(i=i, j=j, w=Fraction(rng.randint(1, weight_max)),
-                                  share_ij=HALF))
-    return GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges))
+    return _random_pairwise(n, m, seed, lambda rng: lambda i, j: HALF)
 
 
-def random_supermodular(n, m, r, seed, base_max=6, gain_max=4):
+def random_supermodular(n, m, r, seed):
     """Random generalized game with complementarity degree at most r.
 
-    r = 1 gives additive tables; r = 2 squares an additive table, which
-    keeps monotonicity and bounds every union ratio by 2 since
-    (x + y)^2 <= 2 (x^2 + y^2).
+    r = 1 gives the additive tables of a pairwise game whose pair (i, j)
+    pays i the directed gain g_ij and j the gain g_ji; r = 2 squares
+    them, which keeps monotonicity and bounds every union ratio by 2
+    since (x + y)^2 <= 2 (x^2 + y^2).
     """
     if r not in (1, 2):
         raise ValueError("only degree bounds 1 and 2 are generated")
     if not (1 <= n <= 8):
         raise ValueError("n must be in 1..8 (tables are exponential in n)")
     rng = random.Random(seed)
-    base = [[Fraction(rng.randint(0, base_max)) for _ in range(m)]
-            for _ in range(n)]
-    gain = {}
+    base = tuple(tuple(Fraction(rng.randint(0, 6)) for _ in range(m))
+                 for _ in range(n))
+    gain = {(i, j): rng.randint(0, 4)
+            for i in range(n) for j in range(n) if i != j}
+    edges = []
     for i in range(n):
-        for j in range(n):
-            if i != j:
-                gain[(i, j)] = Fraction(rng.randint(0, gain_max))
-    tables = {}
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        for size in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                g = sum((gain[(i, j)] for j in combo), ZERO)
-                for k in range(1, m + 1):
-                    v = base[i][k - 1] + g
-                    tables[(i, k, frozenset(combo))] = v if r == 1 else v * v
+        for j in range(i + 1, n):
+            w = gain[i, j] + gain[j, i]
+            edges.append(Edge(i=i, j=j, w=Fraction(w),
+                              share_ij=Fraction(gain[i, j], w) if w else HALF))
+    tables = additive_tables(GameInstance(n=n, m=m, intrinsic=base,
+                                          edges=tuple(edges))).tables
+    if r == 2:
+        tables = {key: v * v for key, v in tables.items()}
     return GeneralizedGame(n=n, m=m, tables=tables)
 
 
-def random_omega(n, m, seed, omega=HALF, value_max=5):
+def random_omega(n, m, seed, omega=HALF):
     """Random conflict-aware game with a feasible state guaranteed.
 
     Players get a random home strategy; conflicts only appear between
@@ -186,8 +177,8 @@ def random_omega(n, m, seed, omega=HALF, value_max=5):
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     rng = random.Random(seed)
-    a = tuple(Fraction(rng.randint(1, value_max)) for _ in range(n))
-    b = tuple(Fraction(rng.randint(1, value_max)) for _ in range(n))
+    a = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
+    b = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
     home = [rng.randint(1, m) for _ in range(n)]
     labels = [["zero"] * n for _ in range(n)]
     for i in range(n):
@@ -205,30 +196,28 @@ def random_omega(n, m, seed, omega=HALF, value_max=5):
                      omega=_exact_alpha(omega, "omega"))
 
 
-def random_hypergraph_cc(n, m, seed, gamma_max=5, weight_max=8, edge_count=None):
+def random_hypergraph_cc(n, m, seed):
     """Random hypergraph game whose shares derive from one influence-weight
     vector, so recovery succeeds and the potential is ordinal."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     rng = random.Random(seed)
-    gamma = [Fraction(rng.randint(1, gamma_max)) for _ in range(n)]
-    if edge_count is None:
-        edge_count = n + 2
+    gamma = [Fraction(rng.randint(1, 5)) for _ in range(n)]
     edges = []
-    for _ in range(edge_count):
+    for _ in range(n + 2):
         size = rng.randint(2, min(3, n))
         players = tuple(sorted(rng.sample(range(n), size)))
         total = sum((gamma[i] for i in players), ZERO)
         shares = tuple(gamma[i] / total for i in players)
         anchor = rng.randint(1, m) if rng.random() < 0.3 else None
         edges.append(Hyperedge(players=players,
-                               weight=Fraction(rng.randint(1, weight_max)),
+                               weight=Fraction(rng.randint(1, 8)),
                                shares=shares, anchor=anchor))
     # anchored singleton edges play the role of intrinsic preferences
     for i in range(n):
         if rng.random() < 0.5:
             edges.append(Hyperedge(players=(i,),
-                                   weight=Fraction(rng.randint(1, weight_max)),
+                                   weight=Fraction(rng.randint(1, 8)),
                                    shares=(Fraction(1),),
                                    anchor=rng.randint(1, m)))
     return HypergraphGame(n=n, m=m, edges=tuple(edges)), tuple(gamma)

@@ -41,7 +41,8 @@ from fractions import Fraction
 
 from .analysis import _profiles
 from .model import _EXACT, _inexact, _int_kernel, player_utility
-from .rationals import format_rational, rational_reader, rational_writer
+from .rationals import (format_rational, load_list, rational_reader,
+                        rational_writer)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,9 +60,10 @@ class PotentialCertificate:
 
     @staticmethod
     def from_json(text):
-        raw, read = json.loads(text), rational_reader()
-        return PotentialCertificate(
-            gamma=tuple(read(v, f"gamma[{i}]") for i, v in enumerate(raw)))
+        read = rational_reader()
+        return PotentialCertificate(gamma=tuple(
+            read(v, f"gamma[{i}]")
+            for i, v in enumerate(load_list(text, "gamma"))))
 
 
 @dataclass(frozen=True)

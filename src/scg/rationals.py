@@ -29,8 +29,8 @@ class ParseError(ValueError):
 
 
 def parse_rational(text, field="value"):
-    """Parse "p/q" or a plain integer string into an exact Fraction."""
-    if isinstance(text, int):
+    """Parse "p/q", an integer string or an int (not a bool) exactly."""
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"{field}: expected rational string, got {type(text).__name__}")
@@ -57,13 +57,18 @@ def rational_reader():
     return read
 
 
+def _decode(text, prefix=""):
+    """`json.loads(text)`; malformed text raises a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{prefix}malformed JSON: {exc}") from exc
+
+
 def load_object(text, fields):
     """Decode JSON text that must be an object holding every one of
     `fields`; a ParseError names what is wrong."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    data = _decode(text)
     if not isinstance(data, dict):
         raise ParseError("top level: expected object")
     for key in fields:
@@ -77,6 +82,11 @@ def _as_list(value, field):
     if not isinstance(value, list):
         raise ParseError(f"{field}: expected a list")
     return value
+
+
+def load_list(text, field):
+    """Decode JSON text that must be a list; a ParseError names `field`."""
+    return _as_list(_decode(text, f"{field}: "), field)
 
 
 def format_rational(x):
@@ -111,30 +121,28 @@ def at_least_sqrt2_times(x, y):
     return x * x >= 2 * y * y
 
 
-def supermodular_alpha(r, denominator=10**6):
-    """Smallest rational p/denominator >= (r + sqrt(r*(r+4))) / 2.
+def supermodular_alpha(r):
+    """Smallest rational p/10**6 >= (r + sqrt(r*(r+4))) / 2.
 
     The exact threshold is irrational for most r; the result is verified by
     exact squared comparison, so the returned rational is the true ceiling
-    at the given denominator.
+    at denominator 10**6.
     """
     r = Fraction(r)
     if r < 1:
         raise ValueError("supermodularity degree must be >= 1")
     disc = r * (r + 4)
+    den = 10**6
 
     def is_upper(p):
-        # p/denominator >= (r + sqrt(disc))/2  <=>  (2p/den - r)^2 >= disc
-        lhs = 2 * Fraction(p, denominator) - r
+        # p/den >= (r + sqrt(disc))/2  <=>  (2p/den - r)^2 >= disc
+        lhs = 2 * Fraction(p, den) - r
         return lhs >= 0 and lhs * lhs >= disc
 
-    # denominator * (r + sqrt(disc)) / 2 for r = a/b, less at most two
-    # units, computed in integers: a float guess overflows for huge r
+    # den * (r + sqrt(disc)) / 2 for r = a/b rounded down (a float guess
+    # overflows for huge r), so counting up stops on the ceiling
     a, b = r.numerator, r.denominator
-    p = (denominator * a
-         + math.isqrt(a * (a + 4 * b) * denominator * denominator)) // (2 * b)
+    p = (den * a + math.isqrt(a * (a + 4 * b) * den * den)) // (2 * b)
     while not is_upper(p):
         p += 1
-    while p > 0 and is_upper(p - 1):
-        p -= 1
-    return Fraction(p, denominator)
+    return Fraction(p, den)

@@ -234,6 +234,28 @@ def test_bad_table_field_exits_2(tmp_path, capsys, command):
                             "expected a list of integers\n")
 
 
+@pytest.mark.parametrize("command,game,err", [
+    (["verify", "nash", "--profile", "1,1"],
+     {"n": 2, "m": 1, "intrinsic": [[True], ["1"]], "edges": []},
+     "intrinsic[0][0]"),
+    (["verify", "generalized", "--profile", "1"],
+     {"n": 1, "m": 1, "tables": [[{"strategy": 1, "others": [], "u": True}]]},
+     "tables[0][0].u"),
+    (["solve", "lexstrong"],
+     {"n": 1, "m": 1, "a": [True], "b": ["1"], "labels": [["zero"]],
+      "omega": "1/2"},
+     "a[0]"),
+], ids=["instance", "tables", "omega"])
+def test_boolean_rational_exits_2(tmp_path, capsys, command, game, err):
+    """A JSON true is not the rational 1 in any wire format."""
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(game))
+    assert main(command + ["--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}: expected rational string, got bool\n"
+
+
 @pytest.mark.parametrize("flag", ["r", "eps", "c", "omega"])
 def test_rational_flag_errors_name_the_flag(capsys, flag):
     kind = {"eps": "prop5", "c": "triangle", "omega": "random-omega"}

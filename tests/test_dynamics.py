@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from scg.analysis import deviation_report, verify_approx_strong
 from scg.dynamics import (MoveRule, algorithm1_two, best_response, hybrid,
                           one_shot_alpha_br, run_dynamics, sqrt2_three,
                           strong_two)
-from scg.generators import example1, random_cc, random_instance
+from scg.generalized import hypergraph_br_dynamics
+from scg.generators import (example1, random_cc, random_hypergraph_cc,
+                            random_instance)
 from scg.model import (Edge, GameInstance, instance_stats, player_utility,
                        welfare_total)
 from scg.rationals import SQRT2_APPROX
@@ -202,6 +205,23 @@ def test_one_shot_rejects_bad_arguments():
     for k0 in (1.0, True):  # used to start from a float or bool profile
         with pytest.raises(ValueError, match="starting strategy: expected"):
             one_shot_alpha_br(g, k0, Fraction(1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: strong_two(example1(1)),
+     "strong_two requires exactly two strategies"),
+    (lambda: hybrid(two_player(4, 5, 6), Fraction(2), opt_welfare=0),
+     "optimum welfare must be positive"),
+    (lambda: run_dynamics(two_player(4, 5, 6), (1, 1), step_cap=0),
+     "step_cap must be >= 1"),
+    (lambda: hypergraph_br_dynamics(random_hypergraph_cc(3, 2, 0)[0],
+                                    (1, 1, 1), step_cap=0),
+     "step_cap must be >= 1"),
+], ids=["strong-two-m", "hybrid-optimum", "run-dynamics-step-cap",
+        "hypergraph-step-cap"])
+def test_rejections_give_their_exact_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_best_of_two_runs_matches_exhaustive_optimum():

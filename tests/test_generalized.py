@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -317,11 +318,54 @@ def test_hypergraph_potential_is_ordinal_and_dynamics_converge():
     pytest.param([{"players": [0], "w": "1", "shares": ["1"], "anchor": 1.0}],
                  "edges[0].anchor: expected an int, got float",
                  id="edges4-edges[0].anchor"),
+    pytest.param([{"players": [0], "w": True, "shares": ["1"]}],
+                 "edges[0].w: expected rational string, got bool",
+                 id="edges5-edges[0].w"),
 ])
 def test_parse_hypergraph_names_a_non_list_field(edges, message):
     with pytest.raises(ParseError) as exc:
         parse_hypergraph(json.dumps({"n": 1, "m": 1, "edges": edges}))
     assert str(exc.value).startswith(message)
+
+
+def _tables_text(tables, n=1):
+    return json.dumps({"n": n, "m": 1, "tables": tables})
+
+
+CONFLICTED = OmegaGame(n=2, m=1, a=(1, 1), b=(1, 1),
+                       labels=(("zero", "conflict"), ("conflict", "zero")),
+                       omega=H)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_generalized(_tables_text([[], []])),
+     ParseError, "tables: expected one entry list per player"),
+    (lambda: parse_generalized(_tables_text([[{"strategy": 1, "u": "1"}]])),
+     ParseError, "tables[0][0]: missing strategy/others"),
+    (lambda: parse_generalized(_tables_text([[
+        {"strategy": 1, "others": [], "u": "1"},
+        {"strategy": 1, "others": [], "u": "2"}]])),
+     ParseError, "tables[0][1]: duplicate entry"),
+    (lambda: parse_generalized(_tables_text([[
+        {"strategy": 2, "others": [], "u": "1"}]])),
+     ParseError, "table key (0,2,set()): need an int player in 0..0 not "
+     "among the others, an int strategy in 1..1 and int others in 0..0"),
+    (lambda: parse_hypergraph(json.dumps({"n": 1, "m": 1, "edges": [
+        {"w": "1", "shares": ["1"]}]})),
+     ParseError, "edges[0]: missing players"),
+    (lambda: GeneralizedGame(n=1, m=1, tables={(0, 1, frozenset()): -H}),
+     ValueError, "table entry (0,1,set()): negative"),
+    (lambda: verify_omega_strong(CONFLICTED, (1, 1), 2),
+     ValueError, "profile is infeasible"),
+    (lambda: triangle_game(H), ValueError, "c must be >= 1"),
+    (lambda: additive_tables(random_instance(13, 1, 0)),
+     ValueError, "additive table expansion capped at n = 12"),
+], ids=["entry-list-count", "missing-strategy-others", "duplicate-entry",
+        "constructor-rejection", "missing-players", "negative-entry",
+        "infeasible-profile", "triangle-c-below-1", "additive-cap"])
+def test_rejections_give_their_exact_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_hypergraph_json_round_trip():

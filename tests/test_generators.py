@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,28 @@ def test_family_parameters_refuse_an_inexact_value(value):
                 f"^{name}: expected an int or Fraction, "
                 f"got {type(value).__name__}$")):
             build()
+
+
+PAIRWISE_SIZE = "need n >= 1 and m >= 1"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: symmetric_pos_tight(1), "need m >= 2, r > 0, eps > 0"),
+    (lambda: random_instance(0, 2, 0), PAIRWISE_SIZE),
+    (lambda: random_cc(2, 0, 0), PAIRWISE_SIZE),
+    (lambda: random_symmetric(-1, 2, 0), PAIRWISE_SIZE),
+    (lambda: random_supermodular(9, 2, 1, 0),
+     "n must be in 1..8 (tables are exponential in n)"),
+    (lambda: random_supermodular(0, 2, 2, 0),
+     "n must be in 1..8 (tables are exponential in n)"),
+    (lambda: random_omega(2, 0, 0), PAIRWISE_SIZE),
+    (lambda: random_hypergraph_cc(1, 2, 0), "need n >= 2 and m >= 1"),
+], ids=["symmetric-pos-tight", "random-instance", "random-cc",
+        "random-symmetric", "supermodular-n-9", "supermodular-n-0",
+        "random-omega", "random-hypergraph"])
+def test_size_checks_give_their_exact_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_star_family_shape():

@@ -8,8 +8,10 @@ references kept here: the Fraction utility-vector and welfare loops that
 `GameInstance` used before it was scaled to one integer denominator, the
 kernel it built from Fraction edge gains before they were int pairs, the
 ``rng.random() < Fraction(edge_prob)`` edge draw of `random_instance`, the
-gate ``u_new >= alpha * u_old`` and the factor ``u_new / u_old`` computed
-on Fractions, best responses found by a per-strategy scan, the degree as a
+bodies `random_cc`, `random_symmetric` and `random_supermodular` had before
+they shared one pairwise draw and took `additive_tables`, the gate
+``u_new >= alpha * u_old`` and the factor ``u_new / u_old`` computed on
+Fractions, best responses found by a per-strategy scan, the degree as a
 Fraction ratio over every pair of table entries, the audit with both
 changes computed as Fractions on every trial, the Fraction group-deviation
 loop and the `lex_compare` loop that omega games had of their own, the
@@ -357,19 +359,18 @@ def test_int_pair_kernel_matches_the_fraction_kernel(g, coprime, w, share,
         assert kernel.rest == []
 
 
-def reference_random_edges(n, m, seed, edge_prob, weight_max=10,
-                           rng_type=random.Random):
+def reference_random_edges(n, m, seed, edge_prob, rng_type=random.Random):
     """The edges `random_instance` drew before its int threshold: each pair
     kept when ``rng.random() < Fraction(edge_prob)``."""
     rng = rng_type(seed)
     for _ in range(n * m):  # the intrinsic draws come first
-        rng.randint(0, weight_max)
+        rng.randint(0, 10)
         rng.choice((1, 2, 3))
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < Fraction(edge_prob):
-                w = Fraction(rng.randint(1, weight_max))
+                w = Fraction(rng.randint(1, 10))
                 edges.append(Edge(i, j, w, Fraction(rng.randint(1, 9), 10)))
     return tuple(edges)
 
@@ -415,6 +416,91 @@ def test_random_instance_threshold_is_exact_at_its_edge(monkeypatch,
     assert edges == reference_random_edges(n, 1, 0, edge_prob,
                                            rng_type=NearCut)
     assert 0 < len(edges) < n * (n - 1) // 2
+
+
+def reference_random_cc(n, m, seed):
+    """`random_cc` as it was written before the pairwise draw was shared:
+    influence weights, own values, then a Fraction-free 1/2 edge test."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    rng = random.Random(seed)
+    gamma = [Fraction(rng.randint(1, 5)) for _ in range(n)]
+    intrinsic = tuple(
+        tuple(Fraction(rng.randint(0, 10), rng.choice((1, 2, 3)))
+              for _ in range(m))
+        for _ in range(n))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                w = Fraction(rng.randint(1, 10))
+                edges.append(Edge(i=i, j=j, w=w,
+                                  share_ij=gamma[i] / (gamma[i] + gamma[j])))
+    return (GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges)),
+            tuple(gamma))
+
+
+def reference_random_symmetric(n, m, seed):
+    """`random_symmetric` as it was written before the pairwise draw was
+    shared."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    rng = random.Random(seed)
+    intrinsic = tuple(
+        tuple(Fraction(rng.randint(0, 10), rng.choice((1, 2, 3)))
+              for _ in range(m))
+        for _ in range(n))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                edges.append(Edge(i=i, j=j, w=Fraction(rng.randint(1, 10)),
+                                  share_ij=Fraction(1, 2)))
+    return GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges))
+
+
+def reference_random_supermodular(n, m, r, seed):
+    """`random_supermodular` as it was written before it took the tables
+    of `additive_tables`: every subset of the others summed on its own."""
+    if r not in (1, 2):
+        raise ValueError("only degree bounds 1 and 2 are generated")
+    if not (1 <= n <= 8):
+        raise ValueError("n must be in 1..8 (tables are exponential in n)")
+    rng = random.Random(seed)
+    base = [[Fraction(rng.randint(0, 6)) for _ in range(m)]
+            for _ in range(n)]
+    gain = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                gain[(i, j)] = Fraction(rng.randint(0, 4))
+    tables = {}
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        for size in range(len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                g = sum((gain[(i, j)] for j in combo), Fraction(0))
+                for k in range(1, m + 1):
+                    v = base[i][k - 1] + g
+                    tables[(i, k, frozenset(combo))] = v if r == 1 else v * v
+    return GeneralizedGame(n=n, m=m, tables=tables)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_random_families_match_their_own_draws(n, m):
+    """The shared pairwise draw and the tables taken from `additive_tables`
+    give the corpora the families drew on their own, in the same order."""
+    for seed in range(6):
+        game, gamma = random_cc(n, m, seed)
+        ref_game, ref_gamma = reference_random_cc(n, m, seed)
+        assert (game, gamma) == (ref_game, ref_gamma)
+        assert random_symmetric(n, m, seed) == reference_random_symmetric(
+            n, m, seed)
+        for r in (1, 2):
+            tables = random_supermodular(n, m, r, seed).tables
+            ref_tables = reference_random_supermodular(n, m, r, seed).tables
+            assert list(tables.items()) == list(ref_tables.items())
 
 
 @SETTINGS

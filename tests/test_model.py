@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,32 @@ def test_constructor_rejects_floats_and_bools(bad, where):
         GameInstance(**fields)
     # plain ints stay exact values
     GameInstance(n=1, m=2, intrinsic=((3, 0),), edges=())
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["1"]],'
+                            '"edges":[5]}'),
+     ParseError, "edges[0]: expected object"),
+    (lambda: parse_instance('{"n":2,"m":1,"intrinsic":[["1"],["1"]],'
+                            '"edges":[{"i":0,"w":"1","share_ij":"1/2"}]}'),
+     ParseError, "edges[0]: missing endpoint"),
+    (lambda: GameInstance(n=2, m=2, intrinsic=((1, 0), (1,)), edges=()),
+     ValueError, "intrinsic[1]: expected m entries"),
+    (lambda: GameInstance(n=2, m=1, intrinsic=((1,), (1,)),
+                          edges=(Edge(0, 2, 1, Fraction(1, 2)),)),
+     ValueError, "edge (0,2): player index out of range"),
+    (lambda: two_player().validate_profile((1, 2, 1)),
+     ValueError, "profile length must equal player count"),
+    (lambda: player_utility(two_player(), (1, 2), 2),
+     IndexError, "player index 2 out of range"),
+    (lambda: player_utility(two_player(), (1, 2), 0, strategy=3),
+     ValueError, "strategy 3 out of range 1..2"),
+], ids=["edge-not-object", "edge-missing-endpoint", "short-intrinsic-row",
+        "endpoint-out-of-range", "profile-length", "player-index",
+        "deviation-strategy"])
+def test_rejections_give_their_exact_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1", None])

@@ -12,6 +12,7 @@ from scg.model import Edge, GameInstance, player_utility
 from scg.potentials import (PotentialCertificate, RecoveryFailure, cc_recover,
                             certificate_shares_match, ordinal_audit,
                             potential_delta, potential_value)
+from scg.rationals import ParseError
 
 
 def test_even_splits_recover_unit_weights():
@@ -147,6 +148,20 @@ def test_certificate_json_round_trip():
     assert PotentialCertificate.from_json(cert.to_json()) == cert
 
 
+@pytest.mark.parametrize("text,message", [
+    ('"12"', "gamma: expected a list$"),
+    ('{"3": 1}', "gamma: expected a list$"),
+    ("5", "gamma: expected a list$"),
+    ("[1, 2", "gamma: malformed JSON: "),
+    ("[1, true]", "gamma\\[1\\]: expected rational string, got bool$"),
+], ids=["string", "object", "number", "malformed", "boolean"])
+def test_certificate_decodes_like_a_game_file(text, message):
+    """A certificate is a JSON list of rationals; anything else is a
+    ParseError naming gamma, never weights read off a string or keys."""
+    with pytest.raises(ParseError, match=f"^{message}"):
+        PotentialCertificate.from_json(text)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_sampled_audit_requires_a_trial(trials):
     g, _ = random_cc(12, 3, 0)
@@ -176,6 +191,16 @@ def test_nonpositive_weight_is_named(weight):
     with pytest.raises(ValueError, match="gamma\\[1\\]"):
         ordinal_audit(g, cert)
     with pytest.raises(ValueError, match="gamma\\[1\\]"):
+        potential_value(g, (1, 1, 1, 1), cert)
+
+
+@pytest.mark.parametrize("weight,kind", [(0.5, "float"), (True, "bool"),
+                                         ("2", "str")])
+def test_inexact_weight_is_named(weight, kind):
+    g, _ = random_cc(4, 3, 1)
+    cert = PotentialCertificate(gamma=(1, weight, 1, 2))
+    with pytest.raises(ValueError, match=(
+            f"^gamma\\[1\\]: expected an int or Fraction, got {kind}$")):
         potential_value(g, (1, 1, 1, 1), cert)
 
 

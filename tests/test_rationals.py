@@ -15,7 +15,8 @@ def test_parse_plain_and_fraction():
     assert parse_rational(4) == Fraction(4)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "x", "1.5", None, [1]])
+@pytest.mark.parametrize("bad", ["", "1/0", "x", "1.5", None, [1], True,
+                                 False])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_rational(bad, "w")
@@ -99,6 +100,13 @@ def test_gate_exact_when_threshold_rational():
     # threshold t satisfies t^2 = r(t+1); choose t = 3 -> r = 9/4
     a = supermodular_alpha(Fraction(9, 4))
     assert a == 3
+
+
+@pytest.mark.parametrize("r", [0, Fraction(99, 100), -5])
+def test_gate_refuses_a_degree_below_one(r):
+    with pytest.raises(ValueError,
+                       match="^supermodularity degree must be >= 1$"):
+        supermodular_alpha(r)
 
 
 def test_gate_for_huge_degree_does_not_overflow():
