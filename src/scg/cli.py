@@ -8,6 +8,12 @@ only decode, the game constructors and the library entry points decide
 what is valid, and `main` turns every rejection (a `ValueError`, which a
 `ParseError` and a `CliError` are) into one line ``error: <message>`` and
 exit code 2.
+
+Each choice is written once: `GEN_KINDS` maps every `gen` kind to the
+function that builds its game, `WRITERS` maps each game type to its
+wire-format writer, `_cmd_solve` prints every algorithm's result through
+one `_write`, and `build_parser` adds `--out`, the last option of every
+subcommand, in one loop.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 
 from . import analysis, dynamics, generalized, generators, model, potentials
 from .analysis import SizeError
-from .rationals import INF, format_rational, parse_rational
+from .rationals import INF, format_rational, parse_int, parse_rational
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -38,14 +44,14 @@ def _parse_m(text):
     if text == "inf":
         return INF
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise CliError(f"m: expected integer or 'inf', got {text!r}")
 
 
 def _parse_profile(text, n):
     try:
-        profile = tuple(int(x) for x in text.split(","))
+        profile = tuple(parse_int(x) for x in text.split(","))
     except ValueError:
         raise CliError(f"profile: expected comma-separated integers, got {text!r}")
     if len(profile) != n:
@@ -81,46 +87,44 @@ def _profile_str(profile):
 # --- gen ---------------------------------------------------------------------
 
 
+def _rational(args, name):
+    return parse_rational(getattr(args, name), name)
+
+
+#: Each `gen` kind and the function that builds its game from the parsed
+#: arguments, in the order `scg gen --help` lists them.  A rational option
+#: is parsed where it is read, so the error names the first bad one.
+GEN_KINDS = {
+    "example1": lambda a: generators.example1(_rational(a, "r")),
+    "prop5": lambda a: generators.prop5(a.m_int, _rational(a, "r"),
+                                        _rational(a, "eps")),
+    "symmetric-pos-tight": lambda a: generators.symmetric_pos_tight(
+        a.m_int, _rational(a, "r"), _rational(a, "eps")),
+    "triangle": lambda a: generalized.triangle_game(_rational(a, "c")),
+    "random": lambda a: generators.random_instance(a.n, a.m_int, a.seed),
+    "random-cc": lambda a: generators.random_cc(a.n, a.m_int, a.seed)[0],
+    "random-symmetric": lambda a: generators.random_symmetric(
+        a.n, a.m_int, a.seed),
+    "random-supermodular": lambda a: generators.random_supermodular(
+        a.n, a.m_int, a.r_int, a.seed),
+    "random-omega": lambda a: generators.random_omega(
+        a.n, a.m_int, a.seed, omega=_rational(a, "omega")),
+    "random-hypergraph": lambda a: generators.random_hypergraph_cc(
+        a.n, a.m_int, a.seed)[0],
+}
+
+#: The wire-format writer of each game type `GEN_KINDS` builds.
+WRITERS = {
+    model.GameInstance: model.serialize_instance,
+    generalized.GeneralizedGame: generalized.serialize_generalized,
+    generalized.OmegaGame: generalized.serialize_omega,
+    generalized.HypergraphGame: generalized.serialize_hypergraph,
+}
+
+
 def _cmd_gen(args):
-    kind = args.kind
-    if kind == "example1":
-        out = model.serialize_instance(
-            generators.example1(parse_rational(args.r, "r")))
-    elif kind == "prop5":
-        out = model.serialize_instance(
-            generators.prop5(args.m_int, parse_rational(args.r, "r"),
-                             parse_rational(args.eps, "eps")))
-    elif kind == "symmetric-pos-tight":
-        out = model.serialize_instance(
-            generators.symmetric_pos_tight(args.m_int,
-                                           parse_rational(args.r, "r"),
-                                           parse_rational(args.eps, "eps")))
-    elif kind == "triangle":
-        out = generalized.serialize_generalized(
-            generalized.triangle_game(parse_rational(args.c, "c")))
-    elif kind == "random":
-        out = model.serialize_instance(
-            generators.random_instance(args.n, args.m_int, args.seed))
-    elif kind == "random-cc":
-        game, _gamma = generators.random_cc(args.n, args.m_int, args.seed)
-        out = model.serialize_instance(game)
-    elif kind == "random-symmetric":
-        out = model.serialize_instance(
-            generators.random_symmetric(args.n, args.m_int, args.seed))
-    elif kind == "random-supermodular":
-        ggame = generators.random_supermodular(args.n, args.m_int, args.r_int,
-                                               args.seed)
-        out = generalized.serialize_generalized(ggame)
-    elif kind == "random-omega":
-        omega = parse_rational(args.omega, "omega")
-        ogame = generators.random_omega(args.n, args.m_int, args.seed,
-                                        omega=omega)
-        out = generalized.serialize_omega(ogame)
-    else:  # "random-hypergraph", the last of the subparser's choices
-        hgame, _gamma = generators.random_hypergraph_cc(args.n, args.m_int,
-                                                        args.seed)
-        out = generalized.serialize_hypergraph(hgame)
-    _write(args.out, out)
+    game = GEN_KINDS[args.kind](args)
+    _write(args.out, WRITERS[type(game)](game))
     return EXIT_OK
 
 
@@ -129,68 +133,55 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     algo = args.algorithm
+    parse = {"lexstrong": generalized.parse_omega,
+             "oneshot-gen": generalized.parse_generalized}.get(
+                 algo, model.parse_instance)
+    game = parse(_read(args.infile))
+    k0 = args.k0 if args.k0 is not None else 1
+    fields = {}
     if algo == "lexstrong":
-        ogame = generalized.parse_omega(_read(args.infile))
-        profile, pi = generalized.lex_strong_eq(ogame)
-        out = json.dumps({
-            "profile": _profile_str(profile),
-            "mass_vector": [format_rational(x) for x in pi],
-            "alpha": format_rational(1 / ogame.omega),
-        }) + "\n"
-        _write(args.out, out)
-        return EXIT_OK
-    if algo == "oneshot-gen":
-        ggame = generalized.parse_generalized(_read(args.infile))
-        k0 = args.k0 if args.k0 is not None else 1
+        profile, pi = generalized.lex_strong_eq(game)
+        fields = {"mass_vector": [format_rational(x) for x in pi],
+                  "alpha": format_rational(1 / game.omega)}
+    elif algo == "oneshot-gen":
         alpha = parse_rational(args.alpha, "alpha") if args.alpha else None
         profile, alpha_used, moves = generalized.one_shot_generalized(
-            ggame, k0, alpha)
-        out = json.dumps({
-            "profile": _profile_str(profile),
-            "alpha_used": format_rational(alpha_used),
-            "moves": [{"player": i, "to": k, "old": format_rational(uo),
-                       "new": format_rational(un)}
-                      for i, k, uo, un in moves],
-        }) + "\n"
-        _write(args.out, out)
-        return EXIT_OK
-
-    game = model.parse_instance(_read(args.infile))
-    if algo == "algorithm1":
+            game, k0, alpha)
+        fields = {"alpha_used": format_rational(alpha_used),
+                  "moves": [{"player": i, "to": k, "old": format_rational(uo),
+                             "new": format_rational(un)}
+                            for i, k, uo, un in moves]}
+    elif algo == "algorithm1":
         start = (_parse_profile(args.profile, game.n) if args.profile
                  else tuple([1] * game.n))
         profile = dynamics.algorithm1_two(game, start)
-        result = {"profile": _profile_str(profile)}
     elif algo == "strong2":
         profile = dynamics.strong_two(game)
-        result = {"profile": _profile_str(profile)}
     elif algo == "sqrt2":
         profile = dynamics.sqrt2_three(game)
-        result = {"profile": _profile_str(profile)}
     elif algo == "oneshot":
         alpha = parse_rational(args.alpha or "1", "alpha")
-        k0 = args.k0 if args.k0 is not None else 1
         profile, trace = dynamics.one_shot_alpha_br(game, k0, alpha)
-        result = {"profile": _profile_str(profile),
-                  "moves": len(trace.moves)}
+        fields = {"moves": len(trace.moves)}
     else:  # "hybrid", the last of the subparser's choices left
         alpha = parse_rational(args.alpha or "2", "alpha")
         opt_w = None
         if args.opt_oracle:
             _, opt_w = analysis.brute_force_optimum(game)
         report = dynamics.hybrid(game, alpha, opt_welfare=opt_w)
-        result = {
-            "profile": _profile_str(report.chosen),
+        profile = report.chosen
+        fields = {
             "welfare": format_rational(report.chosen_welfare),
             "s1": _profile_str(report.s1), "s2": _profile_str(report.s2),
             "welfare_s1": format_rational(report.welfare_s1),
             "welfare_s2": format_rational(report.welfare_s2),
         }
         if report.rho is not None:
-            result["rho"] = format_rational(report.rho)
-            result["rho_decimal"] = f"{float(report.rho):.4f}"
-    result["welfare"] = format_rational(model.welfare_total(
-        game, _parse_profile(result["profile"], game.n)))
+            fields["rho"] = format_rational(report.rho)
+            fields["rho_decimal"] = f"{float(report.rho):.4f}"
+    result = {"profile": _profile_str(profile), **fields}
+    if isinstance(game, model.GameInstance) and "welfare" not in result:
+        result["welfare"] = format_rational(model.welfare_total(game, profile))
     _write(args.out, json.dumps(result) + "\n")
     return EXIT_OK
 
@@ -371,10 +362,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("kind", choices=[
-        "example1", "prop5", "symmetric-pos-tight", "triangle", "random",
-        "random-cc", "random-symmetric", "random-supermodular",
-        "random-omega", "random-hypergraph"])
+    p.add_argument("kind", choices=list(GEN_KINDS))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--m", dest="m_int", type=int, default=3)
     p.add_argument("--r", default="1")
@@ -384,7 +372,6 @@ def build_parser():
     p.add_argument("--c", default="2")
     p.add_argument("--omega", default="1/2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="run an equilibrium algorithm")
@@ -396,7 +383,6 @@ def build_parser():
     p.add_argument("--k0", type=int, default=None)
     p.add_argument("--profile", default=None)
     p.add_argument("--opt-oracle", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a profile")
@@ -404,21 +390,18 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="enumerate equilibria, PoA and PoS")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("payments", help="stabilizing payments for a profile")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--profile", default=None,
                    help="defaults to the brute-force optimum")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_payments)
 
     p = sub.add_parser("bounds", help="closed-form welfare fraction table")
@@ -428,7 +411,6 @@ def build_parser():
     p.add_argument("--asymptotic", action="store_true",
                    help="append the 1/m = 0 limit row")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("audit-potential",
@@ -436,7 +418,6 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_audit_potential)
 
     p = sub.add_parser("search-no-sne",
@@ -445,9 +426,10 @@ def build_parser():
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search_no_sne)
 
+    for p in sub.choices.values():  # the last option of every subcommand
+        p.add_argument("--out", default=None)
     return parser
 
 

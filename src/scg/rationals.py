@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 INF = math.inf
@@ -28,19 +29,33 @@ class ParseError(ValueError):
     """Malformed instance text; the message names the offending field."""
 
 
+#: The wire grammar, ASCII only: `int()` alone would also take "1_0", " 7 ",
+#: "+3" and digits such as "٣".
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_int(text):
+    """`int(text)` for text matching -?[0-9]+, else a ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text, field="value"):
-    """Parse "p/q", an integer string or an int (not a bool) exactly."""
+    """Parse an int (not a bool), or a string "p" or "p/q" of ASCII digits
+    with an optional minus on p, exactly."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"{field}: expected rational string, got {type(text).__name__}")
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{field}: not a rational: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+            pass
+    raise ParseError(f"{field}: not a rational: {text!r}")
 
 
 def rational_reader():

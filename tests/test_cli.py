@@ -256,6 +256,34 @@ def test_boolean_rational_exits_2(tmp_path, capsys, command, game, err):
     assert captured.err == f"error: {err}: expected rational string, got bool\n"
 
 
+@pytest.mark.parametrize("command,game,err", [
+    (["verify", "nash", "--profile", "1,1"],
+     {"n": 2, "m": 1, "intrinsic": [["\u0663"], ["1"]], "edges": []},
+     "intrinsic[0][0]: not a rational: '\u0663'"),
+    (["verify", "nash", "--profile", "1,1"],
+     {"n": 2, "m": 1, "intrinsic": [["1"], ["1"]],
+      "edges": [{"i": 0, "j": 1, "w": "3/-4", "share_ij": "1/2"}]},
+     "edges[0].w: not a rational: '3/-4'"),
+    (["verify", "generalized", "--profile", "1"],
+     {"n": 1, "m": 1, "tables": [[{"strategy": 1, "others": [], "u": " 7 "}]]},
+     "tables[0][0].u: not a rational: ' 7 '"),
+    (["solve", "lexstrong"],
+     {"n": 1, "m": 1, "a": ["+3"], "b": ["1"], "labels": [["zero"]],
+      "omega": "1/2"},
+     "a[0]: not a rational: '+3'"),
+], ids=["instance-intrinsic", "instance-edge", "tables", "omega"])
+def test_number_outside_the_wire_grammar_exits_2(tmp_path, capsys, command,
+                                                 game, err):
+    """A wire rational is ASCII "p" or "p/q" with an optional minus on p,
+    whatever else int() would take."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    assert main(command + ["--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("flag", ["r", "eps", "c", "omega"])
 def test_rational_flag_errors_name_the_flag(capsys, flag):
     kind = {"eps": "prop5", "c": "triangle", "omega": "random-omega"}
@@ -263,6 +291,11 @@ def test_rational_flag_errors_name_the_flag(capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag}: not a rational: 'x'\n"
+
+
+SUBCOMMANDS = sorted(next(
+    a for a in build_parser()._actions
+    if isinstance(a, argparse._SubParsersAction)).choices)
 
 
 # One malformed input per subcommand.  "{bool_n}" is an instance whose n is
@@ -297,9 +330,7 @@ INCOMPLETE_TABLES = {"n": 2, "m": 1, "tables": [
 
 
 def test_malformed_input_covers_every_subcommand():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(MALFORMED) == set(sub.choices)
+    assert set(MALFORMED) == set(SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("command",
@@ -353,9 +384,14 @@ def test_incomplete_table_names_the_missing_entry(tmp_path, capsys, command):
      "error: alpha: not a rational: '1.5'\n"),
     (["solve", "oneshot-gen", "--in", "{tri}", "--alpha", "1/2"],
      "error: alpha must be >= 1\n"),
+    (["bounds", "--alpha", "2", "--gamma", "1", "--m", "3,\u0663"],
+     "error: m: expected integer or 'inf', got '\u0663'\n"),
+    (["verify", "nash", "--in", "{pair}", "--profile", " 1,+2"],
+     "error: profile: expected comma-separated integers, got ' 1,+2'\n"),
 ], ids=["bounds-m", "verify-profile-length", "solve-profile-length",
         "payments-zero-optimum", "oneshot-gen-float-alpha",
-        "oneshot-gen-alpha-below-1"])
+        "oneshot-gen-alpha-below-1", "bounds-m-non-ascii-digit",
+        "verify-profile-signs-and-spaces"])
 def test_bad_argument_exits_2_with_its_line(tmp_path, capsys, pair, command,
                                             err):
     zero = tmp_path / "zero.json"
@@ -368,6 +404,31 @@ def test_bad_argument_exits_2_with_its_line(tmp_path, capsys, pair, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+# One valid run per subcommand, "{pair}" the valid two-strategy instance.
+VALID = {
+    "gen": ["gen", "random", "--n", "3", "--seed", "2"],
+    "solve": ["solve", "oneshot", "--in", "{pair}"],
+    "verify": ["verify", "nash", "--in", "{pair}", "--profile", "1,1"],
+    "census": ["census", "--in", "{pair}", "--format", "csv"],
+    "payments": ["payments", "--in", "{pair}"],
+    "bounds": ["bounds", "--alpha", "2", "--gamma", "1", "--m", "3,inf"],
+    "audit-potential": ["audit-potential", "--in", "{pair}", "--trials", "9"],
+    "search-no-sne": ["search-no-sne", "--n", "3", "--count", "2"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_out_file_holds_the_stdout(tmp_path, capsys, pair, command):
+    argv = [a.format(pair=pair) for a in VALID[command]]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert fh.read() == stdout != ""
 
 
 def test_in_dash_reads_stdin(monkeypatch, capsys, pair):

@@ -10,7 +10,10 @@ the incremental walk that visited all 3**14 profiles.  The `verify
 generalized` cases were recorded before it and `verify nash` shared one
 code path.  The `bounds`, `gen` and `solve oneshot-gen` cases were recorded
 before tables were read through an integer view, except `solve
-oneshot-gen --alpha`, which ignored its gate until then.
+oneshot-gen --alpha`, which ignored its gate until then.  The other `gen`
+kinds, the pairwise and `lexstrong` algorithms of `solve`, `verify nash`
+and `audit-potential` were recorded before `gen` read its kinds from one
+table and `solve` printed every result through one path.
 """
 
 import pytest
@@ -24,6 +27,9 @@ GEN = {
     "p5": ["prop5"],
     "tri": ["triangle", "--c", "2"],
     "r14": ["random", "--n", "14", "--m", "3", "--seed", "5"],
+    "two": ["random", "--n", "5", "--m", "2", "--seed", "9"],
+    "cc": ["random-cc", "--n", "4", "--m", "3", "--seed", "2"],
+    "omega": ["random-omega", "--n", "3", "--m", "2", "--seed", "3"],
 }
 
 # (instance, command, exit code, stdout)
@@ -158,6 +164,96 @@ EXPECTED = [
      '{"profile": "2,2,3", "alpha_used": "3/2", "moves": [{"player": 1, '
      '"to": 2, "old": "2", "new": "4"}, {"player": 0, "to": 2, "old": "4", '
      '"new": "8"}, {"player": 2, "to": 3, "old": "2", "new": "4"}]}\n'),
+    # recorded before the gen table and the single solve output path
+    (None, ['gen', 'random', '--n', '3', '--m', '2', '--seed', '1'], 0,
+     '{"n": 3, "m": 2, "intrinsic": [["2/3", "1/2"], ["1/2", '
+     '"7/2"], ["5", "3"]], "edges": [{"i": 0, "j": 1, "w": "7", '
+     '"share_ij": "7/10"}]}\n'),
+    (None, ['gen', 'random-cc', '--n', '3', '--m', '2', '--seed', '1'], 0,
+     '{"n": 3, "m": 2, "intrinsic": [["4", "7/2"], ["7/3", "6"], '
+     '["1/2", "0"]], "edges": [{"i": 0, "j": 1, "w": "1", '
+     '"share_ij": "2/7"}, {"i": 1, "j": 2, "w": "4", '
+     '"share_ij": "5/6"}]}\n'),
+    (None, ['gen', 'random-symmetric', '--n', '3', '--m', '2', '--seed',
+            '1'], 0,
+     '{"n": 3, "m": 2, "intrinsic": [["2/3", "1/2"], ["1/2", '
+     '"7/2"], ["5", "3"]], "edges": [{"i": 0, "j": 1, "w": "7", '
+     '"share_ij": "1/2"}, {"i": 0, "j": 2, "w": "1", '
+     '"share_ij": "1/2"}]}\n'),
+    (None, ['gen', 'example1', '--r', '3/2'], 0,
+     '{"n": 3, "m": 3, "intrinsic": [["8485281/4000000", "3/2", '
+     '"0"], ["0", "8485281/4000000", "3/2"], ["3/2", "0", '
+     '"8485281/4000000"]], "edges": [{"i": 0, "j": 1, "w": "3/2", '
+     '"share_ij": "1"}, {"i": 1, "j": 2, "w": "3/2", '
+     '"share_ij": "1"}, {"i": 2, "j": 0, "w": "3/2", '
+     '"share_ij": "1"}]}\n'),
+    (None, ['gen', 'prop5', '--m', '2', '--r', '2', '--eps', '1/10'], 0,
+     '{"n": 2, "m": 2, "intrinsic": [["2", "2"], ["0", "1/5"]], '
+     '"edges": [{"i": 0, "j": 1, "w": "21/10", '
+     '"share_ij": "20/21"}]}\n'),
+    (None, ['gen', 'triangle', '--c', '3'], 0,
+     '{"n": 3, "m": 3, "tables": [[{"strategy": 1, "others": [], '
+     '"u": "9"}, {"strategy": 1, "others": [1], "u": "27"}, '
+     '{"strategy": 1, "others": [1, 2], "u": "27"}, '
+     '{"strategy": 1, "others": [2], "u": "9"}, {"strategy": 2, '
+     '"others": [], "u": "3"}, {"strategy": 2, "others": [1], '
+     '"u": "27"}, {"strategy": 2, "others": [1, 2], "u": "27"}, '
+     '{"strategy": 2, "others": [2], "u": "3"}, {"strategy": 3, '
+     '"others": [], "u": "0"}, {"strategy": 3, "others": [1], '
+     '"u": "3"}, {"strategy": 3, "others": [1, 2], "u": "3"}, '
+     '{"strategy": 3, "others": [2], "u": "0"}], [{"strategy": 1, '
+     '"others": [], "u": "0"}, {"strategy": 1, "others": [0], '
+     '"u": "0"}, {"strategy": 1, "others": [0, 2], "u": "3"}, '
+     '{"strategy": 1, "others": [2], "u": "3"}, {"strategy": 2, '
+     '"others": [], "u": "9"}, {"strategy": 2, "others": [0], '
+     '"u": "9"}, {"strategy": 2, "others": [0, 2], "u": "27"}, '
+     '{"strategy": 2, "others": [2], "u": "27"}, {"strategy": 3, '
+     '"others": [], "u": "3"}, {"strategy": 3, "others": [0], '
+     '"u": "3"}, {"strategy": 3, "others": [0, 2], "u": "27"}, '
+     '{"strategy": 3, "others": [2], "u": "27"}], '
+     '[{"strategy": 1, "others": [], "u": "3"}, {"strategy": 1, '
+     '"others": [0], "u": "27"}, {"strategy": 1, "others": [0, '
+     '1], "u": "27"}, {"strategy": 1, "others": [1], "u": "3"}, '
+     '{"strategy": 2, "others": [], "u": "0"}, {"strategy": 2, '
+     '"others": [0], "u": "3"}, {"strategy": 2, "others": [0, 1], '
+     '"u": "3"}, {"strategy": 2, "others": [1], "u": "0"}, '
+     '{"strategy": 3, "others": [], "u": "9"}, {"strategy": 3, '
+     '"others": [0], "u": "27"}, {"strategy": 3, "others": [0, '
+     '1], "u": "27"}, {"strategy": 3, "others": [1], '
+     '"u": "9"}]]}\n'),
+    ('two', ['solve', 'algorithm1'], 0,
+     '{"profile": "1,2,1,2,1", "welfare": "107/3"}\n'),
+    ('two', ['solve', 'algorithm1', '--profile', '2,1,2,1,2'], 0,
+     '{"profile": "2,2,2,2,2", "welfare": "95/2"}\n'),
+    ('two', ['solve', 'strong2'], 0,
+     '{"profile": "2,2,2,2,2", "welfare": "95/2"}\n'),
+    ('rand', ['solve', 'sqrt2'], 0,
+     '{"profile": "1,1,2,1,2", "welfare": "34"}\n'),
+    ('rand', ['solve', 'oneshot', '--alpha', '3/2', '--k0', '2'], 0,
+     '{"profile": "2,1,2,2,2", "moves": 1, "welfare": "63/2"}\n'),
+    ('rand', ['solve', 'hybrid'], 0,
+     '{"profile": "1,1,1,1,1", "welfare": "233/6", '
+     '"s1": "1,1,1,1,1", "s2": "1,1,2,1,2", '
+     '"welfare_s1": "233/6", "welfare_s2": "34"}\n'),
+    ('omega', ['solve', 'lexstrong'], 0,
+     '{"profile": "1,2,2", "mass_vector": ["2", "8"], '
+     '"alpha": "2"}\n'),
+    ('rand', ['verify', 'nash', '--profile', '1,1,2,1,2'], 0,
+     '{"max_factor": "1", "witness": null, "stable": true}\n'),
+    ('rand', ['verify', 'nash', '--profile', '1,1,1,1,1', '--alpha', '3/2'],
+     0,
+     '{"max_factor": "80/69", "witness": 2, "stable": true}\n'),
+    ('rand', ['verify', 'nash', '--profile', '1,1,1,1,1'], 4,
+     '{"max_factor": "80/69", "witness": 2, "stable": false}\n'),
+    ('cc', ['audit-potential', '--trials', '50', '--seed', '1'], 0,
+     '{"recovered": true, "gamma": ["1", "1", "1", "3"], '
+     '"trials": 648, "violations": 0}\n'),
+    ('e1', ['audit-potential'], 4,
+     '{"recovered": false, "edge": [0, 1], '
+     '"reason": "share 0 or 1 admits no positive weights"}\n'),
+    ('rand', ['audit-potential'], 0,
+     '{"recovered": true, "gamma": ["21/4", "7/3", "1", "21", '
+     '"9"], "trials": 2430, "violations": 0}\n'),
 ]
 
 

@@ -353,6 +353,9 @@ CONFLICTED = OmegaGame(n=2, m=1, a=(1, 1), b=(1, 1),
     (lambda: parse_hypergraph(json.dumps({"n": 1, "m": 1, "edges": [
         {"w": "1", "shares": ["1"]}]})),
      ParseError, "edges[0]: missing players"),
+    (lambda: parse_hypergraph(json.dumps({"n": 1, "m": 1, "edges": [
+        {"players": [0], "w": "1_0", "shares": ["1"]}]})),
+     ParseError, "edges[0].w: not a rational: '1_0'"),
     (lambda: GeneralizedGame(n=1, m=1, tables={(0, 1, frozenset()): -H}),
      ValueError, "table entry (0,1,set()): negative"),
     (lambda: verify_omega_strong(CONFLICTED, (1, 1), 2),
@@ -361,7 +364,8 @@ CONFLICTED = OmegaGame(n=2, m=1, a=(1, 1), b=(1, 1),
     (lambda: additive_tables(random_instance(13, 1, 0)),
      ValueError, "additive table expansion capped at n = 12"),
 ], ids=["entry-list-count", "missing-strategy-others", "duplicate-entry",
-        "constructor-rejection", "missing-players", "negative-entry",
+        "constructor-rejection", "missing-players",
+        "hypergraph-weight-grammar", "negative-entry",
         "infeasible-profile", "triangle-c-below-1", "additive-cap"])
 def test_rejections_give_their_exact_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -154,7 +154,8 @@ def test_certificate_json_round_trip():
     ("5", "gamma: expected a list$"),
     ("[1, 2", "gamma: malformed JSON: "),
     ("[1, true]", "gamma\\[1\\]: expected rational string, got bool$"),
-], ids=["string", "object", "number", "malformed", "boolean"])
+    ('["1", "+3/ 4"]', "gamma\\[1\\]: not a rational: '\\+3/ 4'$"),
+], ids=["string", "object", "number", "malformed", "boolean", "grammar"])
 def test_certificate_decodes_like_a_game_file(text, message):
     """A certificate is a JSON list of rationals; anything else is a
     ParseError naming gamma, never weights read off a string or keys."""

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from scg.rationals import (INF, ParseError, at_least_sqrt2_times,
-                           format_rational, load_object, parse_rational,
-                           rational_reader, rational_writer,
+                           format_rational, load_object, parse_int,
+                           parse_rational, rational_reader, rational_writer,
                            supermodular_alpha)
 
 
@@ -15,11 +15,30 @@ def test_parse_plain_and_fraction():
     assert parse_rational(4) == Fraction(4)
 
 
+# after the first eight, strings int() reads as integers ("1_0", " 7 ", "+3"
+# and the Arabic-Indic digit three among them) and other near misses
 @pytest.mark.parametrize("bad", ["", "1/0", "x", "1.5", None, [1], True,
-                                 False])
+                                 False, "1_0", " 7 ", "7\n", "+3", "+3/ 4",
+                                 "3/+4", "3/-4", "\u0663", "\u00b2",
+                                 "1/\u0663", "-", "1/"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_rational(bad, "w")
+
+
+@pytest.mark.parametrize("bad", ["", "1_0", " 7", "7\n", "+3", "\u0663",
+                                 "\u00b2", "1.0", "3/4", "-", "--1"])
+def test_parse_int_takes_only_ascii_digits_and_one_minus(bad):
+    with pytest.raises(ValueError, match="^not an integer: "):
+        parse_int(bad)
+
+
+def test_grammar_keeps_every_wire_form():
+    for text, x in (("0", 0), ("-0", 0), ("007", 7), ("10/01", 10),
+                    ("-12/8", Fraction(-3, 2)), ("3/4", Fraction(3, 4))):
+        assert parse_rational(text) == x
+    for text in ("0", "-0", "007", "-12", "98765432109876543210"):
+        assert parse_int(text) == int(text)
 
 
 def test_parse_error_names_field():
