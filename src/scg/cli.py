@@ -7,7 +7,9 @@ The subcommands call the parsers and the library directly: the parsers
 only decode, the game constructors and the library entry points decide
 what is valid, and `main` turns every rejection (a `ValueError`, which a
 `ParseError` and a `CliError` are) into one line ``error: <message>`` and
-exit code 2.
+exit code 2.  The integer options of `INT_OPTIONS` reach `main` as typed
+and are parsed there with the wire grammar of `parse_int`, so a bad one
+is such a rejection too.
 
 Each choice is written once: `GEN_KINDS` maps every `gen` kind to the
 function that builds its game, `WRITERS` maps each game type to its
@@ -78,6 +80,23 @@ def _write(path, text):
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
+
+
+#: The integer options by dest, each with the name its error gives.
+#: argparse keeps them as typed, since `int()` would also take " 3", "+3"
+#: and digits such as "٣"; `main` parses them.
+INT_OPTIONS = {"n": "n", "m_int": "m", "r_int": "r-int", "seed": "seed",
+               "k0": "k0", "trials": "trials", "count": "count"}
+
+
+def _parse_int_options(args):
+    for dest, name in INT_OPTIONS.items():
+        text = getattr(args, dest, None)
+        if isinstance(text, str):  # not a default
+            try:
+                setattr(args, dest, parse_int(text))
+            except ValueError:
+                raise CliError(f"{name}: expected integer, got {text!r}")
 
 
 def _profile_str(profile):
@@ -274,15 +293,21 @@ def _cmd_payments(args):
 # --- bounds ------------------------------------------------------------------
 
 
-def _split_list(text):
-    return [t for t in text.split(",") if t]
+def _split_list(text, name):
+    """The entries of a comma list; an empty entry, or an empty list, is
+    an error naming the option."""
+    entries = text.split(",")
+    if "" in entries:
+        raise CliError(f"{name}: empty entry in {text!r}")
+    return entries
 
 
 def _cmd_bounds(args):
-    alphas = [parse_rational(t, "alpha") for t in _split_list(args.alpha)]
+    alphas = [parse_rational(t, "alpha")
+              for t in _split_list(args.alpha, "alpha")]
     gammas = [INF if t == "inf" else parse_rational(t, "gamma")
-              for t in _split_list(args.gamma)]
-    ms = [_parse_m(t) for t in _split_list(args.m)]
+              for t in _split_list(args.gamma, "gamma")]
+    ms = [_parse_m(t) for t in _split_list(args.m, "m")]
     if args.asymptotic and INF not in ms:
         ms.append(INF)
     rows = []
@@ -363,15 +388,15 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("kind", choices=list(GEN_KINDS))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", dest="m_int", type=int, default=3)
+    p.add_argument("--n", default=4)
+    p.add_argument("--m", dest="m_int", default=3)
     p.add_argument("--r", default="1")
-    p.add_argument("--r-int", dest="r_int", type=int, default=1,
+    p.add_argument("--r-int", dest="r_int", default=1,
                    help="complementarity bound for random-supermodular")
     p.add_argument("--eps", default="1/100")
     p.add_argument("--c", default="2")
     p.add_argument("--omega", default="1/2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="run an equilibrium algorithm")
@@ -380,7 +405,7 @@ def build_parser():
         "oneshot-gen"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--k0", type=int, default=None)
+    p.add_argument("--k0", default=None)
     p.add_argument("--profile", default=None)
     p.add_argument("--opt-oracle", action="store_true")
     p.set_defaults(func=_cmd_solve)
@@ -416,16 +441,16 @@ def build_parser():
     p = sub.add_parser("audit-potential",
                        help="recover influence weights and audit the potential")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", default=10_000)
+    p.add_argument("--seed", default=0)
     p.set_defaults(func=_cmd_audit_potential)
 
     p = sub.add_parser("search-no-sne",
                        help="scan random symmetric 3-strategy instances for "
                             "strong-equilibrium non-existence")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--n", default=4)
+    p.add_argument("--seed", default=0)
+    p.add_argument("--count", default=20)
     p.set_defaults(func=_cmd_search_no_sne)
 
     for p in sub.choices.values():  # the last option of every subcommand
@@ -443,6 +468,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _parse_int_options(args)
         return args.func(args)
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

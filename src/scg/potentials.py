@@ -35,6 +35,7 @@ computes.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,14 +197,23 @@ def _potential_kernel(game, cert):
     valued w / (sum of member weights) for every member.  Entry k of
     player i's vector is then the sum of the terms that pay with i at k and
     the others where they are, so a move's dphi is the difference of two
-    entries; every term without i cancels."""
-    gamma = [Fraction(g) for g in cert.gamma]
-    return _int_kernel([(0,) * game.m] * game.n, [
-        # the sum starts at a Fraction: adding one to int 0 is slow
-        (members, anchor, [(w / sum(map(gamma.__getitem__, members[1:]),
-                                    gamma[members[0]])).as_integer_ratio()]
-         * len(members))
-        for members, w, _, anchor in game.groups if w])
+    entries; every term without i cancels.  Each term is built from int
+    pairs: the member weights c/d summed to p/q by cross-multiplication,
+    then w = a/b over it is (a q) / (b p), reduced once."""
+    gamma = [g.as_integer_ratio() for g in cert.gamma]
+    groups = []
+    for members, w, _, anchor in game.groups:
+        if not w:
+            continue
+        a, b = w.as_integer_ratio()
+        p, q = 0, 1
+        for j in members:
+            c, d = gamma[j]
+            p, q = p * d + c * q, q * d
+        num, den = a * q, b * p
+        g = math.gcd(num, den)
+        groups.append((members, anchor, [(num // g, den // g)] * len(members)))
+    return _int_kernel([(0,) * game.m] * game.n, groups)
 
 
 def _every_deviation(game):
@@ -215,14 +225,33 @@ def _every_deviation(game):
 
 
 def _sampled_deviations(game, trials, seed):
-    rng = random.Random(seed)
+    """The triples of `random.Random(seed)`: per trial n profile entries
+    ``randint(1, m)``, the player ``randrange(n)`` and the deviation
+    ``randint(1, m)``, moved to the next strategy if it is the player's
+    own.  Each draw is the rejection loop of ``Random._randbelow`` written
+    out over `getrandbits`: k-bit draws, redrawn while not below the bound,
+    which yields the same values as the calls at a fraction of their cost."""
+    n, m = game.n, game.m
+    getrandbits = random.Random(seed).getrandbits
+    kn, km = n.bit_length(), m.bit_length()
     for _ in range(trials):
-        profile = tuple(rng.randint(1, game.m) for _ in range(game.n))
-        i = rng.randrange(game.n)
-        new_k = rng.randint(1, game.m)
+        profile = []
+        append = profile.append
+        for _ in range(n):
+            r = getrandbits(km)
+            while r >= m:
+                r = getrandbits(km)
+            append(r + 1)
+        i = getrandbits(kn)
+        while i >= n:
+            i = getrandbits(kn)
+        new_k = getrandbits(km)
+        while new_k >= m:
+            new_k = getrandbits(km)
+        new_k += 1
         if new_k == profile[i]:
-            new_k = new_k % game.m + 1
-        yield profile, i, new_k
+            new_k = new_k % m + 1
+        yield tuple(profile), i, new_k
 
 
 def ordinal_audit(game, cert, trials=10_000, seed=0):
@@ -231,6 +260,13 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     the same sign.  Tiny instances (m^n * n * m <= 20_000) are audited
     exhaustively instead; otherwise `trials` must be at least 1, so the
     audit never passes without checking anything.
+
+    The sampled triples are a contract: those of `random.Random(seed)`
+    drawing, per trial, the profile as n calls ``randint(1, m)``, the player
+    as ``randrange(n)`` and the deviation as ``randint(1, m)``, moved to the
+    next strategy (m to 1) if it is the player's own.  They are drawn
+    through `getrandbits` exactly as those calls draw them, so the same
+    seed audits the same triples.
 
     Takes a `GameInstance` or a `HypergraphGame`.  du is read from
     `game.scaled_utilities(profile, i)`, the utility kernel every dynamic

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from scg import generators
-from scg.cli import build_parser, main
+from scg.cli import INT_OPTIONS, build_parser, main
 from scg.generators import example1, random_supermodular, random_omega
 from scg.generalized import serialize_generalized, serialize_omega
 from scg.model import Edge, GameInstance, serialize_instance
@@ -404,6 +404,58 @@ def test_bad_argument_exits_2_with_its_line(tmp_path, capsys, pair, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize("name", ["alpha", "gamma", "m"])
+@pytest.mark.parametrize("text", ["2,,3", ",", "", "3,"])
+def test_bounds_empty_entry_exits_2_naming_the_option(capsys, name, text):
+    lists = {"alpha": "2", "gamma": "1", "m": "3", name: text}
+    argv = ["bounds"] + [a for k, v in lists.items() for a in (f"--{k}", v)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name}: empty entry in {text!r}\n"
+
+
+INT_OPTION_COMMANDS = [
+    (["gen", "random", "--n"], "n"),
+    (["gen", "random", "--m"], "m"),
+    (["gen", "random", "--seed"], "seed"),
+    (["gen", "random-supermodular", "--r-int"], "r-int"),
+    (["solve", "oneshot", "--in", "{pair}", "--k0"], "k0"),
+    (["audit-potential", "--in", "{pair}", "--trials"], "trials"),
+    (["audit-potential", "--in", "{pair}", "--seed"], "seed"),
+    (["search-no-sne", "--n"], "n"),
+    (["search-no-sne", "--seed"], "seed"),
+    (["search-no-sne", "--count"], "count"),
+]
+
+
+@pytest.mark.parametrize("command,name", INT_OPTION_COMMANDS,
+                         ids=[" ".join(c[:1] + c[-1:])
+                              for c, _ in INT_OPTION_COMMANDS])
+@pytest.mark.parametrize("text", [" \u0663", "\u0663", "+3", "1_0", " 7 ",
+                                  "3.0", "x", ""])
+def test_integer_option_outside_the_grammar_exits_2(capsys, pair, command,
+                                                    name, text):
+    argv = [a.format(pair=pair) for a in command] + [text]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name}: expected integer, got {text!r}\n"
+
+
+def test_every_integer_option_is_parsed_with_the_grammar():
+    """The options with an int default, and --k0, are the cases above and
+    the options `main` parses."""
+    parsers = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    options = {(cmd, a.option_strings[0], a.dest)
+               for cmd, p in parsers.items() for a in p._actions
+               if type(a.default) is int or a.dest == "k0"}
+    assert {(cmd, flag) for cmd, flag, _ in options} == {
+        (c[0], c[-1]) for c, _ in INT_OPTION_COMMANDS}
+    assert {dest for _, _, dest in options} == set(INT_OPTIONS)
 
 
 # One valid run per subcommand, "{pair}" the valid two-strategy instance.

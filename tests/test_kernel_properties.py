@@ -13,11 +13,12 @@ they shared one pairwise draw and took `additive_tables`, the gate
 ``u_new >= alpha * u_old`` and the factor ``u_new / u_old`` computed on
 Fractions, best responses found by a per-strategy scan, the degree as a
 Fraction ratio over every pair of table entries, the audit with both
-changes computed as Fractions on every trial, the Fraction group-deviation
-loop and the `lex_compare` loop that omega games had of their own, the
-depth-first weight recovery `cc_recover` had of its own and the
-edge-by-edge sweep with union-find normalization of the hypergraph
-recovery.  The pruned group-deviation search is also compared with the
+changes computed as Fractions on every trial, on triples drawn by
+`randint` and `randrange` calls, the potential's kernel built from
+Fraction terms, the Fraction group-deviation loop and the `lex_compare`
+loop that omega games had of their own, the depth-first weight recovery
+`cc_recover` had of its own and the edge-by-edge sweep with union-find
+normalization of the hypergraph recovery.  The pruned group-deviation search is also compared with the
 flat scan over every profile that it replaced; the optimum and census
 searches with the incremental lexicographic walk that they replaced,
 `_walk`, and with flat scans over the Fraction utilities of pairwise,
@@ -66,10 +67,11 @@ from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
 from scg.generators import (example1, prop5, random_cc,
                             random_hypergraph_cc, random_instance,
                             random_supermodular, random_symmetric)
-from scg.model import (Edge, GameInstance, player_utility, welfare,
-                       welfare_total)
+from scg.model import (Edge, GameInstance, _int_kernel, player_utility,
+                       welfare, welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
-                            RecoveryFailure, cc_recover, ordinal_audit,
+                            RecoveryFailure, _potential_kernel,
+                            _sampled_deviations, cc_recover, ordinal_audit,
                             potential_delta, potential_value)
 from scg.rationals import at_least_sqrt2_times
 
@@ -870,6 +872,22 @@ def reference_potential(game, profile, cert):
     return reference_potential_value(game, profile, cert)
 
 
+def reference_deviations(n, m, trials, seed):
+    """The sampled audit's triples as `ordinal_audit` drew them through
+    `randint` and `randrange` calls: a profile, a player and a deviation
+    from the player's strategy."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(trials):
+        p = tuple(rng.randint(1, m) for _ in range(n))
+        i = rng.randrange(n)
+        k = rng.randint(1, m)
+        if k == p[i]:
+            k = k % m + 1
+        triples.append((p, i, k))
+    return triples
+
+
 def reference_audit(game, cert, trials, seed):
     """The per-trial Fraction audit: du from the utility vector and dphi
     as the difference of two full reference potential values, on the same
@@ -881,15 +899,7 @@ def reference_audit(game, cert, trials, seed):
                    for i in range(game.n)
                    for k in range(1, game.m + 1) if k != p[i]]
     else:
-        rng = random.Random(seed)
-        triples = []
-        for _ in range(trials):
-            p = tuple(rng.randint(1, game.m) for _ in range(game.n))
-            i = rng.randrange(game.n)
-            k = rng.randint(1, game.m)
-            if k == p[i]:
-                k = k % game.m + 1
-            triples.append((p, i, k))
+        triples = reference_deviations(game.n, game.m, trials, seed)
     violations, counterexample = 0, None
     for p, i, k in triples:
         us = game.utilities(p, i)
@@ -979,6 +989,39 @@ def test_sampled_audit_matches_fraction_audit(case, trials, seed):
     report = ordinal_audit(game, cert, trials=trials, seed=seed)
     assert report.trials == trials  # the sampled branch
     assert report == reference_audit(game, cert, trials, seed)
+
+
+# powers of two and not, and n on both sides of a bit_length step
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("n", [7, 8, 9, 60, 64, 65, 300])
+def test_sampled_deviations_are_the_randint_stream(n, m):
+    game = SimpleNamespace(n=n, m=m)
+    for seed in (0, 1, 2**31 - 1):
+        for trials in (1, 500):
+            assert (list(_sampled_deviations(game, trials, seed))
+                    == reference_deviations(n, m, trials, seed))
+
+
+def reference_potential_kernel(game, cert):
+    """The potential's `IntKernel` with each group's term w / (sum of
+    member weights) computed on Fractions."""
+    gamma = [Fraction(g) for g in cert.gamma]
+    return _int_kernel([(0,) * game.m] * game.n, [
+        (members, anchor,
+         [(w / sum((gamma[j] for j in members), Fraction(0)))
+          .as_integer_ratio()] * len(members))
+        for members, w, _, anchor in game.groups if w])
+
+
+@SETTINGS
+@given(certified(st.integers(1, 6), st.integers(1, 3)))
+def test_potential_kernel_matches_the_fraction_kernel(case):
+    game, cert = case
+    expected = reference_potential_kernel(game, cert)
+    assert _potential_kernel(game, cert) == expected
+    ints = PotentialCertificate(gamma=tuple(
+        int(g) if g.denominator == 1 else g for g in cert.gamma))
+    assert _potential_kernel(game, ints) == expected
 
 
 @SETTINGS
