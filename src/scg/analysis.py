@@ -11,14 +11,15 @@ optimum is the lexicographically smallest maximizer, the equilibria come
 in that order and the first violating profile is the one returned.  Each
 oracle gives the search an `enter`/`leave` pair that cuts a subtree as
 soon as no profile in it can count: the optimum by a branch and bound on
-the welfare, the census as soon as a placed player is surely unstable, the
-group check as soon as an upper bound on one deviator's utility fails the
-factor test.  The cuts read a game's `scg.model.IntKernel` of singletons
-and unanchored pairs; a game without one, a table or a hypergraph with
-``rest`` groups, has every profile checked in full instead: by a flat scan
-over `_profiles` for the optimum and the census, by an unbounded search
-for the group check.  The ordinal audit and the omega game's
-lexicographic oracle also enumerate with `_profiles`.
+the welfare; the census and the group check read one per-player state,
+`_placements`, and cut as soon as a placed player is surely unstable, or
+as soon as one deviator's bound ``lo + rem`` fails the factor test.  The
+cuts read a game's `scg.model.IntKernel` of singletons and unanchored
+pairs; a game without one, a table or a hypergraph with ``rest`` groups,
+has every profile checked in full instead: by a flat scan over
+`_profiles` for the optimum and the census, by an unbounded search for
+the group check.  The ordinal audit and the omega game's lexicographic
+oracle also enumerate with `_profiles`.
 """
 
 from __future__ import annotations
@@ -224,6 +225,28 @@ def _kernel_pays(game):
     return kernel, pays
 
 
+def _placements(kernel, pays):
+    """The per-player state of a search over a kernel without ``rest``
+    groups: ``lo[i]``, player i's scaled vector from the placed players,
+    and ``rem[i]``, i's gains from the others, which raise one entry of
+    lo[i] by at most rem[i]; and ``place(p, b)`` and ``unplace(p, b)``,
+    which add and remove what p at b pays."""
+    lo = [row.copy() for row in kernel.rows]
+    rem = [sum(g) for g in kernel.gains]
+
+    def place(p, b):
+        for j, g in pays[p]:
+            lo[j][b] += g
+            rem[j] -= g
+
+    def unplace(p, b):
+        for j, g in pays[p]:
+            lo[j][b] -= g
+            rem[j] += g
+
+    return lo, rem, place, unplace
+
+
 def brute_force_optimum(game):
     """Exact welfare maximizer; ties go to the lexicographically smallest
     profile.
@@ -270,13 +293,11 @@ def _equilibria(game, alpha):
     """The alpha-equilibria, alpha >= 1, in lexicographic order, their
     welfares as scaled ints, and the scale.
 
-    A search on `_search` keeping, per player i, ``lo[i]``, its scaled
-    vector from the placed players, and ``rem[i]``, its gains from the
-    others, which raise one entry of lo[i] by at most rem[i].  So a placed
-    i at k is surely unstable once max(lo[i]) * den > num * (lo[i][k] +
-    rem[i]), the factor test for alpha >= 1.  p is tested when placed, and
-    so is every placed player p pays, whose lo and rem change; at a leaf
-    every rem is 0 and the test is exact.  ``w`` is the prefix welfare.
+    A search on `_search` and `_placements`: a placed i at k is surely
+    unstable once max(lo[i]) * den > num * (lo[i][k] + rem[i]), the factor
+    test for alpha >= 1.  p is tested when placed, and so is every placed
+    player p pays, whose lo and rem change; at a leaf every rem is 0 and
+    the test is exact.  ``w`` is the prefix welfare.
     """
     kernel, pays = _kernel_pays(game)
     n, m = game.n, game.m
@@ -289,40 +310,31 @@ def _equilibria(game, alpha):
                 equilibria.append(s)
                 welfares.append(sum(u[k - 1] for u, k in zip(us, s)))
         return equilibria, welfares, game.scale
-    scale, rows, _, gains, _ = kernel
     s = [-1] * n
-    lo = [row.copy() for row in rows]
-    rem = [sum(g) for g in gains]
+    lo, rem, place, unplace = _placements(kernel, pays)
     w = [0] * (n + 1)
-
-    def leave(p, b):
-        for j, g in pays[p]:
-            lo[j][b] -= g
-            rem[j] += g
 
     def enter(p, b):
         u = lo[p]
         if max(u) * den > num * (u[b] + rem[p]):
             return False
         dw = u[b]
-        for j, g in pays[p]:
-            lo[j][b] += g
-            rem[j] -= g
+        place(p, b)
         for j, g in pays[p]:
             k = s[j]
             if k == b:
                 dw += g
             u = lo[j]
             if k >= 0 and max(u) * den > num * (u[k] + rem[j]):
-                leave(p, b)
+                unplace(p, b)
                 return False
         w[p + 1] = w[p] + dw
         return True
 
-    for _ in _search(s, m, enter, leave):
+    for _ in _search(s, m, enter, unplace):
         equilibria.append(tuple([k + 1 for k in s]))
         welfares.append(w[n])
-    return equilibria, welfares, scale
+    return equilibria, welfares, kernel.scale
 
 
 def _group_deviation(game, profile, alpha, feasible=None):
@@ -332,12 +344,11 @@ def _group_deviation(game, profile, alpha, feasible=None):
     decided as `_factor_exceeds` decides it; (None, None) if there is none.
 
     Runs on `_search`.  On a game whose `IntKernel` has no ``rest`` groups
-    it bounds each deviator's utility by its own value at its new strategy
-    plus its gains from every player there or not yet placed.  A bound only
-    falls as the search goes deeper, so a subtree is cut as soon as one
-    fails `_factor_exceeds`, and a leaf reached needs only a coalition and
-    `feasible`.  Any other game is searched unbounded, each leaf checked
-    in full.
+    a deviator i at k is bounded by ``lo[i][k] + rem[i]`` of `_placements`,
+    which only falls as the search goes deeper, so a subtree is cut as soon
+    as one bound fails `_factor_exceeds`, and a leaf reached needs only a
+    coalition and `feasible`.  Any other game is searched unbounded, each
+    leaf checked in full.
     """
     kernel, pays = _kernel_pays(game)
     home = [k - 1 for k in profile]
@@ -346,34 +357,21 @@ def _group_deviation(game, profile, alpha, feasible=None):
     if kernel is None:  # no bound: the leaves are checked in full
         enter = leave = _free
     else:
-        _, rows, nbrs, gains, _ = kernel
-        bound = [0] * game.n  # a deviator's upper bound at the current depth
+        lo, rem, place, leave = _placements(kernel, pays)
 
         def enter(p, b):
-            """Give p strategy b unless that leaves some deviator's bound
-            failing the factor test."""
-            if b != home[p]:
-                u = rows[p][b]
-                for j, g in zip(nbrs[p], gains[p]):
-                    if s[j] == b or s[j] < 0:
-                        u += g
-                if not _factor_exceeds(base[p], u, alpha):
+            """Give p strategy b unless some deviator's bound then fails."""
+            if b != home[p] and not _factor_exceeds(
+                    base[p], lo[p][b] + rem[p], alpha):
+                return False
+            place(p, b)
+            for i, _ in pays[p]:
+                k = s[i]
+                if k not in (home[i], b, -1) and not _factor_exceeds(
+                        base[i], lo[i][k] + rem[i], alpha):
+                    leave(p, b)
                     return False
-                bound[p] = u
-            # one deviator may pay p through several entries (parallel
-            # pairs), so every gain comes off before any bound is tested
-            hit = [(i, g) for i, g in pays[p] if s[i] not in (home[i], b, -1)]
-            for i, g in hit:
-                bound[i] -= g
-            if all(_factor_exceeds(base[i], bound[i], alpha) for i, _ in hit):
-                return True
-            leave(p, b)
-            return False
-
-        def leave(p, b):
-            for i, g in pays[p]:
-                if s[i] not in (home[i], b, -1):
-                    bound[i] += g
+            return True
 
     for _ in _search(s, game.m, enter, leave):
         coalition = tuple(i for i, k in enumerate(s) if k != home[i])

@@ -257,9 +257,9 @@ def _sampled_deviations(game, trials, seed):
 def ordinal_audit(game, cert, trials=10_000, seed=0):
     """Sampled sign audit: for random (profile, player, deviation) triples,
     the deviating player's utility change and the potential change must have
-    the same sign.  Tiny instances (m^n * n * m <= 20_000) are audited
-    exhaustively instead; otherwise `trials` must be at least 1, so the
-    audit never passes without checking anything.
+    the same sign.  `trials` must be at least 1, so the audit never passes
+    without checking anything; tiny instances (m^n * n * m <= 20_000) are
+    audited exhaustively instead.
 
     The sampled triples are a contract: those of `random.Random(seed)`
     drawing, per trial, the profile as n calls ``randint(1, m)``, the player
@@ -277,13 +277,13 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     the exact Fraction (du, dphi) is computed only for the reported
     counterexample, the first violating triple."""
     _check_certificate(game, cert)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if game.n == 0 or game.m < 2:
         return AuditReport(trials=0, violations=0, counterexample=None)
 
     if (game.m ** game.n) * game.n * game.m <= 20_000:
         deviations = _every_deviation(game)
-    elif trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     else:
         deviations = _sampled_deviations(game, trials, seed)
     potential = _potential_kernel(game, cert)

@@ -188,15 +188,20 @@ def test_search_no_sne_runs(capsys):
 
 
 def test_audit_potential_rejects_nonpositive_trials(tmp_path, capsys):
-    # n = 12 is too large for the exhaustive audit, so trials are sampled
-    path = tmp_path / "cc.json"
-    assert main(["gen", "random-cc", "--n", "12", "--out", str(path)]) == 0
-    for trials in ("0", "-3"):
-        assert main(["audit-potential", "--in", str(path),
-                     "--trials", trials]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "trials" in captured.err
+    # at n = 12 the audit samples its trials; at n = 3 it is exhaustive,
+    # and the count is refused all the same
+    games = {"cc12.json": ["--n", "12"],
+             "cc3.json": ["--n", "3", "--m", "2", "--seed", "1"]}
+    for name, size in games.items():
+        path = tmp_path / name
+        assert main(["gen", "random-cc", *size, "--out", str(path)]) == 0
+        for trials in ("0", "-3", "-5"):
+            assert main(["audit-potential", "--in", str(path),
+                         "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: trials must be >= 1, "
+                                    f"got {trials}\n")
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):

@@ -22,7 +22,9 @@ normalization of the hypergraph recovery.  The pruned group-deviation search is 
 flat scan over every profile that it replaced; the optimum and census
 searches with the incremental lexicographic walk that they replaced,
 `_walk`, and with flat scans over the Fraction utilities of pairwise,
-omega and pair-hypergraph games.  The event-driven dynamics are compared
+omega and pair-hypergraph games.  The census and the group check on their
+shared per-player state are compared with the versions that kept a state
+of their own, node by node.  The event-driven dynamics are compared
 with the loops they replaced, the gated loop that rescans from player 0
 after every move and the pass-based continuing sweep, on every family,
 tables included: the same traces, the same sweep movers in order, the
@@ -52,7 +54,7 @@ from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
                           deviation_report, equilibrium_census,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
-from scg import generators
+from scg import analysis, generators
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, _Run, _sweep,
                           algorithm1_two, hybrid, one_shot_alpha_br,
                           run_dynamics, sqrt2_three, strong_two)
@@ -1624,6 +1626,156 @@ def test_group_search_matches_the_flat_scan_at_benchmark_sizes(generate, n,
             for alpha in (Fraction(1), Fraction(3, 2)):
                 assert (verify_approx_strong(g, profile, alpha)
                         == flat_strong(g, profile, alpha))
+
+
+# --- the census and the group check on one per-player state ------------------
+
+
+def own_state_equilibria(game, alpha):
+    """`analysis._equilibria` as it was before `_placements`: the same
+    lo/rem, updated by loops of its own.  It calls `analysis._search`
+    through the module, so a recording stand-in sees its nodes."""
+    kernel, pays = analysis._kernel_pays(game)
+    n, m = game.n, game.m
+    num, den = alpha.numerator, alpha.denominator
+    equilibria, welfares = [], []
+    if kernel is None:
+        for s in analysis._profiles(game):
+            us = [game.scaled_utilities(s, i) for i in range(n)]
+            if all(max(u) * den <= num * u[k - 1] for u, k in zip(us, s)):
+                equilibria.append(s)
+                welfares.append(sum(u[k - 1] for u, k in zip(us, s)))
+        return equilibria, welfares, game.scale
+    scale, rows, _, gains, _ = kernel
+    s = [-1] * n
+    lo = [row.copy() for row in rows]
+    rem = [sum(g) for g in gains]
+    w = [0] * (n + 1)
+
+    def leave(p, b):
+        for j, g in pays[p]:
+            lo[j][b] -= g
+            rem[j] += g
+
+    def enter(p, b):
+        u = lo[p]
+        if max(u) * den > num * (u[b] + rem[p]):
+            return False
+        dw = u[b]
+        for j, g in pays[p]:
+            lo[j][b] += g
+            rem[j] -= g
+        for j, g in pays[p]:
+            k = s[j]
+            if k == b:
+                dw += g
+            u = lo[j]
+            if k >= 0 and max(u) * den > num * (u[k] + rem[j]):
+                leave(p, b)
+                return False
+        w[p + 1] = w[p] + dw
+        return True
+
+    for _ in analysis._search(s, m, enter, leave):
+        equilibria.append(tuple([k + 1 for k in s]))
+        welfares.append(w[n])
+    return equilibria, welfares, scale
+
+
+def own_state_group_deviation(game, profile, alpha, feasible=None):
+    """`analysis._group_deviation` as it was before `_placements`: a
+    per-deviator ``bound`` rebuilt over the neighbour lists, and the
+    deviators a placement hits listed on entry and again on leaving."""
+    kernel, pays = analysis._kernel_pays(game)
+    home = [k - 1 for k in profile]
+    base = [game.scaled_utilities(profile, i)[k] for i, k in enumerate(home)]
+    s = [-1] * game.n
+    if kernel is None:
+        enter = leave = analysis._free
+    else:
+        _, rows, nbrs, gains, _ = kernel
+        bound = [0] * game.n
+
+        def enter(p, b):
+            if b != home[p]:
+                u = rows[p][b]
+                for j, g in zip(nbrs[p], gains[p]):
+                    if s[j] == b or s[j] < 0:
+                        u += g
+                if not _factor_exceeds(base[p], u, alpha):
+                    return False
+                bound[p] = u
+            # one deviator may pay p through several entries (parallel
+            # pairs), so every gain comes off before any bound is tested
+            hit = [(i, g) for i, g in pays[p] if s[i] not in (home[i], b, -1)]
+            for i, g in hit:
+                bound[i] -= g
+            if all(_factor_exceeds(base[i], bound[i], alpha) for i, _ in hit):
+                return True
+            leave(p, b)
+            return False
+
+        def leave(p, b):
+            for i, g in pays[p]:
+                if s[i] not in (home[i], b, -1):
+                    bound[i] += g
+
+    for _ in analysis._search(s, game.m, enter, leave):
+        coalition = tuple(i for i, k in enumerate(s) if k != home[i])
+        alt = tuple([k + 1 for k in s])
+        if (coalition and (feasible is None or feasible(alt))
+                and (kernel is not None
+                     or all(_factor_exceeds(
+                         base[i], game.scaled_utilities(alt, i)[s[i]], alpha)
+                         for i in coalition))):
+            return alt, coalition
+    return None, None
+
+
+def searched(run, *args):
+    """run(*args) and the (p, b, enter(p, b)) of every node its
+    `analysis._search` entered, in order."""
+    nodes = []
+    search = analysis._search
+
+    def recording(s, m, enter, leave):
+        def logged(p, b):
+            verdict = enter(p, b)
+            nodes.append((p, b, verdict))
+            return verdict
+        return search(s, m, logged, leave)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_search", recording)
+        return run(*args), nodes
+
+
+@SETTINGS
+@given(game_and_profile(instances(ns=st.integers(0, 7)) | pair_hypergraphs()
+                        | omega_games()),
+       st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                        Fraction(2))))
+@example((ALL_TIES, (1,) * 11), Fraction(1))
+@example((ALL_TIES, (1,) * 11), Fraction(1, 2))
+@example((NO_PLAYERS, ()), Fraction(1))
+@example((ONE_STRATEGY, (1, 1)), Fraction(1))
+@example((ONE_STRATEGY, (1, 1)), Fraction(1, 2))
+def test_placements_enter_the_old_searches_nodes(case, alpha):
+    """The census and the group check on `_placements` return what their
+    own-state versions returned, and enter the same (p, b) nodes with the
+    same verdicts, so the bound and the cut are unchanged, not only the
+    outputs.  The group check runs at the drawn profile and at the first
+    equilibrium, where it goes deepest, with omega games' `feasible`."""
+    game, profile = case
+    if alpha >= 1:
+        got = searched(analysis._equilibria, game, alpha)
+        assert got == searched(own_state_equilibria, game, alpha)
+    feasible = game.feasible if isinstance(game, OmegaGame) else None
+    nash = equilibrium_census(game).equilibria[:1]
+    for q in (profile, *nash):
+        assert (searched(analysis._group_deviation, game, q, alpha, feasible)
+                == searched(own_state_group_deviation, game, q, alpha,
+                            feasible))
 
 
 # --- the event-driven dynamics against the loops they replaced ---------------

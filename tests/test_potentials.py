@@ -165,9 +165,13 @@ def test_certificate_decodes_like_a_game_file(text, message):
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_sampled_audit_requires_a_trial(trials):
-    g, _ = random_cc(12, 3, 0)
-    with pytest.raises(ValueError, match="trials"):
-        ordinal_audit(g, cc_recover(g), trials=trials)
+    """At n = 12 the audit samples; a 3-player game is audited
+    exhaustively, and is refused all the same."""
+    for n in (12, 3):
+        g, _ = random_cc(n, 3, 0)
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got "
+                                             f"{trials}$"):
+            ordinal_audit(g, cc_recover(g), trials=trials)
 
 
 def test_int_weights_and_values_give_fractions():
