@@ -6,8 +6,9 @@ constructive equilibrium algorithms with proven approximation factors,
 exhaustive verifiers and censuses, potential-function recovery, payment
 stabilization, closed-form welfare bound tables, and generalizations to
 complementarities, hypergraph relationships and conflict-aware variants.
-All arithmetic is exact (`fractions.Fraction`); irrational thresholds are
-decided by squared comparisons.
+All arithmetic is exact: games run on ints at one common denominator each,
+results are reported as `fractions.Fraction`, and irrational thresholds
+are decided by squared comparisons.
 """
 
 from .analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,

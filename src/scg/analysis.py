@@ -30,8 +30,7 @@ from fractions import Fraction
 
 # player_utility is not called here; it stays importable from scg.analysis,
 # where the benchmark's tracer tests look for it
-from .model import (_EXACT, _inexact, instance_stats, player_utility,
-                    welfare)
+from .model import _EXACT, _inexact, player_utility
 from .rationals import INF, PHI_APPROX
 
 ONE = Fraction(1)
@@ -526,7 +525,9 @@ def semi_smoothness_check(game, profile):
 
 
 def mip_check(game, profile):
-    """Minimum-intrinsic-preference condition: A(s) >= A_T / m."""
-    a_s = welfare(game, profile).intrinsic_total
-    a_t = instance_stats(game).a_total
-    return a_s * game.m >= a_t
+    """Minimum-intrinsic-preference condition A(s) >= A_T / m, on any kernel
+    game: A(s) * m >= A_T on the own values of the kernel's rows."""
+    game.validate_profile(profile)
+    rows = game._kernel.rows
+    a_s = sum(row[k - 1] for row, k in zip(rows, profile))
+    return a_s * game.m >= sum(max(row) for row in rows)

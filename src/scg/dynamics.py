@@ -114,9 +114,10 @@ def best_response(game, profile, i):
     staying, then toward the lowest strategy index.  Factor conventions:
     0 -> positive is +inf, 0 -> 0 is 1.
     """
-    current, _, _ = player_utility(game, profile, i)
-    best_k, best_u = _best_reply(game.utilities(profile, i), profile[i])
-    return best_k, best_u, _factor(current, best_u)
+    player_utility(game, profile, i)  # validates the arguments
+    us, k = game.scaled_utilities(profile, i), profile[i]
+    best_k, best_u = _best_reply(us, k)
+    return best_k, Fraction(best_u, game.scale), _factor(us[k - 1], best_u)
 
 
 class _Run:

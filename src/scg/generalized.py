@@ -378,14 +378,6 @@ class HypergraphGame(_KernelGame):
              [(share * e.weight).as_integer_ratio() for share in e.shares])
             for e in self.edges if e.weight])
 
-    @cached_property
-    def intrinsic(self):
-        """Per player, the row of what i's singleton edges pay at each
-        strategy: the part of i's utility that is i's alone."""
-        scale = self.scale
-        return tuple(tuple(Fraction(v, scale) for v in row)
-                     for row in self._kernel.rows)
-
     def scaled_utilities(self, profile, i):
         """Player i's utility for each strategy 1..m times `scale`, as ints;
         trusts the profile.  An edge pays i at k when every other member

@@ -14,8 +14,7 @@ Utility protocol: every game family (``GameInstance`` here,
 ``scg.generalized``) has ``utilities(profile, i)``, which returns player
 i's utility for each strategy 1..m against the others' strategies in
 ``profile``, as a list indexed ``k - 1``.  It trusts the profile: public
-entry points validate a profile once.  ``player_utility`` is the validated
-single-player wrapper over it.
+entry points validate a profile once; the package reads the ints below.
 
 The verifiers, dynamics and oracles read every best response, gate,
 deviation gain and payment from ``scaled_utilities(profile, i)`` instead,
@@ -32,7 +31,9 @@ by `_ScaledGame`, which also holds the one profile check.  Orders,
 maxima, differences' signs and the ratios of two entries are the same at
 any positive scale, so callers compare the scaled values directly (a gate
 ``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
-scale only for what they record.
+scale only for what they record.  ``player_utility`` and ``welfare`` read
+the intrinsic part from the kernel's ``rows``, what each player gets
+alone at each strategy, so they take every family but tables.
 
 Group view: ``GameInstance`` and ``HypergraphGame`` also list themselves
 as (members, weight, shares, anchor) ``groups``, a pairwise game being an
@@ -57,7 +58,6 @@ from typing import NamedTuple
 from .rationals import (INF, ParseError, _as_list, load_object,
                         rational_reader, rational_writer)
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -328,41 +328,42 @@ class InstanceStats:
 
 
 def player_utility(game, profile, i, strategy=None):
-    """Utility of player i, optionally under a unilateral deviation.
-
-    Validates its arguments, then reads the entry from `utilities`.
-    Returns (total, intrinsic_part, coordination_part).
-    """
+    """Utility of player i, optionally under a unilateral deviation, on a
+    kernel game (not a table): (total, intrinsic_part, coordination_part)
+    as Fractions, read from `scaled_utilities` and the kernel's own row
+    once the arguments are validated."""
+    if type(i) is not int:
+        raise _not_int("player index", i)
+    if type(strategy) not in (int, type(None)):
+        raise _not_int("strategy", strategy)
     if not (0 <= i < game.n):
         raise IndexError(f"player index {i} out of range")
     game.validate_profile(profile)
     k = profile[i] if strategy is None else strategy
     if not (1 <= k <= game.m):
         raise ValueError(f"strategy {k} out of range 1..{game.m}")
-    total = game.utilities(profile, i)[k - 1]
-    intrinsic = game.intrinsic[i][k - 1]
-    return total, intrinsic, total - intrinsic
+    scale = game.scale
+    total = game.scaled_utilities(profile, i)[k - 1]
+    own = game._kernel.rows[i][k - 1]
+    return (Fraction(total, scale), Fraction(own, scale),
+            Fraction(total - own, scale))
 
 
 def welfare(game, profile):
     """Full utility breakdown for a profile; u(s) = A(s) + P(s) exactly."""
     game.validate_profile(profile)
-    per, ipart, cpart = [], [], []
-    for i, k in enumerate(profile):
-        u = game.utilities(profile, i)[k - 1]
-        a = game.intrinsic[i][k - 1]
-        per.append(u)
-        ipart.append(a)
-        cpart.append(u - a)
-    a_tot = sum(ipart, ZERO)
-    p_tot = sum(cpart, ZERO)
+    scale = game.scale
+    per = [game.scaled_utilities(profile, i)[k - 1]
+           for i, k in enumerate(profile)]
+    own = [row[k - 1] for row, k in zip(game._kernel.rows, profile)]
+    coord = [u - a for u, a in zip(per, own)]
     return UtilityBreakdown(
-        per_player=tuple(per),
-        intrinsic_part=tuple(ipart),
-        coordination_part=tuple(cpart),
-        total=a_tot + p_tot,
-        intrinsic_total=a_tot,
-        coordination_total=p_tot,
+        per_player=tuple([Fraction(u, scale) for u in per]),
+        intrinsic_part=tuple([Fraction(a, scale) for a in own]),
+        coordination_part=tuple([Fraction(c, scale) for c in coord]),
+        total=Fraction(sum(per), scale),
+        intrinsic_total=Fraction(sum(own), scale),
+        coordination_total=Fraction(sum(coord), scale),
     )
 
 
@@ -385,22 +386,22 @@ def _k_star(game):
 
 
 def instance_stats(game):
-    best = tuple(max(row) for row in game.intrinsic)
-    a_total = sum(best, ZERO)
-    p_total = sum((e.w for e in game.edges), ZERO)
-    k_star = _k_star(game)
-    mri = ONE
+    """A pairwise game's statistics from its kernel (an edge's two gains
+    add up to w); mri is max(c, d - c) / min(c, d - c) of a share c/d."""
+    scale, rows, _, gains, _ = game._kernel
+    best = [max(row) for row in rows]
+    num, den = 1, 1  # a share of 0 or 1 sets den to 0 for good: INF
     for e in game.edges:
-        if e.w == 0:
-            continue  # shares on zero-weight edges are payoff-irrelevant
-        if e.share_ij == 0 or e.share_ij == 1:
-            mri = INF
-            break
-        ratio = max(e.share_ij / e.share_ji, e.share_ji / e.share_ij)
-        if ratio > mri:
-            mri = ratio
-    return InstanceStats(best=best, a_total=a_total, p_total=p_total,
-                         k_star=k_star, mri=mri)
+        if e.w:  # shares on zero-weight edges are payoff-irrelevant
+            c, d = e.share_ij.as_integer_ratio()
+            lo, hi = (c, d - c) if 2 * c <= d else (d - c, c)
+            if hi * den > num * lo:
+                num, den = hi, lo
+    return InstanceStats(
+        best=tuple([Fraction(b, scale) for b in best]),
+        a_total=Fraction(sum(best), scale),
+        p_total=Fraction(sum(map(sum, gains)), scale),
+        k_star=_k_star(game), mri=Fraction(num, den) if den else INF)
 
 
 # --- instance file format ---------------------------------------------------

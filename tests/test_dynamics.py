@@ -217,8 +217,10 @@ def test_one_shot_rejects_bad_arguments():
     (lambda: hypergraph_br_dynamics(random_hypergraph_cc(3, 2, 0)[0],
                                     (1, 1, 1), step_cap=0),
      "step_cap must be >= 1"),
+    (lambda: best_response(two_player(4, 5, 6), (1, 1), True),
+     "player index: expected an int, got bool"),
 ], ids=["strong-two-m", "hybrid-optimum", "run-dynamics-step-cap",
-        "hypergraph-step-cap"])
+        "hypergraph-step-cap", "best-response-bool-player"])
 def test_rejections_give_their_exact_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -32,7 +32,11 @@ same `TableError` of an incomplete table, and on tables the same
 `scaled_utilities` calls.  Tables' integer view is compared with the
 table lookups they read before it, holes included, and the flat scans the
 oracles run on tables and on hypergraphs with larger or anchored groups
-with flat scans over the Fraction lookups.  Instances mix fractional
+with flat scans over the Fraction lookups.  The public readers
+`player_utility`, `welfare`, `best_response`, `instance_stats` and
+`mip_check` are compared with the versions that read the Fraction vector
+`utilities` and the Fraction own values, on pairwise games and
+hypergraphs.  Instances mix fractional
 values, all-int values (scale 1) and coprime denominators whose lcm
 exceeds 2**64.  Runs are derandomized and small.
 """
@@ -49,15 +53,16 @@ from hypothesis import strategies as st
 
 from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
                           StrongDeviationReport, _best_reply, _check_cap,
-                          _factor_exceeds, _welfare_ratio,
+                          _factor, _factor_exceeds, _welfare_ratio,
                           brute_force_optimum,
-                          deviation_report, equilibrium_census,
+                          deviation_report, equilibrium_census, mip_check,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
 from scg import analysis, generators
 from scg.dynamics import (DynamicsTrace, Move, MoveRule, _Run, _sweep,
-                          algorithm1_two, hybrid, one_shot_alpha_br,
-                          run_dynamics, sqrt2_three, strong_two)
+                          algorithm1_two, best_response, hybrid,
+                          one_shot_alpha_br, run_dynamics, sqrt2_three,
+                          strong_two)
 from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
                              OmegaGame, TableError, additive_tables,
                              hypergraph_br_dynamics, hypergraph_cc_recover,
@@ -69,8 +74,9 @@ from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
 from scg.generators import (example1, prop5, random_cc,
                             random_hypergraph_cc, random_instance,
                             random_supermodular, random_symmetric)
-from scg.model import (Edge, GameInstance, _int_kernel, player_utility,
-                       welfare, welfare_total)
+from scg.model import (Edge, GameInstance, InstanceStats, UtilityBreakdown,
+                       _int_kernel, instance_stats, player_utility, welfare,
+                       welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
                             RecoveryFailure, _potential_kernel,
                             _sampled_deviations, cc_recover, ordinal_audit,
@@ -666,10 +672,8 @@ def test_hypergraph_kernel_matches_paying_edges(n, m, seed, data):
         hg, _cert = data.draw(certified_hypergraphs(st.just(n), st.just(m)))
     profile = tuple(data.draw(st.integers(1, m)) for _ in range(n))
     for i in range(n):
-        assert hg.intrinsic[i] == tuple(
-            sum((e.weight for e in hg.edges
-                 if e.players == (i,) and e.anchor in (None, k)), Fraction(0))
-            for k in range(1, m + 1))
+        assert tuple(player_utility(hg, profile, i, k)[1]
+                     for k in range(1, m + 1)) == reference_intrinsic(hg)[i]
         assert hg.utilities(profile, i) == reference_hypergraph_utilities(
             hg, profile, i)
 
@@ -2205,3 +2209,157 @@ def test_scan_group_check_matches_the_fraction_scan(case, alpha):
     game, profile, _ = case
     assert (outcome(verify_approx_strong, game, profile, alpha)
             == outcome(scan_strong, game, profile, alpha))
+
+
+# --- the public readers on the integer kernel ---------------------------------
+
+
+def reference_intrinsic(game):
+    """The Fraction own-value rows the readers used to read: a pairwise
+    game's `intrinsic`, or what a hypergraph's singleton edges pay at each
+    strategy."""
+    if isinstance(game, GameInstance):
+        return game.intrinsic
+    return tuple(tuple(sum((e.weight for e in game.edges
+                            if e.players == (i,) and e.anchor in (None, k)),
+                           Fraction(0)) for k in range(1, game.m + 1))
+                 for i in range(game.n))
+
+
+def reference_player_utility(game, profile, i, strategy=None):
+    """`player_utility` on the Fraction vector and the Fraction rows."""
+    if not (0 <= i < game.n):
+        raise IndexError(f"player index {i} out of range")
+    game.validate_profile(profile)
+    k = profile[i] if strategy is None else strategy
+    if not (1 <= k <= game.m):
+        raise ValueError(f"strategy {k} out of range 1..{game.m}")
+    total = game.utilities(profile, i)[k - 1]
+    intrinsic = reference_intrinsic(game)[i][k - 1]
+    return total, intrinsic, total - intrinsic
+
+
+def reference_welfare(game, profile):
+    """`welfare` as per-player Fraction sums."""
+    game.validate_profile(profile)
+    per, ipart, cpart = [], [], []
+    for i, k in enumerate(profile):
+        u = game.utilities(profile, i)[k - 1]
+        a = reference_intrinsic(game)[i][k - 1]
+        per.append(u)
+        ipart.append(a)
+        cpart.append(u - a)
+    a_tot = sum(ipart, Fraction(0))
+    p_tot = sum(cpart, Fraction(0))
+    return UtilityBreakdown(
+        per_player=tuple(per), intrinsic_part=tuple(ipart),
+        coordination_part=tuple(cpart), total=a_tot + p_tot,
+        intrinsic_total=a_tot, coordination_total=p_tot)
+
+
+def reference_best_response(game, profile, i):
+    """`best_response` on the Fraction vector."""
+    current, _, _ = reference_player_utility(game, profile, i)
+    best_k, best_u = _best_reply(game.utilities(profile, i), profile[i])
+    return best_k, best_u, _factor(current, best_u)
+
+
+def reference_instance_stats(g):
+    """`instance_stats` on the Fraction fields: sums of Fractions, k* from
+    the intrinsic column sums and the share ratio by Fraction division."""
+    best = tuple(max(row) for row in g.intrinsic)
+    cols = [sum((row[k] for row in g.intrinsic), Fraction(0))
+            for k in range(g.m)]
+    mri = Fraction(1)
+    for e in g.edges:
+        if e.w == 0:
+            continue
+        if e.share_ij == 0 or e.share_ij == 1:
+            mri = math.inf
+            break
+        mri = max(mri, e.share_ij / e.share_ji, e.share_ji / e.share_ij)
+    return InstanceStats(
+        best=best, a_total=sum(best, Fraction(0)),
+        p_total=sum((e.w for e in g.edges), Fraction(0)),
+        k_star=max(range(g.m), key=lambda k: (cols[k], -k)) + 1, mri=mri)
+
+
+def reference_mip_check(game, profile):
+    """`mip_check` on the Fraction breakdown: A(s) * m >= A_T, A_T the sum
+    of the rows' maxima as `instance_stats` gives it."""
+    a_s = reference_welfare(game, profile).intrinsic_total
+    a_t = sum((max(row) for row in reference_intrinsic(game)), Fraction(0))
+    return a_s * game.m >= a_t
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def assert_readers_match(game, profile):
+    """Every reader equals its reference in value and reports Fractions."""
+    breakdown = welfare(game, profile)
+    assert breakdown == reference_welfare(game, profile)
+    assert _all_fractions(breakdown.per_player + breakdown.intrinsic_part
+                          + breakdown.coordination_part)
+    assert mip_check(game, profile) == reference_mip_check(game, profile)
+    for i in range(game.n):
+        assert (best_response(game, profile, i)
+                == reference_best_response(game, profile, i))
+        for k in (None, *range(1, game.m + 1)):
+            parts = player_utility(game, profile, i, k)
+            assert parts == reference_player_utility(game, profile, i, k)
+            assert _all_fractions(parts)
+
+
+EMPTY = GameInstance(n=0, m=2, intrinsic=(), edges=())
+
+
+@SETTINGS
+@given(game_and_profile(instances(ns=st.integers(0, 5))))
+@example((EMPTY, ()))
+@example((GameInstance(n=2, m=1, intrinsic=((2,), (0,)),
+                       edges=(Edge(1, 0, 0, 1),)), (1, 1)))
+def test_readers_match_the_fraction_references(case):
+    """On pairwise games, int and Fraction entries, zero weights, shares
+    of 0 and 1 and no edges included, the readers report the values of
+    the Fraction references."""
+    g, profile = case
+    assert_readers_match(g, profile)
+    stats = instance_stats(g)
+    assert stats == reference_instance_stats(g)
+    assert _all_fractions((*stats.best, stats.a_total, stats.p_total))
+
+
+@SETTINGS
+@given(certified_hypergraphs(st.integers(1, 4), st.integers(1, 3))
+       | pair_hypergraphs().map(lambda hg: (hg, None)), st.data())
+def test_hypergraph_readers_match_the_fraction_references(case, data):
+    """On hypergraphs the readers take the singleton edges' payments as
+    the intrinsic part, and `mip_check` answers from them."""
+    hg, _ = case
+    assert_readers_match(hg, tuple(data.draw(st.integers(1, hg.m))
+                                   for _ in range(hg.n)))
+
+
+@SETTINGS
+@given(omega_games(), st.data())
+def test_omega_readers_take_no_intrinsic_part(og, data):
+    """An omega game has no own values: every utility is coordination,
+    its welfare is the sum of the utilities and its best response is the
+    best reply on `utilities`."""
+    profile = tuple(data.draw(st.integers(1, og.m)) for _ in range(og.n))
+    vectors = [og.utilities(profile, i) for i in range(og.n)]
+    breakdown = welfare(og, profile)
+    assert breakdown.total == sum(
+        (us[k - 1] for us, k in zip(vectors, profile)), Fraction(0))
+    assert breakdown.intrinsic_total == 0 and set(
+        breakdown.intrinsic_part) <= {0}
+    assert mip_check(og, profile)
+    for i, us in enumerate(vectors):
+        for k in range(1, og.m + 1):
+            assert player_utility(og, profile, i, k) == (us[k - 1], 0,
+                                                         us[k - 1])
+        best_k, best_u = _best_reply(us, profile[i])
+        assert best_response(og, profile, i) == (
+            best_k, best_u, _factor(us[profile[i] - 1], best_u))

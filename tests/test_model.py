@@ -227,9 +227,20 @@ def test_constructor_rejects_floats_and_bools(bad, where):
      IndexError, "player index 2 out of range"),
     (lambda: player_utility(two_player(), (1, 2), 0, strategy=3),
      ValueError, "strategy 3 out of range 1..2"),
+    (lambda: player_utility(two_player(), (1, 2), True),
+     ValueError, "player index: expected an int, got bool"),
+    (lambda: player_utility(two_player(), (1, 2), "0"),
+     ValueError, "player index: expected an int, got str"),
+    (lambda: player_utility(two_player(), (1, 2), 0, strategy=True),
+     ValueError, "strategy: expected an int, got bool"),
+    (lambda: player_utility(two_player(), (1, 2), 0, strategy="2"),
+     ValueError, "strategy: expected an int, got str"),
+    (lambda: player_utility(two_player(), (1, 2), 0, strategy=2.0),
+     ValueError, "strategy: expected an int, got float"),
 ], ids=["edge-not-object", "edge-missing-endpoint", "short-intrinsic-row",
         "endpoint-out-of-range", "profile-length", "player-index",
-        "deviation-strategy"])
+        "deviation-strategy", "bool-player-index", "str-player-index",
+        "bool-strategy", "str-strategy", "float-strategy"])
 def test_rejections_give_their_exact_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
