@@ -525,9 +525,9 @@ def semi_smoothness_check(game, profile):
 
 
 def mip_check(game, profile):
-    """Minimum-intrinsic-preference condition A(s) >= A_T / m, on any kernel
-    game: A(s) * m >= A_T on the own values of the kernel's rows."""
+    """Minimum-intrinsic-preference condition A(s) >= A_T / m, on any game:
+    A(s) * m >= A_T on the scaled own values ``rows``."""
     game.validate_profile(profile)
-    rows = game._kernel.rows
+    rows = game.rows
     a_s = sum(row[k - 1] for row, k in zip(rows, profile))
     return a_s * game.m >= sum(max(row) for row in rows)

@@ -19,9 +19,11 @@ rule always produce the same trace.  There are two schedules:
 
 Both schedules are event-driven over one `_Run` per run: the profile, one
 cached scaled vector per player and each player's hearers, the players
-whose vector its move can change.  A move dirties its hearers' vectors and
-queues them as candidates in a min-heap, so it costs one vector per hearer
-when the loop next reads it, not a rescan of up to n players.
+whose vector its move can change, as the game's integer kernel lists
+them (`scg.model.IntKernel.hearers`; on a table game, every player).  A
+move dirties its hearers' vectors and queues them as candidates in a
+min-heap, so it costs one vector per hearer when the loop next reads it,
+not a rescan of up to n players.
 `sqrt2_three` shares one `_Run` between its sweeps and its sqrt(2) gate
 scan.
 
@@ -37,8 +39,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .analysis import _best_reply, _exact_alpha, _factor, _hybrid_alpha
-from .model import (_KernelGame, _k_star, _not_int, player_utility,
-                    welfare_total)
+from .model import _k_star, _not_int, player_utility, welfare_total
 from .rationals import at_least_sqrt2_times, format_rational
 
 ONE = Fraction(1)
@@ -138,7 +139,9 @@ class _Run:
         self.game = game
         self.profile = list(start)
         self.vecs = [None] * game.n
-        self.hearers = _hearers(game)
+        kernel = getattr(game, "_kernel", None)
+        self.hearers = ([range(game.n)] * game.n if kernel is None
+                        else kernel.hearers)
         self.movers = []
 
     def vec(self, i):
@@ -164,20 +167,6 @@ class _Run:
             out.add(i)
             out.update(self.hearers[i])
         return out
-
-
-def _hearers(game):
-    """Per player, the players whose vector a move by that player can
-    change: the kernel's ``nbrs`` as they are, plus the co-members of
-    every ``rest`` group when the kernel has some; on a table game,
-    everyone."""
-    if not isinstance(game, _KernelGame):
-        return [range(game.n)] * game.n
-    _, _, nbrs, _, rest = game._kernel
-    if not rest:
-        return nbrs
-    return [list(set(nb).union(*(others for others, _, _ in groups)))
-            for nb, groups in zip(nbrs, rest)]
 
 
 def _gated_dynamics(game, start, rule, k0=None, step_cap=None):

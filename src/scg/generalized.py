@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .analysis import (SizeError, _deviation_report, _exact_alpha,
-                       _group_deviation, _profiles)
+from .analysis import (SizeError, _exact_alpha, _group_deviation, _profiles,
+                       deviation_report as verify_generalized)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_EXACT, _KernelGame, _ScaledGame, _check_dims,
                     _inexact, _int_kernel, _not_int, _scaled_ints)
-from .potentials import _recover, potential_value
+from .potentials import _recover, potential_value as hypergraph_potential
 from .rationals import (INF, ParseError, _as_list, load_object,
                         rational_reader, rational_writer, supermodular_alpha)
 
@@ -68,6 +68,9 @@ class GeneralizedGame(_ScaledGame):
         _check_dims(self)
         n, m = self.n, self.m
         for (i, k, others), u in self.tables.items():
+            if type(others) is not frozenset:
+                raise ValueError(f"table key ({i!r},{k!r},{others!r}): "
+                                 "others must be a frozenset")
             if not (type(i) is int and type(k) is int and 0 <= i < n
                     and 1 <= k <= m and i not in others
                     and all(type(j) is int and 0 <= j < n for j in others)):
@@ -109,6 +112,15 @@ class GeneralizedGame(_ScaledGame):
     def scale(self):
         """The lcm L of the denominators of every table entry."""
         return self._view[0]
+
+    @cached_property
+    def rows(self):
+        """The own values u_i(k, ∅) times `scale`; an absent one raises."""
+        rows = [[row.get(k) for k in range(self.m)] for row in self._view[1]]
+        for i, row in enumerate(rows):
+            if None in row:
+                self.utility(i, row.index(None) + 1, ())  # raises
+        return rows
 
     def scaled_utilities(self, profile, i):
         """Player i's utility for each strategy 1..m times `scale`, as ints;
@@ -174,16 +186,6 @@ def _supermodularity_degree(ggame):
                 if top * den > num * bottom:  # 0 > 0 on a zero bottom
                     num, den = top, bottom
     return Fraction(num, den)
-
-
-def verify_generalized(ggame, profile):
-    """Best-response improvement factor per player, exactly, as an
-    `scg.analysis.DeviationReport`.
-
-    Staying put is always a candidate, so factors are at least 1.
-    """
-    ggame.validate_profile(profile)
-    return _deviation_report(ggame, profile)
 
 
 def one_shot_generalized(ggame, k0, alpha=None):
@@ -256,24 +258,30 @@ def triangle_nonexistence_check(c):
 
 
 def additive_tables(game):
-    """Full generalized tables equivalent to a pairwise additive instance.
+    """Full generalized tables of any kernel game with n <= 12: u_i(k, S)
+    is i's own value at k, its pair gains from S and each other group of
+    i with all other members in S and anchor None or k.
 
     Exponential in n; intended for desk-scale oracle comparisons only.
     """
     if game.n > 12:
         raise ValueError("additive table expansion capped at n = 12")
     players = range(game.n)
-    scale, rows, nbrs, gains, _ = game._kernel
+    scale, rows, nbrs, gains, rest = game._kernel
     tables = {}
     for i in players:
-        gain = dict(zip(nbrs[i], gains[i]))
-        rest = [j for j in players if j != i]
-        for size in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                coord = sum(gain.get(j, 0) for j in combo)
-                for k in range(1, game.m + 1):
-                    tables[(i, k, frozenset(combo))] = Fraction(
-                        rows[i][k - 1] + coord, scale)
+        groups = rest[i] if rest else ()
+        others = [j for j in players if j != i]
+        for size in range(len(others) + 1):
+            for combo in itertools.combinations(others, size):
+                combo = frozenset(combo)
+                coord = sum(g for j, g in zip(nbrs[i], gains[i]) if j in combo)
+                met = [(anchor, g) for group, anchor, g in groups
+                       if combo.issuperset(group)]
+                for k, own in enumerate(rows[i], 1):
+                    u = own + coord + sum(g for anchor, g in met
+                                          if anchor in (None, k))
+                    tables[(i, k, combo)] = Fraction(u, scale)
     return GeneralizedGame(n=game.n, m=game.m, tables=tables)
 
 
@@ -294,6 +302,8 @@ def parse_generalized(text):
             if (not isinstance(subset, list)
                     or any(type(j) is not int for j in subset)):
                 raise ParseError(f"{where}.others: expected a list of integers")
+            if len(set(subset)) != len(subset):
+                raise ParseError(f"{where}.others: repeated player")
             u = read(e.get("u"), f"{where}.u")
             key = (i, k, frozenset(subset))
             if key in tables:
@@ -378,14 +388,6 @@ class HypergraphGame(_KernelGame):
              [(share * e.weight).as_integer_ratio() for share in e.shares])
             for e in self.edges if e.weight])
 
-    def scaled_utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m times `scale`, as ints;
-        trusts the profile.  An edge pays i at k when every other member
-        plays k (any k if i is its only member) and k is the edge's anchor,
-        if it has one.  Reads i's kernel entries, so a call is O(deg *
-        edge size + m), not O(|E|)."""
-        return self._kernel.scaled_utilities(profile, i)
-
 
 def hypergraph_cc_recover(hgame):
     """Influence weights from hyperedge shares, or a failure witness.
@@ -397,12 +399,6 @@ def hypergraph_cc_recover(hgame):
     """
     return _recover(hgame, "zero share admits no positive weights",
                     "edge forces two different weights", witness_group=True)
-
-
-def hypergraph_potential(hgame, profile, cert):
-    """Phi(s) = sum over paying edges of w_e / (sum of member weights);
-    `scg.potentials.potential_value` of the hypergraph."""
-    return potential_value(hgame, profile, cert)
 
 
 def hypergraph_br_dynamics(hgame, start, step_cap=None):

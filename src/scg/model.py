@@ -24,25 +24,26 @@ L of the denominators of every own value and every group's gains, so the
 vector is plain ints, read from an `IntKernel` that `_int_kernel`, the one
 kernel builder, makes on first use from reduced (numerator, denominator)
 int pairs, so even a pairwise game's edge gains take no Fraction
-arithmetic.  On tables L is the lcm of every entry's denominator, and the
-ints come from a per-player dict keyed by the others' bitmask and the
-strategy.  Every ``utilities`` is ``Fraction(u, L)`` of the ints, read
-by `_ScaledGame`, which also holds the one profile check.  Orders,
-maxima, differences' signs and the ratios of two entries are the same at
-any positive scale, so callers compare the scaled values directly (a gate
-``u_new >= alpha * u_old`` by cross-multiplication) and divide by the
-scale only for what they record.  ``player_utility`` and ``welfare`` read
-the intrinsic part from the kernel's ``rows``, what each player gets
-alone at each strategy, so they take every family but tables.
+arithmetic; the game binds the kernel's reader on first use.  On tables
+L is the lcm of every entry's denominator, and the ints come from a
+per-player dict keyed by the others' bitmask and the strategy.  Every
+``utilities`` is ``Fraction(u, L)`` of the ints, read by `_ScaledGame`,
+which also holds the one profile check.  Orders, maxima, differences'
+signs and the ratios of two entries are the same at any positive scale,
+so callers compare the scaled values directly (a gate ``u_new >= alpha *
+u_old`` by cross-multiplication) and divide by the scale only for what
+they record.  ``player_utility`` and ``welfare`` read the intrinsic part
+from the game's ``rows``, what each player gets alone at each strategy
+times the scale: the kernel's rows, or a table's entries u_i(k, ∅).
 
 Group view: ``GameInstance`` and ``HypergraphGame`` also list themselves
 as (members, weight, shares, anchor) ``groups``, a pairwise game being an
 anchored singleton per intrinsic value and a pair per edge.  An
 `IntKernel` indexes valued groups by player: singletons fold into own
 rows, unanchored pairs into neighbour and gain lists, and every other
-group into ``rest``.  ``scg.potentials`` writes the potential, its audit
-and the weight recovery once over groups; the audit reads the potential
-as one more `IntKernel`.
+group into ``rest``, read by a `_GroupKernel` only.  ``scg.potentials``
+writes the potential, its audit and the weight recovery once over
+groups; the audit reads the potential as one more `IntKernel`.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ class IntKernel(NamedTuple):
     times scale.  ``rest[i]`` lists (others, anchor, gain) for every other
     group with i, a group of three or more or an anchored pair; ``rest`` is
     empty, with no per-player lists, when there is no such group, as on
-    every pairwise game.  Flat int lists, made by `_int_kernel` from int
-    pairs, so a utility vector takes int additions only.
+    every pairwise game, and the kernel is a `_GroupKernel` when there is
+    one.  Flat int lists, made by `_int_kernel` from int pairs, so a
+    utility vector takes int additions only.
     """
 
     scale: int
@@ -97,19 +99,39 @@ class IntKernel(NamedTuple):
     rest: list
 
     def scaled_utilities(self, profile, i):
-        """Player i's vector, as `_KernelGame.scaled_utilities` reads it,
-        plus the ``rest`` groups that pay i at a strategy: all their other
-        members play it, and it is their anchor if they have one.  O(deg *
-        group size + m)."""
-        _, rows, nbrs, gains, rest = self
+        """Player i's vector times `scale`; trusts the profile.  O(deg + m)."""
+        _, rows, nbrs, gains, _ = self
         us = rows[i].copy()
         for j, gain in zip(nbrs[i], gains[i]):
             us[profile[j] - 1] += gain
-        for others, anchor, gain in rest[i] if rest else ():
+        return us
+
+    @property
+    def hearers(self):
+        """Per player, the players whose vector a move of theirs changes."""
+        return self.nbrs
+
+
+class _GroupKernel(IntKernel):
+    """An `IntKernel` with ``rest`` groups."""
+
+    __slots__ = ()
+
+    def scaled_utilities(self, profile, i):
+        """Plus each ``rest`` group whose other members all play one
+        strategy, its anchor if it has one.  O(deg * group size + m)."""
+        us = super().scaled_utilities(profile, i)
+        for others, anchor, gain in self.rest[i]:
             k = profile[others[0]]
             if anchor in (None, k) and all(profile[j] == k for j in others):
                 us[k - 1] += gain
         return us
+
+    @property
+    def hearers(self):
+        """Plus the co-members of every ``rest`` group."""
+        return [list(set(nb).union(*(others for others, _, _ in groups)))
+                for nb, groups in zip(self.nbrs, self.rest)]
 
 
 def _scaled_ints(pairs):
@@ -152,7 +174,8 @@ def _int_kernel(own, groups):
             for pos, i in enumerate(members):
                 rest[i].append((members[:pos] + members[pos + 1:], anchor,
                                 next(it)))
-    return IntKernel(scale, rows, nbrs, gains, rest)
+    return (_GroupKernel if rest else IntKernel)(scale, rows, nbrs, gains,
+                                                 rest)
 
 
 class _ScaledGame:
@@ -176,15 +199,16 @@ class _KernelGame(_ScaledGame):
         """The common denominator L of the integer kernel."""
         return self._kernel.scale
 
-    def scaled_utilities(self, profile, i):
-        """Player i's utility for each strategy 1..m times `scale`, as ints;
-        trusts the profile.  O(deg + m).  Reads no ``rest`` group: a game
-        that has them overrides it with `IntKernel.scaled_utilities`."""
-        _, rows, nbrs, gains, _ = self._kernel
-        us = rows[i].copy()
-        for j, gain in zip(nbrs[i], gains[i]):
-            us[profile[j] - 1] += gain
-        return us
+    @property
+    def rows(self):
+        """Each player's own values by strategy, times `scale`."""
+        return self._kernel.rows
+
+    @cached_property
+    def scaled_utilities(self):
+        """The kernel's reader of ``(profile, i)``, bound on first use so
+        that a call costs one frame."""
+        return self._kernel.scaled_utilities
 
 
 @dataclass(frozen=True)
@@ -328,10 +352,10 @@ class InstanceStats:
 
 
 def player_utility(game, profile, i, strategy=None):
-    """Utility of player i, optionally under a unilateral deviation, on a
-    kernel game (not a table): (total, intrinsic_part, coordination_part)
-    as Fractions, read from `scaled_utilities` and the kernel's own row
-    once the arguments are validated."""
+    """Utility of player i, optionally under a unilateral deviation, on any
+    game: (total, intrinsic_part, coordination_part) as Fractions, read
+    from `scaled_utilities` and the own values ``rows`` once the arguments
+    are validated."""
     if type(i) is not int:
         raise _not_int("player index", i)
     if type(strategy) not in (int, type(None)):
@@ -344,7 +368,7 @@ def player_utility(game, profile, i, strategy=None):
         raise ValueError(f"strategy {k} out of range 1..{game.m}")
     scale = game.scale
     total = game.scaled_utilities(profile, i)[k - 1]
-    own = game._kernel.rows[i][k - 1]
+    own = game.rows[i][k - 1]
     return (Fraction(total, scale), Fraction(own, scale),
             Fraction(total - own, scale))
 
@@ -355,7 +379,7 @@ def welfare(game, profile):
     scale = game.scale
     per = [game.scaled_utilities(profile, i)[k - 1]
            for i, k in enumerate(profile)]
-    own = [row[k - 1] for row, k in zip(game._kernel.rows, profile)]
+    own = [row[k - 1] for row, k in zip(game.rows, profile)]
     coord = [u - a for u, a in zip(per, own)]
     return UtilityBreakdown(
         per_player=tuple([Fraction(u, scale) for u in per]),
@@ -379,8 +403,8 @@ def welfare_total(game, profile):
 
 def _k_star(game):
     """The strategy maximizing total intrinsic value, lowest index on ties,
-    from the integer kernel's rows."""
-    rows = game._kernel.rows
+    from the game's scaled own values."""
+    rows = game.rows
     col_sums = [sum(row[k] for row in rows) for k in range(game.m)]
     return max(range(game.m), key=lambda k: (col_sums[k], -k)) + 1
 

@@ -137,27 +137,16 @@ def at_least_sqrt2_times(x, y):
 
 
 def supermodular_alpha(r):
-    """Smallest rational p/10**6 >= (r + sqrt(r*(r+4))) / 2.
+    """Smallest rational p/10**6 >= (r + sqrt(r*(r+4))) / 2, exactly.
 
-    The exact threshold is irrational for most r; the result is verified by
-    exact squared comparison, so the returned rational is the true ceiling
-    at denominator 10**6.
+    For r = a/b the bound reads 2bp - 10**6 a >= sqrt(D) with D =
+    10**12 a(a + 4b); its left side is an int, so it holds iff it reaches
+    ceil(sqrt(D)), and p is the ceiling of (10**6 a + ceil(sqrt(D))) / 2b.
     """
     r = Fraction(r)
     if r < 1:
         raise ValueError("supermodularity degree must be >= 1")
-    disc = r * (r + 4)
-    den = 10**6
-
-    def is_upper(p):
-        # p/den >= (r + sqrt(disc))/2  <=>  (2p/den - r)^2 >= disc
-        lhs = 2 * Fraction(p, den) - r
-        return lhs >= 0 and lhs * lhs >= disc
-
-    # den * (r + sqrt(disc)) / 2 for r = a/b rounded down (a float guess
-    # overflows for huge r), so counting up stops on the ceiling
     a, b = r.numerator, r.denominator
-    p = (den * a + math.isqrt(a * (a + 4 * b) * den * den)) // (2 * b)
-    while not is_upper(p):
-        p += 1
-    return Fraction(p, den)
+    den = 10**6
+    root = math.isqrt(den * den * a * (a + 4 * b) - 1) + 1  # D > 0: r >= 1
+    return Fraction(-(-(den * a + root) // (2 * b)), den)

@@ -239,6 +239,18 @@ def test_bad_table_field_exits_2(tmp_path, capsys, command):
                             "expected a list of integers\n")
 
 
+def test_repeated_table_member_exits_2(tmp_path, capsys):
+    """A wire set lists each player once: [1, 1] is not read as [1]."""
+    path = tmp_path / "gg.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "tables": [
+        [{"strategy": 1, "others": [1, 1], "u": "1"}], []]}))
+    assert main(["verify", "generalized", "--profile", "1,1",
+                 "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tables[0][0].others: repeated player\n"
+
+
 @pytest.mark.parametrize("command,game,err", [
     (["verify", "nash", "--profile", "1,1"],
      {"n": 2, "m": 1, "intrinsic": [[True], ["1"]], "edges": []},

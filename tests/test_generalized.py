@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from scg import generalized
-from scg.analysis import SizeError, equilibrium_census
-from scg.dynamics import one_shot_alpha_br
+from scg.analysis import SizeError, equilibrium_census, mip_check
+from scg.dynamics import best_response, one_shot_alpha_br
 from scg.generalized import (TABLE_ENUM_CAP, GeneralizedGame, Hyperedge, HypergraphGame,
                              OmegaGame, TableError, additive_tables,
                              hypergraph_br_dynamics, hypergraph_cc_recover,
@@ -23,6 +23,7 @@ from scg.generalized import (TABLE_ENUM_CAP, GeneralizedGame, Hyperedge, Hypergr
                              verify_generalized, verify_omega_strong)
 from scg.generators import (random_hypergraph_cc, random_instance,
                             random_omega, random_supermodular)
+from scg.model import player_utility, welfare
 from scg.potentials import PotentialCertificate, RecoveryFailure, cc_recover
 from scg.rationals import ParseError, supermodular_alpha
 
@@ -81,6 +82,23 @@ def test_absent_entry_is_an_error():
     g = pair_table()
     with pytest.raises(TableError):
         g.utility(0, 1, frozenset({0, 1}))
+
+
+def test_table_readers_need_every_own_value():
+    """The per-player readers read u_i(k, set()) as a table's own value;
+    an incomplete table raises the `TableError` of the empty set, even
+    where every utility the profile reaches is given."""
+    g = GeneralizedGame(n=2, m=1, tables={
+        (0, 1, frozenset()): Fraction(1), (0, 1, frozenset({1})): Fraction(2),
+        (1, 1, frozenset({0})): Fraction(3)})
+    assert g.utilities((1, 1), 1) == [3]
+    message = "^no entry for player 1, strategy 1, set \\[\\]$"
+    for call in (lambda: player_utility(g, (1, 1), 1),
+                 lambda: welfare(g, (1, 1)),
+                 lambda: best_response(g, (1, 1), 1),
+                 lambda: mip_check(g, (1, 1))):
+        with pytest.raises(TableError, match=message):
+            call()
 
 
 def test_triangle_minmax_factor_equals_parameter():
@@ -363,10 +381,16 @@ CONFLICTED = OmegaGame(n=2, m=1, a=(1, 1), b=(1, 1),
     (lambda: triangle_game(H), ValueError, "c must be >= 1"),
     (lambda: additive_tables(random_instance(13, 1, 0)),
      ValueError, "additive table expansion capped at n = 12"),
+    (lambda: GeneralizedGame(n=3, m=1, tables={(0, 1, (1, 1)): 1}),
+     ValueError, "table key (0,1,(1, 1)): others must be a frozenset"),
+    (lambda: parse_generalized(_tables_text([[
+        {"strategy": 1, "others": [1, 1], "u": "1"}], []], n=2)),
+     ParseError, "tables[0][0].others: repeated player"),
 ], ids=["entry-list-count", "missing-strategy-others", "duplicate-entry",
         "constructor-rejection", "missing-players",
         "hypergraph-weight-grammar", "negative-entry",
-        "infeasible-profile", "triangle-c-below-1", "additive-cap"])
+        "infeasible-profile", "triangle-c-below-1", "additive-cap",
+        "tuple-others", "repeated-other"])
 def test_rejections_give_their_exact_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -36,7 +36,12 @@ with flat scans over the Fraction lookups.  The public readers
 `player_utility`, `welfare`, `best_response`, `instance_stats` and
 `mip_check` are compared with the versions that read the Fraction vector
 `utilities` and the Fraction own values, on pairwise games and
-hypergraphs.  Instances mix fractional
+hypergraphs.  Each kernel shape's reader and hearers are compared with
+the pair loop a kernel game had of its own, the hypergraph's reader with
+``rest`` groups and the hearer list the dynamics worked out; the
+additive tables of every kernel family with the game they expand, reader
+by reader and census by census; the closed-form one-shot gate with the
+Fraction search it replaced.  Instances mix fractional
 values, all-int values (scale 1) and coprime denominators whose lcm
 exceeds 2**64.  Runs are derandomized and small.
 """
@@ -74,14 +79,15 @@ from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
 from scg.generators import (example1, prop5, random_cc,
                             random_hypergraph_cc, random_instance,
                             random_supermodular, random_symmetric)
-from scg.model import (Edge, GameInstance, InstanceStats, UtilityBreakdown,
+from scg.model import (Edge, GameInstance, InstanceStats, IntKernel,
+                       UtilityBreakdown, _GroupKernel, _KernelGame,
                        _int_kernel, instance_stats, player_utility, welfare,
                        welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
                             RecoveryFailure, _potential_kernel,
                             _sampled_deviations, cc_recover, ordinal_audit,
                             potential_delta, potential_value)
-from scg.rationals import at_least_sqrt2_times
+from scg.rationals import at_least_sqrt2_times, supermodular_alpha
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -2363,3 +2369,143 @@ def test_omega_readers_take_no_intrinsic_part(og, data):
         best_k, best_u = _best_reply(us, profile[i])
         assert best_response(og, profile, i) == (
             best_k, best_u, _factor(us[profile[i] - 1], best_u))
+
+
+# --- one reader per kernel shape ----------------------------------------------
+
+
+def reference_scaled_utilities(game, profile, i):
+    """The pair loop `_KernelGame.scaled_utilities` had of its own and, on a
+    hypergraph, the ``rest`` loop of the `IntKernel.scaled_utilities` its
+    override called."""
+    _, rows, nbrs, gains, rest = game._kernel
+    us = rows[i].copy()
+    for j, gain in zip(nbrs[i], gains[i]):
+        us[profile[j] - 1] += gain
+    if isinstance(game, HypergraphGame):
+        for others, anchor, gain in rest[i] if rest else ():
+            k = profile[others[0]]
+            if anchor in (None, k) and all(profile[j] == k for j in others):
+                us[k - 1] += gain
+    return us
+
+
+def reference_hearers(game):
+    """The hearers `scg.dynamics` worked out of its own: the kernel's
+    ``nbrs`` as they are, plus the co-members of every ``rest`` group when
+    the kernel has some; on a table game, everyone."""
+    if not isinstance(game, _KernelGame):
+        return [range(game.n)] * game.n
+    _, _, nbrs, _, rest = game._kernel
+    if not rest:
+        return nbrs
+    return [list(set(nb).union(*(others for others, _, _ in groups)))
+            for nb, groups in zip(nbrs, rest)]
+
+
+# parallel pairs and singletons (pair_hypergraphs), groups of up to four
+# members, anchored or not (certified_hypergraphs and random_hypergraph_cc)
+kernel_games = (instances() | omega_games() | pair_hypergraphs()
+                | rest_hypergraphs)
+
+
+@SETTINGS
+@given(started(kernel_games | tables))
+@example((REST_GROUPS, (1, 2, 3, 1, 2), 1))
+@example((random_hypergraph_cc(6, 3, 4)[0], (1,) * 6, 1))
+def test_kernel_readers_and_hearers_match_the_old_loops(case):
+    """Each kernel shape reads the vectors and lists the hearers that the
+    game's own pair loop, the hypergraph override and the dynamics' own
+    hearer list did; a table game's hearers are every player."""
+    game, profile, _ = case
+    assert _Run(game, profile).hearers == reference_hearers(game)
+    if isinstance(game, GeneralizedGame):
+        return
+    kernel = game._kernel
+    assert type(kernel) is (_GroupKernel if kernel.rest else IntKernel)
+    for i in range(game.n):
+        assert (game.scaled_utilities(profile, i)
+                == reference_scaled_utilities(game, profile, i))
+
+
+def assert_tables_match(game):
+    """`additive_tables(game)` reads as the game: the same utilities and
+    per-player readers at every profile, and the same census."""
+    tabled = additive_tables(game)
+    for profile in _profiles(game):
+        assert welfare(tabled, profile) == welfare(game, profile)
+        assert mip_check(tabled, profile) == mip_check(game, profile)
+        for i in range(game.n):
+            assert tabled.utilities(profile, i) == game.utilities(profile, i)
+            assert (best_response(tabled, profile, i)
+                    == best_response(game, profile, i))
+            for k in range(1, game.m + 1):
+                assert (player_utility(tabled, profile, i, k)
+                        == player_utility(game, profile, i, k))
+    assert equilibrium_census(tabled) == equilibrium_census(game)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("family", ["pairwise", "omega", "hypergraph"])
+def test_additive_tables_read_as_the_generated_game(family, seed):
+    n, m = 2 + seed % 5, 1 + seed % 3
+    game = {"pairwise": lambda: random_instance(n, m, seed),
+            "omega": lambda: generators.random_omega(n, m, seed),
+            "hypergraph": lambda: random_hypergraph_cc(n, m, seed)[0],
+            }[family]()
+    assert_tables_match(game)
+
+
+@SETTINGS
+@given(certified_hypergraphs(st.integers(1, 4), st.integers(1, 3)))
+@example((random_hypergraph_cc(6, 3, 4)[0], None))
+@example((HypergraphGame(n=3, m=2, edges=(
+    Hyperedge((0, 1, 2), Fraction(6), (Fraction(1, 3),) * 3),)), None))
+def test_additive_tables_keep_every_hypergraph_payoff(case):
+    """Groups of three or more, anchored groups and parallel pairs all pay
+    in the tables as in the game."""
+    assert_tables_match(case[0])
+
+
+# --- the closed-form gate and the shared entry points -------------------------
+
+
+def reference_supermodular_alpha(r):
+    """The gate by an `isqrt` guess counted up to the ceiling by exact
+    Fraction comparisons."""
+    r = Fraction(r)
+    if r < 1:
+        raise ValueError("supermodularity degree must be >= 1")
+    disc = r * (r + 4)
+    den = 10**6
+
+    def is_upper(p):
+        lhs = 2 * Fraction(p, den) - r
+        return lhs >= 0 and lhs * lhs >= disc
+
+    a, b = r.numerator, r.denominator
+    p = (den * a + math.isqrt(a * (a + 4 * b) * den * den)) // (2 * b)
+    while not is_upper(p):
+        p += 1
+    return Fraction(p, den)
+
+
+# integers up to 10**29, a/b with b up to 10**24, every n/d with d < 60
+# and d <= n < 8d, and one huge non-integer degree
+GATE_GRID = (
+    [Fraction(x) for x in range(1, 1001)]
+    + [Fraction(10**j + d) for j in range(3, 30) for d in (-1, 0, 1)]
+    + [Fraction(a * 10**j + d, 10**j) for j in range(1, 25)
+       for a in (1, 3, 7, 1000) for d in (-1, 1, 7) if a * 10**j + d >= 10**j]
+    + [Fraction(n, d) for d in range(1, 60) for n in range(d, 8 * d)]
+    + [Fraction(10**40 + 7, 3)])
+
+
+def test_gate_closed_form_matches_the_fraction_search():
+    for r in GATE_GRID:
+        assert supermodular_alpha(r) == reference_supermodular_alpha(r), r
+
+
+def test_family_entry_points_are_the_shared_ones():
+    assert verify_generalized is deviation_report
+    assert hypergraph_potential is potential_value
