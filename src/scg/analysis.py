@@ -30,8 +30,8 @@ from fractions import Fraction
 
 # player_utility is not called here; it stays importable from scg.analysis,
 # where the benchmark's tracer tests look for it
-from .model import _EXACT, _inexact, player_utility
-from .rationals import INF, PHI_APPROX
+from .model import player_utility
+from .rationals import _EXACT, INF, PHI_APPROX, _inexact
 
 ONE = Fraction(1)
 

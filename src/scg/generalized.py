@@ -30,11 +30,12 @@ from functools import cached_property
 from .analysis import (SizeError, _exact_alpha, _group_deviation, _profiles,
                        deviation_report as verify_generalized)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
-from .model import (_EXACT, _KernelGame, _ScaledGame, _check_dims,
-                    _inexact, _int_kernel, _not_int, _scaled_ints)
+from .model import (_KernelGame, _ScaledGame, _check_dims, _not_int,
+                    _scaled_ints)
 from .potentials import _recover, potential_value as hypergraph_potential
-from .rationals import (INF, ParseError, _as_list, load_object,
-                        rational_reader, rational_writer, supermodular_alpha)
+from .rationals import (_EXACT, INF, ParseError, _as_list, _inexact,
+                        load_object, rational_reader, rational_writer,
+                        supermodular_alpha)
 
 ZERO = Fraction(0)
 
@@ -373,20 +374,12 @@ class HypergraphGame(_KernelGame):
                 raise ValueError(f"{where}.shares: must be nonnegative and "
                                  "sum to 1")
 
-    @property
-    def groups(self):
-        """The edges as (members, weight, shares, anchor) groups."""
-        return [(e.players, e.weight, e.shares, e.anchor) for e in self.edges]
-
-    @cached_property
-    def _kernel(self):
-        """The `scg.model.IntKernel` of the positive edges, each paying its
-        member at position pos shares[pos] * weight; built on first use
-        and kept."""
-        return _int_kernel([(0,) * self.m] * self.n, [
-            (e.players, e.anchor,
-             [(share * e.weight).as_integer_ratio() for share in e.shares])
-            for e in self.edges if e.weight])
+    def _groups(self):
+        """The positive edges as (members, anchor, w, shares) groups, w and
+        every share a reduced int pair."""
+        return [(e.players, e.anchor, e.weight.as_integer_ratio(),
+                 tuple([share.as_integer_ratio() for share in e.shares]))
+                for e in self.edges if e.weight]
 
 
 def hypergraph_cc_recover(hgame):
@@ -494,18 +487,21 @@ class OmegaGame(_KernelGame):
                 if i != j and lab != self.labels[j][i]:
                     raise ValueError(f"labels[{i}][{j}]: not symmetric")
 
-    @cached_property
-    def _kernel(self):
-        """The `scg.model.IntKernel`, built on first use and kept: no own
-        values; one pair per two players not in conflict, paying i a_i * b_j
-        on a "one" label and omega times that on a "zero" label."""
+    def _groups(self):
+        """One (members, anchor, w, shares) group per two players not in
+        conflict, w and every share a reduced int pair: w = a_i b_j + a_j b_i,
+        times omega on a "zero" label, split in proportion to its terms."""
         a, b, omega = self.a, self.b, self.omega
-        return _int_kernel([(0,) * self.m] * self.n, [
-            ((i, j), None, [v.as_integer_ratio() for v in (
-                (a[i] * b[j], a[j] * b[i]) if lab == "one"
-                else (omega * a[i] * b[j], omega * a[j] * b[i]))])
-            for i, row in enumerate(self.labels)
-            for j, lab in enumerate(row[i + 1:], i + 1) if lab != "conflict"])
+        groups = []
+        for i, row in enumerate(self.labels):
+            for j, lab in enumerate(row[i + 1:], i + 1):
+                if lab != "conflict":
+                    x, y = a[i] * b[j], a[j] * b[i]
+                    w = x + y if lab == "one" else omega * (x + y)
+                    groups.append(((i, j), None, w.as_integer_ratio(), (
+                        Fraction(x, x + y).as_integer_ratio(),
+                        Fraction(y, x + y).as_integer_ratio())))
+        return groups
 
     def feasible(self, profile):
         for i in range(self.n):

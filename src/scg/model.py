@@ -22,8 +22,8 @@ which is the same vector times the game's positive ``scale``.  On
 ``GameInstance``, ``OmegaGame`` and ``HypergraphGame`` the scale is the lcm
 L of the denominators of every own value and every group's gains, so the
 vector is plain ints, read from an `IntKernel` that `_int_kernel`, the one
-kernel builder, makes on first use from reduced (numerator, denominator)
-int pairs, so even a pairwise game's edge gains take no Fraction
+kernel builder, makes on first use from the game's group list of reduced
+(numerator, denominator) int pairs, so no game's gains take Fraction
 arithmetic; the game binds the kernel's reader on first use.  On tables
 L is the lcm of every entry's denominator, and the ints come from a
 per-player dict keyed by the others' bitmask and the strategy.  Every
@@ -36,14 +36,14 @@ they record.  ``player_utility`` and ``welfare`` read the intrinsic part
 from the game's ``rows``, what each player gets alone at each strategy
 times the scale: the kernel's rows, or a table's entries u_i(k, ∅).
 
-Group view: ``GameInstance`` and ``HypergraphGame`` also list themselves
-as (members, weight, shares, anchor) ``groups``, a pairwise game being an
-anchored singleton per intrinsic value and a pair per edge.  An
-`IntKernel` indexes valued groups by player: singletons fold into own
-rows, unanchored pairs into neighbour and gain lists, and every other
-group into ``rest``, read by a `_GroupKernel` only.  ``scg.potentials``
-writes the potential, its audit and the weight recovery once over
-groups; the audit reads the potential as one more `IntKernel`.
+Group list: each kernel game lists its groups once, built on each call
+of ``_groups()``, as (members, anchor, w, shares), w and every share a
+reduced int pair; a pairwise game is an anchored singleton per intrinsic
+value and a pair per edge.  An `IntKernel` indexes it by player:
+singletons fold into own rows, unanchored pairs into neighbour and gain
+lists, and every other group into ``rest``, read by a `_GroupKernel`
+only.  ``scg.potentials`` reads the same list on int pairs for the
+potential, its audit and the weight recovery.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple
 
-from .rationals import (INF, ParseError, _as_list, load_object,
-                        rational_reader, rational_writer)
+from .rationals import (_EXACT, INF, ParseError, _as_list, _inexact,
+                        load_object, rational_reader, rational_writer)
 
 ONE = Fraction(1)
 
@@ -80,8 +79,8 @@ class IntKernel(NamedTuple):
     """A game scaled to ints by the common denominator ``scale``, its
     groups indexed by player.
 
-    ``rows[i][k - 1]`` is player i's own value for strategy k (w_i^k on a
-    `GameInstance`, plus what i's singleton groups pay there) times scale;
+    ``rows[i][k - 1]`` is player i's own value for strategy k, what i's
+    singleton groups pay there (w_i^k on a `GameInstance`), times scale;
     ``nbrs[i]`` lists the players whose company pays i through an
     unanchored pair and ``gains[i]``, aligned with it, i's gain from each,
     times scale.  ``rest[i]`` lists (others, anchor, gain) for every other
@@ -142,22 +141,33 @@ def _scaled_ints(pairs):
     return scale, [p * (scale // d) for p, d in pairs]
 
 
-def _int_kernel(own, groups):
-    """The `IntKernel` of n rows of exact own values and a list of valued
-    groups (members, anchor, values), values[pos] being what the group
-    pays members[pos] as a reduced int pair (p, q), all scaled by the lcm
-    of every q.  A singleton folds into its member's row, at its anchor
-    or, unanchored, at every strategy; an unanchored pair goes to ``nbrs``
-    and ``gains``; every other group goes to ``rest``."""
-    pairs = [v.as_integer_ratio() for row in own for v in row]
-    pairs += [v for _, _, vs in groups for v in vs]
-    scale, ints = _scaled_ints(pairs)
-    it = iter(ints)
-    rows = [list(islice(it, len(row))) for row in own]
+def _reduced(p, q):
+    r = math.gcd(p, q)
+    return p // r, q // r
+
+
+def _int_kernel(n, m, groups):
+    """The `IntKernel` of n players, m strategies and a group list of
+    (members, anchor, w, shares), w and every share a reduced int pair:
+    members[pos] gets w * shares[pos], reduced on ints and scaled by the
+    lcm of every such denominator.  A singleton folds into its member's
+    row, at its anchor or, unanchored, at every strategy; an unanchored
+    pair goes to ``nbrs`` and ``gains``; every other group to ``rest``."""
+    # int lists, not a pair per value: fewer live tuples, fewer GC passes
+    nums, dens, gcd = [], [], math.gcd
+    for _, _, (a, b), shares in groups:
+        for c, d in shares:
+            p, q = a * c, b * d
+            r = gcd(p, q)
+            nums.append(p // r)
+            dens.append(q // r)
+    scale = math.lcm(*set(dens))
+    it = iter([p * (scale // q) for p, q in zip(nums, dens)])
+    rows = [[0] * m for _ in range(n)]
     nbrs = [[] for _ in rows]
     gains = [[] for _ in rows]
     rest = []
-    for members, anchor, _ in groups:  # the values are read from `it`
+    for members, anchor, _, _ in groups:  # the values are read from `it`
         if len(members) == 2 and anchor is None:
             i, j = members
             nbrs[i].append(j)
@@ -166,7 +176,7 @@ def _int_kernel(own, groups):
             gains[j].append(next(it))
         elif len(members) == 1:
             row, v = rows[members[0]], next(it)
-            for k in range(len(row)) if anchor is None else (anchor - 1,):
+            for k in range(m) if anchor is None else (anchor - 1,):
                 row[k] += v
         else:
             if not rest:
@@ -192,7 +202,12 @@ class _ScaledGame:
 
 
 class _KernelGame(_ScaledGame):
-    """The utility protocol of a game whose ``_kernel`` is an `IntKernel`."""
+    """The utility protocol, read through the `IntKernel` of ``_groups()``."""
+
+    @cached_property
+    def _kernel(self):
+        """The `IntKernel` of ``_groups()``, built on first use and kept."""
+        return _int_kernel(self.n, self.m, self._groups())
 
     @property
     def scale(self):
@@ -255,44 +270,21 @@ class GameInstance(_KernelGame):
             if not (0 <= share.numerator <= share.denominator):
                 raise ValueError(f"edge ({i},{j}).share_ij: share out of range")
 
-    @cached_property
-    def _kernel(self):
-        """The `IntKernel`, built from `intrinsic` and `edges` on first use
-        (never at construction) and kept.  An edge with w = a/b and share_ij
-        = c/d pays i ac/bd and j a(d-c)/bd, reduced on ints."""
-        groups = []
+    def _groups(self):
+        """One singleton ((i,), k, w_i^k, (1,)) per intrinsic value, then one
+        pair ((i, j), None, w, (share_ij, 1 - share_ij)) per edge, zero
+        weights included; w and every share a reduced int pair."""
+        groups = [(members, k, v.as_integer_ratio(), ((1, 1),))
+                  for i, row in enumerate(self.intrinsic)
+                  for members in ((i,),) for k, v in enumerate(row, 1)]
         for e in self.edges:
-            a, b = e.w.as_integer_ratio()
-            c, d = e.share_ij.as_integer_ratio()
-            bd, gi, gj = b * d, a * c, a * (d - c)
-            ri, rj = math.gcd(gi, bd), math.gcd(gj, bd)
-            groups.append(((e.i, e.j), None,
-                           ((gi // ri, bd // ri), (gj // rj, bd // rj))))
-        return _int_kernel(self.intrinsic, groups)
-
-    @property
-    def groups(self):
-        """The game as (members, weight, shares, anchor) groups: one
-        singleton ((i,), w_i^k, (1,), k) per intrinsic value and one pair
-        ((i, j), w, (share_ij, 1 - share_ij), None) per edge."""
-        return ([((i,), v, (ONE,), k) for i, row in enumerate(self.intrinsic)
-                 for k, v in enumerate(row, 1)]
-                + [((e.i, e.j), e.w, (e.share_ij, e.share_ji), None)
-                   for e in self.edges])
+            share = c, d = e.share_ij.as_integer_ratio()
+            groups.append(((e.i, e.j), None, e.w.as_integer_ratio(),
+                           (share, (d - c, d))))
+        return groups
 
     def validate_profile(self, profile):  # its own: bench/tracer.py wraps it
         _check_profile(self, profile)
-
-
-#: The value types exact arithmetic takes, matched by exact type (a set
-#: lookup, cheap enough for every entry of a large instance); bool is
-#: left out, as it is an int to Python but never a payoff.
-_EXACT = frozenset((int, Fraction))
-
-
-def _inexact(where, value):
-    return ValueError(f"{where}: expected an int or Fraction, "
-                      f"got {type(value).__name__}")
 
 
 def _not_int(where, value):
@@ -392,9 +384,12 @@ def welfare(game, profile):
 
 
 def welfare_total(game, profile):
-    """Social welfare u(s) without the per-player breakdown (hot path): one
-    Fraction of the own values scaled to ints by `_scaled_ints`, not of the
-    integer kernel, so summing a welfare keeps no integer copy alive."""
+    """Social welfare u(s) without the per-player breakdown (hot path): a
+    `GameInstance` sums its own values and paying edges' weights and builds
+    no kernel, any other game sums `scaled_utilities` at the profile."""
+    if not isinstance(game, GameInstance):
+        return Fraction(sum([game.scaled_utilities(profile, i)[k - 1]
+                             for i, k in enumerate(profile)]), game.scale)
     values = [row[k - 1] for row, k in zip(game.intrinsic, profile)]
     values += [e.w for e in game.edges if profile[e.i] == profile[e.j]]
     scale, ints = _scaled_ints([v.as_integer_ratio() for v in values])

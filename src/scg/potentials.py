@@ -1,12 +1,13 @@
 """Influence-weight recovery and ordinal potential auditing.
 
-Both potential game families are lists of groups (members, weight,
-shares, anchor).  A group pays when all its members play one strategy,
-its anchor if it has one, and then member i earns shares[i] * weight.  A
-`scg.generalized.HypergraphGame` lists its hyperedges as groups.  A
-pairwise `scg.model.GameInstance` is the special case of one anchored
-singleton ((i,), w_i^k, (1,), k) per intrinsic value and one unanchored
-pair ((i, j), w(i,j), (share_ij, 1 - share_ij), None) per edge.
+Both potential game families list themselves as (members, anchor, w,
+shares) groups in the ``_groups()`` their kernel is built from, w and
+every share a reduced int pair.  A group pays when all its members play
+one strategy, its anchor if it has one, and then member i earns
+shares[i] * w.  A `scg.generalized.HypergraphGame` lists its positive
+hyperedges.  A pairwise `scg.model.GameInstance` is the special case of
+one anchored singleton ((i,), k, w_i^k, (1,)) per intrinsic value and
+one pair ((i, j), None, w(i,j), (share_ij, 1 - share_ij)) per edge.
 
 When every positive group's shares arise from per-player influence
 weights, share_i = g_i / sum_{j in e} g_j, the game has the ordinal
@@ -22,31 +23,27 @@ so gated best-response dynamics cannot cycle on such games.
 `potential_value`, `potential_delta`, `ordinal_audit`, the weight
 recovery `_recover` (behind `cc_recover` and
 `scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
-are written once over the groups and take either family.  The audit takes
-only the potential side from the groups, as one more `scg.model.IntKernel`
-in which every member of a group earns the group's potential term, so
-player i's vector of that kernel changes by dphi as i moves.  A
-deviation's utility change is read from the game's own
-`scaled_utilities`, the vector every dynamic and verifier reads, so the
-audit checks the potential against the utilities the rest of the package
-computes.
+are written once over the groups on int pairs and take either family;
+only what they return is a Fraction.  The audit takes only the potential
+side from the groups, as one more `scg.model.IntKernel` in which every
+member of a group earns the group's potential term, so player i's vector
+of that kernel changes by dphi as i moves.  A deviation's utility change
+is read from the game's own `scaled_utilities`, the vector every dynamic
+and verifier reads, so the audit checks the potential against the
+utilities the rest of the package computes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import _EXACT, _inexact, _int_kernel, player_utility
-from .rationals import (format_rational, load_list, rational_reader,
-                        rational_writer)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .model import _int_kernel, _reduced, _scaled_ints, player_utility
+from .rationals import (_EXACT, _inexact, format_rational, load_list,
+                        rational_reader, rational_writer)
 
 
 @dataclass(frozen=True)
@@ -91,15 +88,15 @@ def _recover(game, zero_reason, conflict_reason, witness_group):
     group of two or more members (singletons constrain nothing),
     depth-first from each unweighted player in index order: the first
     member i of a group to be reached sets gamma_j = gamma_i * share_j /
-    share_i for the others; components are normalized to minimum weight 1.
-    A `RecoveryFailure` names the first group with a zero share, or, when
-    j reached from i gets a second weight, the group if `witness_group`
-    and (i, j) otherwise."""
-    groups = [(members, shares) for members, w, shares, _ in game.groups
-              if w > 0 and len(members) > 1]
+    share_i for the others, a reduced int pair; components are normalized
+    to minimum weight 1.  A `RecoveryFailure` names the first group with a
+    zero share, or, when j reached from i gets a second weight, the group
+    if `witness_group` and (i, j) otherwise."""
+    groups = [(members, shares) for members, _, (a, _), shares
+              in game._groups() if a and len(members) > 1]
     incident = [[] for _ in range(game.n)]  # (group number, own share)
     for g, (members, shares) in enumerate(groups):
-        if 0 in shares:
+        if any(not c for c, _ in shares):
             return RecoveryFailure(edge=tuple(members), reason=zero_reason)
         for i, share in zip(members, shares):
             incident[i].append((g, share))
@@ -108,19 +105,19 @@ def _recover(game, zero_reason, conflict_reason, witness_group):
     for root in range(game.n):
         if gamma[root] is not None:
             continue
-        gamma[root] = ONE
+        gamma[root] = (1, 1)
         component, stack = [root], [root]
         while stack:
             i = stack.pop()
-            for g, share in incident[i]:
+            for g, (c, d) in incident[i]:
                 if reached[g]:
                     continue  # its constraints on i hold already
                 reached[g] = True
-                base = gamma[i] / share
-                for j, s_j in zip(*groups[g]):
+                p, q = gamma[i][0] * d, gamma[i][1] * c  # gamma_i / share_i
+                for j, (c_j, d_j) in zip(*groups[g]):
                     if j == i:
                         continue
-                    expected = base * s_j
+                    expected = _reduced(p * c_j, q * d_j)
                     if gamma[j] is None:
                         gamma[j] = expected
                         component.append(j)
@@ -129,9 +126,9 @@ def _recover(game, zero_reason, conflict_reason, witness_group):
                         return RecoveryFailure(
                             edge=tuple(groups[g][0]) if witness_group
                             else (i, j), reason=conflict_reason)
-        low = min(gamma[i] for i in component)
+        low = min(Fraction(*gamma[i]) for i in component)
         for i in component:
-            gamma[i] /= low
+            gamma[i] = Fraction(*gamma[i]) / low
     return PotentialCertificate(gamma=tuple(gamma))
 
 
@@ -149,11 +146,13 @@ def cc_recover(game):
 
 def certificate_shares_match(game, cert):
     """Exact round-trip check: in every positive-weight group each
-    member's share equals g_i / (sum of member weights)."""
-    gamma = [Fraction(g) for g in cert.gamma]
-    return all(share == gamma[i] / sum(gamma[j] for j in members)
-               for members, w, shares, _ in game.groups if w > 0
-               for i, share in zip(members, shares))
+    member's share c_i / d_i equals g_i / (sum of member weights), that is
+    c_i * sum G = d_i * G_i for the weights G scaled to ints."""
+    _check_certificate(game, cert)
+    _, weights = _scaled_ints([g.as_integer_ratio() for g in cert.gamma])
+    return all(c * sum([weights[j] for j in members]) == d * weights[i]
+               for members, _, (a, _), shares in game._groups() if a
+               for i, (c, d) in zip(members, shares))
 
 
 def _check_certificate(game, cert):
@@ -169,18 +168,29 @@ def _check_certificate(game, cert):
                              f"got {format_rational(g)}")
 
 
+def _potential_terms(game, cert):
+    """(members, anchor, term) for each positive group, the term w / (sum
+    of member weights) a reduced int pair: with the weights scaled to ints
+    G by their common denominator L, w = a/b makes it aL / (b sum G)."""
+    scale, weights = _scaled_ints([g.as_integer_ratio() for g in cert.gamma])
+    for members, anchor, (a, b), _ in game._groups():
+        if a:
+            yield members, anchor, _reduced(
+                a * scale, b * sum([weights[j] for j in members]))
+
+
 def potential_value(game, profile, cert):
     """Phi(profile) of a `GameInstance` or a `HypergraphGame`, exactly:
     the sum of w / (sum of member weights) over the paying groups."""
     game.validate_profile(profile)
     _check_certificate(game, cert)
-    gamma = [Fraction(g) for g in cert.gamma]
-    phi = ZERO
-    for members, weight, _, anchor in game.groups:
+    terms = []
+    for members, anchor, term in _potential_terms(game, cert):
         k = profile[members[0]]
         if anchor in (None, k) and all(profile[j] == k for j in members):
-            phi += weight / sum(gamma[j] for j in members)
-    return phi
+            terms.append(term)
+    scale, ints = _scaled_ints(terms)
+    return Fraction(sum(ints), scale)
 
 
 def potential_delta(game, profile, i, new_strategy, cert):
@@ -194,26 +204,13 @@ def potential_delta(game, profile, i, new_strategy, cert):
 
 def _potential_kernel(game, cert):
     """The potential as one more `scg.model.IntKernel`: each positive group
-    valued w / (sum of member weights) for every member.  Entry k of
+    pays every member its term w / (sum of member weights).  Entry k of
     player i's vector is then the sum of the terms that pay with i at k and
     the others where they are, so a move's dphi is the difference of two
-    entries; every term without i cancels.  Each term is built from int
-    pairs: the member weights c/d summed to p/q by cross-multiplication,
-    then w = a/b over it is (a q) / (b p), reduced once."""
-    gamma = [g.as_integer_ratio() for g in cert.gamma]
-    groups = []
-    for members, w, _, anchor in game.groups:
-        if not w:
-            continue
-        a, b = w.as_integer_ratio()
-        p, q = 0, 1
-        for j in members:
-            c, d = gamma[j]
-            p, q = p * d + c * q, q * d
-        num, den = a * q, b * p
-        g = math.gcd(num, den)
-        groups.append((members, anchor, [(num // g, den // g)] * len(members)))
-    return _int_kernel([(0,) * game.m] * game.n, groups)
+    entries; every term without i cancels."""
+    return _int_kernel(game.n, game.m, [
+        (members, anchor, term, ((1, 1),) * len(members))
+        for members, anchor, term in _potential_terms(game, cert)])
 
 
 def _every_deviation(game):
@@ -301,6 +298,6 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
         violations += 1
         if counterexample is None:
             counterexample = (profile, i, new_k, Fraction(du, game.scale),
-                              potential_delta(game, profile, i, new_k, cert))
+                              Fraction(dp, potential.scale))
     return AuditReport(trials=done, violations=violations,
                        counterexample=counterexample)

@@ -29,6 +29,17 @@ class ParseError(ValueError):
     """Malformed instance text; the message names the offending field."""
 
 
+#: The value types exact arithmetic takes, matched by exact type (a set
+#: lookup, cheap enough for every entry of a large instance); bool is
+#: left out, as it is an int to Python but never a payoff.
+_EXACT = frozenset((int, Fraction))
+
+
+def _inexact(where, value):
+    return ValueError(f"{where}: expected an int or Fraction, "
+                      f"got {type(value).__name__}")
+
+
 #: The wire grammar, ASCII only: `int()` alone would also take "1_0", " 7 ",
 #: "+3" and digits such as "٣".
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -143,10 +154,11 @@ def supermodular_alpha(r):
     10**12 a(a + 4b); its left side is an int, so it holds iff it reaches
     ceil(sqrt(D)), and p is the ceiling of (10**6 a + ceil(sqrt(D))) / 2b.
     """
-    r = Fraction(r)
+    if type(r) not in _EXACT:
+        raise _inexact("supermodularity degree", r)
     if r < 1:
         raise ValueError("supermodularity degree must be >= 1")
-    a, b = r.numerator, r.denominator
+    a, b = r.as_integer_ratio()
     den = 10**6
     root = math.isqrt(den * den * a * (a + 4 * b) - 1) + 1  # D > 0: r >= 1
     return Fraction(-(-(den * a + root) // (2 * b)), den)

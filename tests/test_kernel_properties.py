@@ -41,11 +41,17 @@ the pair loop a kernel game had of its own, the hypergraph's reader with
 ``rest`` groups and the hearer list the dynamics worked out; the
 additive tables of every kernel family with the game they expand, reader
 by reader and census by census; the closed-form one-shot gate with the
-Fraction search it replaced.  Instances mix fractional
+Fraction search it replaced.  The one int-pair group list is compared
+with what it replaced: every family's kernel with the builder the family
+had of its own, and the weight recovery (witnesses included), the share
+check, the potential and the potential's kernel with their versions over
+the Fraction ``groups`` view, on certified, generated and perturbed
+games.  Instances mix fractional
 values, all-int values (scale 1) and coprime denominators whose lcm
 exceeds 2**64.  Runs are derandomized and small.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -81,11 +87,11 @@ from scg.generators import (example1, prop5, random_cc,
                             random_supermodular, random_symmetric)
 from scg.model import (Edge, GameInstance, InstanceStats, IntKernel,
                        UtilityBreakdown, _GroupKernel, _KernelGame,
-                       _int_kernel, instance_stats, player_utility, welfare,
-                       welfare_total)
+                       instance_stats, player_utility, welfare, welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
                             RecoveryFailure, _potential_kernel,
-                            _sampled_deviations, cc_recover, ordinal_audit,
+                            _sampled_deviations, cc_recover,
+                            certificate_shares_match, ordinal_audit,
                             potential_delta, potential_value)
 from scg.rationals import at_least_sqrt2_times, supermodular_alpha
 
@@ -1018,11 +1024,11 @@ def reference_potential_kernel(game, cert):
     """The potential's `IntKernel` with each group's term w / (sum of
     member weights) computed on Fractions."""
     gamma = [Fraction(g) for g in cert.gamma]
-    return _int_kernel([(0,) * game.m] * game.n, [
+    return reference_int_kernel([(0,) * game.m] * game.n, [
         (members, anchor,
          [(w / sum((gamma[j] for j in members), Fraction(0)))
           .as_integer_ratio()] * len(members))
-        for members, w, _, anchor in game.groups if w])
+        for members, w, _, anchor in reference_groups(game) if w])
 
 
 @SETTINGS
@@ -2509,3 +2515,252 @@ def test_gate_closed_form_matches_the_fraction_search():
 def test_family_entry_points_are_the_shared_ones():
     assert verify_generalized is deviation_report
     assert hypergraph_potential is potential_value
+
+
+# --- one int-pair group list ------------------------------------------------
+
+
+def reference_groups(game):
+    """The Fraction (members, weight, shares, anchor) ``groups`` view that
+    `GameInstance` and `HypergraphGame` listed beside their kernels."""
+    if isinstance(game, HypergraphGame):
+        return [(e.players, e.weight, e.shares, e.anchor) for e in game.edges]
+    return ([((i,), v, (Fraction(1),), k)
+             for i, row in enumerate(game.intrinsic)
+             for k, v in enumerate(row, 1)]
+            + [((e.i, e.j), e.w, (e.share_ij, e.share_ji), None)
+               for e in game.edges])
+
+
+def reference_int_kernel(own, groups):
+    """`_int_kernel` as it took n rows of exact own values and groups
+    (members, anchor, values), values[pos] what the group pays members[pos]
+    as a reduced int pair."""
+    pairs = [v.as_integer_ratio() for row in own for v in row]
+    pairs += [v for _, _, vs in groups for v in vs]
+    scale = math.lcm(*{d for _, d in pairs})
+    it = iter([p * (scale // d) for p, d in pairs])
+    rows = [list(itertools.islice(it, len(row))) for row in own]
+    nbrs = [[] for _ in rows]
+    gains = [[] for _ in rows]
+    rest = []
+    for members, anchor, _ in groups:
+        if len(members) == 2 and anchor is None:
+            i, j = members
+            nbrs[i].append(j)
+            gains[i].append(next(it))
+            nbrs[j].append(i)
+            gains[j].append(next(it))
+        elif len(members) == 1:
+            row, v = rows[members[0]], next(it)
+            for k in range(len(row)) if anchor is None else (anchor - 1,):
+                row[k] += v
+        else:
+            if not rest:
+                rest = [[] for _ in rows]
+            for pos, i in enumerate(members):
+                rest[i].append((members[:pos] + members[pos + 1:], anchor,
+                                next(it)))
+    return (_GroupKernel if rest else IntKernel)(scale, rows, nbrs, gains,
+                                                 rest)
+
+
+def reference_kernel(game):
+    """The `IntKernel` that each family's own ``_kernel`` built: a pairwise
+    game's own rows and edge gains as int pairs, a hypergraph's positive
+    edges valued share * weight, an omega game's non-conflicted pairs."""
+    zero = [(0,) * game.m] * game.n
+    if isinstance(game, HypergraphGame):
+        return reference_int_kernel(zero, [
+            (e.players, e.anchor,
+             [(share * e.weight).as_integer_ratio() for share in e.shares])
+            for e in game.edges if e.weight])
+    if isinstance(game, OmegaGame):
+        a, b, omega = game.a, game.b, game.omega
+        return reference_int_kernel(zero, [
+            ((i, j), None, [v.as_integer_ratio() for v in (
+                (a[i] * b[j], a[j] * b[i]) if lab == "one"
+                else (omega * a[i] * b[j], omega * a[j] * b[i]))])
+            for i, row in enumerate(game.labels)
+            for j, lab in enumerate(row[i + 1:], i + 1) if lab != "conflict"])
+    groups = []
+    for e in game.edges:
+        a, b = e.w.as_integer_ratio()
+        c, d = e.share_ij.as_integer_ratio()
+        bd, gi, gj = b * d, a * c, a * (d - c)
+        ri, rj = math.gcd(gi, bd), math.gcd(gj, bd)
+        groups.append(((e.i, e.j), None,
+                       ((gi // ri, bd // ri), (gj // rj, bd // rj))))
+    return reference_int_kernel(game.intrinsic, groups)
+
+
+def reference_recover(game, zero_reason, conflict_reason, witness_group):
+    """`_recover` on the Fraction groups: a division per reached group and
+    a product per other member, components normalized by Fraction
+    division."""
+    groups = [(members, shares) for members, w, shares, _
+              in reference_groups(game) if w > 0 and len(members) > 1]
+    incident = [[] for _ in range(game.n)]
+    for g, (members, shares) in enumerate(groups):
+        if 0 in shares:
+            return RecoveryFailure(edge=tuple(members), reason=zero_reason)
+        for i, share in zip(members, shares):
+            incident[i].append((g, share))
+    reached = [False] * len(groups)
+    gamma = [None] * game.n
+    for root in range(game.n):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = Fraction(1)
+        component, stack = [root], [root]
+        while stack:
+            i = stack.pop()
+            for g, share in incident[i]:
+                if reached[g]:
+                    continue
+                reached[g] = True
+                base = gamma[i] / share
+                for j, s_j in zip(*groups[g]):
+                    if j == i:
+                        continue
+                    expected = base * s_j
+                    if gamma[j] is None:
+                        gamma[j] = expected
+                        component.append(j)
+                        stack.append(j)
+                    elif gamma[j] != expected:
+                        return RecoveryFailure(
+                            edge=tuple(groups[g][0]) if witness_group
+                            else (i, j), reason=conflict_reason)
+        low = min(gamma[i] for i in component)
+        for i in component:
+            gamma[i] /= low
+    return PotentialCertificate(gamma=tuple(gamma))
+
+
+def reference_family_recover(game):
+    if isinstance(game, HypergraphGame):
+        return reference_recover(game, "zero share admits no positive weights",
+                                 "edge forces two different weights", True)
+    return reference_recover(game, "share 0 or 1 admits no positive weights",
+                             "cycle forces two different weights", False)
+
+
+def reference_shares_match(game, cert):
+    """`certificate_shares_match` on the Fraction groups."""
+    gamma = [Fraction(g) for g in cert.gamma]
+    return all(share == gamma[i] / sum(gamma[j] for j in members)
+               for members, w, shares, _ in reference_groups(game) if w > 0
+               for i, share in zip(members, shares))
+
+
+def reference_group_potential(game, profile, cert):
+    """`potential_value` summing Fraction terms over the Fraction groups."""
+    gamma = [Fraction(g) for g in cert.gamma]
+    phi = Fraction(0)
+    for members, weight, _, anchor in reference_groups(game):
+        k = profile[members[0]]
+        if anchor in (None, k) and all(profile[j] == k for j in members):
+            phi += weight / sum(gamma[j] for j in members)
+    return phi
+
+
+split_shares = st.sampled_from((0, 1, Fraction(1), Fraction(1, 2),
+                                Fraction(1, 3), Fraction(2, 5),
+                                Fraction(5, 7)))
+
+
+def _generated(make, n, seed):
+    game, gamma = make(n, 2, seed)
+    return game, PotentialCertificate(gamma=tuple(gamma))
+
+
+# the generators' denser games close more cycles than the certified draws
+generated_certified = st.builds(
+    _generated, st.sampled_from((random_cc, random_hypergraph_cc)),
+    st.integers(2, 8), st.integers(0, 10**6))
+
+
+@st.composite
+def perturbed_certified(draw):
+    """A certified or generated game of either family, sometimes with up to
+    three of its edges given a new split (0, 1, or one that can break a
+    cycle through the edge; a hyperedge's member 0 takes it and the others
+    share the rest) and now and then a zero weight; the certificate is
+    kept, so it may no longer match."""
+    game, cert = draw(certified(st.integers(1, 6), st.integers(1, 3))
+                      | generated_certified)
+    edges = list(game.edges)
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        k = draw(st.integers(0, len(edges) - 1))
+        share, e = draw(split_shares), edges[k]
+        zero = draw(st.sampled_from((True, False, False, False)))
+        if isinstance(e, Edge):
+            edges[k] = Edge(e.i, e.j, 0 if zero else e.w, share)
+        elif len(e.players) > 1:
+            rest = (1 - Fraction(share)) / (len(e.players) - 1)
+            edges[k] = Hyperedge(e.players, 0 if zero else e.weight,
+                                 (share,) + (rest,) * (len(e.players) - 1),
+                                 e.anchor)
+    return dataclasses.replace(game, edges=tuple(edges)), cert
+
+
+ONE_HALF, ONE_THIRD = Fraction(1, 2), Fraction(1, 3)
+# a pairwise and a hypergraph cycle whose splits force two weights
+CONFLICTED_PAIRS = GameInstance(n=4, m=2, intrinsic=((1, 0),) * 4, edges=(
+    Edge(0, 1, 1, ONE_HALF), Edge(1, 2, 2, ONE_HALF),
+    Edge(2, 0, 1, ONE_THIRD), Edge(3, 2, 1, ONE_HALF)))
+CONFLICTED_GROUPS = HypergraphGame(n=5, m=2, edges=(
+    Hyperedge((0, 1, 2), 3, (ONE_THIRD,) * 3),
+    Hyperedge((3, 4), 1, (ONE_HALF, ONE_HALF), 2),
+    Hyperedge((2, 0), 1, (ONE_THIRD, 1 - ONE_THIRD), 1)))
+perturbed_games = perturbed_certified().map(lambda case: case[0])
+
+
+@RECOVERY_SETTINGS
+@given(perturbed_games)
+@example(CONFLICTED_PAIRS)
+@example(CONFLICTED_GROUPS)
+def test_recovery_matches_the_fraction_recovery(game):
+    """Weights, reasons and witnesses, hypergraph ones included, equal
+    those of the recovery over the Fraction groups."""
+    recover = (hypergraph_cc_recover if isinstance(game, HypergraphGame)
+               else cc_recover)
+    assert recover(game) == reference_family_recover(game)
+
+
+@RECOVERY_SETTINGS
+@given(perturbed_certified(), st.integers(0, 10**6))
+@example((CONFLICTED_GROUPS, PotentialCertificate(gamma=(1, 2, 1, 3, 1))), 0)
+def test_int_pair_potentials_match_the_fraction_groups(case, seed):
+    """The share check, the potential and the potential's kernel equal
+    their Fraction-group versions, with the case's certificate and with
+    the recovered one."""
+    game, cert = case
+    rng = random.Random(seed)
+    profile = tuple(rng.randint(1, game.m) for _ in range(game.n))
+    certs = [cert]
+    recovered = reference_family_recover(game)
+    if isinstance(recovered, PotentialCertificate):
+        certs.append(recovered)
+    for cert in certs:
+        assert (certificate_shares_match(game, cert)
+                == reference_shares_match(game, cert))
+        phi = potential_value(game, profile, cert)
+        assert type(phi) is Fraction
+        assert phi == reference_group_potential(game, profile, cert)
+        assert _potential_kernel(game, cert) == reference_potential_kernel(
+            game, cert)
+
+
+@SETTINGS
+@given(instances() | omega_games() | pair_hypergraphs() | rest_hypergraphs
+       | perturbed_games)
+@example(CONFLICTED_GROUPS)
+def test_kernels_match_the_family_builders(game):
+    """`_KernelGame._kernel` over ``_groups()`` is the kernel each family
+    built of its own: the same scale, rows, neighbours, gains and rest
+    groups, and the same kernel shape."""
+    kernel, expected = game._kernel, reference_kernel(game)
+    assert type(kernel) is type(expected)
+    assert tuple(kernel) == tuple(expected)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from scg.generators import example1, random_instance
+from scg.generators import (example1, random_hypergraph_cc, random_instance,
+                            random_omega, random_supermodular)
 from scg.model import (Edge, GameInstance, instance_stats, parse_instance,
                        player_utility, serialize_instance, welfare,
                        welfare_total)
@@ -48,6 +49,21 @@ def test_welfare_identities_on_random_instances():
             assert b.total == sum(b.per_player)
             assert b.total == b.intrinsic_total + b.coordination_total
             assert b.total == welfare_total(g, profile)
+
+
+@pytest.mark.parametrize("family", ["omega", "hypergraph", "table"])
+def test_welfare_total_answers_on_every_family(family):
+    """Beyond pairwise games, `welfare_total` sums the players' utilities,
+    as `welfare` does."""
+    for seed in range(1, 6):
+        g = {"omega": lambda: random_omega(4, 2, seed),
+             "hypergraph": lambda: random_hypergraph_cc(5, 2, seed)[0],
+             "table": lambda: random_supermodular(4, 2, 1, seed),
+             }[family]()
+        for profile in itertools.product(range(1, g.m + 1), repeat=g.n):
+            total = welfare_total(g, profile)
+            assert type(total) is Fraction
+            assert total == welfare(g, profile).total
 
 
 def test_totals_dominate_every_profile():

@@ -189,6 +189,19 @@ def test_int_weights_and_values_give_fractions():
     assert certificate_shares_match(thirds, PotentialCertificate(gamma=(1, 2)))
 
 
+@pytest.mark.parametrize("gamma,message", [
+    ((1.0, 1, 1, 1), "gamma\\[0\\]: expected an int or Fraction, got float"),
+    ((1, 0, 1, 1), "gamma\\[1\\]: weight must be positive, got 0"),
+    ((1, 2), "certificate must weight every player"),
+], ids=["float", "zero", "short"])
+def test_share_check_refuses_a_bad_certificate(gamma, message):
+    """`certificate_shares_match` checks its certificate as the potential
+    and the audit do, instead of answering False or failing inside."""
+    g, _ = random_cc(4, 3, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certificate_shares_match(g, PotentialCertificate(gamma=gamma))
+
+
 @pytest.mark.parametrize("weight", ["0", "-2/3"])
 def test_nonpositive_weight_is_named(weight):
     g, _ = random_cc(4, 3, 1)
@@ -230,6 +243,17 @@ def test_hypergraph_audit_is_clean_and_catches_a_scaled_weight():
     assert caught > 0
 
 
+def fraction_groups(g):
+    """The Fraction (members, weight, shares, anchor) ``groups`` view a
+    pairwise game listed: one anchored singleton per intrinsic value, then
+    one pair per edge."""
+    return ([((i,), v, (Fraction(1),), k)
+             for i, row in enumerate(g.intrinsic)
+             for k, v in enumerate(row, 1)]
+            + [((e.i, e.j), e.w, (e.share_ij, e.share_ji), None)
+               for e in g.edges])
+
+
 def test_pairwise_game_audits_as_its_hypergraph():
     """A pairwise game and the hypergraph of its groups (anchored
     singletons for intrinsic values, pairs for edges) have the same
@@ -237,7 +261,7 @@ def test_pairwise_game_audits_as_its_hypergraph():
     g, _ = random_cc(4, 3, 11)
     hg = HypergraphGame(n=g.n, m=g.m, edges=tuple(
         Hyperedge(players=members, weight=w, shares=shares, anchor=anchor)
-        for members, w, shares, anchor in g.groups))
+        for members, w, shares, anchor in fraction_groups(g)))
     cert = cc_recover(g)
     assert hypergraph_cc_recover(hg) == cert
     fake = PotentialCertificate(gamma=(1, 5, 1, 2))

@@ -128,6 +128,17 @@ def test_gate_refuses_a_degree_below_one(r):
         supermodular_alpha(r)
 
 
+@pytest.mark.parametrize("r,kind", [(0.1 + 1, "float"), (True, "bool"),
+                                    ("7/3", "str")])
+def test_gate_refuses_an_inexact_degree(r, kind):
+    """A float, a bool or a string is refused by type, not read as the
+    float's binary value, as 1 or as the rational it spells."""
+    with pytest.raises(ValueError, match=(
+            f"^supermodularity degree: expected an int or Fraction, "
+            f"got {kind}$")):
+        supermodular_alpha(r)
+
+
 def test_gate_for_huge_degree_does_not_overflow():
     r = 10**400
     a = supermodular_alpha(r)
