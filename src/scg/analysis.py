@@ -16,10 +16,10 @@ the welfare; the census and the group check read one per-player state,
 as soon as one deviator's bound ``lo + rem`` fails the factor test.  The
 cuts read a game's `scg.model.IntKernel` of singletons and unanchored
 pairs; a game without one, a table or a hypergraph with ``rest`` groups,
-has every profile checked in full instead: by a flat scan over
-`_profiles` for the optimum and the census, by an unbounded search for
-the group check.  The ordinal audit and the omega game's lexicographic
-oracle also enumerate with `_profiles`.
+has every profile checked in full instead: the optimum and the census by
+one flat scan over `_profiles` that reads each vector once for both, the
+group check by an unbounded search.  The ordinal audit and the omega
+game's lexicographic oracle also enumerate with `_profiles`.
 """
 
 from __future__ import annotations
@@ -258,11 +258,8 @@ def brute_force_optimum(game):
     lexicographically smallest, is kept.
     """
     kernel, pays = _kernel_pays(game)
-    if kernel is None:  # a flat scan; `max` keeps the first maximum
-        w, best = max(((sum(game.scaled_utilities(s, i)[k - 1]
-                            for i, k in enumerate(s)), s)
-                       for s in _profiles(game)), key=lambda ws: ws[0])
-        return best, Fraction(w, game.scale)
+    if kernel is None:  # the flat scan of `_equilibria`; at 0, no factor test
+        return _equilibria(game, 0)[3]
     scale, rows, nbrs, gains, _ = kernel
     n = game.n
     # links[i]: (j, g) for each gain between i and another player j
@@ -289,26 +286,37 @@ def brute_force_optimum(game):
 
 
 def _equilibria(game, alpha):
-    """The alpha-equilibria, alpha >= 1, in lexicographic order, their
-    welfares as scaled ints, and the scale.
+    """The alpha-equilibria, none below 1, in lexicographic order, their
+    welfares as scaled ints, the scale and the optimum of a flat scan or None.
 
     A search on `_search` and `_placements`: a placed i at k is surely
     unstable once max(lo[i]) * den > num * (lo[i][k] + rem[i]), the factor
     test for alpha >= 1.  p is tested when placed, and so is every placed
     player p pays, whose lo and rem change; at a leaf every rem is 0 and
-    the test is exact.  ``w`` is the prefix welfare.
+    the test is exact.  ``w`` is the prefix welfare.  A game the search
+    cannot cut is scanned flat, each vector read once for both answers.
     """
     kernel, pays = _kernel_pays(game)
     n, m = game.n, game.m
-    num, den = alpha.numerator, alpha.denominator
+    num, den = alpha.as_integer_ratio()
     equilibria, welfares = [], []
-    if kernel is None:  # a flat scan with the same factor test
+    if kernel is None:  # one flat scan, for the optimum too
+        best, top = None, -1  # welfares are nonnegative
         for s in _profiles(game):
-            us = [game.scaled_utilities(s, i) for i in range(n)]
-            if all(max(u) * den <= num * u[k - 1] for u, k in zip(us, s)):
+            w, stable = 0, num >= den
+            for i, k in enumerate(s):
+                u = game.scaled_utilities(s, i)
+                w += u[k - 1]
+                stable = stable and max(u) * den <= num * u[k - 1]
+            if w > top:
+                best, top = s, w
+            if stable:
                 equilibria.append(s)
-                welfares.append(sum(u[k - 1] for u, k in zip(us, s)))
-        return equilibria, welfares, game.scale
+                welfares.append(w)
+        scale = game.scale
+        return equilibria, welfares, scale, (best, Fraction(top, scale))
+    if num < den:  # factors are at least 1: no equilibria below 1
+        return [], [], 1, None
     s = [-1] * n
     lo, rem, place, unplace = _placements(kernel, pays)
     w = [0] * (n + 1)
@@ -333,7 +341,7 @@ def _equilibria(game, alpha):
     for _ in _search(s, m, enter, unplace):
         equilibria.append(tuple([k + 1 for k in s]))
         welfares.append(w[n])
-    return equilibria, welfares, kernel.scale
+    return equilibria, welfares, kernel.scale, None
 
 
 def _group_deviation(game, profile, alpha, feasible=None):
@@ -401,25 +409,17 @@ def verify_approx_strong(game, profile, alpha):
 def equilibrium_census(game, alpha=ONE):
     """Exhaustive census of alpha-approximate equilibria with PoA/PoS."""
     alpha = _exact_alpha(alpha)
-    opt_profile, opt_w = brute_force_optimum(game)
-    # factors are at least 1, so below alpha = 1 nothing is an equilibrium
-    equilibria, welfares, scale = (_equilibria(game, alpha) if alpha >= 1
-                                   else ([], [], 1))
+    equilibria, welfares, scale, optimum = _equilibria(game, alpha)
+    opt_profile, opt_w = optimum or brute_force_optimum(game)
     poa = pos = None
     if equilibria:  # the extremes are found on the ints, scale > 0
-        poa = _welfare_ratio(opt_w, Fraction(min(welfares), scale))
-        pos = _welfare_ratio(opt_w, Fraction(max(welfares), scale))
+        poa = _factor(Fraction(min(welfares), scale), opt_w)
+        pos = _factor(Fraction(max(welfares), scale), opt_w)
     return EquilibriumCensus(
         alpha=alpha, opt_profile=opt_profile, opt_welfare=opt_w,
         equilibria=tuple(equilibria),
         equilibrium_welfares=tuple([Fraction(w, scale) for w in welfares]),
         poa=poa, pos=pos, exists=bool(equilibria))
-
-
-def _welfare_ratio(opt_w, eq_w):
-    if eq_w == 0:
-        return ONE if opt_w == 0 else INF
-    return opt_w / eq_w
 
 
 def _hybrid_alpha(alpha):

@@ -33,9 +33,9 @@ from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
 from .model import (_KernelGame, _ScaledGame, _check_dims, _not_int,
                     _scaled_ints)
 from .potentials import _recover, potential_value as hypergraph_potential
-from .rationals import (_EXACT, INF, ParseError, _as_list, _inexact,
-                        load_object, rational_reader, rational_writer,
-                        supermodular_alpha)
+from .rationals import (_EXACT, INF, ParseError, _as_list, _construct,
+                        _inexact, load_object, rational_reader,
+                        rational_writer, supermodular_alpha)
 
 ZERO = Fraction(0)
 
@@ -310,10 +310,7 @@ def parse_generalized(text):
             if key in tables:
                 raise ParseError(f"{where}: duplicate entry")
             tables[key] = u
-    try:
-        return GeneralizedGame(n=data["n"], m=data["m"], tables=tables)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _construct(GeneralizedGame, n=data["n"], m=data["m"], tables=tables)
 
 
 def serialize_generalized(ggame):
@@ -425,10 +422,8 @@ def parse_hypergraph(text):
                            _as_list(raw.get("shares", []), f"{where}.shares")))
         edges.append(Hyperedge(players=players, weight=w, shares=shares,
                                anchor=raw.get("anchor")))
-    try:
-        return HypergraphGame(n=data["n"], m=data["m"], edges=tuple(edges))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _construct(HypergraphGame, n=data["n"], m=data["m"],
+                      edges=tuple(edges))
 
 
 def serialize_hypergraph(hgame):
@@ -561,15 +556,11 @@ def parse_omega(text):
         return tuple(read(v, f"{name}[{i}]")
                      for i, v in enumerate(_as_list(data[name], name)))
 
-    try:
-        return OmegaGame(
-            n=data["n"], m=data["m"], a=values("a"), b=values("b"),
-            labels=tuple(tuple(_as_list(row, f"labels[{i}]")) for i, row
-                         in enumerate(_as_list(data["labels"], "labels"))),
-            omega=read(data["omega"], "omega"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _construct(
+        OmegaGame, n=data["n"], m=data["m"], a=values("a"), b=values("b"),
+        labels=tuple(tuple(_as_list(row, f"labels[{i}]")) for i, row
+                     in enumerate(_as_list(data["labels"], "labels"))),
+        omega=read(data["omega"], "omega"))
 
 
 def serialize_omega(ogame):

@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .rationals import (_EXACT, INF, ParseError, _as_list, _inexact,
+from .rationals import (_EXACT, ParseError, _as_list, _construct, _inexact,
                         load_object, rational_reader, rational_writer)
 
 ONE = Fraction(1)
@@ -405,14 +405,17 @@ def _k_star(game):
 
 
 def instance_stats(game):
-    """A pairwise game's statistics from its kernel (an edge's two gains
-    add up to w); mri is max(c, d - c) / min(c, d - c) of a share c/d."""
+    """A kernel game's statistics (a pair's two gains add up to w); mri is
+    max(c, d - c) / min(c, d - c) of each positive pair's first share c/d
+    in ``_groups()``; a table or a game with ``rest`` groups is refused."""
+    if not isinstance(game, _KernelGame) or game._kernel.rest:
+        raise ValueError("instance_stats: mri has no stated meaning on a "
+                         "table, a group of three or more or an anchored pair")
     scale, rows, _, gains, _ = game._kernel
     best = [max(row) for row in rows]
-    num, den = 1, 1  # a share of 0 or 1 sets den to 0 for good: INF
-    for e in game.edges:
-        if e.w:  # shares on zero-weight edges are payoff-irrelevant
-            c, d = e.share_ij.as_integer_ratio()
+    num, den = 1, 1  # a share of 0 or 1 sets den to 0 for good: inf
+    for members, _, (a, _), ((c, d), *_) in game._groups():
+        if a and len(members) == 2:  # zero-weight shares are irrelevant
             lo, hi = (c, d - c) if 2 * c <= d else (d - c, c)
             if hi * den > num * lo:
                 num, den = hi, lo
@@ -420,7 +423,7 @@ def instance_stats(game):
         best=tuple([Fraction(b, scale) for b in best]),
         a_total=Fraction(sum(best), scale),
         p_total=Fraction(sum(map(sum, gains)), scale),
-        k_star=_k_star(game), mri=Fraction(num, den) if den else INF)
+        k_star=_k_star(game), mri=Fraction(num, den) if den else math.inf)
 
 
 # --- instance file format ---------------------------------------------------
@@ -453,11 +456,8 @@ def parse_instance(text):
         w = read(raw.get("w"), f"edges[{idx}].w")
         share = read(raw.get("share_ij"), f"edges[{idx}].share_ij")
         edges.append(Edge(i=i, j=j, w=w, share_ij=share))
-    try:
-        return GameInstance(n=data["n"], m=data["m"],
-                            intrinsic=tuple(intrinsic), edges=tuple(edges))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _construct(GameInstance, n=data["n"], m=data["m"],
+                      intrinsic=tuple(intrinsic), edges=tuple(edges))
 
 
 def serialize_instance(game):

@@ -24,13 +24,13 @@ so gated best-response dynamics cannot cycle on such games.
 recovery `_recover` (behind `cc_recover` and
 `scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
 are written once over the groups on int pairs and take either family;
-only what they return is a Fraction.  The audit takes only the potential
-side from the groups, as one more `scg.model.IntKernel` in which every
-member of a group earns the group's potential term, so player i's vector
-of that kernel changes by dphi as i moves.  A deviation's utility change
-is read from the game's own `scaled_utilities`, the vector every dynamic
-and verifier reads, so the audit checks the potential against the
-utilities the rest of the package computes.
+only what they return is a Fraction.  `_potential_kernel` is the
+potential as one more `scg.model.IntKernel`, each member of a group
+earning the group's term, so player i's vector changes by dphi as i
+moves: `potential_delta` returns that change, `ordinal_audit` its sign,
+against the utility change read from the game's own `scaled_utilities`,
+the vector every dynamic and verifier reads, so the audit checks the
+potential against the utilities the rest of the package computes.
 """
 
 from __future__ import annotations
@@ -194,12 +194,13 @@ def potential_value(game, profile, cert):
 
 
 def potential_delta(game, profile, i, new_strategy, cert):
-    """Phi(deviated) - Phi(profile) when player i moves to new_strategy."""
+    """Phi(deviated) - Phi(profile) as i moves: `ordinal_audit`'s dphi."""
     player_utility(game, profile, i, new_strategy)  # validates the arguments
-    moved = list(profile)
-    moved[i] = new_strategy
-    return (potential_value(game, moved, cert)
-            - potential_value(game, profile, cert))
+    game.validate_profile([*profile[:i], new_strategy, *profile[i + 1:]])
+    _check_certificate(game, cert)
+    potential = _potential_kernel(game, cert)
+    ps = potential.scaled_utilities(profile, i)
+    return Fraction(ps[new_strategy - 1] - ps[profile[i] - 1], potential.scale)
 
 
 def _potential_kernel(game, cert):

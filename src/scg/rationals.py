@@ -87,7 +87,7 @@ def _decode(text, prefix=""):
     """`json.loads(text)`; malformed text raises a ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise ParseError(f"{prefix}malformed JSON: {exc}") from exc
 
 
@@ -113,6 +113,14 @@ def _as_list(value, field):
 def load_list(text, field):
     """Decode JSON text that must be a list; a ParseError names `field`."""
     return _as_list(_decode(text, f"{field}: "), field)
+
+
+def _construct(game_type, **fields):
+    """`game_type(**fields)`; a rejection is raised as a ParseError."""
+    try:
+        return game_type(**fields)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_rational(x):

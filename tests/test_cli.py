@@ -376,6 +376,20 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, pair,
 
 
 @pytest.mark.parametrize("command", [
+    ["census"], ["verify", "generalized", "--profile", "1"],
+    ["solve", "lexstrong"], ["audit-potential"],
+])
+def test_deeply_nested_file_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(command + ["--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed JSON: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", [
     ["verify", "generalized", "--profile", "1,1"],
     ["solve", "oneshot-gen"],
 ])

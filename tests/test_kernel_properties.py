@@ -46,9 +46,13 @@ with what it replaced: every family's kernel with the builder the family
 had of its own, and the weight recovery (witnesses included), the share
 check, the potential and the potential's kernel with their versions over
 the Fraction ``groups`` view, on certified, generated and perturbed
-games.  Instances mix fractional
-values, all-int values (scale 1) and coprime denominators whose lcm
-exceeds 2**64.  Runs are derandomized and small.
+games.  `potential_delta`, read from the potential's kernel, is compared
+with the difference of two Phi sums it was, move by move; `instance_stats`
+of omega games and pair hypergraphs with Fraction sums over their pairs;
+and the one flat scan of a census the search cannot cut is counted, n *
+m**n vectors for the optimum and the equilibria together.  Instances mix
+fractional values, all-int values (scale 1) and coprime denominators
+whose lcm exceeds 2**64.  Runs are derandomized and small.
 """
 
 import dataclasses
@@ -64,8 +68,7 @@ from hypothesis import strategies as st
 
 from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
                           StrongDeviationReport, _best_reply, _check_cap,
-                          _factor, _factor_exceeds, _welfare_ratio,
-                          brute_force_optimum,
+                          _factor, _factor_exceeds, brute_force_optimum,
                           deviation_report, equilibrium_census, mip_check,
                           payment_stabilize, post_payment_deviation_report,
                           semi_smoothness_check, verify_approx_strong)
@@ -1062,6 +1065,49 @@ def test_group_potential_matches_the_references(case, data):
     assert potential_delta(game, profile, i, k, cert) == expected
 
 
+def double_phi_potential_delta(game, profile, i, new_strategy, cert):
+    """`potential_delta` as it was before it read the potential's kernel:
+    Phi over every group at the moved profile, minus Phi at the profile."""
+    player_utility(game, profile, i, new_strategy)  # validates the arguments
+    moved = list(profile)
+    moved[i] = new_strategy
+    return (potential_value(game, moved, cert)
+            - potential_value(game, profile, cert))
+
+
+def raised(run, *args):
+    """What `run(*args)` returns, or the type and message it raises."""
+    try:
+        return run(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(certified(st.integers(1, 5), st.integers(1, 3)), st.data())
+def test_potential_delta_is_the_double_phi_difference(case, data):
+    """Every move's potential change, read from the potential's kernel, is
+    the Fraction the two Phi sums give, on pairwise games and hypergraphs
+    with anchored singletons and pairs, groups of three or four and zero
+    weights; bad arguments raise what they raised."""
+    game, cert = case
+    profile = tuple(data.draw(st.integers(1, game.m)) for _ in range(game.n))
+    for i in range(game.n):
+        for k in range(1, game.m + 1):
+            delta = potential_delta(game, profile, i, k, cert)
+            assert type(delta) is Fraction
+            assert delta == double_phi_potential_delta(game, profile, i, k,
+                                                       cert)
+    short = PotentialCertificate(gamma=cert.gamma[1:])
+    zero = PotentialCertificate(gamma=(0,) + cert.gamma[1:])
+    for args in ((profile, game.n, 1, cert), (profile, True, 1, cert),
+                 (profile, 0, None, cert), (profile, 0, game.m + 1, cert),
+                 (profile, 0, 1.0, cert), (profile[1:], 0, 1, cert),
+                 (profile, 0, 1, short), (profile, 0, 1, zero)):
+        assert (raised(potential_delta, game, *args)
+                == raised(double_phi_potential_delta, game, *args))
+
+
 # --- one oracle layer for every family ---------------------------------------
 
 
@@ -1453,8 +1499,8 @@ def walk_census(game, alpha):
     poa = pos = None
     if exists:
         worst, best = min(eq_welfares), max(eq_welfares)
-        poa = _welfare_ratio(opt_w, worst)
-        pos = _welfare_ratio(opt_w, best)
+        poa = _factor(worst, opt_w)
+        pos = _factor(best, opt_w)
     return EquilibriumCensus(alpha=alpha, opt_profile=opt_profile,
                              opt_welfare=opt_w, equilibria=tuple(equilibria),
                              equilibrium_welfares=tuple(eq_welfares),
@@ -1784,8 +1830,11 @@ def test_placements_enter_the_old_searches_nodes(case, alpha):
     equilibrium, where it goes deepest, with omega games' `feasible`."""
     game, profile = case
     if alpha >= 1:
-        got = searched(analysis._equilibria, game, alpha)
-        assert got == searched(own_state_equilibria, game, alpha)
+        (eqs, ws, scale, optimum), nodes = searched(analysis._equilibria,
+                                                    game, alpha)
+        assert optimum is None  # every drawn game is searched, not scanned
+        assert ((eqs, ws, scale), nodes) == searched(own_state_equilibria,
+                                                     game, alpha)
     feasible = game.feasible if isinstance(game, OmegaGame) else None
     nash = equilibrium_census(game).equilibria[:1]
     for q in (profile, *nash):
@@ -2198,12 +2247,14 @@ def test_every_table_hole_raises_the_lookups_error(gg):
 def test_scan_oracles_match_the_fraction_scan(game, alpha):
     """The optimum, the census and the semi-smoothness check of a game with
     no rest-free kernel are the flat Fraction scan's, or raise its
-    `TableError`."""
+    `TableError`; a hypergraph's are also the edge-by-edge scan's."""
     census = outcome(scan_census, game, alpha)
     raised = isinstance(census, tuple)
     optimum = census if raised else (census.opt_profile, census.opt_welfare)
     assert outcome(brute_force_optimum, game) == optimum
     assert outcome(equilibrium_census, game, alpha) == census
+    if isinstance(game, HypergraphGame):
+        assert census == flat_census(game, alpha)
     if not raised:
         profile = census.equilibria[0] if census.exists else (1,) * game.n
         vectors = [family_utilities(game)(profile, i) for i in range(game.n)]
@@ -2221,6 +2272,39 @@ def test_scan_group_check_matches_the_fraction_scan(case, alpha):
     game, profile, _ = case
     assert (outcome(verify_approx_strong, game, profile, alpha)
             == outcome(scan_strong, game, profile, alpha))
+
+
+def counted_vectors(game):
+    """A stand-in for `game.scaled_utilities` on this one game that counts
+    its calls, and the list holding the count."""
+    calls, read = [0], game.scaled_utilities
+
+    def counting(profile, i):
+        calls[0] += 1
+        return read(profile, i)
+    object.__setattr__(game, "scaled_utilities", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_supermodular(6, 3, 2, 1),
+    lambda: random_hypergraph_cc(8, 3, 1)[0],
+    lambda: REST_GROUPS,
+    lambda: triangle_game(2),
+], ids=["table", "rest-hypergraph", "rest-groups", "triangle"])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1), Fraction(2)])
+def test_flat_census_reads_each_vector_once(make, alpha):
+    """A census the search cannot cut reads every player's vector once per
+    profile, n * m**n calls in all, for its equilibria and its optimum
+    together; so does the optimum alone, which is the census's."""
+    game = dataclasses.replace(make())  # a copy: the stand-in is per game
+    calls = counted_vectors(game)
+    census = equilibrium_census(game, alpha)
+    assert calls[0] == game.n * game.m ** game.n
+    calls[0] = 0
+    assert brute_force_optimum(game) == (census.opt_profile,
+                                         census.opt_welfare)
+    assert calls[0] == game.n * game.m ** game.n
 
 
 # --- the public readers on the integer kernel ---------------------------------
@@ -2375,6 +2459,63 @@ def test_omega_readers_take_no_intrinsic_part(og, data):
         best_k, best_u = _best_reply(us, profile[i])
         assert best_response(og, profile, i) == (
             best_k, best_u, _factor(us[profile[i] - 1], best_u))
+
+
+def reference_group_stats(game):
+    """`instance_stats` of an omega game or a hypergraph of singletons and
+    pairs on Fractions: the own values are the singleton edges' (none on an
+    omega game), and P_T and mri come from each pair's weight and shares,
+    the shares by Fraction division."""
+    if isinstance(game, OmegaGame):
+        intrinsic = ((Fraction(0),) * game.m,) * game.n
+        pairs = []
+        for i, j in itertools.combinations(range(game.n), 2):
+            label = game.labels[i][j]
+            if label != "conflict":
+                x, y = game.a[i] * game.b[j], game.a[j] * game.b[i]
+                w = (x + y) * (1 if label == "one" else game.omega)
+                pairs.append((w, (x / (x + y), y / (x + y))))
+    else:
+        intrinsic = reference_intrinsic(game)
+        pairs = [(e.weight, e.shares) for e in game.edges
+                 if len(e.players) == 2]
+    best = tuple(max(row) for row in intrinsic)
+    cols = [sum((row[k] for row in intrinsic), Fraction(0))
+            for k in range(game.m)]
+    mri = Fraction(1)
+    for w, (s, t) in pairs:
+        if w == 0:
+            continue
+        if s == 0 or t == 0:
+            mri = math.inf
+            break
+        mri = max(mri, s / t, t / s)
+    return InstanceStats(
+        best=best, a_total=sum(best, Fraction(0)),
+        p_total=sum((w for w, _ in pairs), Fraction(0)),
+        k_star=max(range(game.m), key=lambda k: (cols[k], -k)) + 1, mri=mri)
+
+
+@SETTINGS
+@given(pair_hypergraphs() | omega_games())
+def test_group_game_stats_match_the_fraction_reference(game):
+    """Omega games and hypergraphs of singletons and unanchored pairs have
+    the statistics of their own values and pairs."""
+    stats = instance_stats(game)
+    assert stats == reference_group_stats(game)
+    assert _all_fractions((*stats.best, stats.a_total, stats.p_total))
+
+
+@SETTINGS
+@given(scanned_games)
+@example(REST_GROUPS)
+def test_stats_refuse_tables_and_rest_groups(game):
+    """mri has no stated meaning on a table or on a group of three or more
+    or an anchored pair, so `instance_stats` refuses them by name."""
+    with pytest.raises(ValueError, match="^instance_stats: mri has no "
+                       "stated meaning on a table, a group of three or more "
+                       "or an anchored pair$"):
+        instance_stats(game)
 
 
 # --- one reader per kernel shape ----------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 
 from scg.generators import (example1, random_hypergraph_cc, random_instance,
                             random_omega, random_supermodular)
-from scg.model import (Edge, GameInstance, instance_stats, parse_instance,
-                       player_utility, serialize_instance, welfare,
-                       welfare_total)
+from scg.generalized import Hyperedge, HypergraphGame
+from scg.model import (Edge, GameInstance, InstanceStats, instance_stats,
+                       parse_instance, player_utility, serialize_instance,
+                       welfare, welfare_total)
 from scg.rationals import ParseError, SQRT2_APPROX
 
 R2 = SQRT2_APPROX
@@ -114,6 +115,29 @@ def test_zero_weight_edge_share_ignored_in_mri():
                      intrinsic=((Fraction(1), Fraction(0)),) * 2,
                      edges=(Edge(0, 1, Fraction(0), Fraction(1)),))
     assert instance_stats(g).mri == 1
+
+
+def test_stats_of_omega_games_and_pair_hypergraphs():
+    # pairs (0,1), (0,2), (1,2) split 2:15 at omega 1/2, 8:3 and 20:1
+    stats = instance_stats(random_omega(3, 2, 1))
+    assert stats.best == (0, 0, 0) and stats.a_total == 0
+    assert stats.p_total == Fraction(17, 2) + 11 + 21
+    assert (stats.k_star, stats.mri) == (1, 20)
+    hg = HypergraphGame(n=3, m=2, edges=(
+        Hyperedge((0, 1), Fraction(2), (Fraction(1, 3), Fraction(2, 3))),
+        Hyperedge((1, 2), Fraction(0), (Fraction(0), Fraction(1))),
+        Hyperedge((2,), Fraction(5), (Fraction(1),), anchor=2)))
+    assert instance_stats(hg) == InstanceStats(
+        best=(0, 0, 5), a_total=5, p_total=2, k_star=2, mri=2)
+
+
+@pytest.mark.parametrize("game", [random_supermodular(3, 2, 1, 1),
+                                  random_hypergraph_cc(3, 2, 1)[0]],
+                         ids=["table", "group-of-three"])
+def test_stats_refuse_a_table_and_larger_groups(game):
+    with pytest.raises(ValueError, match="^instance_stats: mri has no "
+                                         "stated meaning on a table"):
+        instance_stats(game)
 
 
 def test_validation_rejects_bad_structure():

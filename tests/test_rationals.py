@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from scg.rationals import (INF, ParseError, at_least_sqrt2_times,
-                           format_rational, load_object, parse_int,
+from scg.generalized import parse_generalized, parse_hypergraph, parse_omega
+from scg.model import parse_instance
+from scg.potentials import PotentialCertificate
+from scg.rationals import (INF, ParseError, _construct, at_least_sqrt2_times,
+                           format_rational, load_list, load_object, parse_int,
                            parse_rational, rational_reader, rational_writer,
                            supermodular_alpha)
+
+PARSERS = [parse_instance, parse_generalized, parse_hypergraph, parse_omega,
+           PotentialCertificate.from_json]
 
 
 def test_parse_plain_and_fraction():
@@ -56,6 +62,42 @@ def test_load_object_names_what_is_wrong(text, message):
     with pytest.raises(ParseError, match=message):
         load_object(text, ("n", "m"))
     assert load_object('{"n": 1, "m": 2, "x": 3}', ("n", "m"))["x"] == 3
+
+
+# json.loads raises RecursionError on nesting this deep
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("parse", PARSERS + [
+    lambda text: load_object(text, ("n",)),
+    lambda text: load_list(text, "gamma")])
+def test_deep_nesting_is_malformed_json(parse):
+    with pytest.raises(ParseError, match="^(gamma: )?malformed JSON: "
+                                         "maximum recursion depth"):
+        parse(DEEP)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_instance, '{"n": 1, "m": 0, "intrinsic": [[]], "edges": []}'),
+    (parse_generalized, '{"n": 1, "m": 0, "tables": [[]]}'),
+    (parse_hypergraph, '{"n": 1, "m": 0, "edges": []}'),
+    (parse_omega, '{"n": 1, "m": 0, "a": ["1"], "b": ["1"], '
+                  '"labels": [["zero"]], "omega": "1"}'),
+])
+def test_parsers_raise_the_constructors_message(parse, text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == "need n >= 0 players and m >= 1 strategies"
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_construct_raises_a_rejection_as_a_parse_error(error):
+    def reject(**fields):
+        raise error(f"n: got {fields['n']}")
+
+    with pytest.raises(ParseError, match="^n: got 3$"):
+        _construct(reject, n=3)
+    assert _construct(dict, n=3) == {"n": 3}
 
 
 def test_format_round_trip():
