@@ -11,14 +11,15 @@ optimum is the lexicographically smallest maximizer, the equilibria come
 in that order and the first violating profile is the one returned.  Each
 oracle gives the search an `enter`/`leave` pair that cuts a subtree as
 soon as no profile in it can count: the optimum by a branch and bound on
-the welfare; the census and the group check read one per-player state,
-`_placements`, and cut as soon as a placed player is surely unstable, or
-as soon as one deviator's bound ``lo + rem`` fails the factor test.  The
-cuts read a game's `scg.model.IntKernel` of singletons and unanchored
-pairs; a game without one, a table or a hypergraph with ``rest`` groups,
-has every profile checked in full instead: the optimum and the census by
-one flat scan over `_profiles` that reads each vector once for both, the
-group check by an unbounded search.  The ordinal audit and the omega
+the welfare; the census and the group check share the pair of one
+per-player state, `_placements`, and each states only its cut test: a
+placed player surely unstable, or a deviator's bound ``lo + rem``
+failing the factor test.  The cuts read a game's `scg.model.IntKernel`
+of singletons and unanchored pairs; a game without one, a table or a
+hypergraph with ``rest`` groups, has every profile checked in full
+instead: the optimum and the census by one flat scan over `_profiles`
+that reads each vector once for both, the group check by an unbounded
+search.  The ordinal audit and the omega
 game's lexicographic oracle also enumerate with `_profiles`.
 """
 
@@ -224,26 +225,38 @@ def _kernel_pays(game):
     return kernel, pays
 
 
-def _placements(kernel, pays):
+def _placements(kernel, pays, s, cut):
     """The per-player state of a search over a kernel without ``rest``
-    groups: ``lo[i]``, player i's scaled vector from the placed players,
-    and ``rem[i]``, i's gains from the others, which raise one entry of
-    lo[i] by at most rem[i]; and ``place(p, b)`` and ``unplace(p, b)``,
-    which add and remove what p at b pays."""
+    groups, and the search's `enter` and `leave`.  ``lo[i]`` is player
+    i's scaled vector from the placed players and ``rem[i]`` i's gains
+    from the others, which raise one entry of lo[i] by at most rem[i].
+    ``enter(p, b)`` is false when ``cut(i, k, lo[i], rem[i])`` holds for p
+    at b, or, once p's gains are added, for any placed player i that p
+    pays; it takes them off again first.  One player may pay another
+    through several entries (parallel pairs), so every gain is added
+    before any payee is tested.  ``leave(p, b)`` takes p's gains off."""
     lo = [row.copy() for row in kernel.rows]
     rem = [sum(g) for g in kernel.gains]
 
-    def place(p, b):
-        for j, g in pays[p]:
-            lo[j][b] += g
-            rem[j] -= g
-
-    def unplace(p, b):
+    def leave(p, b):
         for j, g in pays[p]:
             lo[j][b] -= g
             rem[j] += g
 
-    return lo, rem, place, unplace
+    def enter(p, b):
+        if cut(p, b, lo[p], rem[p]):
+            return False
+        for j, g in pays[p]:
+            lo[j][b] += g
+            rem[j] -= g
+        for j, _ in pays[p]:
+            k = s[j]
+            if k >= 0 and cut(j, k, lo[j], rem[j]):
+                leave(p, b)
+                return False
+        return True
+
+    return lo, enter, leave
 
 
 def brute_force_optimum(game):
@@ -289,11 +302,10 @@ def _equilibria(game, alpha):
     """The alpha-equilibria, none below 1, in lexicographic order, their
     welfares as scaled ints, the scale and the optimum of a flat scan or None.
 
-    A search on `_search` and `_placements`: a placed i at k is surely
-    unstable once max(lo[i]) * den > num * (lo[i][k] + rem[i]), the factor
-    test for alpha >= 1.  p is tested when placed, and so is every placed
-    player p pays, whose lo and rem change; at a leaf every rem is 0 and
-    the test is exact.  ``w`` is the prefix welfare.  A game the search
+    A search on `_search` and `_placements`, whose cut is that a placed i
+    at k is surely unstable, max(lo[i]) * den > num * (lo[i][k] + rem[i]),
+    the factor test for alpha >= 1.  At a leaf every rem is 0, so the test
+    is exact and the welfare is the sum of lo[i][s[i]].  A game the search
     cannot cut is scanned flat, each vector read once for both answers.
     """
     kernel, pays = _kernel_pays(game)
@@ -318,29 +330,11 @@ def _equilibria(game, alpha):
     if num < den:  # factors are at least 1: no equilibria below 1
         return [], [], 1, None
     s = [-1] * n
-    lo, rem, place, unplace = _placements(kernel, pays)
-    w = [0] * (n + 1)
-
-    def enter(p, b):
-        u = lo[p]
-        if max(u) * den > num * (u[b] + rem[p]):
-            return False
-        dw = u[b]
-        place(p, b)
-        for j, g in pays[p]:
-            k = s[j]
-            if k == b:
-                dw += g
-            u = lo[j]
-            if k >= 0 and max(u) * den > num * (u[k] + rem[j]):
-                unplace(p, b)
-                return False
-        w[p + 1] = w[p] + dw
-        return True
-
-    for _ in _search(s, m, enter, unplace):
+    lo, enter, leave = _placements(kernel, pays, s, lambda i, k, u, r:
+                                   max(u) * den > num * (u[k] + r))
+    for _ in _search(s, m, enter, leave):
         equilibria.append(tuple([k + 1 for k in s]))
-        welfares.append(w[n])
+        welfares.append(sum([lo[i][k] for i, k in enumerate(s)]))
     return equilibria, welfares, kernel.scale, None
 
 
@@ -351,11 +345,11 @@ def _group_deviation(game, profile, alpha, feasible=None):
     decided as `_factor_exceeds` decides it; (None, None) if there is none.
 
     Runs on `_search`.  On a game whose `IntKernel` has no ``rest`` groups
-    a deviator i at k is bounded by ``lo[i][k] + rem[i]`` of `_placements`,
-    which only falls as the search goes deeper, so a subtree is cut as soon
-    as one bound fails `_factor_exceeds`, and a leaf reached needs only a
-    coalition and `feasible`.  Any other game is searched unbounded, each
-    leaf checked in full.
+    the cut given to `_placements` is that a deviator i at k has a bound
+    ``lo[i][k] + rem[i]``, which only falls as the search goes deeper,
+    failing `_factor_exceeds` (a payee at p's own strategy keeps its
+    bound), so a leaf reached needs only a coalition and `feasible`.  Any
+    other game is searched unbounded, each leaf checked in full.
     """
     kernel, pays = _kernel_pays(game)
     home = [k - 1 for k in profile]
@@ -364,21 +358,8 @@ def _group_deviation(game, profile, alpha, feasible=None):
     if kernel is None:  # no bound: the leaves are checked in full
         enter = leave = _free
     else:
-        lo, rem, place, leave = _placements(kernel, pays)
-
-        def enter(p, b):
-            """Give p strategy b unless some deviator's bound then fails."""
-            if b != home[p] and not _factor_exceeds(
-                    base[p], lo[p][b] + rem[p], alpha):
-                return False
-            place(p, b)
-            for i, _ in pays[p]:
-                k = s[i]
-                if k not in (home[i], b, -1) and not _factor_exceeds(
-                        base[i], lo[i][k] + rem[i], alpha):
-                    leave(p, b)
-                    return False
-            return True
+        _, enter, leave = _placements(kernel, pays, s, lambda i, k, u, r: (
+            k != home[i] and not _factor_exceeds(base[i], u[k] + r, alpha)))
 
     for _ in _search(s, game.m, enter, leave):
         coalition = tuple(i for i, k in enumerate(s) if k != home[i])

@@ -181,6 +181,8 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     moves (None: no cap), or on reaching a profile seen before (within m^n
     moves).  Works on any game with `scaled_utilities`; trusts `start`.
     """
+    if step_cap is not None and type(step_cap) is not int:
+        raise _not_int("step_cap", step_cap)
     if step_cap is not None and step_cap < 1:
         raise ValueError("step_cap must be >= 1")
     scale = game.scale
@@ -223,7 +225,7 @@ def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
 
     Moves the lowest-indexed player whose best response clears `rule`,
     then looks again from player 0; stops at convergence, a revisited
-    profile, or after `step_cap` moves (default no cap).
+    profile, or after `step_cap` moves (default no cap; an int >= 1).
     """
     game.validate_profile(start)
     return _gated_dynamics(game, start, rule, step_cap=step_cap)

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import _int_kernel, _reduced, _scaled_ints, player_utility
+from .model import (_int_kernel, _not_int, _reduced, _scaled_ints,
+                    player_utility)
 from .rationals import (_EXACT, _inexact, format_rational, load_list,
                         rational_reader, rational_writer)
 
@@ -255,9 +256,9 @@ def _sampled_deviations(game, trials, seed):
 def ordinal_audit(game, cert, trials=10_000, seed=0):
     """Sampled sign audit: for random (profile, player, deviation) triples,
     the deviating player's utility change and the potential change must have
-    the same sign.  `trials` must be at least 1, so the audit never passes
-    without checking anything; tiny instances (m^n * n * m <= 20_000) are
-    audited exhaustively instead.
+    the same sign.  `trials` and `seed` must be ints, `trials` at least 1,
+    so the audit never passes without checking anything; tiny instances
+    (m^n * n * m <= 20_000) are audited exhaustively instead.
 
     The sampled triples are a contract: those of `random.Random(seed)`
     drawing, per trial, the profile as n calls ``randint(1, m)``, the player
@@ -275,6 +276,9 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     the exact Fraction (du, dphi) is computed only for the reported
     counterexample, the first violating triple."""
     _check_certificate(game, cert)
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise _not_int(name, value)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if game.n == 0 or game.m < 2:

@@ -226,6 +226,18 @@ def test_rejections_give_their_exact_message(call, message):
         call()
 
 
+@pytest.mark.parametrize("step_cap", [2.5, 0.5, 3.0, True, "3", Fraction(3)])
+def test_step_cap_must_be_an_int(step_cap):
+    """Both entry points refuse a cap that is not an int, a bool included,
+    with one message, before the cap is compared with 1."""
+    message = f"^step_cap: expected an int, got {type(step_cap).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        run_dynamics(random_instance(5, 3, 1), (1,) * 5, step_cap=step_cap)
+    with pytest.raises(ValueError, match=message):
+        hypergraph_br_dynamics(random_hypergraph_cc(3, 2, 0)[0], (1, 1, 1),
+                               step_cap=step_cap)
+
+
 def test_best_of_two_runs_matches_exhaustive_optimum():
     g = two_player(4, 5, 6)
     from scg.analysis import brute_force_optimum

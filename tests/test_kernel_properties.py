@@ -1812,6 +1812,20 @@ def searched(run, *args):
         return run(*args), nodes
 
 
+# Player 1 pays player 0 through two parallel pairs (player 1's shares 0 and
+# 1/2), so placing player 1 takes two gains off player 0 before any test.  A
+# search that tested after each gain, and undid all of them on a failure,
+# would leave player 0's state wrong: the census at alpha = 2 and the group
+# check at the first equilibrium, (1, 1, 1), at alpha = 1/2 then enter other
+# nodes.  One (1, 2) pair weighs nothing and is left out of the kernel.
+PARALLEL_PAIRS = HypergraphGame(n=3, m=3, edges=(
+    Hyperedge((0, 1), Fraction(4), (Fraction(1), Fraction(0))),
+    Hyperedge((0, 1), Fraction(4), (Fraction(1, 2), Fraction(1, 2))),
+    Hyperedge((1, 2), Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
+    Hyperedge((1, 2), Fraction(4), (Fraction(1, 2), Fraction(1, 2))),
+    Hyperedge((2,), Fraction(4), (Fraction(1),), 1)))
+
+
 @SETTINGS
 @given(game_and_profile(instances(ns=st.integers(0, 7)) | pair_hypergraphs()
                         | omega_games()),
@@ -1822,6 +1836,8 @@ def searched(run, *args):
 @example((NO_PLAYERS, ()), Fraction(1))
 @example((ONE_STRATEGY, (1, 1)), Fraction(1))
 @example((ONE_STRATEGY, (1, 1)), Fraction(1, 2))
+@example((PARALLEL_PAIRS, (1, 2, 2)), Fraction(1, 2))
+@example((PARALLEL_PAIRS, (1, 2, 2)), Fraction(2))
 def test_placements_enter_the_old_searches_nodes(case, alpha):
     """The census and the group check on `_placements` return what their
     own-state versions returned, and enter the same (p, b) nodes with the

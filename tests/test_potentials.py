@@ -174,6 +174,20 @@ def test_sampled_audit_requires_a_trial(trials):
             ordinal_audit(g, cc_recover(g), trials=trials)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("trials", True), ("trials", 2.5), ("trials", 0.5), ("trials", "3"),
+    ("seed", 1.5), ("seed", "x"), ("seed", None), ("seed", False)])
+def test_audit_takes_int_trials_and_seed(name, value):
+    """trials and seed are ints, bools refused, on the sampled and the
+    exhaustive path alike; a non-int trial count is refused before it is
+    compared with 1."""
+    for n in (12, 3):
+        g, _ = random_cc(n, 3, 1)
+        with pytest.raises(ValueError, match=f"^{name}: expected an int, got "
+                                             f"{type(value).__name__}$"):
+            ordinal_audit(g, cc_recover(g), **{name: value})
+
+
 def test_int_weights_and_values_give_fractions():
     g = GameInstance(n=2, m=2, intrinsic=((1, 2), (3, 1)),
                      edges=(Edge(0, 1, 2, 1),))
