@@ -32,7 +32,7 @@ from fractions import Fraction
 # player_utility is not called here; it stays importable from scg.analysis,
 # where the benchmark's tracer tests look for it
 from .model import player_utility
-from .rationals import _EXACT, INF, PHI_APPROX, _inexact
+from .rationals import INF, PHI_APPROX, _exact_alpha
 
 ONE = Fraction(1)
 
@@ -56,16 +56,6 @@ def _profiles(game):
     at once when there are more than PROFILE_SPACE_CAP of them."""
     _check_cap(game)
     return itertools.product(range(1, game.m + 1), repeat=game.n)
-
-
-def _exact_alpha(alpha, name="alpha"):
-    """alpha as a Fraction; an inexact type (float, bool, str) is refused
-    with an error naming the argument `name`.  Every factor alpha,
-    imbalance gamma, supplied optimum welfare and rational generator
-    parameter an entry point takes passes through here."""
-    if type(alpha) not in _EXACT:
-        raise _inexact(name, alpha)
-    return Fraction(alpha)
 
 
 def _factor(u_old, u_new):
@@ -487,10 +477,9 @@ def post_payment_deviation_report(game, profile, plan):
     game.validate_profile(profile)
     if len(plan.payments) != game.n:
         raise ValueError("plan must pay every player")
+    # a numerator's sign: cheaper than a Fraction comparison, per payment
     for i, p in enumerate(plan.payments):
-        if type(p) not in _EXACT:
-            raise _inexact(f"payments[{i}]", p)
-        if p < 0:
+        if _exact_alpha(p, f"payments[{i}]").numerator < 0:
             raise ValueError(f"payments[{i}]: negative payment")
     return _deviation_report(game, profile, bonus=plan.payments)
 

@@ -28,7 +28,8 @@ not a rescan of up to n players.
 scan.
 
 Every factor alpha, of a `MoveRule` or of an entry point, passes through
-`scg.analysis._exact_alpha`, which refuses a float, a bool or a str.
+`scg.rationals._exact_alpha`, and every step cap and starting strategy
+through `scg.rationals._int`; each refuses a float, a bool or a str.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .analysis import _best_reply, _exact_alpha, _factor, _hybrid_alpha
-from .model import _k_star, _not_int, player_utility, welfare_total
-from .rationals import at_least_sqrt2_times, format_rational
+from .analysis import _best_reply, _factor, _hybrid_alpha
+from .model import _k_star, player_utility, welfare_total
+from .rationals import (_exact_alpha, _int, at_least_sqrt2_times,
+                        format_rational)
 
 ONE = Fraction(1)
 
@@ -181,9 +183,7 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     moves (None: no cap), or on reaching a profile seen before (within m^n
     moves).  Works on any game with `scaled_utilities`; trusts `start`.
     """
-    if step_cap is not None and type(step_cap) is not int:
-        raise _not_int("step_cap", step_cap)
-    if step_cap is not None and step_cap < 1:
+    if step_cap is not None and _int(step_cap, "step_cap") < 1:
         raise ValueError("step_cap must be >= 1")
     scale = game.scale
     run = _Run(game, start)
@@ -233,9 +233,7 @@ def run_dynamics(game, start, rule=MoveRule(), step_cap=None):
 
 def _check_start(game, k0):
     """Reject a one-shot starting strategy that is not an int in 1..m."""
-    if type(k0) is not int:
-        raise _not_int("starting strategy", k0)
-    if not (1 <= k0 <= game.m):
+    if not (1 <= _int(k0, "starting strategy") <= game.m):
         raise ValueError(f"starting strategy {k0} out of range 1..{game.m}")
 
 

@@ -27,15 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .analysis import (SizeError, _exact_alpha, _group_deviation, _profiles,
+from .analysis import (SizeError, _group_deviation, _profiles,
                        deviation_report as verify_generalized)
 from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
-from .model import (_KernelGame, _ScaledGame, _check_dims, _not_int,
+from .model import (_KernelGame, _ScaledGame, _check_dims, _int_kernel,
                     _scaled_ints)
 from .potentials import _recover, potential_value as hypergraph_potential
 from .rationals import (_EXACT, INF, ParseError, _as_list, _construct,
-                        _inexact, load_object, rational_reader,
-                        rational_writer, supermodular_alpha)
+                        _exact_alpha, _inexact, _int, load_object,
+                        rational_reader, rational_writer, supermodular_alpha)
 
 ZERO = Fraction(0)
 
@@ -68,6 +68,7 @@ class GeneralizedGame(_ScaledGame):
     def __post_init__(self):
         _check_dims(self)
         n, m = self.n, self.m
+        # inline type tests: a helper call would format every entry's name
         for (i, k, others), u in self.tables.items():
             if type(others) is not frozenset:
                 raise ValueError(f"table key ({i!r},{k!r},{others!r}): "
@@ -137,6 +138,12 @@ class GeneralizedGame(_ScaledGame):
         if None in us:
             self.utility_in_profile(profile, i, us.index(None) + 1)  # raises
         return us
+
+    def _groups(self):
+        """Refused: a table lists utilities, not the groups that pay them."""
+        raise ValueError("a utility table has no group list: weight recovery, "
+                         "potentials and additive tables take a pairwise, "
+                         "hypergraph or omega game")
 
     @cached_property
     def _degree(self):
@@ -268,7 +275,8 @@ def additive_tables(game):
     if game.n > 12:
         raise ValueError("additive table expansion capped at n = 12")
     players = range(game.n)
-    scale, rows, nbrs, gains, rest = game._kernel
+    scale, rows, nbrs, gains, rest = _int_kernel(game.n, game.m,
+                                                 game._groups())
     tables = {}
     for i in players:
         groups = rest[i] if rest else ()
@@ -347,15 +355,12 @@ class HypergraphGame(_KernelGame):
         for idx, e in enumerate(self.edges):
             where = f"edges[{idx}]"
             for pos, i in enumerate(e.players):
-                if type(i) is not int:
-                    raise _not_int(f"{where}.players[{pos}]", i)
-            if type(e.weight) not in _EXACT:
-                raise _inexact(f"{where}.weight", e.weight)
+                _int(i, f"{where}.players[{pos}]")
+            _exact_alpha(e.weight, f"{where}.weight")
             for pos, share in enumerate(e.shares):
-                if type(share) not in _EXACT:
-                    raise _inexact(f"{where}.shares[{pos}]", share)
-            if e.anchor is not None and type(e.anchor) is not int:
-                raise _not_int(f"{where}.anchor", e.anchor)
+                _exact_alpha(share, f"{where}.shares[{pos}]")
+            if e.anchor is not None:
+                _int(e.anchor, f"{where}.anchor")
             if len(set(e.players)) != len(e.players) or not e.players:
                 raise ValueError(f"{where}.players: members must be distinct "
                                  "and nonempty")
@@ -461,13 +466,10 @@ class OmegaGame(_KernelGame):
         _check_dims(self)
         for name in ("a", "b"):
             for i, v in enumerate(getattr(self, name)):
-                if type(v) not in _EXACT:
-                    raise _inexact(f"{name}[{i}]", v)
+                _exact_alpha(v, f"{name}[{i}]")
             if len(getattr(self, name)) != self.n:
                 raise ValueError(f"{name}: must have one entry per player")
-        if type(self.omega) not in _EXACT:
-            raise _inexact("omega", self.omega)
-        if not (Fraction(1, 2) <= self.omega <= 1):
+        if not (Fraction(1, 2) <= _exact_alpha(self.omega, "omega") <= 1):
             raise ValueError("omega must lie in [1/2, 1]")
         if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.b):
             raise ValueError("a and b entries must be positive")

@@ -9,7 +9,9 @@ randint(1, 9) / 10, at gamma_i / (gamma_i + gamma_j) for influence weights
 gamma in 1..5 drawn first, or evenly.  `random_supermodular` draws base
 values 0..6 and directed pair gains 0..4, `random_omega` bonuses a, b in
 1..5, and `random_hypergraph_cc` gamma in 1..5, n + 2 groups of two or
-three players and anchored singletons, all at weight 1..8.
+three players and anchored singletons, all at weight 1..8.  An n, m, seed
+or `random_supermodular` bound r that is not an int (a float, a bool or
+a str) is refused, naming it.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .analysis import _exact_alpha
 from .generalized import (GeneralizedGame, Hyperedge, HypergraphGame, OmegaGame,
                           additive_tables)
 from .model import Edge, GameInstance
-from .rationals import SQRT2_APPROX
+from .rationals import SQRT2_APPROX, _exact_alpha, _int
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -58,7 +59,7 @@ def prop5(m, r=1, eps=Fraction(1, 100)):
     isolation to her eps-sized share, pushing equilibria apart.
     """
     r, eps = _exact_alpha(r, "r"), _exact_alpha(eps, "eps")
-    if m < 2 or r < 1 or eps <= 0:
+    if _int(m, "m") < 2 or r < 1 or eps <= 0:
         raise ValueError("need m >= 2, r >= 1, eps > 0")
     intrinsic = [tuple([r] * m)]
     for j in range(1, m):
@@ -79,7 +80,7 @@ def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
     (2m-1)r + eps but no one will stay there for r alone.
     """
     r, eps = _exact_alpha(r, "r"), _exact_alpha(eps, "eps")
-    if m < 2 or r <= 0 or eps <= 0:
+    if _int(m, "m") < 2 or r <= 0 or eps <= 0:
         raise ValueError("need m >= 2, r > 0, eps > 0")
     intrinsic = []
     for i in range(m):
@@ -94,9 +95,9 @@ def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
     """The draw of the pairwise families: after the size check,
     `share_rule(rng)` makes the family's own draws and returns share(i, j),
     drawn after the weight of each pair i < j that the pass keeps."""
-    if n < 1 or m < 1:
+    if _int(n, "n") < 1 or _int(m, "m") < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(_int(seed, "seed"))
     share = share_rule(rng)
     intrinsic = tuple(
         tuple(Fraction(rng.randint(0, 10), rng.choice((1, 2, 3)))
@@ -146,11 +147,12 @@ def random_supermodular(n, m, r, seed):
     them, which keeps monotonicity and bounds every union ratio by 2
     since (x + y)^2 <= 2 (x^2 + y^2).
     """
-    if r not in (1, 2):
+    if _int(r, "r") not in (1, 2):
         raise ValueError("only degree bounds 1 and 2 are generated")
-    if not (1 <= n <= 8):
+    if not (1 <= _int(n, "n") <= 8):
         raise ValueError("n must be in 1..8 (tables are exponential in n)")
-    rng = random.Random(seed)
+    rng = random.Random(_int(seed, "seed"))
+    _int(m, "m")
     base = tuple(tuple(Fraction(rng.randint(0, 6)) for _ in range(m))
                  for _ in range(n))
     gain = {(i, j): rng.randint(0, 4)
@@ -174,9 +176,9 @@ def random_omega(n, m, seed, omega=HALF):
     Players get a random home strategy; conflicts only appear between
     players with different homes, so the home profile is always feasible.
     """
-    if n < 1 or m < 1:
+    if _int(n, "n") < 1 or _int(m, "m") < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(_int(seed, "seed"))
     a = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
     b = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
     home = [rng.randint(1, m) for _ in range(n)]
@@ -199,9 +201,9 @@ def random_omega(n, m, seed, omega=HALF):
 def random_hypergraph_cc(n, m, seed):
     """Random hypergraph game whose shares derive from one influence-weight
     vector, so recovery succeeds and the potential is ordinal."""
-    if n < 2 or m < 1:
+    if _int(n, "n") < 2 or _int(m, "m") < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(_int(seed, "seed"))
     gamma = [Fraction(rng.randint(1, 5)) for _ in range(n)]
     edges = []
     for _ in range(n + 2):

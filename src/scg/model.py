@@ -56,7 +56,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .rationals import (_EXACT, ParseError, _as_list, _construct, _inexact,
-                        load_object, rational_reader, rational_writer)
+                        _int, _not_int, load_object, rational_reader,
+                        rational_writer)
 
 ONE = Fraction(1)
 
@@ -237,6 +238,7 @@ class GameInstance(_KernelGame):
         _check_dims(self)
         if len(self.intrinsic) != self.n:
             raise ValueError("intrinsic: expected n rows")
+        # inline type tests: a helper call would name every valid entry
         for i, row in enumerate(self.intrinsic):
             if len(row) != self.m:
                 raise ValueError(f"intrinsic[{i}]: expected m entries")
@@ -287,19 +289,12 @@ class GameInstance(_KernelGame):
         _check_profile(self, profile)
 
 
-def _not_int(where, value):
-    return ValueError(f"{where}: expected an int, got {type(value).__name__}")
-
-
 def _check_dims(game):
     """Reject a player count n or strategy count m that is not an int (or
     is a bool), a negative n or an m below 1; shared by every game
     family's constructor."""
-    for name in ("n", "m"):
-        value = getattr(game, name)
-        if type(value) is not int:
-            raise _not_int(name, value)
-    if game.n < 0 or game.m < 1:
+    n, m = _int(game.n, "n"), _int(game.m, "m")
+    if n < 0 or m < 1:
         raise ValueError("need n >= 0 players and m >= 1 strategies")
 
 
@@ -315,9 +310,7 @@ def _check_profile(game, profile):
     else:
         return
     for pos, s in enumerate(profile):
-        if type(s) is not int:
-            raise _not_int(f"profile[{pos}]", s)
-        if not (1 <= s <= m):
+        if not (1 <= _int(s, f"profile[{pos}]") <= m):
             raise ValueError(f"profile[{pos}]: strategy {s} out of range "
                              f"1..{m}")
 
@@ -348,10 +341,9 @@ def player_utility(game, profile, i, strategy=None):
     game: (total, intrinsic_part, coordination_part) as Fractions, read
     from `scaled_utilities` and the own values ``rows`` once the arguments
     are validated."""
-    if type(i) is not int:
-        raise _not_int("player index", i)
-    if type(strategy) not in (int, type(None)):
-        raise _not_int("strategy", strategy)
+    _int(i, "player index")
+    if strategy is not None:
+        _int(strategy, "strategy")
     if not (0 <= i < game.n):
         raise IndexError(f"player index {i} out of range")
     game.validate_profile(profile)

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import (_int_kernel, _not_int, _reduced, _scaled_ints,
-                    player_utility)
-from .rationals import (_EXACT, _inexact, format_rational, load_list,
+from .model import _int_kernel, _reduced, _scaled_ints, player_utility
+from .rationals import (_exact_alpha, _int, format_rational, load_list,
                         rational_reader, rational_writer)
 
 
@@ -162,9 +161,7 @@ def _check_certificate(game, cert):
     if len(cert.gamma) != game.n:
         raise ValueError("certificate must weight every player")
     for i, g in enumerate(cert.gamma):
-        if type(g) not in _EXACT:
-            raise _inexact(f"gamma[{i}]", g)
-        if g <= 0:
+        if _exact_alpha(g, f"gamma[{i}]") <= 0:
             raise ValueError(f"gamma[{i}]: weight must be positive, "
                              f"got {format_rational(g)}")
 
@@ -276,11 +273,11 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     the exact Fraction (du, dphi) is computed only for the reported
     counterexample, the first violating triple."""
     _check_certificate(game, cert)
-    for name, value in (("trials", trials), ("seed", seed)):
-        if type(value) is not int:
-            raise _not_int(name, value)
+    _int(trials, "trials")
+    _int(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    potential = _potential_kernel(game, cert)  # first: it refuses any table
     if game.n == 0 or game.m < 2:
         return AuditReport(trials=0, violations=0, counterexample=None)
 
@@ -288,7 +285,6 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
         deviations = _every_deviation(game)
     else:
         deviations = _sampled_deviations(game, trials, seed)
-    potential = _potential_kernel(game, cert)
     done = violations = 0
     counterexample = None
     for profile, i, new_k in deviations:

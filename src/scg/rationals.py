@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers.
+"""Exact rational arithmetic helpers and the package's argument checks.
 
 Every utility, weight, share and factor this package takes is exact, an
 int or a `fractions.Fraction`, and every value it reports is a Fraction;
@@ -7,6 +7,9 @@ common denominator (see `scg.model`).  Positive infinity (used for the
 relationship-imbalance parameter and for improvement factors over a zero
 baseline) is `math.inf`, which orders correctly against Fraction values,
 so no wrapper type is needed.
+
+The argument checks live here: `_exact_alpha` and `_int` refuse a float,
+a bool or a str where an exact value or an int belongs, naming the field.
 """
 
 from __future__ import annotations
@@ -38,6 +41,24 @@ _EXACT = frozenset((int, Fraction))
 def _inexact(where, value):
     return ValueError(f"{where}: expected an int or Fraction, "
                       f"got {type(value).__name__}")
+
+
+def _not_int(where, value):
+    return ValueError(f"{where}: expected an int, got {type(value).__name__}")
+
+
+def _exact_alpha(alpha, name="alpha"):
+    """alpha as a Fraction, or an error naming `name` if it is inexact."""
+    if type(alpha) not in _EXACT:
+        raise _inexact(name, alpha)
+    return alpha if type(alpha) is Fraction else Fraction(alpha)
+
+
+def _int(value, name):
+    """value if it is an int (not a bool), else an error naming `name`."""
+    if type(value) is not int:
+        raise _not_int(name, value)
+    return value
 
 
 #: The wire grammar, ASCII only: `int()` alone would also take "1_0", " 7 ",
@@ -162,9 +183,7 @@ def supermodular_alpha(r):
     10**12 a(a + 4b); its left side is an int, so it holds iff it reaches
     ceil(sqrt(D)), and p is the ceiling of (10**6 a + ceil(sqrt(D))) / 2b.
     """
-    if type(r) not in _EXACT:
-        raise _inexact("supermodularity degree", r)
-    if r < 1:
+    if _exact_alpha(r, "supermodularity degree") < 1:
         raise ValueError("supermodularity degree must be >= 1")
     a, b = r.as_integer_ratio()
     den = 10**6

@@ -149,3 +149,39 @@ def test_hypergraph_generator_shares_sum_to_one():
         assert sum(e.shares) == 1
         total = sum(gamma[i] for i in e.players)
         assert e.shares == tuple(gamma[i] / total for i in e.players)
+
+
+#: Each generator's int arguments, as (generator, valid arguments, the
+#: position and the name of one int argument)
+INT_ARGUMENTS = [
+    (prop5, (3,), 0, "m"),
+    (symmetric_pos_tight, (3,), 0, "m"),
+    *[(gen, (3, 2, 1), pos, name)
+      for gen in (random_instance, random_cc, random_symmetric, random_omega,
+                  random_hypergraph_cc)
+      for pos, name in enumerate(("n", "m", "seed"))],
+    *[(random_supermodular, (3, 2, 1, 1), pos, name)
+      for pos, name in enumerate(("n", "m", "r", "seed"))],
+]
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"],
+                         ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "gen,args,pos,name", INT_ARGUMENTS,
+    ids=[f"{gen.__name__}-{name}" for gen, _, _, name in INT_ARGUMENTS])
+def test_generators_refuse_a_non_int_size_seed_or_bound(gen, args, pos, name,
+                                                        value):
+    """A float, a bool or a str where an int belongs is refused by name,
+    not drawn from, multiplied or counted as it came."""
+    gen(*args)
+    with pytest.raises(ValueError, match=(
+            f"^{name}: expected an int, got {type(value).__name__}$")):
+        gen(*args[:pos], value, *args[pos + 1:])
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (6, 3), (9, 11)])
+def test_a_float_edge_probability_draws_as_its_exact_fraction(n, seed):
+    """0.5 is exactly 1/2, so it keeps the same pairs as the default."""
+    assert (random_instance(n, 3, seed, edge_prob=0.5)
+            == random_instance(n, 3, seed))

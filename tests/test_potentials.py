@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from scg.generalized import Hyperedge, HypergraphGame, hypergraph_cc_recover
+from scg.generalized import (Hyperedge, HypergraphGame, additive_tables,
+                             hypergraph_cc_recover, hypergraph_potential)
 from scg.generators import (example1, random_cc, random_hypergraph_cc,
-                            random_instance, random_symmetric)
+                            random_instance, random_supermodular,
+                            random_symmetric)
 from scg.model import Edge, GameInstance, player_utility
 from scg.potentials import (PotentialCertificate, RecoveryFailure, cc_recover,
                             certificate_shares_match, ordinal_audit,
@@ -287,3 +289,26 @@ def test_pairwise_game_audits_as_its_hypergraph():
                 == potential_value(g, profile, fake))
     assert ordinal_audit(hg, fake) == ordinal_audit(g, fake)
     assert ordinal_audit(g, fake).violations > 0
+
+
+TABLE = random_supermodular(3, 2, 1, 1)
+UNIT = PotentialCertificate(gamma=(Fraction(1),) * 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cc_recover(TABLE),
+    lambda: hypergraph_cc_recover(TABLE),
+    lambda: certificate_shares_match(TABLE, UNIT),
+    lambda: potential_value(TABLE, (1, 1, 1), UNIT),
+    lambda: hypergraph_potential(TABLE, (1, 1, 1), UNIT),
+    lambda: potential_delta(TABLE, (1, 1, 1), 0, 2, UNIT),
+    lambda: ordinal_audit(TABLE, UNIT),
+    lambda: ordinal_audit(random_supermodular(3, 1, 1, 1), UNIT),
+    lambda: additive_tables(TABLE),
+], ids=["cc_recover", "hypergraph_cc_recover", "certificate_shares_match",
+        "potential_value", "hypergraph_potential", "potential_delta",
+        "ordinal_audit", "ordinal_audit-one-strategy", "additive_tables"])
+def test_every_reader_of_the_group_list_refuses_a_table(call):
+    with pytest.raises(ValueError, match="^a utility table has no group "
+                                         "list: weight recovery, "):
+        call()

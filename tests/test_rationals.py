@@ -1,11 +1,16 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from scg.generalized import parse_generalized, parse_hypergraph, parse_omega
-from scg.model import parse_instance
-from scg.potentials import PotentialCertificate
+from scg.analysis import PaymentPlan, post_payment_deviation_report
+from scg.dynamics import one_shot_alpha_br, run_dynamics
+from scg.generalized import (Hyperedge, HypergraphGame, OmegaGame,
+                             parse_generalized, parse_hypergraph, parse_omega)
+from scg.generators import random_instance
+from scg.model import GameInstance, parse_instance, player_utility
+from scg.potentials import PotentialCertificate, ordinal_audit, potential_value
 from scg.rationals import (INF, ParseError, _construct, at_least_sqrt2_times,
                            format_rational, load_list, load_object, parse_int,
                            parse_rational, rational_reader, rational_writer,
@@ -197,3 +202,64 @@ def test_gates_for_small_degrees_are_unchanged():
                   19952273, 20954452)
     for r, p in enumerate(numerators, 1):
         assert supermodular_alpha(r) == Fraction(p, 10**6)
+
+
+ONE, HALF = Fraction(1), Fraction(1, 2)
+PAIR = random_instance(3, 2, 1)
+START = (1, 1, 1)
+
+
+def _hyperedge(players=(0, 1), weight=ONE, shares=(HALF, HALF), anchor=None):
+    return HypergraphGame(n=2, m=2, edges=(
+        Hyperedge(players, weight, shares, anchor),))
+
+
+def _omega(a=(ONE, ONE), b=(ONE, ONE), omega=HALF):
+    return OmegaGame(n=2, m=2, a=a, b=b, omega=omega,
+                     labels=(("one", "one"), ("one", "one")))
+
+
+#: Every scalar argument an entry point checks, the message prefix that
+#: names it, whether it takes a Fraction too, and a call passing value v
+SCALAR_ARGUMENTS = [
+    ("supermodularity degree", True, supermodular_alpha),
+    ("payments[0]", True, lambda v: post_payment_deviation_report(
+        PAIR, START, PaymentPlan(payments=(v, ONE, ONE), total=ONE, nu=ONE))),
+    ("step_cap", False, lambda v: run_dynamics(PAIR, START, step_cap=v)),
+    ("starting strategy", False, lambda v: one_shot_alpha_br(PAIR, v, 1)),
+    ("n", False, lambda v: GameInstance(n=v, m=1, intrinsic=((ONE,),),
+                                        edges=())),
+    ("m", False, lambda v: GameInstance(n=1, m=v, intrinsic=((ONE,),),
+                                        edges=())),
+    ("profile[1]", False, lambda v: PAIR.validate_profile((1, v, 1))),
+    ("player index", False, lambda v: player_utility(PAIR, START, v)),
+    ("strategy", False, lambda v: player_utility(PAIR, START, 0, v)),
+    ("gamma[2]", True, lambda v: potential_value(
+        PAIR, START, PotentialCertificate(gamma=(ONE, ONE, v)))),
+    ("trials", False, lambda v: ordinal_audit(
+        PAIR, PotentialCertificate(gamma=(ONE,) * 3), trials=v)),
+    ("seed", False, lambda v: ordinal_audit(
+        PAIR, PotentialCertificate(gamma=(ONE,) * 3), seed=v)),
+    ("edges[0].players[1]", False, lambda v: _hyperedge(players=(0, v))),
+    ("edges[0].weight", True, lambda v: _hyperedge(weight=v)),
+    ("edges[0].shares[0]", True, lambda v: _hyperedge(shares=(v, HALF))),
+    ("edges[0].anchor", False, lambda v: _hyperedge(anchor=v)),
+    ("a[1]", True, lambda v: _omega(a=(ONE, v))),
+    ("b[0]", True, lambda v: _omega(b=(v, ONE))),
+    ("omega", True, lambda v: _omega(omega=v)),
+]
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"],
+                         ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name,exact,call", SCALAR_ARGUMENTS,
+                         ids=[name for name, _, _ in SCALAR_ARGUMENTS])
+def test_every_scalar_argument_refuses_a_float_a_bool_and_a_str(
+        name, exact, call, value):
+    """Each check goes through `_exact_alpha` or `_int`, so each gives the
+    one message that names the argument and the type it was given."""
+    expected = "an int or Fraction" if exact else "an int"
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(name)}: expected {expected}, "
+            f"got {type(value).__name__}$")):
+        call(value)
