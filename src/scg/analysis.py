@@ -434,21 +434,17 @@ def welfare_lower_bound(alpha, gamma, m):
 
 
 def table_fraction(alpha, gamma, m):
-    """Welfare fraction as tabulated in the published performance table.
-
-    In the high-imbalance regime (gamma + 1 > alpha * m) the published
-    figures follow the balanced two-term formula rather than the proven
-    worst-case maximum, so this includes that candidate; it is never below
-    `welfare_lower_bound`.
-    """
+    """Welfare fraction as tabulated in the published performance table:
+    for finite gamma and m, the larger of `welfare_lower_bound` and the
+    balanced two-term formula at 1/m.  In the high-imbalance regime
+    (gamma + 1 > alpha * m) the published figures follow that formula
+    rather than the proven worst-case maximum; in the other regime the
+    bound is that same formula."""
     guaranteed = welfare_lower_bound(alpha, gamma, m)
     if gamma == INF or m == INF:
         return guaranteed
-    alpha = Fraction(alpha)
-    gamma = Fraction(gamma)
-    if gamma + 1 <= alpha * m:
-        return guaranteed
-    return max(guaranteed, _balanced_fraction(alpha, gamma, Fraction(1, m)))
+    return max(guaranteed, _balanced_fraction(Fraction(alpha), Fraction(gamma),
+                                              Fraction(1, m)))
 
 
 def payment_stabilize(game, profile, opt_welfare):

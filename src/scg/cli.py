@@ -13,9 +13,11 @@ is such a rejection too.
 
 Each choice is written once: `GEN_KINDS` maps every `gen` kind to the
 function that builds its game, `WRITERS` maps each game type to its
-wire-format writer, `_cmd_solve` prints every algorithm's result through
-one `_write`, and `build_parser` adds `--out`, the last option of every
-subcommand, in one loop.
+wire-format writer, and `build_parser` adds `--out`, the last option of
+every subcommand, in one loop.  Every ``_cmd_*`` returns ``(result, exit
+code)``, the result a dict or the exact text to print, and `main` writes
+it once: a dict as one JSON line, text as it is, both through `_write` to
+stdout or the ``--out`` file.  `_csv` holds the one CSV dialect.
 """
 
 from __future__ import annotations
@@ -103,6 +105,13 @@ def _profile_str(profile):
     return ",".join(str(s) for s in profile)
 
 
+def _csv(rows):
+    """The rows as CSV text, each line ended by CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(rows)
+    return buf.getvalue()
+
+
 # --- gen ---------------------------------------------------------------------
 
 
@@ -143,8 +152,7 @@ WRITERS = {
 
 def _cmd_gen(args):
     game = GEN_KINDS[args.kind](args)
-    _write(args.out, WRITERS[type(game)](game))
-    return EXIT_OK
+    return WRITERS[type(game)](game), EXIT_OK
 
 
 # --- solve -------------------------------------------------------------------
@@ -201,8 +209,7 @@ def _cmd_solve(args):
     result = {"profile": _profile_str(profile), **fields}
     if isinstance(game, model.GameInstance) and "welfare" not in result:
         result["welfare"] = format_rational(model.welfare_total(game, profile))
-    _write(args.out, json.dumps(result) + "\n")
-    return EXIT_OK
+    return result, EXIT_OK
 
 
 # --- verify ------------------------------------------------------------------
@@ -226,8 +233,7 @@ def _cmd_verify(args):
         ok = report.max_factor <= alpha
         payload = {"max_factor": format_rational(report.max_factor),
                    "witness": report.witness, "stable": ok}
-    _write(args.out, json.dumps(payload) + "\n")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return payload, EXIT_OK if ok else EXIT_VERIFY
 
 
 # --- census ------------------------------------------------------------------
@@ -238,10 +244,7 @@ def _cmd_census(args):
     alpha = parse_rational(args.alpha or "1", "alpha")
     census = analysis.equilibrium_census(game, alpha)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["profile", "welfare", "max_factor", "is_nash",
-                         "is_strong"])
+        rows = [["profile", "welfare", "max_factor", "is_nash", "is_strong"]]
         strong_cap = game.m ** game.n <= 4096
         for profile, w in zip(census.equilibria, census.equilibrium_welfares):
             mf = analysis.deviation_report(game, profile).max_factor
@@ -249,12 +252,10 @@ def _cmd_census(args):
             if strong_cap:
                 is_strong = str(analysis.verify_approx_strong(
                     game, profile, alpha).verdict == "stable-at-alpha").lower()
-            writer.writerow([_profile_str(profile), format_rational(w),
-                             format_rational(mf), str(mf <= 1).lower(),
-                             is_strong])
-        _write(args.out, buf.getvalue())
-        return EXIT_OK
-    payload = {
+            rows.append([_profile_str(profile), format_rational(w),
+                         format_rational(mf), str(mf <= 1).lower(), is_strong])
+        return _csv(rows), EXIT_OK
+    return {
         "alpha": format_rational(alpha),
         "opt_profile": _profile_str(census.opt_profile),
         "opt_welfare": format_rational(census.opt_welfare),
@@ -262,9 +263,7 @@ def _cmd_census(args):
         "exists": census.exists,
         "poa": format_rational(census.poa) if census.poa is not None else None,
         "pos": format_rational(census.pos) if census.pos is not None else None,
-    }
-    _write(args.out, json.dumps(payload) + "\n")
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # --- payments ----------------------------------------------------------------
@@ -279,15 +278,13 @@ def _cmd_payments(args):
         raise CliError("optimum welfare is zero; payments undefined")
     plan = analysis.payment_stabilize(game, profile, opt_w)
     post = analysis.post_payment_deviation_report(game, profile, plan)
-    payload = {
+    return {
         "profile": _profile_str(profile),
         "payments": [format_rational(p) for p in plan.payments],
         "total": format_rational(plan.total),
         "nu": format_rational(plan.nu),
         "post_payment_max_factor": format_rational(post.max_factor),
-    }
-    _write(args.out, json.dumps(payload) + "\n")
-    return EXIT_OK if post.max_factor <= 1 else EXIT_VERIFY
+    }, EXIT_OK if post.max_factor <= 1 else EXIT_VERIFY
 
 
 # --- bounds ------------------------------------------------------------------
@@ -317,17 +314,11 @@ def _cmd_bounds(args):
                 frac = analysis.table_fraction(alpha, gamma, m)
                 rows.append((alpha, gamma, m, frac))
     if len(rows) == 1 and args.format != "csv":
-        _write(args.out, format_rational(rows[0][3]) + "\n")
-        return EXIT_OK
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["alpha", "gamma", "m", "fraction", "decimal"])
-    for alpha, gamma, m, frac in rows:
-        writer.writerow([format_rational(alpha), format_rational(gamma),
-                         "inf" if m == INF else str(m),
-                         format_rational(frac), f"{float(frac):.4f}"])
-    _write(args.out, buf.getvalue())
-    return EXIT_OK
+        return format_rational(rows[0][3]) + "\n", EXIT_OK
+    return _csv([["alpha", "gamma", "m", "fraction", "decimal"]] + [
+        [format_rational(alpha), format_rational(gamma),
+         "inf" if m == INF else str(m), format_rational(frac),
+         f"{float(frac):.4f}"] for alpha, gamma, m, frac in rows]), EXIT_OK
 
 
 # --- audit-potential -----------------------------------------------------------
@@ -337,20 +328,16 @@ def _cmd_audit_potential(args):
     game = model.parse_instance(_read(args.infile))
     cert = potentials.cc_recover(game)
     if isinstance(cert, potentials.RecoveryFailure):
-        _write(args.out, json.dumps({"recovered": False,
-                                     "edge": list(cert.edge),
-                                     "reason": cert.reason}) + "\n")
-        return EXIT_VERIFY
+        return {"recovered": False, "edge": list(cert.edge),
+                "reason": cert.reason}, EXIT_VERIFY
     report = potentials.ordinal_audit(game, cert, trials=args.trials,
                                       seed=args.seed)
-    payload = {
+    return {
         "recovered": True,
         "gamma": [format_rational(g) for g in cert.gamma],
         "trials": report.trials,
         "violations": report.violations,
-    }
-    _write(args.out, json.dumps(payload) + "\n")
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    }, EXIT_OK if report.ok else EXIT_VERIFY
 
 
 # --- search-no-sne -------------------------------------------------------------
@@ -371,9 +358,8 @@ def _cmd_search_no_sne(args):
             for p in census.equilibria)
         if not has_sne:
             found.append(seed)
-    _write(args.out, json.dumps({"scanned": args.count,
-                                 "without_strong_equilibrium": found}) + "\n")
-    return EXIT_OK
+    return {"scanned": args.count,
+            "without_strong_equilibrium": found}, EXIT_OK
 
 
 # --- parser ------------------------------------------------------------------
@@ -469,7 +455,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         _parse_int_options(args)
-        return args.func(args)
+        result, code = args.func(args)
+        _write(args.out, result if isinstance(result, str)
+               else json.dumps(result) + "\n")
+        return code
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -11,7 +11,8 @@ values 0..6 and directed pair gains 0..4, `random_omega` bonuses a, b in
 1..5, and `random_hypergraph_cc` gamma in 1..5, n + 2 groups of two or
 three players and anchored singletons, all at weight 1..8.  An n, m, seed
 or `random_supermodular` bound r that is not an int (a float, a bool or
-a str) is refused, naming it.
+a str) is refused, naming it, and so is an `edge_prob` that is not an
+int, a float or a Fraction in [0, 1].
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
     drawn after the weight of each pair i < j that the pass keeps."""
     if _int(n, "n") < 1 or _int(m, "m") < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    if (type(edge_prob) not in (int, float, Fraction)
+            or not 0 <= edge_prob <= 1):  # NaN is refused too
+        raise ValueError(f"edge_prob: expected a probability in [0, 1], "
+                         f"got {edge_prob!r}")
     rng = random.Random(_int(seed, "seed"))
     share = share_rule(rng)
     intrinsic = tuple(

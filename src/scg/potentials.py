@@ -166,12 +166,12 @@ def _check_certificate(game, cert):
                              f"got {format_rational(g)}")
 
 
-def _potential_terms(game, cert):
+def _potential_terms(groups, cert):
     """(members, anchor, term) for each positive group, the term w / (sum
     of member weights) a reduced int pair: with the weights scaled to ints
     G by their common denominator L, w = a/b makes it aL / (b sum G)."""
     scale, weights = _scaled_ints([g.as_integer_ratio() for g in cert.gamma])
-    for members, anchor, (a, b), _ in game._groups():
+    for members, anchor, (a, b), _ in groups:
         if a:
             yield members, anchor, _reduced(
                 a * scale, b * sum([weights[j] for j in members]))
@@ -183,7 +183,7 @@ def potential_value(game, profile, cert):
     game.validate_profile(profile)
     _check_certificate(game, cert)
     terms = []
-    for members, anchor, term in _potential_terms(game, cert):
+    for members, anchor, term in _potential_terms(game._groups(), cert):
         k = profile[members[0]]
         if anchor in (None, k) and all(profile[j] == k for j in members):
             terms.append(term)
@@ -192,24 +192,27 @@ def potential_value(game, profile, cert):
 
 
 def potential_delta(game, profile, i, new_strategy, cert):
-    """Phi(deviated) - Phi(profile) as i moves: `ordinal_audit`'s dphi."""
+    """Phi(deviated) - Phi(profile) as i moves: `ordinal_audit`'s dphi,
+    read from the potential kernel of i's groups, as the others cancel."""
     player_utility(game, profile, i, new_strategy)  # validates the arguments
     game.validate_profile([*profile[:i], new_strategy, *profile[i + 1:]])
     _check_certificate(game, cert)
-    potential = _potential_kernel(game, cert)
+    potential = _potential_kernel(
+        game, cert, [g for g in game._groups() if i in g[0]])
     ps = potential.scaled_utilities(profile, i)
     return Fraction(ps[new_strategy - 1] - ps[profile[i] - 1], potential.scale)
 
 
-def _potential_kernel(game, cert):
+def _potential_kernel(game, cert, groups=None):
     """The potential as one more `scg.model.IntKernel`: each positive group
-    pays every member its term w / (sum of member weights).  Entry k of
-    player i's vector is then the sum of the terms that pay with i at k and
-    the others where they are, so a move's dphi is the difference of two
-    entries; every term without i cancels."""
+    (of ``game._groups()`` by default) pays every member its term w / (sum
+    of member weights).  Entry k of player i's vector is then the sum of
+    the terms that pay with i at k and the others where they are, so a
+    move's dphi is the difference of two entries; terms without i cancel."""
     return _int_kernel(game.n, game.m, [
         (members, anchor, term, ((1, 1),) * len(members))
-        for members, anchor, term in _potential_terms(game, cert)])
+        for members, anchor, term in _potential_terms(
+            game._groups() if groups is None else groups, cert)])
 
 
 def _every_deviation(game):

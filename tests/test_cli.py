@@ -502,10 +502,23 @@ VALID = {
 }
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_out_file_holds_the_stdout(tmp_path, capsys, pair, command):
-    argv = [a.format(pair=pair) for a in VALID[command]]
+# Runs that print their result and exit 4, "{cyclic}" the cyclic example:
+# a violated profile for each verifier, and a failed weight recovery.
+VIOLATED = {
+    "verify-nash-violated": ["verify", "nash", "--in", "{cyclic}",
+                             "--profile", "1,2,3"],
+    "verify-strong-violated": ["verify", "strong", "--in", "{pair}",
+                               "--profile", "1,1"],
+    "audit-potential-unrecovered": ["audit-potential", "--in", "{cyclic}"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS + list(VIOLATED))
+def test_out_file_holds_the_stdout(tmp_path, capsys, pair, cyclic, command):
+    argv = [a.format(pair=pair, cyclic=cyclic)
+            for a in {**VALID, **VIOLATED}[command]]
     code = main(argv)
+    assert command not in VIOLATED or code == 4
     stdout = capsys.readouterr().out
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == code

@@ -185,3 +185,15 @@ def test_a_float_edge_probability_draws_as_its_exact_fraction(n, seed):
     """0.5 is exactly 1/2, so it keeps the same pairs as the default."""
     assert (random_instance(n, 3, seed, edge_prob=0.5)
             == random_instance(n, 3, seed))
+
+
+@pytest.mark.parametrize("value", [
+    "1/2", None, True, False, Fraction(-1, 3), -0.0001, Fraction(2),
+    1.0000001, 4.0, float("nan"), float("inf"), float("-inf")])
+def test_a_bad_edge_probability_is_refused_by_name(value):
+    """Anything but an int, a float or a Fraction in [0, 1] is refused, not
+    read as 0 or 1, nor clipped to draw every pair or none."""
+    with pytest.raises(ValueError, match=(
+            re.escape(f"edge_prob: expected a probability in [0, 1], "
+                      f"got {value!r}") + "$")):
+        random_instance(3, 2, 1, edge_prob=value)

@@ -402,8 +402,8 @@ def reference_random_edges(n, m, seed, edge_prob, rng_type=random.Random):
 
 @pytest.mark.parametrize("n", (1, 2, 7, 30))
 def test_random_instance_draws_the_fraction_threshold_edges(n):
-    probs = [0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(2, 1)]
-    probs += [4 / (n - 1)] if n > 1 else []
+    probs = [0, Fraction(1, 3), Fraction(1, 2), 1, 1.0]
+    probs += [4 / (n - 1)] if n > 4 else []
     for seed in range(4):
         assert (random_instance(n, 3, seed).edges
                 == reference_random_edges(n, 3, seed, Fraction(1, 2)))
