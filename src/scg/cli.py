@@ -55,7 +55,7 @@ def _parse_m(text):
 
 def _parse_profile(text, n):
     try:
-        profile = tuple(parse_int(x) for x in text.split(","))
+        profile = tuple(parse_int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise CliError(f"profile: expected comma-separated integers, got {text!r}")
     if len(profile) != n:

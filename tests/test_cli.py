@@ -419,10 +419,12 @@ def test_incomplete_table_names_the_missing_entry(tmp_path, capsys, command):
      "error: m: expected integer or 'inf', got '\u0663'\n"),
     (["verify", "nash", "--in", "{pair}", "--profile", " 1,+2"],
      "error: profile: expected comma-separated integers, got ' 1,+2'\n"),
+    (["verify", "generalized", "--in", "{tri}", "--profile", ""],
+     "error: profile: expected 3 entries, got 0\n"),
 ], ids=["bounds-m", "verify-profile-length", "solve-profile-length",
         "payments-zero-optimum", "oneshot-gen-float-alpha",
         "oneshot-gen-alpha-below-1", "bounds-m-non-ascii-digit",
-        "verify-profile-signs-and-spaces"])
+        "verify-profile-signs-and-spaces", "verify-empty-profile-of-three"])
 def test_bad_argument_exits_2_with_its_line(tmp_path, capsys, pair, command,
                                             err):
     zero = tmp_path / "zero.json"
@@ -435,6 +437,24 @@ def test_bad_argument_exits_2_with_its_line(tmp_path, capsys, pair, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_zero_player_profile_round_trips(tmp_path, capsys):
+    """The census of a zero-player game writes its one equilibrium as the
+    empty profile "", and both verifiers read "" back as that profile."""
+    path = tmp_path / "none.json"
+    path.write_text(serialize_instance(GameInstance(n=0, m=2, intrinsic=(),
+                                                    edges=())))
+    assert main(["census", "--in", str(path)]) == 0
+    profile = json.loads(capsys.readouterr().out)["equilibria"][0]
+    assert profile == ""
+    assert main(["verify", "nash", "--in", str(path), "--profile",
+                 profile]) == 0
+    assert json.loads(capsys.readouterr().out)["stable"] is True
+    assert main(["verify", "strong", "--in", str(path), "--profile",
+                 profile]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "stable-at-alpha"}
 
 
 @pytest.mark.parametrize("name", ["alpha", "gamma", "m"])
