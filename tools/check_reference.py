@@ -7,15 +7,17 @@ Run from the repository root:
 Runs each job of every workload in bench/workloads.py once, with the same
 import, job list and output digest as bench/run.py, and exits 1 if a job
 raises, breaks one of the guarantees it checks, or hashes its outputs to
-a digest other than the recorded one.  ``bench/run.py --seconds 0`` does
-not replace it: a run stops after its first 100 jobs, which leaves out
-part of the census and table job lists.
+a digest other than the recorded one.  The jobs write their files into
+a temporary directory of the run's own, so two checks can run at once.
+``bench/run.py --seconds 0`` does not replace it: a run stops after its
+first 100 jobs, which leaves out part of the census and table job lists.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
@@ -26,12 +28,16 @@ import run  # noqa: E402  (bench/run.py)
 
 def main():
     sys.path.insert(0, str(run.SRC))
-    run.WORKDIR.mkdir(exist_ok=True)
     scg = run.import_scg()
+    with tempfile.TemporaryDirectory() as workdir:
+        return check(scg, Path(workdir))
+
+
+def check(scg, workdir):
     reference = json.loads(run.REFERENCE.read_text())
     failed = 0
     for name, (make, job) in run.WORKLOADS.items():
-        jobs = make(scg, run.DEFAULT_SEED, run.WORKDIR)
+        jobs = make(scg, run.DEFAULT_SEED, workdir)
         recorded = reference[name]
         if len(recorded) != len(jobs):
             print(f"{name}: {len(jobs)} jobs, {len(recorded)} recorded",
