@@ -15,6 +15,7 @@ from scg.potentials import (PotentialCertificate, RecoveryFailure, cc_recover,
                             certificate_shares_match, ordinal_audit,
                             potential_delta, potential_value)
 from scg.rationals import ParseError
+from test_kernel_properties import reference_groups
 
 
 def test_even_splits_recover_unit_weights():
@@ -259,17 +260,6 @@ def test_hypergraph_audit_is_clean_and_catches_a_scaled_weight():
     assert caught > 0
 
 
-def fraction_groups(g):
-    """The Fraction (members, weight, shares, anchor) ``groups`` view a
-    pairwise game listed: one anchored singleton per intrinsic value, then
-    one pair per edge."""
-    return ([((i,), v, (Fraction(1),), k)
-             for i, row in enumerate(g.intrinsic)
-             for k, v in enumerate(row, 1)]
-            + [((e.i, e.j), e.w, (e.share_ij, e.share_ji), None)
-               for e in g.edges])
-
-
 def test_pairwise_game_audits_as_its_hypergraph():
     """A pairwise game and the hypergraph of its groups (anchored
     singletons for intrinsic values, pairs for edges) have the same
@@ -277,7 +267,7 @@ def test_pairwise_game_audits_as_its_hypergraph():
     g, _ = random_cc(4, 3, 11)
     hg = HypergraphGame(n=g.n, m=g.m, edges=tuple(
         Hyperedge(players=members, weight=w, shares=shares, anchor=anchor)
-        for members, w, shares, anchor in fraction_groups(g)))
+        for members, w, shares, anchor in reference_groups(g)))
     cert = cc_recover(g)
     assert hypergraph_cc_recover(hg) == cert
     fake = PotentialCertificate(gamma=(1, 5, 1, 2))
