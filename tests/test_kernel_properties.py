@@ -736,6 +736,7 @@ def strong_report(alpha, alt, coalition):
 @example((ZERO_BASELINES, (1, 1, 1), 1), Fraction(0))
 @example((ZERO_BASELINES, (1, 1, 1), 1), Fraction(1))
 @example((NO_PLAYERS, (), 1), Fraction(0))
+@example((NO_PLAYERS, (), 1), Fraction(1, 2))
 @example((NO_PLAYERS, (), 1), Fraction(1))
 @example((ONE_STRATEGY, (1, 1), 1), Fraction(1))
 @example((ONE_STRATEGY, (1, 1), 1), Fraction(1, 2))
