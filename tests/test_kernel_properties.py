@@ -58,7 +58,10 @@ stream, the byte-identical generator draws, the `TableError` of the first
 missing strategy, the flat census reading each vector once and the census
 search cutting at all.  Instances mix fractional values, all-int values
 (scale 1) and coprime denominators whose lcm exceeds 2**64.  Runs are
-derandomized and small.
+derandomized and small.  Fixed cases beside the drawn ones: every hole of a
+complete table, every start and step cap of the cycling games, the additive
+tables of generated games, and, in the last section, the instances of each
+benchmark workload at its sizes, compared with the same references.
 """
 
 import dataclasses
@@ -573,6 +576,55 @@ def test_readers_match_the_reference(case):
             assert reference_utilities(tabled, profile, i, own=True) == own[i]
 
 
+@pytest.mark.parametrize("game", (random_supermodular(3, 2, 2, 4),
+                                  random_supermodular(3, 3, 1, 7),
+                                  triangle_game(Fraction(3, 2))))
+def test_every_table_hole_raises_the_lookups_error(game):
+    """Dropping any one entry of a complete table, every vector read at
+    every profile is the reader's or raises its `TableError`, naming the
+    same entry; building the view raises nothing."""
+    for key in game.tables:
+        holey = GeneralizedGame(n=game.n, m=game.m, tables={
+            k: v for k, v in game.tables.items() if k != key})
+        assert holey.scale >= 1  # the view is built without raising
+        raised = set()
+        for profile in profiles_of(holey):
+            for i in range(holey.n):
+                got = outcome(holey.utilities, profile, i)
+                assert got == outcome(reference_utilities, holey, profile, i)
+                if table_error(got):
+                    assert outcome(holey.scaled_utilities, profile, i) == got
+                    raised.add(got[1])
+        i, k, others = key
+        assert raised == {f"no entry for player {i}, strategy {k}, "
+                          f"set {sorted(others)}"}
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("family", ["pairwise", "omega", "hypergraph"])
+def test_additive_tables_read_as_the_generated_game(family, seed):
+    """`additive_tables(game)` of a generated game of up to 6 players reads
+    as the game: the same utilities and per-player readers at every
+    profile, and the same census."""
+    n, m = 2 + seed % 5, 1 + seed % 3
+    game = {"pairwise": lambda: random_instance(n, m, seed),
+            "omega": lambda: random_omega(n, m, seed),
+            "hypergraph": lambda: random_hypergraph_cc(n, m, seed)[0],
+            }[family]()
+    tabled = additive_tables(game)
+    for profile in profiles_of(game):
+        assert welfare(tabled, profile) == welfare(game, profile)
+        assert mip_check(tabled, profile) == mip_check(game, profile)
+        for i in range(n):
+            assert tabled.utilities(profile, i) == game.utilities(profile, i)
+            assert (best_response(tabled, profile, i)
+                    == best_response(game, profile, i))
+            for k in range(1, m + 1):
+                assert (player_utility(tabled, profile, i, k)
+                        == player_utility(game, profile, i, k))
+    assert equilibrium_census(tabled) == equilibrium_census(game)
+
+
 # --- optimum and census ------------------------------------------------------
 
 
@@ -725,6 +777,23 @@ def reference_strong(game, profile, alpha, feasible=None):
     return None, None
 
 
+def reference_lex_strong(game):
+    """An omega game's feasible profiles (no conflicted pair shares a
+    strategy) and, if any, (the first feasible profile in lexicographic
+    order of largest sorted mass vector, its masses): the b of the
+    players at each strategy, summed."""
+    def masses(p):
+        return tuple(sum((b for b, s in zip(game.b, p) if s == k),
+                         Fraction(0)) for k in range(1, game.m + 1))
+    feasible = {p for p in profiles_of(game) if all(
+        p[i] != p[j] or game.labels[i][j] != "conflict"
+        for i, j in itertools.combinations(range(game.n), 2))}
+    if not feasible:
+        return feasible, None
+    lex = max(sorted(feasible), key=lambda p: sorted(masses(p), reverse=True))
+    return feasible, (lex, masses(lex))
+
+
 def strong_report(alpha, alt, coalition):
     return StrongDeviationReport(
         "stable-at-alpha" if alt is None else "violated", alpha, alt,
@@ -767,21 +836,13 @@ def test_group_check_matches_the_reference(case, alpha):
         assert outcome(verify_approx_strong, game, q, alpha) == outcome(
             lambda: strong_report(alpha, *reference_strong(game, q, alpha)))
     if isinstance(game, OmegaGame):
-        def masses(p):
-            return tuple(sum((b for b, s in zip(game.b, p) if s == k),
-                             Fraction(0)) for k in range(1, game.m + 1))
-        feasible = {p for p in profiles_of(game) if all(
-            p[i] != p[j] or game.labels[i][j] != "conflict"
-            for i, j in itertools.combinations(range(game.n), 2))}
+        feasible, lex = reference_lex_strong(game)
         if not feasible:
             with pytest.raises(ValueError, match="no feasible state"):
                 lex_strong_eq(game)
             return
-        # the first maximum in lexicographic order
-        lex = max(sorted(feasible),
-                  key=lambda p: sorted(masses(p), reverse=True))
-        assert lex_strong_eq(game) == (lex, masses(lex))
-        for q in {profile, lex} & feasible:
+        assert lex_strong_eq(game) == lex
+        for q in {profile, lex[0]} & feasible:
             assert verify_omega_strong(game, q, alpha) == reference_strong(
                 game, q, alpha, feasible.__contains__)[0]
 
@@ -908,6 +969,49 @@ def test_gated_dynamics_match_the_reference(case, alpha, step_cap):
         one_shot.terminal, alpha, tuple(
             (mv.player, mv.to_strategy, mv.old_utility, mv.new_utility)
             for mv in one_shot.moves))
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1), Fraction(3, 2)))
+def test_missing_table_entry_raises_the_references_error(alpha):
+    """Dropping any one entry of a complete table, the gated and the
+    one-shot runs raise the reference's `TableError`, naming the same
+    entry, or return what it returns; some entries are first read after a
+    move."""
+    game = random_supermodular(3, 2, 2, 4)  # three moves at either gate
+    start = (1,) * game.n
+    read_at_start = {(i, k, frozenset(j for j in range(game.n)
+                                      if j != i and start[j] == k))
+                     for i in range(game.n) for k in (1, 2)}
+    raised_late = []
+    for key in game.tables:
+        holey = GeneralizedGame(n=game.n, m=game.m, tables={
+            k: v for k, v in game.tables.items() if k != key})
+        assert outcome(run_dynamics, holey, start, MoveRule(alpha)) == (
+            outcome(reference_dynamics, holey, start, alpha))
+        got = outcome(lambda: one_shot_alpha_br(holey, 1, alpha)[1])
+        assert got == outcome(reference_dynamics, holey, start, alpha, 1)
+        if table_error(got):
+            i, k, others = key
+            assert got[1] == (f"no entry for player {i}, strategy {k}, "
+                              f"set {sorted(others)}")
+            if key not in read_at_start:
+                raised_late.append(key)
+    assert raised_late
+
+
+@pytest.mark.parametrize("game", (example1(1), triangle_game(2),
+                                  triangle_game(Fraction(3, 2))))
+def test_cycles_and_step_caps_match_the_reference(game):
+    """From every start and at every step cap the trace is the
+    reference's, and both a cycle and a step cap are reached."""
+    reasons = set()
+    for start in itertools.product((1, 2, 3), repeat=3):
+        for step_cap in (None, 1, 2, 3):
+            trace = run_dynamics(game, start, MoveRule(), step_cap)
+            assert trace == reference_dynamics(game, start, 1, None,
+                                               step_cap)
+            reasons.add(trace.reason)
+    assert {"step-cap", "cycle-detected"} <= reasons
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -1428,3 +1532,115 @@ def test_random_instance_threshold_is_exact_at_its_edge(monkeypatch,
     assert edges == reference_pairwise("interior", n, 1, 0, edge_prob,
                                        rng_type=NearCut).edges
     assert 0 < len(edges) < n * (n - 1) // 2
+
+
+# --- the benchmark's instances -----------------------------------------------
+# The instances of each workload in bench/workloads.py, at its sizes, which
+# the drawn games above never reach: every answer a job reads is compared
+# with its reference.
+
+CENSUS_SIZES = ((5, 3), (6, 3), (5, 4), (7, 3))
+
+
+@pytest.mark.parametrize("n, m", CENSUS_SIZES)
+@pytest.mark.parametrize("generate, alpha", ((random_instance, Fraction(1)),
+                                             (random_symmetric,
+                                              Fraction(3, 2))))
+def test_census_jobs_match_the_reference(generate, alpha, n, m):
+    """The census, the optimum, the payments that stabilise the optimum,
+    the report once they are paid, and the hybrid."""
+    game = generate(n, m, 0)
+    census = reference_census(game, alpha)
+    assert equilibrium_census(game, alpha) == census
+    opt, opt_w = census.opt_profile, census.opt_welfare
+    assert brute_force_optimum(game) == (opt, opt_w)
+    plan = payment_stabilize(game, opt, opt_w)
+    assert post_payment_deviation_report(game, opt, plan) == (
+        reference_report(game, opt, bonus=plan.payments))
+    assert reference_report(game, opt, bonus=plan.payments).max_factor == 1
+    assert hybrid(game, Fraction(2)) == reference_hybrid(game, Fraction(2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, m", CENSUS_SIZES)
+@pytest.mark.parametrize("generate", (random_instance, random_symmetric))
+def test_census_group_checks_match_the_reference(generate, n, m, seed):
+    """The group check at alpha 1 at the first three equilibria, as the
+    job reads it, where the search goes deepest."""
+    game, alpha = generate(n, m, seed), Fraction(1)
+    for profile in equilibrium_census(game, alpha).equilibria[:3]:
+        assert verify_approx_strong(game, profile, alpha) == strong_report(
+            alpha, *reference_strong(game, profile, alpha))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", (20, 60, 150))
+def test_dynamics_jobs_match_the_reference(n, seed):
+    """Sparse games, long runs and sweeps that wrap round several times:
+    the gated and one-shot runs, the sqrt(2) algorithm and the
+    two-strategy algorithm from a random start."""
+    game = random_instance(n, 3, seed, edge_prob=4 / (n - 1))
+    start = (1,) * n
+    assert run_dynamics(game, start) == reference_dynamics(game, start, 1)
+    for k0, alpha in ((1, Fraction(3, 2)), (2, Fraction(2))):
+        assert one_shot_alpha_br(game, k0, alpha)[1] == reference_dynamics(
+            game, (k0,) * n, alpha, k0)
+    assert sqrt2_three(game) == reference_sqrt2_three(game)
+    two = random_instance(n, 2, seed, edge_prob=4 / (n - 1))
+    start = tuple(random.Random(seed).choices((1, 2), k=n))
+    assert algorithm1_two(two, start) == reference_algorithm1_two(two, start)
+
+
+@pytest.mark.parametrize("n, r", ((4, 1), (5, 1), (5, 2), (6, 1), (6, 2)))
+def test_table_jobs_match_the_reference(n, r):
+    """The degree, the one-shot run at the gate it sets, and the report at
+    its end and at a drawn profile."""
+    game = random_supermodular(n, 3, r, n)
+    degree = reference_degree(game)
+    assert supermodularity_degree(game) == degree
+    alpha = reference_supermodular_alpha(degree)
+    trace = reference_dynamics(game, (1,) * n, alpha, 1)
+    assert one_shot_generalized(game, 1) == (trace.terminal, alpha, tuple(
+        (mv.player, mv.to_strategy, mv.old_utility, mv.new_utility)
+        for mv in trace.moves))
+    probe = tuple(random.Random(n).choices((1, 2, 3), k=n))
+    for profile in (trace.terminal, probe):
+        assert verify_generalized(game, profile) == reference_report(
+            game, profile)
+
+
+@pytest.mark.parametrize("n", (5, 20, 40, 60))
+def test_cc_jobs_match_the_reference(n):
+    """The recovered weights and an audit with them, exhaustive at n = 5
+    and of 10 sampled triples above (the reference's Phi costs a pass over
+    every group)."""
+    game, _gamma = random_cc(n, 3, n)
+    cert = cc_recover(game)
+    assert cert == reference_recover(game)
+    assert certificate_shares_match(game, cert)
+    assert ordinal_audit(game, cert, trials=10, seed=n) == reference_audit(
+        game, cert, 10, n)
+
+
+@pytest.mark.parametrize("n", (8, 12, 16, 20))
+def test_hypergraph_jobs_match_the_reference(n):
+    """The recovered weights and the plain dynamics from all ones."""
+    game, _gamma = random_hypergraph_cc(n, 3, n)
+    assert hypergraph_cc_recover(game) == reference_recover(game)
+    trace = reference_dynamics(game, (1,) * n, 1)
+    assert hypergraph_br_dynamics(game, (1,) * n) == (
+        trace.terminal, tuple((mv.player, mv.from_strategy, mv.to_strategy)
+                              for mv in trace.moves), trace.reason)
+
+
+@pytest.mark.parametrize("n, omega", ((5, Fraction(1, 2)), (6, Fraction(3, 4)),
+                                      (7, Fraction(1))))
+def test_omega_jobs_match_the_reference(n, omega):
+    """The lexicographic strong equilibrium and the feasible group check
+    at 1 / omega there."""
+    game = random_omega(n, 3, n, omega=omega)
+    feasible, lex = reference_lex_strong(game)
+    assert lex_strong_eq(game) == lex
+    alpha = 1 / omega
+    assert verify_omega_strong(game, lex[0], alpha) == reference_strong(
+        game, lex[0], alpha, feasible.__contains__)[0]
