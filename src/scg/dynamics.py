@@ -19,13 +19,13 @@ rule always produce the same trace.  There are two schedules:
 
 Both schedules are event-driven over one `_Run` per run: the profile, one
 cached scaled vector per player and each player's hearers, the players
-whose vector its move can change, as the game's integer kernel lists
-them (`scg.model.IntKernel.hearers`; on a table game, every player).  A
-move dirties its hearers' vectors and queues them as candidates in a
-min-heap, so it costs one vector per hearer when the loop next reads it,
-not a rescan of up to n players.
-`sqrt2_three` shares one `_Run` between its sweeps and its sqrt(2) gate
-scan.
+whose vector its move can change (`_hearers`: the integer kernel's
+`scg.model.IntKernel.hearers`; on a table game, every player).  A move
+dirties its hearers' vectors and queues them as candidates in a min-heap,
+so it costs one vector per hearer when the loop next reads it, not a
+rescan of up to n players.  `sqrt2_three` shares one `_Run` between its
+sweeps and its sqrt(2) gate scan.  `strong_two`'s coalition fixpoint
+likewise re-reads only the hearers of the players a pass sends back.
 
 Every factor alpha, of a `MoveRule` or of an entry point, passes through
 `scg.rationals._exact_alpha`, and every step cap and starting strategy
@@ -123,6 +123,13 @@ def best_response(game, profile, i):
     return best_k, Fraction(best_u, game.scale), _factor(us[k - 1], best_u)
 
 
+def _hearers(game):
+    """Per player, the players whose vector its move can change: the
+    integer kernel's `hearers`, or every player on a table."""
+    kernel = getattr(game, "_kernel", None)
+    return [range(game.n)] * game.n if kernel is None else kernel.hearers
+
+
 class _Run:
     """The state every loop of one run reads: the profile as a list, one
     cached scaled vector per player, per player the hearers (the players
@@ -141,9 +148,7 @@ class _Run:
         self.game = game
         self.profile = list(start)
         self.vecs = [None] * game.n
-        kernel = getattr(game, "_kernel", None)
-        self.hearers = ([range(game.n)] * game.n if kernel is None
-                        else kernel.hearers)
+        self.hearers = _hearers(game)
         self.movers = []
 
     def vec(self, i):
@@ -301,43 +306,37 @@ def algorithm1_two(game, start):
     return profile
 
 
-def _max_improving_coalition(game, profile, source, target):
-    """Maximal coalition in `source` whose joint move to `target` strictly
-    improves every member, found by the shrinking fixed point.
-
-    Member utilities in the target are monotone in coalition size, so
-    dropping non-improvers until stable yields the unique maximal coalition
-    (empty iff no improving coalition exists).
-    """
-    coalition = {i for i in range(game.n) if profile[i] == source}
-    base = {i: game.scaled_utilities(profile, i)[source - 1]
-            for i in coalition}
-    while coalition:
-        moved = list(profile)
-        for i in coalition:
-            moved[i] = target
-        drop = {i for i in coalition
-                if not game.scaled_utilities(moved, i)[target - 1] > base[i]}
-        if not drop:
-            break
-        coalition -= drop
-    return coalition
-
-
 def strong_two(game):
     """Strong Nash equilibrium for two-strategy games.
 
     Starts with everyone at strategy 1 and repeatedly moves the maximal
-    strictly-improving coalition to strategy 2 until none exists.
+    strictly-improving coalition to strategy 2 until none exists.  A round
+    notes each player at 1's utility there, puts everyone at 2, then sends
+    back to 1, a pass at a time, every member whose vector does not beat
+    that base; on a kernel game, whose utilities grow with the coalition,
+    those left are the maximal improving coalition (a greatest fixed
+    point).  A later pass re-reads only the members at 2 that hear a player
+    just sent back; the others keep their vectors, so their verdicts.  A
+    round reads at most 2n vectors plus one per hearer of each player sent
+    back: O(n + |E|) on a kernel game.
     """
     if game.m != 2:
         raise ValueError("strong_two requires exactly two strategies")
-    profile = tuple([1] * game.n)
+    vec, hearers = game.scaled_utilities, _hearers(game)
+    profile = [1] * game.n
     while True:
-        coalition = _max_improving_coalition(game, profile, source=1, target=2)
-        if not coalition:
-            return profile
-        profile = tuple(2 if i in coalition else s for i, s in enumerate(profile))
+        members = [i for i, k in enumerate(profile) if k == 1]
+        base = {i: vec(profile, i)[0] for i in members}
+        profile = [2] * game.n
+        check = members
+        while check:
+            back = [i for i in check if not vec(profile, i)[1] > base[i]]
+            for i in back:
+                profile[i] = 1
+            check = sorted({j for i in back for j in hearers[i]
+                            if profile[j] == 2 and j in base})
+        if profile.count(1) == len(members):
+            return tuple(profile)
 
 
 def sqrt2_three(game):

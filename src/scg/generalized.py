@@ -115,14 +115,17 @@ class GeneralizedGame(_ScaledGame):
         """The lcm L of the denominators of every table entry."""
         return self._view[0]
 
+    def _own_row(self, i):
+        """Player i's u_i(k, ∅) times `scale`; an absent one raises."""
+        row = [self._view[1][i].get(k) for k in range(self.m)]
+        if None in row:
+            self.utility(i, row.index(None) + 1, ())  # raises
+        return row
+
     @cached_property
     def rows(self):
-        """The own values u_i(k, ∅) times `scale`; an absent one raises."""
-        rows = [[row.get(k) for k in range(self.m)] for row in self._view[1]]
-        for i, row in enumerate(rows):
-            if None in row:
-                self.utility(i, row.index(None) + 1, ())  # raises
-        return rows
+        """Every player's own values, player by player."""
+        return [self._own_row(i) for i in range(self.n)]
 
     def scaled_utilities(self, profile, i):
         """Player i's utility for each strategy 1..m times `scale`, as ints;

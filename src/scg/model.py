@@ -32,9 +32,9 @@ which also holds the one profile check.  Orders, maxima, differences'
 signs and the ratios of two entries are the same at any positive scale,
 so callers compare the scaled values directly (a gate ``u_new >= alpha *
 u_old`` by cross-multiplication) and divide by the scale only for what
-they record.  ``player_utility`` and ``welfare`` read the intrinsic part
-from the game's ``rows``, what each player gets alone at each strategy
-times the scale: the kernel's rows, or a table's entries u_i(k, ∅).
+they record.  ``welfare`` reads the own values of every player, and
+``player_utility`` those of player i only (`_own_row`): what each gets
+alone at each strategy times the scale, the kernel's ``rows`` or u_i(k, ∅).
 
 Group list: each kernel game lists its groups once, built on each call
 of ``_groups()``, as (members, anchor, w, shares), w and every share a
@@ -59,8 +59,6 @@ from .rationals import (_EXACT, ParseError, _as_list, _construct, _inexact,
                         _int, _not_int, load_object, rational_reader,
                         rational_writer)
 
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -70,10 +68,6 @@ class Edge:
     j: int
     w: Fraction
     share_ij: Fraction  # i's share; j receives 1 - share_ij
-
-    @property
-    def share_ji(self):
-        return ONE - self.share_ij
 
 
 class IntKernel(NamedTuple):
@@ -200,6 +194,9 @@ class _ScaledGame:
         """Player i's utility for each strategy 1..m; trusts the profile."""
         scale = self.scale
         return [Fraction(u, scale) for u in self.scaled_utilities(profile, i)]
+
+    def _own_row(self, i):
+        return self.rows[i]
 
 
 class _KernelGame(_ScaledGame):
@@ -339,7 +336,7 @@ class InstanceStats:
 def player_utility(game, profile, i, strategy=None):
     """Utility of player i, optionally under a unilateral deviation, on any
     game: (total, intrinsic_part, coordination_part) as Fractions, read
-    from `scaled_utilities` and the own values ``rows`` once the arguments
+    from `scaled_utilities` and player i's own values once the arguments
     are validated."""
     _int(i, "player index")
     if strategy is not None:
@@ -352,7 +349,7 @@ def player_utility(game, profile, i, strategy=None):
         raise ValueError(f"strategy {k} out of range 1..{game.m}")
     scale = game.scale
     total = game.scaled_utilities(profile, i)[k - 1]
-    own = game.rows[i][k - 1]
+    own = game._own_row(i)[k - 1]
     return (Fraction(total, scale), Fraction(own, scale),
             Fraction(total - own, scale))
 

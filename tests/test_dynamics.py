@@ -123,25 +123,55 @@ def test_strong_two_outputs_resist_all_coalitions():
         assert verify_approx_strong(g, p, Fraction(1)).verdict == "stable-at-alpha"
 
 
+def exhaustive_coalition_move(game, profile):
+    """The profile after the largest coalition at 1 whose joint move to 2
+    strictly improves every member moves, found by trying every coalition,
+    largest first; None if there is none."""
+    members = [i for i, k in enumerate(profile) if k == 1]
+    for size in range(len(members), 0, -1):
+        for combo in itertools.combinations(members, size):
+            moved = tuple(2 if i in combo else k
+                          for i, k in enumerate(profile))
+            if all(player_utility(game, moved, i)[0]
+                   > player_utility(game, profile, i)[0] for i in combo):
+                return moved
+    return None
+
+
 def test_maximal_coalition_matches_exhaustive_search():
-    from scg.dynamics import _max_improving_coalition
     for seed in range(40):
         g = random_instance(5, 2, seed + 900)
-        profile = tuple([1] * 5)
-        got = _max_improving_coalition(g, profile, 1, 2)
-        best = set()
-        members = [i for i in range(5) if profile[i] == 1]
-        for size in range(len(members), 0, -1):
-            for combo in itertools.combinations(members, size):
-                moved = tuple(2 if i in combo else s
-                              for i, s in enumerate(profile))
-                if all(player_utility(g, moved, i)[0]
-                       > player_utility(g, profile, i)[0] for i in combo):
-                    best = set(combo)
-                    break
-            if best:
-                break
-        assert got == best
+        profile = (1,) * 5
+        while (moved := exhaustive_coalition_move(g, profile)) is not None:
+            profile = moved
+        assert strong_two(g) == profile
+
+
+def path_cascade(n):
+    """A path of n players, each preferring 2 on its own but the last, with
+    edges (i, i + 1) of weight 4 split evenly: at all twos the last player
+    loses, and each return to 1 takes its left neighbour's gain away, so
+    the maximal coalition shrinks one player per pass to nothing."""
+    own = (((Fraction(10), Fraction(11)),) * (n - 1)
+           + ((Fraction(10), Fraction(9)),))
+    return GameInstance(n=n, m=2, intrinsic=own, edges=tuple(
+        Edge(i, i + 1, Fraction(4), Fraction(1, 2)) for i in range(n - 1)))
+
+
+def test_strong_two_rereads_only_the_hearers_of_returns():
+    """One round over a 300-player path cascade: n base reads, n first-pass
+    reads and one re-read per return, not a re-read of every member per
+    pass (45,450 reads)."""
+    g = path_cascade(300)
+    read, reads = g.scaled_utilities, []
+
+    def counted(profile, i):
+        reads.append(i)
+        return read(profile, i)
+
+    vars(g)["scaled_utilities"] = counted  # shadows the cached reader
+    assert strong_two(g) == (1,) * g.n
+    assert len(reads) <= 4 * g.n
 
 
 def test_three_strategy_gate_blocks_below_sqrt2():

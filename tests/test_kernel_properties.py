@@ -505,9 +505,10 @@ def reference_factor(u_old, u_new):
     Hyperedge((0, 1, 2), Fraction(6), (Fraction(1, 3),) * 3),)), (1, 1, 1), 1))
 def test_readers_match_the_reference(case):
     """Each family's vectors, scale and readers are the reader's, a table's
-    holes raising its `TableError`; a kernel game's additive tables look
-    up what the game pays, and `instance_stats` refuses a table and a
-    group of three or more or an anchored pair by name."""
+    holes raising its `TableError` (a query about one player only that
+    player's); a kernel game's additive tables look up what the game pays,
+    and `instance_stats` refuses a table and a group of three or more or
+    an anchored pair by name."""
     game, profile, _ = case
     n, m = game.n, game.m
     table = isinstance(game, GeneralizedGame)
@@ -517,8 +518,9 @@ def test_readers_match_the_reference(case):
     assert game.scale == math.lcm(*denominators)
     vectors = [outcome(reference_utilities, game, profile, i)
                for i in range(n)]
-    own = outcome(lambda: [reference_utilities(game, profile, i, own=True)
-                           for i in range(n)])
+    owns = [outcome(reference_utilities, game, profile, i, True)
+            for i in range(n)]
+    own = next(filter(table_error, owns), owns)
     failed = next(filter(table_error, (*vectors, own)), None)
     for i, us in enumerate(vectors):
         assert outcome(game.utilities, profile, i) == us
@@ -528,14 +530,15 @@ def test_readers_match_the_reference(case):
             continue
         assert all(type(u) is int for u in scaled)
         assert scaled == [u * game.scale for u in us]
-        if table_error(own):
-            assert outcome(player_utility, game, profile, i) == own
+        if table_error(owns[i]):
+            assert outcome(player_utility, game, profile, i) == owns[i]
+            assert outcome(best_response, game, profile, i) == owns[i]
             continue
         for k in (None, *range(1, m + 1)):
             parts = player_utility(game, profile, i, k)
             k = k or profile[i]
-            assert parts == (us[k - 1], own[i][k - 1],
-                             us[k - 1] - own[i][k - 1])
+            assert parts == (us[k - 1], owns[i][k - 1],
+                             us[k - 1] - owns[i][k - 1])
             assert exact(*parts)
         best_k, best_u = reference_best(us, profile[i])
         assert best_response(game, profile, i) == (
@@ -1074,17 +1077,25 @@ def reference_strong_two(game):
         profile = moved
 
 
+TWO_TABLE = random_supermodular(3, 2, 2, 0)
+
+
 @runs(120)
-@given(started(games(8, st.integers(2, 3), with_tables=False)))
-@example((REST_GROUPS, (1, 1, 1, 1, 1), 1))
-@example((REST_GROUPS, (2, 1, 3, 2, 1), 1))
+@given(started(games(8, st.integers(2, 3), with_tables=False)),
+       st.builds(random_supermodular, st.integers(1, 6), st.just(2),
+                 st.sampled_from((1, 2)), seeds))
+@example((REST_GROUPS, (1, 1, 1, 1, 1), 1), TWO_TABLE)
+@example((REST_GROUPS, (2, 1, 3, 2, 1), 1), TWO_TABLE)
 # sparse games as in the dynamics benchmark: sweeps that wrap round
 @example((random_instance(20, 2, 0, edge_prob=Fraction(4, 19)),
-          (1, 2) * 10, 1))
-@example((random_instance(20, 3, 0, edge_prob=Fraction(4, 19)), (1,) * 20, 1))
-def test_sweeps_match_the_reference(case):
+          (1, 2) * 10, 1), TWO_TABLE)
+@example((random_instance(20, 3, 0, edge_prob=Fraction(4, 19)), (1,) * 20, 1),
+         TWO_TABLE)
+def test_sweeps_match_the_reference(case, table):
     """The two-strategy Nash and strong algorithms and the sqrt(2)
-    algorithm of three strategies end where the pass loops end."""
+    algorithm of three strategies end where the pass loops end; the strong
+    algorithm on a two-strategy table too, where every player hears every
+    move."""
     game, start, _ = case
     if game.m == 2:
         assert algorithm1_two(game, start) == reference_algorithm1_two(
@@ -1092,6 +1103,7 @@ def test_sweeps_match_the_reference(case):
         assert strong_two(game) == reference_strong_two(game)
     else:
         assert sqrt2_three(game) == reference_sqrt2_three(game)
+    assert strong_two(table) == reference_strong_two(table)
 
 
 # --- hybrid ------------------------------------------------------------------

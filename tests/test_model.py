@@ -7,7 +7,9 @@ import pytest
 
 from scg.generators import (example1, random_hypergraph_cc, random_instance,
                             random_omega, random_supermodular)
-from scg.generalized import Hyperedge, HypergraphGame
+from scg.dynamics import best_response
+from scg.generalized import (GeneralizedGame, Hyperedge, HypergraphGame,
+                             TableError)
 from scg.model import (Edge, GameInstance, InstanceStats, instance_stats,
                        parse_instance, player_utility, serialize_instance,
                        welfare, welfare_total)
@@ -138,6 +140,17 @@ def test_stats_refuse_a_table_and_larger_groups(game):
     with pytest.raises(ValueError, match="^instance_stats: mri has no "
                                          "stated meaning on a table"):
         instance_stats(game)
+
+
+def test_a_table_query_reads_only_its_players_own_values():
+    """Player 1 has no entry alone; a query about player 0 never reads it."""
+    g = GeneralizedGame(n=2, m=1, tables={
+        (0, 1, frozenset()): Fraction(1), (0, 1, frozenset({1})): Fraction(2),
+        (1, 1, frozenset({0})): Fraction(3)})
+    assert player_utility(g, (1, 1), 0) == (2, 1, 1)
+    assert best_response(g, (1, 1), 0) == (1, 2, 1)
+    with pytest.raises(TableError, match="^no entry for player 1, strategy 1"):
+        player_utility(g, (1, 1), 1)
 
 
 def test_validation_rejects_bad_structure():
