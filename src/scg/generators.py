@@ -1,18 +1,17 @@
 """Instance generators: named families and seeded random corpora.
 
 Generation is a pure function of the parameters and the seed, so fixtures
-regenerate byte-identically.  Draws come from fixed ranges.
-`random_instance`, `random_cc` and `random_symmetric` share one draw: own
-values randint(0, 10) / choice(1, 2, 3), then each pair kept with
-probability `edge_prob` (1/2 for the last two) at weight 1..10, split at
-randint(1, 9) / 10, at gamma_i / (gamma_i + gamma_j) for influence weights
-gamma in 1..5 drawn first, or evenly.  `random_supermodular` draws base
-values 0..6 and directed pair gains 0..4, `random_omega` bonuses a, b in
-1..5, and `random_hypergraph_cc` gamma in 1..5, n + 2 groups of two or
-three players and anchored singletons, all at weight 1..8.  An n, m, seed
-or `random_supermodular` bound r that is not an int (a float, a bool or
-a str) is refused, naming it, and so is an `edge_prob` that is not an
-int, a float or a Fraction in [0, 1].
+regenerate byte-identically.  `random_instance`, `random_cc` and
+`random_symmetric` share one draw: own values randint(0, 10) / choice(1,
+2, 3), then each pair kept with probability `edge_prob` (1/2 for the last
+two) at weight 1..10, split at randint(1, 9) / 10, at gamma_i / (gamma_i
++ gamma_j) for influence weights gamma in 1..5 drawn first, or evenly.
+`random_supermodular` draws base values 0..6 and directed pair gains
+0..4, `random_omega` bonuses a, b in 1..5, and `random_hypergraph_cc`
+gamma in 1..5, n + 2 groups of two or three players and anchored
+singletons, all at weight 1..8.  An n, m, seed or `random_supermodular`
+bound r that is not an int (a float, a bool or a str) is refused, naming
+it, as is an `edge_prob` that is not an int, float or Fraction in [0, 1].
 """
 
 from __future__ import annotations
@@ -22,11 +21,17 @@ from fractions import Fraction
 
 from .generalized import (GeneralizedGame, Hyperedge, HypergraphGame, OmegaGame,
                           additive_tables)
-from .model import Edge, GameInstance
+from .model import Edge, GameInstance, _game_of, _reduced
 from .rationals import SQRT2_APPROX, _exact_alpha, _int
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+# the reduced pairs the pairwise draws pick, shared by every game: weight
+# w, share c / 10 and influence split a / (a + b)
+_WEIGHTS = [(w, 1) for w in range(1, 11)]
+_TENTHS = [Fraction(c, 10).as_integer_ratio() for c in range(1, 10)]
+_SPLITS = [[Fraction(a, a + b).as_integer_ratio() for b in range(1, 6)]
+           for a in range(1, 6)]
 
 
 def example1(r=1):
@@ -39,16 +44,11 @@ def example1(r=1):
     r = _exact_alpha(r, "r")
     if r <= 0:
         raise ValueError("r must be positive")
-    n = m = 3
-    intrinsic = []
-    for i in range(n):
-        row = [ZERO] * m
-        row[i] = SQRT2_APPROX * r
-        row[(i + 1) % m] = r
-        intrinsic.append(tuple(row))
-    edges = tuple(Edge(i=i, j=(i + 1) % n, w=r, share_ij=Fraction(1))
-                  for i in range(n))
-    return GameInstance(n=n, m=m, intrinsic=tuple(intrinsic), edges=edges)
+    own = [[ZERO] * 3 for _ in range(3)]
+    for i in range(3):
+        own[i][i], own[i][(i + 1) % 3] = SQRT2_APPROX * r, r
+    return GameInstance(3, 3, own, [Edge(i, (i + 1) % 3, r, Fraction(1))
+                                    for i in range(3)])
 
 
 def prop5(m, r=1, eps=Fraction(1, 100)):
@@ -62,14 +62,10 @@ def prop5(m, r=1, eps=Fraction(1, 100)):
     r, eps = _exact_alpha(r, "r"), _exact_alpha(eps, "eps")
     if _int(m, "m") < 2 or r < 1 or eps <= 0:
         raise ValueError("need m >= 2, r >= 1, eps > 0")
-    intrinsic = [tuple([r] * m)]
-    for j in range(1, m):
-        row = [ZERO] * m
-        row[j] = 2 * eps
-        intrinsic.append(tuple(row))
-    edges = tuple(Edge(i=0, j=j, w=r + eps, share_ij=r / (r + eps))
-                  for j in range(1, m))
-    return GameInstance(n=m, m=m, intrinsic=tuple(intrinsic), edges=edges)
+    own = [[r] * m] + [[2 * eps if k == j else ZERO for k in range(m)]
+                       for j in range(1, m)]
+    return GameInstance(m, m, own, [Edge(0, j, r + eps, r / (r + eps))
+                                    for j in range(1, m)])
 
 
 def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
@@ -83,19 +79,16 @@ def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
     r, eps = _exact_alpha(r, "r"), _exact_alpha(eps, "eps")
     if _int(m, "m") < 2 or r <= 0 or eps <= 0:
         raise ValueError("need m >= 2, r > 0, eps > 0")
-    intrinsic = []
-    for i in range(m):
-        row = [ZERO] * m
-        row[i] = r + eps
-        intrinsic.append(tuple(row))
-    edges = tuple(Edge(i=0, j=j, w=2 * r, share_ij=HALF) for j in range(1, m))
-    return GameInstance(n=m, m=m, intrinsic=tuple(intrinsic), edges=edges)
+    own = [[r + eps if k == i else ZERO for k in range(m)] for i in range(m)]
+    return GameInstance(m, m, own, [Edge(0, j, 2 * r, HALF)
+                                    for j in range(1, m)])
 
 
 def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
-    """The draw of the pairwise families: after the size check,
-    `share_rule(rng)` makes the family's own draws and returns share(i, j),
-    drawn after the weight of each pair i < j that the pass keeps."""
+    """The pairwise families' draw, to int columns: `share_rule(below)`
+    makes the family's own draws and returns share(i, j), a reduced pair,
+    drawn after the weight of each pair i < j kept; ``below(k)`` is the
+    draw in [0, k) that randint and choice make."""
     if _int(n, "n") < 1 or _int(m, "m") < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if (type(edge_prob) not in (int, float, Fraction)
@@ -103,29 +96,27 @@ def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
         raise ValueError(f"edge_prob: expected a probability in [0, 1], "
                          f"got {edge_prob!r}")
     rng = random.Random(_int(seed, "seed"))
-    share = share_rule(rng)
-    intrinsic = tuple(
-        tuple(Fraction(rng.randint(0, 10), rng.choice((1, 2, 3)))
-              for _ in range(m))
-        for _ in range(n))
+    below = rng._randbelow
+    share = share_rule(below)
+    # randint(0, 10) / choice((1, 2, 3))
+    own = tuple([tuple([_reduced(below(11), below(3) + 1) for _ in range(m)])
+                 for _ in range(n)])
     p, q = edge_prob.as_integer_ratio()
     # rng.random() = k/2**53 < p/q iff int k < ceil(2**53 p/q) =: c, and the
     # float c/2**53 is exact for 0 <= c <= 2**53, so one float test decides
     cut = -(-(p << 53) // q) / 2**53
-    edges = []
+    draw, edges = rng.random, []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < cut:
-                w = Fraction(rng.randint(1, 10))
-                edges.append(Edge(i=i, j=j, w=w, share_ij=share(i, j)))
-    return GameInstance(n=n, m=m, intrinsic=intrinsic, edges=tuple(edges))
+            if draw() < cut:  # randint(1, 10), then the share
+                edges.append((i, j, _WEIGHTS[below(10)], share(i, j)))
+    return _game_of(n, m, own, edges)
 
 
 def random_instance(n, m, seed, edge_prob=HALF):
     """Random instance with interior split coefficients (finite imbalance)."""
-    def interior(rng):
-        return lambda i, j: Fraction(rng.randint(1, 9), 10)
-    return _random_pairwise(n, m, seed, interior, edge_prob)
+    return _random_pairwise(n, m, seed, lambda below: (
+        lambda i, j: _TENTHS[below(9)]), edge_prob)
 
 
 def random_cc(n, m, seed):
@@ -133,15 +124,16 @@ def random_cc(n, m, seed):
     so weight recovery succeeds by construction."""
     gamma = []
 
-    def influence(rng):
-        gamma.extend(Fraction(rng.randint(1, 5)) for _ in range(n))
-        return lambda i, j: gamma[i] / (gamma[i] + gamma[j])
-    return _random_pairwise(n, m, seed, influence), tuple(gamma)
+    def influence(below):
+        gamma.extend(below(5) for _ in range(n))  # randint(1, 5) - 1
+        return lambda i, j: _SPLITS[gamma[i]][gamma[j]]
+    return (_random_pairwise(n, m, seed, influence),
+            tuple([Fraction(g + 1) for g in gamma]))
 
 
 def random_symmetric(n, m, seed):
     """Random instance with every relationship split evenly."""
-    return _random_pairwise(n, m, seed, lambda rng: lambda i, j: HALF)
+    return _random_pairwise(n, m, seed, lambda below: lambda i, j: (1, 2))
 
 
 def random_supermodular(n, m, r, seed):
@@ -162,14 +154,10 @@ def random_supermodular(n, m, r, seed):
                  for _ in range(n))
     gain = {(i, j): rng.randint(0, 4)
             for i in range(n) for j in range(n) if i != j}
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = gain[i, j] + gain[j, i]
-            edges.append(Edge(i=i, j=j, w=Fraction(w),
-                              share_ij=Fraction(gain[i, j], w) if w else HALF))
-    tables = additive_tables(GameInstance(n=n, m=m, intrinsic=base,
-                                          edges=tuple(edges))).tables
+    edges = [Edge(i, j, w, Fraction(gain[i, j], w) if w else HALF)
+             for i in range(n) for j in range(i + 1, n)
+             for w in (gain[i, j] + gain[j, i],)]
+    tables = additive_tables(GameInstance(n, m, base, edges)).tables
     if r == 2:
         tables = {key: v * v for key, v in tables.items()}
     return GeneralizedGame(n=n, m=m, tables=tables)

@@ -3,47 +3,32 @@
 A game has ``n`` players, ``m`` strategies, a nonnegative intrinsic
 preference matrix and weighted pairwise relationships.  Each relationship
 carries a split coefficient: when players i and j pick the same strategy,
-i receives ``share_ij * w`` and j receives ``(1 - share_ij) * w``.
+i receives ``share_ij * w`` and j receives ``(1 - share_ij) * w``.  A
+`GameInstance` holds them as checked int columns, each value a reduced
+(numerator, denominator) pair, which the wire format, the generators and
+the kernel read and write directly; ``intrinsic`` and ``edges`` are views
+built only for a caller that asks for them.  Games are immutable and
+every operation is pure.  Strategies are 1-based, players 0-based.
 
-All types are immutable after construction and every operation is a pure
-function, so evaluation is safe to parallelize without coordination.
-Strategies are 1-based (1..m); player indices are 0-based.
+Utility protocol: every game family (``GameInstance`` here, the others in
+``scg.generalized``) has ``utilities(profile, i)``: player i's utility for
+each strategy 1..m, indexed ``k - 1``, trusting the profile, which public
+entry points validate once.  Verifiers, dynamics and oracles read
+``scaled_utilities(profile, i)``, the same vector times ``scale``, the lcm
+of every denominator, so plain ints, from an `IntKernel` built on first
+use (a table's per-player dicts).  Orders, maxima, signs and ratios do not
+depend on the scale, so callers compare scaled values directly and divide
+only for what they record.  ``welfare`` and ``player_utility`` read the
+own values, what each player gets alone (`_own_row`).
 
-Utility protocol: every game family (``GameInstance`` here,
-``GeneralizedGame``, ``HypergraphGame`` and ``OmegaGame`` in
-``scg.generalized``) has ``utilities(profile, i)``, which returns player
-i's utility for each strategy 1..m against the others' strategies in
-``profile``, as a list indexed ``k - 1``.  It trusts the profile: public
-entry points validate a profile once; the package reads the ints below.
-
-The verifiers, dynamics and oracles read every best response, gate,
-deviation gain and payment from ``scaled_utilities(profile, i)`` instead,
-which is the same vector times the game's positive ``scale``.  On
-``GameInstance``, ``OmegaGame`` and ``HypergraphGame`` the scale is the lcm
-L of the denominators of every own value and every group's gains, so the
-vector is plain ints, read from an `IntKernel` that `_int_kernel`, the one
-kernel builder, makes on first use from the game's group list of reduced
-(numerator, denominator) int pairs, so no game's gains take Fraction
-arithmetic; the game binds the kernel's reader on first use.  On tables
-L is the lcm of every entry's denominator, and the ints come from a
-per-player dict keyed by the others' bitmask and the strategy.  Every
-``utilities`` is ``Fraction(u, L)`` of the ints, read by `_ScaledGame`,
-which also holds the one profile check.  Orders, maxima, differences'
-signs and the ratios of two entries are the same at any positive scale,
-so callers compare the scaled values directly (a gate ``u_new >= alpha *
-u_old`` by cross-multiplication) and divide by the scale only for what
-they record.  ``welfare`` reads the own values of every player, and
-``player_utility`` those of player i only (`_own_row`): what each gets
-alone at each strategy times the scale, the kernel's ``rows`` or u_i(k, ∅).
-
-Group list: each kernel game lists its groups once, built on each call
-of ``_groups()``, as (members, anchor, w, shares), w and every share a
-reduced int pair; a pairwise game is an anchored singleton per intrinsic
-value and a pair per edge.  An `IntKernel` indexes it by player:
-singletons fold into own rows, unanchored pairs into neighbour and gain
-lists, and every other group into ``rest``, read by a `_GroupKernel`
-only.  ``scg.potentials`` reads the same list on int pairs for the
-potential, its audit and the weight recovery.
+Group list: each kernel game lists its groups on each call of
+``_groups()`` as (members, anchor, w, shares), w and every share a reduced
+int pair; a pairwise game is an anchored singleton per intrinsic value and
+a pair per edge.  `_int_kernel` indexes it by player: singletons fold into
+own rows, unanchored pairs into neighbour and gain lists, every other
+group into ``rest``, read by a `_GroupKernel` only; a `GameInstance`
+builds the same kernel from its columns.  ``scg.potentials`` reads the
+group list for the potential, its audit and the weight recovery.
 """
 
 from __future__ import annotations
@@ -71,20 +56,13 @@ class Edge:
 
 
 class IntKernel(NamedTuple):
-    """A game scaled to ints by the common denominator ``scale``, its
-    groups indexed by player.
-
-    ``rows[i][k - 1]`` is player i's own value for strategy k, what i's
-    singleton groups pay there (w_i^k on a `GameInstance`), times scale;
-    ``nbrs[i]`` lists the players whose company pays i through an
-    unanchored pair and ``gains[i]``, aligned with it, i's gain from each,
-    times scale.  ``rest[i]`` lists (others, anchor, gain) for every other
-    group with i, a group of three or more or an anchored pair; ``rest`` is
-    empty, with no per-player lists, when there is no such group, as on
-    every pairwise game, and the kernel is a `_GroupKernel` when there is
-    one.  Flat int lists, made by `_int_kernel` from int pairs, so a
-    utility vector takes int additions only.
-    """
+    """A game scaled to ints by ``scale``, its groups indexed by player in
+    flat int lists: ``rows[i][k - 1]``, what i's singletons pay at k
+    (w_i^k on a `GameInstance`); ``nbrs[i]``, the players whose company
+    pays i through an unanchored pair, and ``gains[i]``, aligned with it,
+    i's gains; ``rest[i]``, (others, anchor, gain) for every other group
+    with i.  ``rest`` is empty when there is none, as on every pairwise
+    game, and the kernel a `_GroupKernel` when there is one."""
 
     scale: int
     rows: list
@@ -129,9 +107,8 @@ class _GroupKernel(IntKernel):
 
 
 def _scaled_ints(pairs):
-    """(L, the values times L as ints) for exact values given as reduced
-    (numerator, denominator) int pairs, L the lcm of the denominators.  L
-    is positive, so orders, signs and ratios are those of the values."""
+    """(L, the values times L as ints) for values given as reduced int
+    pairs, L > 0 the lcm of the denominators."""
     scale = math.lcm(*{d for _, d in pairs})
     return scale, [p * (scale // d) for p, d in pairs]
 
@@ -142,22 +119,14 @@ def _reduced(p, q):
 
 
 def _int_kernel(n, m, groups):
-    """The `IntKernel` of n players, m strategies and a group list of
-    (members, anchor, w, shares), w and every share a reduced int pair:
-    members[pos] gets w * shares[pos], reduced on ints and scaled by the
-    lcm of every such denominator.  A singleton folds into its member's
-    row, at its anchor or, unanchored, at every strategy; an unanchored
-    pair goes to ``nbrs`` and ``gains``; every other group to ``rest``."""
-    # int lists, not a pair per value: fewer live tuples, fewer GC passes
-    nums, dens, gcd = [], [], math.gcd
-    for _, _, (a, b), shares in groups:
-        for c, d in shares:
-            p, q = a * c, b * d
-            r = gcd(p, q)
-            nums.append(p // r)
-            dens.append(q // r)
-    scale = math.lcm(*set(dens))
-    it = iter([p * (scale // q) for p, q in zip(nums, dens)])
+    """The `IntKernel` of a group list: members[pos] gets w * shares[pos].
+    A singleton folds into its member's row, at its anchor or else at
+    every strategy; an unanchored pair goes to ``nbrs`` and ``gains``;
+    every other group to ``rest``."""
+    scale, ints = _scaled_ints([_reduced(a * c, b * d)
+                                for _, _, (a, b), shares in groups
+                                for c, d in shares])
+    it = iter(ints)
     rows = [[0] * m for _ in range(n)]
     nbrs = [[] for _ in rows]
     gains = [[] for _ in rows]
@@ -224,72 +193,117 @@ class _KernelGame(_ScaledGame):
         return self._kernel.scaled_utilities
 
 
-@dataclass(frozen=True)
+def _pair(v, where, *at):
+    """v's reduced int pair, or, if v is inexact, an error naming it."""
+    if type(v) not in _EXACT:
+        raise _inexact(where.format(*at), v)
+    return v.as_integer_ratio()
+
+
+@dataclass(frozen=True, init=False)
 class GameInstance(_KernelGame):
+    """A pairwise game as int columns of reduced (p, q) pairs: own[i][k - 1]
+    is w_i^k; edge e joins ei[e] and ej[e] at weight w[e], i's share
+    share[e].  ``intrinsic`` and ``edges`` are views, kept once built."""
+
     n: int
     m: int
-    intrinsic: tuple  # n rows of m Fractions, intrinsic[i][k-1] = w_i^k
-    edges: tuple      # tuple of Edge
+    intrinsic: tuple = cached_property(lambda self: tuple(  # a view
+        [tuple([Fraction(p, q) for p, q in row]) for row in self.own]))
+    edges: tuple = cached_property(lambda self: tuple(  # a view
+        [Edge(i, j, Fraction(*w), Fraction(*s))
+         for i, j, w, s in zip(self.ei, self.ej, self.w, self.share)]))
 
-    def __post_init__(self):
-        _check_dims(self)
-        if len(self.intrinsic) != self.n:
-            raise ValueError("intrinsic: expected n rows")
-        # inline type tests: a helper call would name every valid entry
-        for i, row in enumerate(self.intrinsic):
-            if len(row) != self.m:
-                raise ValueError(f"intrinsic[{i}]: expected m entries")
-            for k, v in enumerate(row):
-                if type(v) not in _EXACT:
-                    raise _inexact(f"intrinsic[{i}][{k}]", v)
-                if v.numerator < 0:  # no Fraction comparison: this is hot
-                    raise ValueError(f"intrinsic[{i}][{k}]: negative entry")
-        seen = set()
-        n = self.n
-        for e in self.edges:
-            i, j, w, share = e.i, e.j, e.w, e.share_ij
+    def __init__(self, n, m, intrinsic, edges):
+        """Type-check every value and endpoint, then make the columns."""
+        own = tuple([tuple([_pair(v, "intrinsic[{}][{}]", i, k)
+                            for k, v in enumerate(row)])
+                     for i, row in enumerate(intrinsic)])
+        rows = []
+        for e in edges:
+            i, j = e.i, e.j
             if type(i) is not int or type(j) is not int:
                 name = "i" if type(i) is not int else "j"
                 raise _not_int(f"edge ({i},{j}).{name}", getattr(e, name))
-            if i == j:
-                raise ValueError(f"edge ({i},{j}): self-loop")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}): player index out of range")
-            key = min(i, j) * n + max(i, j)
-            if key in seen:
-                raise ValueError(f"edge ({i},{j}): duplicate pair")
-            seen.add(key)
-            if type(w) not in _EXACT:
-                raise _inexact(f"edge ({i},{j}).w", w)
-            if type(share) not in _EXACT:
-                raise _inexact(f"edge ({i},{j}).share_ij", share)
-            if w.numerator < 0:
-                raise ValueError(f"edge ({i},{j}).w: negative weight")
-            # a denominator is positive, so this is 0 <= share <= 1
-            if not (0 <= share.numerator <= share.denominator):
-                raise ValueError(f"edge ({i},{j}).share_ij: share out of range")
+            rows.append((i, j, _pair(e.w, "edge ({},{}).w", i, j),
+                         _pair(e.share_ij, "edge ({},{}).share_ij", i, j)))
+        _game_of(n, m, own, rows, self)
 
-    def _groups(self):
-        """One singleton ((i,), k, w_i^k, (1,)) per intrinsic value, then one
-        pair ((i, j), None, w, (share_ij, 1 - share_ij)) per edge, zero
-        weights included; w and every share a reduced int pair."""
-        groups = [(members, k, v.as_integer_ratio(), ((1, 1),))
-                  for i, row in enumerate(self.intrinsic)
-                  for members in ((i,),) for k, v in enumerate(row, 1)]
-        for e in self.edges:
-            share = c, d = e.share_ij.as_integer_ratio()
-            groups.append(((e.i, e.j), None, e.w.as_integer_ratio(),
-                           (share, (d - c, d))))
-        return groups
+    @cached_property
+    def _kernel(self):
+        """``_groups()``'s kernel, each distinct (w, share) reduced once."""
+        parts = {}
+        for key in set(zip(self.w, self.share)):
+            (a, b), (c, d) = key
+            parts[key] = _reduced(a * c, b * d), _reduced(a * (d - c), b * d)
+        scale = math.lcm(*{q for row in self.own for _, q in row},
+                         *{q for pair in parts.values() for _, q in pair})
+        rows = [[p * (scale // q) for p, q in row] for row in self.own]
+        for key, ((p, q), (r, s)) in parts.items():
+            parts[key] = p * (scale // q), r * (scale // s)
+        nbrs, gains = [[] for _ in rows], [[] for _ in rows]
+        for i, j, (gi, gj) in zip(self.ei, self.ej, map(
+                parts.__getitem__, zip(self.w, self.share))):
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            gains[i].append(gi)
+            gains[j].append(gj)
+        return IntKernel(scale, rows, nbrs, gains, [])
+
+    def _groups(self, i=None):
+        """A singleton ((i,), k, w_i^k, ((1, 1),)) per own value, then a pair
+        ((i, j), None, w, (share_ij, 1 - share_ij)) per edge, zero weights
+        included; given i, those with member i only."""
+        own = enumerate(self.own) if i is None else ((i, self.own[i]),)
+        edges = zip(self.ei, self.ej, self.w, self.share)
+        if i is not None:
+            edges = [edge for edge in edges if i == edge[0] or i == edge[1]]
+        return [((p,), k, v, ((1, 1),)) for p, row in own
+                for k, v in enumerate(row, 1)] + [
+            ((p, j), None, w, (s, (s[1] - s[0], s[1])))
+            for p, j, w, s in edges]
 
     def validate_profile(self, profile):  # its own: bench/tracer.py wraps it
         _check_profile(self, profile)
 
 
+def _game_of(n, m, own, edges, game=None):
+    """The `GameInstance` (or `game`, filled in) of rows of int pairs and
+    (i, j, w, share) edges, int endpoints, once it passes every game's
+    value checks, in one order: n and m, rows, signs, then per edge a
+    self-loop, range, a repeated pair, the weight's sign, the share."""
+    game = GameInstance.__new__(GameInstance) if game is None else game
+    ei, ej, w, share = zip(*edges) if edges else ((),) * 4
+    game.__dict__.update(n=n, m=m, own=own, ei=ei, ej=ej, w=w, share=share)
+    _check_dims(game)
+    if len(own) != n:
+        raise ValueError("intrinsic: expected n rows")
+    for i, row in enumerate(own):
+        if len(row) != m:
+            raise ValueError(f"intrinsic[{i}]: expected m entries")
+        for k, (p, _) in enumerate(row):
+            if p < 0:
+                raise ValueError(f"intrinsic[{i}][{k}]: negative entry")
+    seen = set()
+    for i, j, (a, _), (c, d) in zip(ei, ej, w, share):
+        if i == j:
+            raise ValueError(f"edge ({i},{j}): self-loop")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}): player index out of range")
+        key = i * n + j if i < j else j * n + i
+        if key in seen:
+            raise ValueError(f"edge ({i},{j}): duplicate pair")
+        seen.add(key)
+        if a < 0:
+            raise ValueError(f"edge ({i},{j}).w: negative weight")
+        if not 0 <= c <= d:  # a denominator is positive: 0 <= share <= 1
+            raise ValueError(f"edge ({i},{j}).share_ij: share out of range")
+    return game
+
+
 def _check_dims(game):
-    """Reject a player count n or strategy count m that is not an int (or
-    is a bool), a negative n or an m below 1; shared by every game
-    family's constructor."""
+    """Reject an n or m that is not an int (or is a bool), a negative n or
+    an m below 1; shared by every game family's constructor."""
     n, m = _int(game.n, "n"), _int(game.m, "m")
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 players and m >= 1 strategies")
@@ -335,9 +349,8 @@ class InstanceStats:
 
 def player_utility(game, profile, i, strategy=None):
     """Utility of player i, optionally under a unilateral deviation, on any
-    game: (total, intrinsic_part, coordination_part) as Fractions, read
-    from `scaled_utilities` and player i's own values once the arguments
-    are validated."""
+    game, once the arguments are validated: (total, intrinsic_part,
+    coordination_part), read from `scaled_utilities` and i's own values."""
     _int(i, "player index")
     if strategy is not None:
         _int(strategy, "strategy")
@@ -362,52 +375,47 @@ def welfare(game, profile):
            for i, k in enumerate(profile)]
     own = [row[k - 1] for row, k in zip(game.rows, profile)]
     coord = [u - a for u, a in zip(per, own)]
-    return UtilityBreakdown(
-        per_player=tuple([Fraction(u, scale) for u in per]),
-        intrinsic_part=tuple([Fraction(a, scale) for a in own]),
-        coordination_part=tuple([Fraction(c, scale) for c in coord]),
-        total=Fraction(sum(per), scale),
-        intrinsic_total=Fraction(sum(own), scale),
-        coordination_total=Fraction(sum(coord), scale),
-    )
+    return UtilityBreakdown(*[tuple([Fraction(u, scale) for u in us])
+                              for us in (per, own, coord)],
+                            *[Fraction(sum(us), scale)
+                              for us in (per, own, coord)])
 
 
 def welfare_total(game, profile):
-    """Social welfare u(s) without the per-player breakdown (hot path): a
-    `GameInstance` sums its own values and paying edges' weights, any other
-    game sums `scaled_utilities` at the profile.  The first builds no
-    kernel, as a game keeps the kernel it builds: for the 60 games the
-    cli-pipeline benchmark holds, kernels raised peak RSS from 37.6 to
-    42.3 MB (CPython 3.11, x86-64), past that workload's 10% bound."""
+    """Social welfare u(s), the profile validated as by `welfare`: read from
+    a `GameInstance`'s columns, building no kernel, else `welfare`'s."""
     if not isinstance(game, GameInstance):
-        return Fraction(sum([game.scaled_utilities(profile, i)[k - 1]
-                             for i, k in enumerate(profile)]), game.scale)
-    values = [row[k - 1] for row, k in zip(game.intrinsic, profile)]
-    values += [e.w for e in game.edges if profile[e.i] == profile[e.j]]
-    scale, ints = _scaled_ints([v.as_integer_ratio() for v in values])
+        return welfare(game, profile).total
+    game.validate_profile(profile)
+    values = [row[k - 1] for row, k in zip(game.own, profile)]
+    values += [w for i, j, w in zip(game.ei, game.ej, game.w)
+               if profile[i] == profile[j]]
+    scale, ints = _scaled_ints(values)
     return Fraction(sum(ints), scale)
 
 
 def _k_star(game):
-    """The strategy maximizing total intrinsic value, lowest index on ties,
-    from the game's scaled own values."""
+    """The strategy of the largest own-value column sum, lowest on ties."""
     rows = game.rows
     col_sums = [sum(row[k] for row in rows) for k in range(game.m)]
     return max(range(game.m), key=lambda k: (col_sums[k], -k)) + 1
 
 
 def instance_stats(game):
-    """A kernel game's statistics (a pair's two gains add up to w); mri is
-    max(c, d - c) / min(c, d - c) of each positive pair's first share c/d
-    in ``_groups()``; a table or a game with ``rest`` groups is refused."""
+    """A kernel game's statistics; mri is the largest max(c, d - c) /
+    min(c, d - c) of a positive pair's share c/d, read from a
+    `GameInstance`'s columns or ``_groups()``; ``rest`` groups refuse."""
     if not isinstance(game, _KernelGame) or game._kernel.rest:
         raise ValueError("instance_stats: mri has no stated meaning on a "
                          "table, a group of three or more or an anchored pair")
     scale, rows, _, gains, _ = game._kernel
     best = [max(row) for row in rows]
+    pairs = (set(zip(game.w, game.share)) if isinstance(game, GameInstance)
+             else [(w, shares[0]) for members, _, w, shares in game._groups()
+                   if len(members) == 2])
     num, den = 1, 1  # a share of 0 or 1 sets den to 0 for good: inf
-    for members, _, (a, _), ((c, d), *_) in game._groups():
-        if a and len(members) == 2:  # zero-weight shares are irrelevant
+    for (a, _), (c, d) in pairs:
+        if a:  # zero-weight shares are irrelevant
             lo, hi = (c, d - c) if 2 * c <= d else (d - c, c)
             if hi * den > num * lo:
                 num, den = hi, lo
@@ -426,37 +434,42 @@ def instance_stats(game):
 
 
 def parse_instance(text):
-    """Decode an instance file.  `GameInstance` decides what is valid; a
-    rejection is raised as a ParseError with its message."""
+    """Decode an instance file to columns, each distinct rational string
+    read once, every decode error in file order; `_game_of` decides what is
+    valid, and a rejection is raised as a ParseError with its message."""
     data = load_object(text, ("n", "m", "intrinsic", "edges"))
-    intrinsic, read = [], rational_reader()
-    for i, row in enumerate(_as_list(data["intrinsic"], "intrinsic")):
-        intrinsic.append(tuple(
-            read(v, f"intrinsic[{i}][{k}]")
-            for k, v in enumerate(_as_list(row, f"intrinsic[{i}]"))))
+    pairs = {}  # each string read so far, valid, and its pair
+    read = rational_reader(pairs)
+    own = tuple([tuple([read(v, f"intrinsic[{i}][{k}]") for k, v in
+                        enumerate(_as_list(row, f"intrinsic[{i}]"))])
+                 for i, row in enumerate(_as_list(data["intrinsic"],
+                                                  "intrinsic"))])
     edges = []
     for idx, raw in enumerate(_as_list(data["edges"], "edges")):
-        if not isinstance(raw, dict):
-            raise ParseError(f"edges[{idx}]: expected object")
-        try:
+        try:  # int endpoints and strings read before: nothing to decode
+            edge = raw["i"], raw["j"], pairs[raw["w"]], pairs[raw["share_ij"]]
+        except (KeyError, TypeError):
+            edge = None, None
+        if type(edge[0]) is not int or type(edge[1]) is not int:
+            if not isinstance(raw, dict):  # decode it, field by field
+                raise ParseError(f"edges[{idx}]: expected object")
+            if "i" not in raw or "j" not in raw:
+                raise ParseError(f"edges[{idx}]: missing endpoint")
             i, j = raw["i"], raw["j"]
-        except KeyError as exc:
-            raise ParseError(f"edges[{idx}]: missing endpoint") from exc
-        for name, v in (("i", i), ("j", j)):
-            if type(v) is not int:
-                raise ParseError(f"edges[{idx}].{name}: expected integer")
-        w = read(raw.get("w"), f"edges[{idx}].w")
-        share = read(raw.get("share_ij"), f"edges[{idx}].share_ij")
-        edges.append(Edge(i=i, j=j, w=w, share_ij=share))
-    return _construct(GameInstance, n=data["n"], m=data["m"],
-                      intrinsic=tuple(intrinsic), edges=tuple(edges))
+            for name, v in (("i", i), ("j", j)):
+                if type(v) is not int:
+                    raise ParseError(f"edges[{idx}].{name}: expected integer")
+            edge = (i, j, read(raw.get("w"), f"edges[{idx}].w"),
+                    read(raw.get("share_ij"), f"edges[{idx}].share_ij"))
+        edges.append(edge)
+    return _construct(_game_of, data["n"], data["m"], own, edges)
 
 
 def serialize_instance(game):
     write = rational_writer()
     return json.dumps({
         "n": game.n, "m": game.m,
-        "intrinsic": [list(map(write, row)) for row in game.intrinsic],
-        "edges": [{"i": e.i, "j": e.j, "w": write(e.w),
-                   "share_ij": write(e.share_ij)} for e in game.edges],
+        "intrinsic": [list(map(write, row)) for row in game.own],
+        "edges": [{"i": i, "j": j, "w": write(w), "share_ij": write(s)}
+                  for i, j, w, s in zip(game.ei, game.ej, game.w, game.share)],
     }) + "\n"

@@ -1,13 +1,10 @@
 """Influence-weight recovery and ordinal potential auditing.
 
 Both potential game families list themselves as (members, anchor, w,
-shares) groups in the ``_groups()`` their kernel is built from, w and
-every share a reduced int pair.  A group pays when all its members play
-one strategy, its anchor if it has one, and then member i earns
-shares[i] * w.  A `scg.generalized.HypergraphGame` lists its positive
-hyperedges.  A pairwise `scg.model.GameInstance` is the special case of
-one anchored singleton ((i,), k, w_i^k, (1,)) per intrinsic value and
-one pair ((i, j), None, w(i,j), (share_ij, 1 - share_ij)) per edge.
+shares) groups in ``_groups()`` (see `scg.model`): a group pays when all
+its members play one strategy, its anchor if it has one, and then member
+i earns shares[i] * w.  A `scg.generalized.HypergraphGame` lists its
+positive hyperedges, a `scg.model.GameInstance` its own values and edges.
 
 When every positive group's shares arise from per-player influence
 weights, share_i = g_i / sum_{j in e} g_j, the game has the ordinal
@@ -23,14 +20,12 @@ so gated best-response dynamics cannot cycle on such games.
 `potential_value`, `potential_delta`, `ordinal_audit`, the weight
 recovery `_recover` (behind `cc_recover` and
 `scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
-are written once over the groups on int pairs and take either family;
-only what they return is a Fraction.  `_potential_kernel` is the
-potential as one more `scg.model.IntKernel`, each member of a group
-earning the group's term, so player i's vector changes by dphi as i
-moves: `potential_delta` returns that change, `ordinal_audit` its sign,
-against the utility change read from the game's own `scaled_utilities`,
-the vector every dynamic and verifier reads, so the audit checks the
-potential against the utilities the rest of the package computes.
+take either family, on int pairs; only what they return is a Fraction.
+`_potential_kernel` is the potential as one more `scg.model.IntKernel`,
+each member of a group earning the group's term, so player i's vector
+changes by dphi as i moves: `potential_delta` returns that change, and
+`ordinal_audit` checks its sign against the change in the game's own
+`scaled_utilities`, the vector every dynamic and verifier reads.
 """
 
 from __future__ import annotations
@@ -41,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import _int_kernel, _reduced, _scaled_ints, player_utility
+from .model import (GameInstance, _int_kernel, _reduced, _scaled_ints,
+                    player_utility)
 from .rationals import (_exact_alpha, _int, format_rational, load_list,
                         rational_reader, rational_writer)
 
@@ -193,12 +189,13 @@ def potential_value(game, profile, cert):
 
 def potential_delta(game, profile, i, new_strategy, cert):
     """Phi(deviated) - Phi(profile) as i moves: `ordinal_audit`'s dphi,
-    read from the potential kernel of i's groups, as the others cancel."""
+    read from the potential kernel of i's groups only, as the others cancel."""
     player_utility(game, profile, i, new_strategy)  # validates the arguments
     game.validate_profile([*profile[:i], new_strategy, *profile[i + 1:]])
     _check_certificate(game, cert)
-    potential = _potential_kernel(
-        game, cert, [g for g in game._groups() if i in g[0]])
+    groups = game._groups(i) if isinstance(game, GameInstance) else [
+        g for g in game._groups() if i in g[0]]
+    potential = _potential_kernel(game, cert, groups)
     ps = potential.scaled_utilities(profile, i)
     return Fraction(ps[new_strategy - 1] - ps[profile[i] - 1], potential.scale)
 

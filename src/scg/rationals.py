@@ -90,17 +90,19 @@ def parse_rational(text, field="value"):
     raise ParseError(f"{field}: not a rational: {text!r}")
 
 
-def rational_reader():
-    """A `parse_rational` for one file, parsing each distinct string once.
-    A bad string is never kept, so it names the first field holding it."""
-    memo = {}
+def rational_reader(pairs=None):
+    """A `parse_rational` for one file that keeps each good string's value,
+    so it parses each once; given a dict `pairs`, as int pairs kept there."""
+    memo = {} if pairs is None else pairs
 
     def read(text, field):
-        if type(text) is not str:
-            return parse_rational(text, field)
-        if text not in memo:
-            memo[text] = parse_rational(text, field)
-        return memo[text]
+        if type(text) is str and text in memo:
+            return memo[text]
+        value = parse_rational(text, field)
+        value = value if pairs is None else value.as_integer_ratio()
+        if type(text) is str:
+            memo[text] = value
+        return value
     return read
 
 
@@ -136,10 +138,10 @@ def load_list(text, field):
     return _as_list(_decode(text, f"{field}: "), field)
 
 
-def _construct(game_type, **fields):
-    """`game_type(**fields)`; a rejection is raised as a ParseError."""
+def _construct(game_type, *args, **fields):
+    """`game_type(*args, **fields)`; a rejection is raised as a ParseError."""
     try:
-        return game_type(**fields)
+        return game_type(*args, **fields)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -153,14 +155,14 @@ def format_rational(x):
 
 
 def rational_writer():
-    """A `format_rational` for one file's exact values, formatting each once,
-    keyed on the (numerator, denominator) pair: a Fraction hashes slowly."""
+    """A `format_rational` for one file's exact values or reduced int pairs,
+    formatting each once, keyed on the pair: a Fraction hashes slowly."""
     memo = {}
 
     def write(x):
-        key = x.as_integer_ratio()
+        key = x if type(x) is tuple else x.as_integer_ratio()
         if key not in memo:
-            memo[key] = format_rational(x)
+            memo[key] = str(key[0]) if key[1] == 1 else "%d/%d" % key
         return memo[key]
     return write
 

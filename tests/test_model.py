@@ -69,6 +69,21 @@ def test_welfare_total_answers_on_every_family(family):
             assert total == welfare(g, profile).total
 
 
+@pytest.mark.parametrize("profile,message", [
+    ((1, 2, 3, 0), "profile[3]: strategy 0 out of range 1..3"),
+    ((1, 2, 3, 1, 2), "profile length must equal player count"),
+    ((1, 9, 3, 1), "profile[1]: strategy 9 out of range 1..3"),
+    ((1, 2, 1.0, 1), "profile[2]: expected an int, got float"),
+], ids=["strategy-0", "five-entries", "strategy-9", "float"])
+def test_welfare_total_validates_its_profile_as_welfare_does(profile, message):
+    """Strategy 0 would read the row of strategy m, an extra entry would
+    be ignored, and 9 or 1.0 would raise a bare IndexError or TypeError."""
+    g = random_instance(4, 3, 1)
+    for total in (welfare, welfare_total):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            total(g, profile)
+
+
 def test_totals_dominate_every_profile():
     for seed in range(10):
         g = random_instance(4, 3, seed + 100)
