@@ -204,7 +204,7 @@ def _kernel_pays(game):
     cap a SizeError comes before any work.
     """
     _check_cap(game)
-    kernel = getattr(game, "_kernel", None)
+    kernel = game._kernel
     if kernel is None or kernel.rest:
         return None, None
     pays = [[] for _ in range(game.n)]

@@ -6,10 +6,8 @@ rule always produce the same trace.  There are two schedules:
 
 * the gated loop (`_gated_dynamics`) moves the lowest-indexed player whose
   best response clears the `MoveRule` gate, then looks again from player
-  0.  `run_dynamics`, `one_shot_alpha_br`,
-  `scg.generalized.one_shot_generalized` and
-  `scg.generalized.hypergraph_br_dynamics` all run it, on any game with the
-  `scaled_utilities(profile, i)` protocol of `scg.model`;
+  0.  `run_dynamics` and `one_shot_alpha_br` run it, on any game with the
+  protocol of `scg.model`; `scg.generalized` calls those two;
 * the continuing sweep (`_sweep`, inside `algorithm1_two` and
   `sqrt2_three`) moves players from one fixed strategy to another: the
   next mover is the lowest eligible index above the last mover, wrapping
@@ -19,12 +17,12 @@ rule always produce the same trace.  There are two schedules:
 
 Both schedules are event-driven over one `_Run` per run: the profile, one
 cached scaled vector per player and each player's hearers, the players
-whose vector its move can change (`_hearers`: the integer kernel's
-`scg.model.IntKernel.hearers`; on a table game, every player).  A move
-dirties its hearers' vectors and queues them as candidates in a min-heap,
-so it costs one vector per hearer when the loop next reads it, not a
-rescan of up to n players.  `sqrt2_three` shares one `_Run` between its
-sweeps and its sqrt(2) gate scan.  `strong_two`'s coalition fixpoint
+whose vector its move can change (the game's protocol member ``_hearers``:
+the kernel's `scg.model.IntKernel.hearers`, or every player on a table).
+A move dirties its hearers' vectors and queues them as candidates in a
+min-heap, so it costs one vector per hearer when the loop next reads it,
+not a rescan of up to n players.  `sqrt2_three` shares one `_Run` between
+its sweeps and its sqrt(2) gate scan.  `strong_two`'s coalition fixpoint
 likewise re-reads only the hearers of the players a pass sends back.
 
 Every factor alpha, of a `MoveRule` or of an entry point, passes through
@@ -123,13 +121,6 @@ def best_response(game, profile, i):
     return best_k, Fraction(best_u, game.scale), _factor(us[k - 1], best_u)
 
 
-def _hearers(game):
-    """Per player, the players whose vector its move can change: the
-    integer kernel's `hearers`, or every player on a table."""
-    kernel = getattr(game, "_kernel", None)
-    return [range(game.n)] * game.n if kernel is None else kernel.hearers
-
-
 class _Run:
     """The state every loop of one run reads: the profile as a list, one
     cached scaled vector per player, per player the hearers (the players
@@ -148,7 +139,7 @@ class _Run:
         self.game = game
         self.profile = list(start)
         self.vecs = [None] * game.n
-        self.hearers = _hearers(game)
+        self.hearers = game._hearers
         self.movers = []
 
     def vec(self, i):
@@ -242,15 +233,6 @@ def _check_start(game, k0):
         raise ValueError(f"starting strategy {k0} out of range 1..{game.m}")
 
 
-def _one_shot(game, k0, alpha):
-    """Gated dynamics from all-at-k0 in which only players still at k0 may
-    move, so each player moves at most once."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    _check_start(game, k0)
-    return _gated_dynamics(game, (k0,) * game.n, MoveRule(alpha=alpha), k0)
-
-
 def _sweep(run, source, target, since=None):
     """Move players from `source` to `target` while it strictly improves.
 
@@ -322,7 +304,7 @@ def strong_two(game):
     """
     if game.m != 2:
         raise ValueError("strong_two requires exactly two strategies")
-    vec, hearers = game.scaled_utilities, _hearers(game)
+    vec, hearers = game.scaled_utilities, game._hearers
     profile = [1] * game.n
     while True:
         members = [i for i, k in enumerate(profile) if k == 1]
@@ -378,9 +360,13 @@ def one_shot_alpha_br(game, k0, alpha):
     """One-shot gated best response from an all-at-k0 start.
 
     Only players still at k0 may move, each at most once, to their best
-    response when it clears the alpha gate.  Returns (profile, trace).
+    response when it clears the alpha gate, an exact alpha >= 1.  Returns
+    (profile, trace).
     """
-    trace = _one_shot(game, k0, _exact_alpha(alpha))
+    if _exact_alpha(alpha) < 1:
+        raise ValueError("alpha must be >= 1")
+    _check_start(game, k0)
+    trace = _gated_dynamics(game, (k0,) * game.n, MoveRule(alpha), k0)
     return trace.terminal, trace
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 from .analysis import (SizeError, _group_deviation, _profiles,
                        deviation_report as verify_generalized)
-from .dynamics import MoveRule, _check_start, _gated_dynamics, _one_shot
+from .dynamics import _check_start, one_shot_alpha_br, run_dynamics
 from .model import (_KernelGame, _ScaledGame, _check_dims, _int_kernel,
                     _scaled_ints)
 from .potentials import _recover, potential_value as hypergraph_potential
@@ -142,7 +142,7 @@ class GeneralizedGame(_ScaledGame):
             self.utility_in_profile(profile, i, us.index(None) + 1)  # raises
         return us
 
-    def _groups(self):
+    def _groups(self, i=None):
         """Refused: a table lists utilities, not the groups that pay them."""
         raise ValueError("a utility table has no group list: weight recovery, "
                          "potentials and additive tables take a pairwise, "
@@ -219,7 +219,7 @@ def one_shot_generalized(ggame, k0, alpha=None):
         alpha = supermodular_alpha(r)
     else:
         alpha = _exact_alpha(alpha)
-    trace = _one_shot(ggame, k0, alpha)
+    _, trace = one_shot_alpha_br(ggame, k0, alpha)
     moves = tuple((mv.player, mv.to_strategy, mv.old_utility, mv.new_utility)
                   for mv in trace.moves)
     return trace.terminal, alpha, moves
@@ -300,6 +300,8 @@ def additive_tables(game):
 def parse_generalized(text):
     data = load_object(text, ("n", "m", "tables"))
     tables, read = {}, rational_reader()
+    # an empty game checks n and m first, as the other families' readers do
+    _construct(GeneralizedGame, n=data["n"], m=data["m"], tables={})
     if not isinstance(data["tables"], list) or len(data["tables"]) != data["n"]:
         raise ParseError("tables: expected one entry list per player")
     for i, entries in enumerate(data["tables"]):
@@ -379,12 +381,13 @@ class HypergraphGame(_KernelGame):
                 raise ValueError(f"{where}.shares: must be nonnegative and "
                                  "sum to 1")
 
-    def _groups(self):
+    def _groups(self, i=None):
         """The positive edges as (members, anchor, w, shares) groups, w and
-        every share a reduced int pair."""
+        every share a reduced int pair; given i, those with member i only."""
         return [(e.players, e.anchor, e.weight.as_integer_ratio(),
                  tuple([share.as_integer_ratio() for share in e.shares]))
-                for e in self.edges if e.weight]
+                for e in self.edges
+                if e.weight and (i is None or i in e.players)]
 
 
 def hypergraph_cc_recover(hgame):
@@ -402,14 +405,13 @@ def hypergraph_cc_recover(hgame):
 def hypergraph_br_dynamics(hgame, start, step_cap=None):
     """Plain best-response dynamics; returns (terminal, moves, reason).
 
-    Runs the gated loop of `scg.dynamics.run_dynamics` with the plain
-    strict-improvement gate, so it has the same stop rule: "converged",
+    Runs `scg.dynamics.run_dynamics` with the plain strict-improvement
+    gate, so it has the same stop rule: "converged",
     "step-cap" after `step_cap` moves (default no cap, an int >= 1), or
     "cycle-detected" as soon as a profile repeats.  Each move is
     (player, from strategy, to strategy).
     """
-    hgame.validate_profile(start)
-    trace = _gated_dynamics(hgame, start, MoveRule(), step_cap=step_cap)
+    trace = run_dynamics(hgame, start, step_cap=step_cap)
     moves = tuple((mv.player, mv.from_strategy, mv.to_strategy)
                   for mv in trace.moves)
     return trace.terminal, moves, trace.reason
@@ -487,18 +489,19 @@ class OmegaGame(_KernelGame):
                 if i != j and lab != self.labels[j][i]:
                     raise ValueError(f"labels[{i}][{j}]: not symmetric")
 
-    def _groups(self):
+    def _groups(self, i=None):
         """One (members, anchor, w, shares) group per two players not in
-        conflict, w and every share a reduced int pair: w = a_i b_j + a_j b_i,
-        times omega on a "zero" label, split in proportion to its terms."""
+        conflict, w and every share a reduced int pair: w = a_p b_q + a_q b_p,
+        times omega on a "zero" label, split in proportion to its terms;
+        given i, those with member i only."""
         a, b, omega = self.a, self.b, self.omega
         groups = []
-        for i, row in enumerate(self.labels):
-            for j, lab in enumerate(row[i + 1:], i + 1):
-                if lab != "conflict":
-                    x, y = a[i] * b[j], a[j] * b[i]
+        for p, row in enumerate(self.labels):
+            for q, lab in enumerate(row[p + 1:], p + 1):
+                if lab != "conflict" and i in (None, p, q):
+                    x, y = a[p] * b[q], a[q] * b[p]
                     w = x + y if lab == "one" else omega * (x + y)
-                    groups.append(((i, j), None, w.as_integer_ratio(), (
+                    groups.append(((p, q), None, w.as_integer_ratio(), (
                         Fraction(x, x + y).as_integer_ratio(),
                         Fraction(y, x + y).as_integer_ratio())))
         return groups

@@ -21,14 +21,16 @@ depend on the scale, so callers compare scaled values directly and divide
 only for what they record.  ``welfare`` and ``player_utility`` read the
 own values, what each player gets alone (`_own_row`).
 
-Group list: each kernel game lists its groups on each call of
-``_groups()`` as (members, anchor, w, shares), w and every share a reduced
-int pair; a pairwise game is an anchored singleton per intrinsic value and
-a pair per edge.  `_int_kernel` indexes it by player: singletons fold into
-own rows, unanchored pairs into neighbour and gain lists, every other
+Every family also answers ``_kernel``, its `IntKernel` kept once built
+(None on a table); ``_hearers``, per player the players whose vector its
+move can change; and ``_groups(i=None)``, its groups (given i, those with
+member i) as (members, anchor, w, shares), w and every share a reduced int
+pair, which a table refuses.  Other modules read these, never a family.
+A pairwise game is an anchored singleton per intrinsic value and a pair
+per edge.  `_int_kernel` indexes a group list by player: singletons fold
+into own rows, unanchored pairs into neighbour and gain lists, every other
 group into ``rest``, read by a `_GroupKernel` only; a `GameInstance`
-builds the same kernel from its columns.  ``scg.potentials`` reads the
-group list for the potential, its audit and the weight recovery.
+builds the same kernel from its columns.
 """
 
 from __future__ import annotations
@@ -153,8 +155,17 @@ def _int_kernel(n, m, groups):
 
 
 class _ScaledGame:
-    """What every game family shares: the profile check and the Fraction
-    reader of the ints that ``scaled_utilities`` gives at ``scale``."""
+    """What every game family shares: the profile check, ``_hearers`` and
+    the Fraction reader of the ints ``scaled_utilities`` gives at ``scale``."""
+
+    _kernel = None  # a table has none; a kernel game builds and keeps its own
+
+    @property
+    def _hearers(self):
+        """Per player, the players whose vector its move can change: the
+        kernel's ``hearers``, or every player on a table."""
+        kernel = self._kernel
+        return [range(self.n)] * self.n if kernel is None else kernel.hearers
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
@@ -405,7 +416,7 @@ def instance_stats(game):
     """A kernel game's statistics; mri is the largest max(c, d - c) /
     min(c, d - c) of a positive pair's share c/d, read from a
     `GameInstance`'s columns or ``_groups()``; ``rest`` groups refuse."""
-    if not isinstance(game, _KernelGame) or game._kernel.rest:
+    if game._kernel is None or game._kernel.rest:
         raise ValueError("instance_stats: mri has no stated meaning on a "
                          "table, a group of three or more or an anchored pair")
     scale, rows, _, gains, _ = game._kernel

@@ -1,10 +1,10 @@
 """Influence-weight recovery and ordinal potential auditing.
 
-Both potential game families list themselves as (members, anchor, w,
-shares) groups in ``_groups()`` (see `scg.model`): a group pays when all
-its members play one strategy, its anchor if it has one, and then member
-i earns shares[i] * w.  A `scg.generalized.HypergraphGame` lists its
-positive hyperedges, a `scg.model.GameInstance` its own values and edges.
+Every kernel game lists itself as (members, anchor, w, shares) groups in
+``_groups(i=None)`` (see `scg.model`): a group pays when all its members
+play one strategy, its anchor if it has one, and then member i earns
+shares[i] * w.  The groups are a hypergraph's positive edges, an omega
+game's pairs not in conflict, a pairwise game's values and edges.
 
 When every positive group's shares arise from per-player influence
 weights, share_i = g_i / sum_{j in e} g_j, the game has the ordinal
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import (GameInstance, _int_kernel, _reduced, _scaled_ints,
-                    player_utility)
+from .model import _int_kernel, _reduced, _scaled_ints, player_utility
 from .rationals import (_exact_alpha, _int, format_rational, load_list,
                         rational_reader, rational_writer)
 
@@ -174,8 +173,8 @@ def _potential_terms(groups, cert):
 
 
 def potential_value(game, profile, cert):
-    """Phi(profile) of a `GameInstance` or a `HypergraphGame`, exactly:
-    the sum of w / (sum of member weights) over the paying groups."""
+    """Phi(profile) of any kernel game, exactly: the sum of w / (sum of
+    member weights) over the paying groups."""
     game.validate_profile(profile)
     _check_certificate(game, cert)
     terms = []
@@ -193,9 +192,7 @@ def potential_delta(game, profile, i, new_strategy, cert):
     player_utility(game, profile, i, new_strategy)  # validates the arguments
     game.validate_profile([*profile[:i], new_strategy, *profile[i + 1:]])
     _check_certificate(game, cert)
-    groups = game._groups(i) if isinstance(game, GameInstance) else [
-        g for g in game._groups() if i in g[0]]
-    potential = _potential_kernel(game, cert, groups)
+    potential = _potential_kernel(game, cert, game._groups(i))
     ps = potential.scaled_utilities(profile, i)
     return Fraction(ps[new_strategy - 1] - ps[profile[i] - 1], potential.scale)
 
@@ -254,8 +251,10 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     """Sampled sign audit: for random (profile, player, deviation) triples,
     the deviating player's utility change and the potential change must have
     the same sign.  `trials` and `seed` must be ints, `trials` at least 1,
-    so the audit never passes without checking anything; tiny instances
-    (m^n * n * m <= 20_000) are audited exhaustively instead.
+    so the audit never passes without checking anything, save on a game
+    with no deviation (n = 0 or m = 1): it reports 0 trials and holds with
+    nothing to test.  Tiny instances (m^n * n * m <= 20_000) are audited
+    exhaustively instead.
 
     The sampled triples are a contract: those of `random.Random(seed)`
     drawing, per trial, the profile as n calls ``randint(1, m)``, the player
@@ -264,14 +263,13 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     through `getrandbits` exactly as those calls draw them, so the same
     seed audits the same triples.
 
-    Takes a `GameInstance` or a `HypergraphGame`.  du is read from
-    `game.scaled_utilities(profile, i)`, the utility kernel every dynamic
-    and verifier reads; dphi from the same reader of the potential's own
-    `scg.model.IntKernel`, built once per audit, in O(deg + m) per trial
-    (times the group size for groups of three or more, and anchored
-    pairs).  Only signs are compared, so the two scales need not agree;
-    the exact Fraction (du, dphi) is computed only for the reported
-    counterexample, the first violating triple."""
+    Takes any kernel game.  du is read from `game.scaled_utilities(profile,
+    i)`, the utility kernel every dynamic and verifier reads; dphi from the
+    same reader of the potential's own `scg.model.IntKernel`, built once per
+    audit, in O(deg + m) per trial (times the group size for groups of three
+    or more, and anchored pairs).  Only signs are compared, so the two
+    scales need not agree; the exact Fraction (du, dphi) is computed only
+    for the reported counterexample, the first violating triple."""
     _check_certificate(game, cert)
     _int(trials, "trials")
     _int(seed, "seed")

@@ -162,6 +162,14 @@ def test_audit_potential_command(tmp_path, capsys, cyclic):
     assert main(["audit-potential", "--in", cyclic]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["recovered"] is False
+    # one strategy leaves no deviation: the audit holds with 0 trials
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"n": 2, "m": 1, "intrinsic": [["1"], ["0"]],
+                                  "edges": [{"i": 0, "j": 1, "w": "1",
+                                             "share_ij": "1/2"}]}))
+    assert main(["audit-potential", "--in", str(single)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "recovered": True, "gamma": ["1", "1"], "trials": 0, "violations": 0}
 
 
 def test_argument_errors_exit_2(tmp_path, capsys):

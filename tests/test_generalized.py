@@ -386,11 +386,23 @@ CONFLICTED = OmegaGame(n=2, m=1, a=(1, 1), b=(1, 1),
     (lambda: parse_generalized(_tables_text([[
         {"strategy": 1, "others": [1, 1], "u": "1"}], []], n=2)),
      ParseError, "tables[0][0].others: repeated player"),
+    # n and m are checked before the entry lists are counted against n
+    (lambda: parse_generalized('{"n": "3", "m": 2, "tables": []}'),
+     ParseError, "n: expected an int, got str"),
+    (lambda: parse_generalized('{"n": "2", "m": 2, "tables": [[], []]}'),
+     ParseError, "n: expected an int, got str"),
+    (lambda: parse_generalized('{"n": -1, "m": 2, "tables": []}'),
+     ParseError, "need n >= 0 players and m >= 1 strategies"),
+    (lambda: parse_generalized('{"n": null, "m": 2, "tables": []}'),
+     ParseError, "n: expected an int, got NoneType"),
+    (lambda: parse_generalized('{"n": 1.5, "m": 2, "tables": [[]]}'),
+     ParseError, "n: expected an int, got float"),
 ], ids=["entry-list-count", "missing-strategy-others", "duplicate-entry",
         "constructor-rejection", "missing-players",
         "hypergraph-weight-grammar", "negative-entry",
         "infeasible-profile", "triangle-c-below-1", "additive-cap",
-        "tuple-others", "repeated-other"])
+        "tuple-others", "repeated-other", "str-n-no-lists",
+        "str-n-matching-lists", "negative-n", "null-n", "float-n"])
 def test_rejections_give_their_exact_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

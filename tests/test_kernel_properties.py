@@ -1261,14 +1261,17 @@ def reference_potential(game, profile, cert):
                 and len({profile[j] for j in members}) == 1), Fraction(0))
 
 
-@runs(200)
-@given(perturbed_certified(), seeds)
+@runs(400)
+@given(perturbed_certified()
+       | omega_games().map(lambda g: (g, reference_recover(g))), seeds)
 @example((CONFLICTED_GROUPS, PotentialCertificate(gamma=(1, 2, 1, 3, 1))), 0)
 def test_potential_matches_the_reference(case, seed):
     """Phi at a profile, each move's change and the potential kernel's
     entries, whose differences the audit reads, with the case's and the
     recovered certificate, int weights included; bad arguments raise what
-    the readers and the certificate check raise."""
+    the readers and the certificate check raise.  An omega game's shares
+    follow the weights a_i / b_i, so it comes with its recovered one; it
+    takes about half of the draws."""
     game, cert = case
     rng = random.Random(seed)
     profile = tuple(rng.randint(1, game.m) for _ in range(game.n))
@@ -1349,9 +1352,12 @@ def reference_audit(game, cert, trials, seed):
        | certified(st.integers(7, 9), st.just(3)), st.integers(1, 150),
        seeds)
 @example((example1(1), PotentialCertificate(gamma=(Fraction(1),) * 3)), 1, 0)
+@example((NO_PLAYERS, PotentialCertificate(gamma=())), 5, 1)
+@example((ONE_STRATEGY, PotentialCertificate(gamma=(1, 2))), 5, 1)
 def test_audit_matches_the_reference(case, trials, seed):
     """Exhaustive audits of small games and sampled ones of 7 to 9
-    players, which check exactly `trials` triples."""
+    players, which check exactly `trials` triples; a game where no player
+    can deviate (no player, one strategy) reports 0 trials and passes."""
     game, cert = case
     report = ordinal_audit(game, cert, trials=trials, seed=seed)
     assert report == reference_audit(game, cert, trials, seed)
