@@ -85,10 +85,10 @@ def symmetric_pos_tight(m, r=1, eps=Fraction(1, 10_000)):
 
 
 def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
-    """The pairwise families' draw, to int columns: `share_rule(below)`
-    makes the family's own draws and returns share(i, j), a reduced pair,
-    drawn after the weight of each pair i < j kept; ``below(k)`` is the
-    draw in [0, k) that randint and choice make."""
+    """The pairwise families' draw, to int columns: `share_rule(rng)` makes
+    the family's own draws and returns a list, from which each pair i < j
+    kept draws its share after its weight, or share(i, j), which draws
+    nothing; each draw is `Random._randbelow`'s, written out inline."""
     if _int(n, "n") < 1 or _int(m, "m") < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if (type(edge_prob) not in (int, float, Fraction)
@@ -96,27 +96,36 @@ def _random_pairwise(n, m, seed, share_rule, edge_prob=HALF):
         raise ValueError(f"edge_prob: expected a probability in [0, 1], "
                          f"got {edge_prob!r}")
     rng = random.Random(_int(seed, "seed"))
-    below = rng._randbelow
-    share = share_rule(below)
-    # randint(0, 10) / choice((1, 2, 3))
-    own = tuple([tuple([_reduced(below(11), below(3) + 1) for _ in range(m)])
-                 for _ in range(n)])
+    bits, share = rng.getrandbits, share_rule(rng)
+    size = 0 if callable(share) else len(share)
+    own = []  # randint(0, 10) / choice((1, 2, 3)), as the weights below
+    for _ in range(n * m):
+        while (a := bits(4)) >= 11:
+            pass
+        while (b := bits(2)) >= 3:
+            pass
+        own.append(_reduced(a, b + 1))
+    own = tuple(zip(*[iter(own)] * m))  # n rows of m
     p, q = edge_prob.as_integer_ratio()
     # rng.random() = k/2**53 < p/q iff int k < ceil(2**53 p/q) =: c, and the
     # float c/2**53 is exact for 0 <= c <= 2**53, so one float test decides
     cut = -(-(p << 53) // q) / 2**53
-    draw, edges = rng.random, []
+    draw, edges, k = rng.random, [], size.bit_length()
     for i in range(n):
         for j in range(i + 1, n):
             if draw() < cut:  # randint(1, 10), then the share
-                edges.append((i, j, _WEIGHTS[below(10)], share(i, j)))
+                while (w := bits(4)) >= 10:  # 4 = (10).bit_length()
+                    pass
+                while size and (s := bits(k)) >= size:
+                    pass
+                edges.append((i, j, _WEIGHTS[w],
+                              share[s] if size else share(i, j)))
     return _game_of(n, m, own, edges)
 
 
 def random_instance(n, m, seed, edge_prob=HALF):
     """Random instance with interior split coefficients (finite imbalance)."""
-    return _random_pairwise(n, m, seed, lambda below: (
-        lambda i, j: _TENTHS[below(9)]), edge_prob)
+    return _random_pairwise(n, m, seed, lambda rng: _TENTHS, edge_prob)
 
 
 def random_cc(n, m, seed):
@@ -124,8 +133,8 @@ def random_cc(n, m, seed):
     so weight recovery succeeds by construction."""
     gamma = []
 
-    def influence(below):
-        gamma.extend(below(5) for _ in range(n))  # randint(1, 5) - 1
+    def influence(rng):
+        gamma.extend(rng.randint(1, 5) - 1 for _ in range(n))
         return lambda i, j: _SPLITS[gamma[i]][gamma[j]]
     return (_random_pairwise(n, m, seed, influence),
             tuple([Fraction(g + 1) for g in gamma]))
@@ -133,7 +142,7 @@ def random_cc(n, m, seed):
 
 def random_symmetric(n, m, seed):
     """Random instance with every relationship split evenly."""
-    return _random_pairwise(n, m, seed, lambda below: lambda i, j: (1, 2))
+    return _random_pairwise(n, m, seed, lambda rng: lambda i, j: (1, 2))
 
 
 def random_supermodular(n, m, r, seed):

@@ -358,10 +358,9 @@ class InstanceStats:
     mri: object        # Fraction >= 1, or math.inf
 
 
-def player_utility(game, profile, i, strategy=None):
-    """Utility of player i, optionally under a unilateral deviation, on any
-    game, once the arguments are validated: (total, intrinsic_part,
-    coordination_part), read from `scaled_utilities` and i's own values."""
+def _checked_strategy(game, profile, i, strategy=None):
+    """`player_utility`'s argument checks, in order, building no kernel;
+    returns the strategy i plays or deviates to."""
     _int(i, "player index")
     if strategy is not None:
         _int(strategy, "strategy")
@@ -371,6 +370,14 @@ def player_utility(game, profile, i, strategy=None):
     k = profile[i] if strategy is None else strategy
     if not (1 <= k <= game.m):
         raise ValueError(f"strategy {k} out of range 1..{game.m}")
+    return k
+
+
+def player_utility(game, profile, i, strategy=None):
+    """Utility of player i, optionally under a unilateral deviation, on any
+    game, once the arguments are validated: (total, intrinsic_part,
+    coordination_part), read from `scaled_utilities` and i's own values."""
+    k = _checked_strategy(game, profile, i, strategy)
     scale = game.scale
     total = game.scaled_utilities(profile, i)[k - 1]
     own = game._own_row(i)[k - 1]
@@ -477,10 +484,13 @@ def parse_instance(text):
 
 
 def serialize_instance(game):
+    """Exactly the bytes `json.dumps` writes for the instance object, with
+    default separators, plus "\\n"; each distinct value formatted once."""
     write = rational_writer()
-    return json.dumps({
-        "n": game.n, "m": game.m,
-        "intrinsic": [list(map(write, row)) for row in game.own],
-        "edges": [{"i": i, "j": j, "w": write(w), "share_ij": write(s)}
-                  for i, j, w, s in zip(game.ei, game.ej, game.w, game.share)],
-    }) + "\n"
+    tails = {key: f', "w": "{write(key[0])}", "share_ij": "{write(key[1])}"}}'
+             for key in set(zip(game.w, game.share))}
+    head = json.dumps({"n": game.n, "m": game.m, "intrinsic": [
+        list(map(write, row)) for row in game.own]})[:-1]  # without the }
+    return head + ', "edges": [' + ", ".join([
+        f'{{"i": {i}, "j": {j}{tails[key]}' for i, j, key in
+        zip(game.ei, game.ej, zip(game.w, game.share))]) + "]}\n"

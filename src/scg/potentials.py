@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import _int_kernel, _reduced, _scaled_ints, player_utility
+from .model import _checked_strategy, _int_kernel, _reduced, _scaled_ints
+from .model import player_utility  # not called: bench tracer tests read it
 from .rationals import (_exact_alpha, _int, format_rational, load_list,
                         rational_reader, rational_writer)
 
@@ -189,7 +190,7 @@ def potential_value(game, profile, cert):
 def potential_delta(game, profile, i, new_strategy, cert):
     """Phi(deviated) - Phi(profile) as i moves: `ordinal_audit`'s dphi,
     read from the potential kernel of i's groups only, as the others cancel."""
-    player_utility(game, profile, i, new_strategy)  # validates the arguments
+    _checked_strategy(game, profile, i, new_strategy)  # builds no kernel
     game.validate_profile([*profile[:i], new_strategy, *profile[i + 1:]])
     _check_certificate(game, cert)
     potential = _potential_kernel(game, cert, game._groups(i))

@@ -18,6 +18,8 @@ utilities, readers  reference_utilities           utilities, scaled_utilities,
                                                   best_response, mip_check,
                                                   additive_tables
                     reference_stats               instance_stats
+                    reference_serialize           serialize_instance,
+                    (from test_columns)           parse_instance
 optimum, census     reference_census              brute_force_optimum,
                                                   equilibrium_census,
                                                   semi_smoothness_check
@@ -96,13 +98,15 @@ from scg.generators import (example1, prop5, random_cc, random_hypergraph_cc,
                             random_instance, random_omega,
                             random_supermodular, random_symmetric)
 from scg.model import (Edge, GameInstance, InstanceStats, UtilityBreakdown,
-                       instance_stats, player_utility, welfare, welfare_total)
+                       instance_stats, parse_instance, player_utility,
+                       serialize_instance, welfare, welfare_total)
 from scg.potentials import (AuditReport, PotentialCertificate,
                             RecoveryFailure, _potential_kernel,
                             _sampled_deviations, cc_recover,
                             certificate_shares_match, ordinal_audit,
                             potential_delta, potential_value)
 from scg.rationals import supermodular_alpha
+from test_columns import reference_serialize
 
 
 def runs(count):
@@ -508,7 +512,8 @@ def test_readers_match_the_reference(case):
     holes raising its `TableError` (a query about one player only that
     player's); a kernel game's additive tables look up what the game pays,
     and `instance_stats` refuses a table and a group of three or more or
-    an anchored pair by name."""
+    an anchored pair by name.  A pairwise game's file has the reference
+    writer's bytes and reads back as the game."""
     game, profile, _ = case
     n, m = game.n, game.m
     table = isinstance(game, GeneralizedGame)
@@ -572,6 +577,10 @@ def test_readers_match_the_reference(case):
         stats = instance_stats(game)
         assert stats == reference_stats(game)
         assert exact(*stats.best, stats.a_total, stats.p_total)
+    if isinstance(game, GameInstance):
+        text = serialize_instance(game)
+        assert text == reference_serialize(game)
+        assert parse_instance(text) == game
     if not table and n <= 6:
         tabled = additive_tables(game)
         for i, us in enumerate(vectors):

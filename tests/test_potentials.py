@@ -103,6 +103,26 @@ def test_local_delta_equals_full_difference():
                     - potential_value(g, profile, cert))
 
 
+def test_potential_delta_builds_no_utility_kernel():
+    """Phi's change reads only the potential kernel of the mover's groups:
+    the game's utility kernel stays unbuilt, and bad arguments raise
+    `player_utility`'s exception, with its message, before any is read."""
+    g = random_cc(1000, 3, 1)[0]
+    cert = cc_recover(g)
+    ones = (1,) * g.n
+    assert potential_delta(g, ones, 0, 2, cert) == Fraction(-253763, 420)
+    assert "_kernel" not in g.__dict__
+    for profile, i, k in ((ones, g.n, 2), (ones, -1, 2), (ones, True, 2),
+                          (ones, 0, 0), (ones, 0, g.m + 1), (ones[1:], 0, 2)):
+        with pytest.raises((IndexError, ValueError)) as expected:
+            player_utility(g, profile, i, k)
+        with pytest.raises(type(expected.value)) as got:
+            potential_delta(g, profile, i, k, cert)
+        assert (type(got.value), str(got.value)) == (
+            type(expected.value), str(expected.value))
+    assert "_kernel" not in g.__dict__
+
+
 def test_zero_change_deviation():
     g, _ = random_cc(4, 2, 3)
     cert = cc_recover(g)
