@@ -38,7 +38,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .analysis import _best_reply, _factor, _hybrid_alpha
-from .model import _k_star, player_utility, welfare_total
+from .model import _checked_strategy, _k_star, welfare_total
+from .model import player_utility  # not called: bench tracer tests read it
 from .rationals import (_exact_alpha, _int, at_least_sqrt2_times,
                         format_rational)
 
@@ -115,8 +116,9 @@ def best_response(game, profile, i):
     staying, then toward the lowest strategy index.  Factor conventions:
     0 -> positive is +inf, 0 -> 0 is 1.
     """
-    player_utility(game, profile, i)  # validates the arguments
-    us, k = game.scaled_utilities(profile, i), profile[i]
+    k = _checked_strategy(game, profile, i)  # builds no Fraction
+    us = game.scaled_utilities(profile, i)
+    game._own_row(i)  # a table missing i's own values raises here
     best_k, best_u = _best_reply(us, k)
     return best_k, Fraction(best_u, game.scale), _factor(us[k - 1], best_u)
 

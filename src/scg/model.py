@@ -92,12 +92,11 @@ class _GroupKernel(IntKernel):
     __slots__ = ()
 
     def scaled_utilities(self, profile, i):
-        """Plus each ``rest`` group whose other members all play one
-        strategy, its anchor if it has one.  O(deg * group size + m)."""
+        """Plus each ``rest`` group's gain where it pays (`_pays_at`).
+        O(deg * group size + m)."""
         us = super().scaled_utilities(profile, i)
-        for others, anchor, gain in self.rest[i]:
-            k = profile[others[0]]
-            if anchor in (None, k) and all(profile[j] == k for j in others):
+        for k, gain in _pays_at(profile, self.rest[i]):
+            if k:
                 us[k - 1] += gain
         return us
 
@@ -106,6 +105,19 @@ class _GroupKernel(IntKernel):
         """Plus the co-members of every ``rest`` group."""
         return [list(set(nb).union(*(others for others, _, _ in groups)))
                 for nb, groups in zip(self.nbrs, self.rest)]
+
+
+def _pays_at(profile, rest):
+    """(k, gain) per (players, anchor, gain) of a ``rest`` list or a group
+    list: k is where it pays, where all players play if the anchor is None
+    or that strategy, else 0."""
+    for players, anchor, gain in rest:
+        k = profile[players[0]]
+        for j in players:
+            if profile[j] != k or anchor not in (None, k):
+                k = 0
+                break
+        yield k, gain
 
 
 def _scaled_ints(pairs):

@@ -21,11 +21,10 @@ so gated best-response dynamics cannot cycle on such games.
 recovery `_recover` (behind `cc_recover` and
 `scg.generalized.hypergraph_cc_recover`) and `certificate_shares_match`
 take either family, on int pairs; only what they return is a Fraction.
-`_potential_kernel` is the potential as one more `scg.model.IntKernel`,
-each member of a group earning the group's term, so player i's vector
-changes by dphi as i moves: `potential_delta` returns that change, and
-`ordinal_audit` checks its sign against the change in the game's own
-`scaled_utilities`, the vector every dynamic and verifier reads.
+`_potential_kernel` is the potential as one more `scg.model.IntKernel` on
+the game kernel's index, each member of a group earning the group's term,
+so player i's vector changes by dphi as i moves: `potential_delta` returns
+that change, and `ordinal_audit` reads its sign in one walk with du's.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import _profiles
-from .model import _checked_strategy, _int_kernel, _reduced, _scaled_ints
+from .model import (_checked_strategy, _int_kernel, _pays_at, _reduced,
+                    _scaled_ints)
 from .model import player_utility  # not called: bench tracer tests read it
 from .rationals import (_exact_alpha, _int, format_rational, load_list,
                         rational_reader, rational_writer)
@@ -163,14 +163,13 @@ def _check_certificate(game, cert):
 
 
 def _potential_terms(groups, cert):
-    """(members, anchor, term) for each positive group, the term w / (sum
-    of member weights) a reduced int pair: with the weights scaled to ints
-    G by their common denominator L, w = a/b makes it aL / (b sum G)."""
+    """(members, anchor, term) for each group, zero weights too, the term
+    w / (sum of member weights) a reduced int pair: with the weights scaled
+    to ints G by their common denominator L, w = a/b makes it aL / (b sum G)."""
     scale, weights = _scaled_ints([g.as_integer_ratio() for g in cert.gamma])
     for members, anchor, (a, b), _ in groups:
-        if a:
-            yield members, anchor, _reduced(
-                a * scale, b * sum([weights[j] for j in members]))
+        yield members, anchor, _reduced(
+            a * scale, b * sum([weights[j] for j in members]))
 
 
 def potential_value(game, profile, cert):
@@ -178,12 +177,8 @@ def potential_value(game, profile, cert):
     member weights) over the paying groups."""
     game.validate_profile(profile)
     _check_certificate(game, cert)
-    terms = []
-    for members, anchor, term in _potential_terms(game._groups(), cert):
-        k = profile[members[0]]
-        if anchor in (None, k) and all(profile[j] == k for j in members):
-            terms.append(term)
-    scale, ints = _scaled_ints(terms)
+    scale, ints = _scaled_ints([term for k, term in _pays_at(
+        profile, _potential_terms(game._groups(), cert)) if k])
     return Fraction(sum(ints), scale)
 
 
@@ -191,7 +186,7 @@ def potential_delta(game, profile, i, new_strategy, cert):
     """Phi(deviated) - Phi(profile) as i moves: `ordinal_audit`'s dphi,
     read from the potential kernel of i's groups only, as the others cancel."""
     _checked_strategy(game, profile, i, new_strategy)  # builds no kernel
-    game.validate_profile([*profile[:i], new_strategy, *profile[i + 1:]])
+    _int(new_strategy, f"profile[{i}]")  # above, None reads as i's own strategy
     _check_certificate(game, cert)
     potential = _potential_kernel(game, cert, game._groups(i))
     ps = potential.scaled_utilities(profile, i)
@@ -199,23 +194,15 @@ def potential_delta(game, profile, i, new_strategy, cert):
 
 
 def _potential_kernel(game, cert, groups=None):
-    """The potential as one more `scg.model.IntKernel`: each positive group
-    (of ``game._groups()`` by default) pays every member its term w / (sum
-    of member weights).  Entry k of player i's vector is then the sum of
-    the terms that pay with i at k and the others where they are, so a
-    move's dphi is the difference of two entries; terms without i cancel."""
+    """The potential as one more `scg.model.IntKernel`, on the game kernel's
+    index: each group of ``game._groups()`` (by default), in order and zero
+    weights kept, pays every member its term w / (sum of member weights).
+    Entry k of i's vector sums the terms paying with i at k and the others
+    where they are, so dphi is a difference of two entries."""
     return _int_kernel(game.n, game.m, [
         (members, anchor, term, ((1, 1),) * len(members))
         for members, anchor, term in _potential_terms(
             game._groups() if groups is None else groups, cert)])
-
-
-def _every_deviation(game):
-    for profile in _profiles(game):
-        for i in range(game.n):
-            for new_k in range(1, game.m + 1):
-                if new_k != profile[i]:
-                    yield profile, i, new_k
 
 
 def _sampled_deviations(game, trials, seed):
@@ -264,13 +251,16 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
     through `getrandbits` exactly as those calls draw them, so the same
     seed audits the same triples.
 
-    Takes any kernel game.  du is read from `game.scaled_utilities(profile,
-    i)`, the utility kernel every dynamic and verifier reads; dphi from the
-    same reader of the potential's own `scg.model.IntKernel`, built once per
-    audit, in O(deg + m) per trial (times the group size for groups of three
-    or more, and anchored pairs).  Only signs are compared, so the two
-    scales need not agree; the exact Fraction (du, dphi) is computed only
-    for the reported counterexample, the first violating triple."""
+    Takes any kernel game.  du and dphi come from one walk over the
+    mover's entries in the game's own `scg.model.IntKernel`, which every
+    dynamic and verifier reads, and in the potential's, built once on the
+    same index: from the rows' new_k less old_k entries, each neighbour or
+    ``rest`` group at new_k adds its two gains and each at old_k takes them
+    away.  A trial costs O(n) to draw and O(deg) to read (times the group
+    size past unanchored pairs); each draw stays one call, as block draws
+    cost more at n = 5 and 20 and save little at 60.  Only signs are
+    compared, so the scales need not agree; the exact Fraction (du, dphi)
+    is made only for the reported counterexample, the first violation."""
     _check_certificate(game, cert)
     _int(trials, "trials")
     _int(seed, "seed")
@@ -281,18 +271,31 @@ def ordinal_audit(game, cert, trials=10_000, seed=0):
         return AuditReport(trials=0, violations=0, counterexample=None)
 
     if (game.m ** game.n) * game.n * game.m <= 20_000:
-        deviations = _every_deviation(game)
+        deviations = ((p, i, k) for p in _profiles(game) for i in range(game.n)
+                      for k in range(1, game.m + 1) if k != p[i])
     else:
         deviations = _sampled_deviations(game, trials, seed)
+    _, rows, nbrs, gains, rest = game._kernel
+    _, prows, _, pgains, prest = potential
     done = violations = 0
     counterexample = None
     for profile, i, new_k in deviations:
         done += 1
         old_k = profile[i]
-        us = game.scaled_utilities(profile, i)
-        du = us[new_k - 1] - us[old_k - 1]
-        ps = potential.scaled_utilities(profile, i)
-        dp = ps[new_k - 1] - ps[old_k - 1]
+        du = rows[i][new_k - 1] - rows[i][old_k - 1]
+        dp = prows[i][new_k - 1] - prows[i][old_k - 1]
+        for j, g, pg in zip(nbrs[i], gains[i], pgains[i]):
+            k = profile[j]
+            if k == new_k:
+                du, dp = du + g, dp + pg
+            elif k == old_k:
+                du, dp = du - g, dp - pg
+        for (k, g), (*_, pg) in zip(_pays_at(profile, rest[i]),
+                                    prest[i]) if rest else ():
+            if k == new_k:
+                du, dp = du + g, dp + pg
+            elif k == old_k:
+                du, dp = du - g, dp - pg
         if (du > 0) - (du < 0) == (dp > 0) - (dp < 0):
             continue
         violations += 1

@@ -1233,6 +1233,11 @@ def perturbed_certified(draw):
     return dataclasses.replace(game, edges=tuple(edges)), cert
 
 
+def with_recovered(game):
+    """The game and its recovered certificate."""
+    return game, reference_recover(game)
+
+
 def certificates(game, cert):
     """The case's certificate and the recovered one, if any."""
     recovered = reference_recover(game)
@@ -1271,8 +1276,7 @@ def reference_potential(game, profile, cert):
 
 
 @runs(400)
-@given(perturbed_certified()
-       | omega_games().map(lambda g: (g, reference_recover(g))), seeds)
+@given(perturbed_certified() | omega_games().map(with_recovered), seeds)
 @example((CONFLICTED_GROUPS, PotentialCertificate(gamma=(1, 2, 1, 3, 1))), 0)
 def test_potential_matches_the_reference(case, seed):
     """Phi at a profile, each move's change and the potential kernel's
@@ -1356,21 +1360,51 @@ def reference_audit(game, cert, trials, seed):
     return AuditReport(len(triples), violations, counterexample)
 
 
-@runs(200)
+# a zero-weight pair before a positive one at player 0: a potential kernel
+# without the zero term would read player 0's positive term at player 1
+ZERO_PAIR_FIRST = GameInstance(n=3, m=2, intrinsic=((0, 1), (1, 0), (1, 0)),
+                               edges=(Edge(0, 1, 0, ONE_HALF),
+                                      Edge(0, 2, 2, ONE_HALF)))
+# zero-weight anchored pairs and groups of three beside positive ones
+ZERO_GROUPS = HypergraphGame(n=4, m=2, edges=(
+    Hyperedge((0, 1), 0, (ONE_HALF, ONE_HALF), 1),
+    Hyperedge((0, 1, 2), 0, (ONE_THIRD,) * 3),
+    Hyperedge((0, 1, 2), 3, (ONE_THIRD,) * 3),
+    Hyperedge((0, 3), 2, (ONE_HALF, ONE_HALF), 2),
+    Hyperedge((1, 2, 3), 0, (ONE_THIRD,) * 3, 2)))
+
+
+@runs(300)
 @given(certified(st.integers(2, 4), st.integers(2, 3))
-       | certified(st.integers(7, 9), st.just(3)), st.integers(1, 150),
+       | certified(st.integers(7, 9), st.just(3))
+       | omega_games(st.integers(2, 4), st.integers(2, 3)).map(with_recovered)
+       | omega_games(st.just(7), st.just(3)).map(with_recovered),
+       st.integers(1, 150),
        seeds)
 @example((example1(1), PotentialCertificate(gamma=(Fraction(1),) * 3)), 1, 0)
 @example((NO_PLAYERS, PotentialCertificate(gamma=())), 5, 1)
 @example((ONE_STRATEGY, PotentialCertificate(gamma=(1, 2))), 5, 1)
+@example((ZERO_PAIR_FIRST, PotentialCertificate(gamma=(1, 1, 1))), 5, 1)
+@example((ZERO_GROUPS, PotentialCertificate(gamma=(1, 1, 1, 1))), 5, 1)
+@example((PARALLEL_PAIRS, PotentialCertificate(gamma=(1, 1, 1))), 5, 1)
+@example(with_recovered(random_omega(4, 3, 1)), 5, 1)
 def test_audit_matches_the_reference(case, trials, seed):
     """Exhaustive audits of small games and sampled ones of 7 to 9
     players, which check exactly `trials` triples; a game where no player
-    can deviate (no player, one strategy) reports 0 trials and passes."""
+    can deviate (no player, one strategy) reports 0 trials and passes.  The
+    audit reads the game kernel and the potential's in one walk, so the
+    potential kernel has the game kernel's neighbour and ``rest`` index,
+    zero weights included, on every kernel family: a pairwise game's
+    column kernel, an omega game's and a hypergraph's with and without
+    ``rest`` groups.  An omega game comes with its recovered certificate."""
     game, cert = case
     report = ordinal_audit(game, cert, trials=trials, seed=seed)
     assert report == reference_audit(game, cert, trials, seed)
     assert game.n < 7 or report.trials == trials
+    index = [(kernel.nbrs, [[(others, anchor) for others, anchor, _ in r]
+                            for r in kernel.rest])
+             for kernel in (game._kernel, _potential_kernel(game, cert))]
+    assert index[0] == index[1]
 
 
 # powers of two and not, and n on both sides of a bit_length step
