@@ -30,8 +30,7 @@ from functools import cached_property
 from .analysis import (SizeError, _group_deviation, _profiles,
                        deviation_report as verify_generalized)
 from .dynamics import _check_start, one_shot_alpha_br, run_dynamics
-from .model import (_KernelGame, _ScaledGame, _check_dims, _int_kernel,
-                    _scaled_ints)
+from .model import _KernelGame, _ScaledGame, _check_dims, _scaled_ints
 from .potentials import _recover, potential_value as hypergraph_potential
 from .rationals import (_EXACT, INF, ParseError, _as_list, _construct,
                         _exact_alpha, _inexact, _int, load_object,
@@ -278,8 +277,8 @@ def additive_tables(game):
     if game.n > 12:
         raise ValueError("additive table expansion capped at n = 12")
     players = range(game.n)
-    scale, rows, nbrs, gains, rest = _int_kernel(game.n, game.m,
-                                                 game._groups())
+    # a table has no kernel, and its _groups() raises the refusal
+    scale, rows, nbrs, gains, rest = game._kernel or game._groups()
     tables = {}
     for i in players:
         groups = rest[i] if rest else ()
@@ -514,12 +513,17 @@ class OmegaGame(_KernelGame):
         return True
 
 
+def _masses(m, b, profile):
+    """Per strategy k, the sum of b's entries over the players at k."""
+    pi = [0] * m
+    for v, s in zip(b, profile):
+        pi[s - 1] += v
+    return pi
+
+
 def mass_vector(ogame, profile):
     """Per-strategy mass pi_k = sum of b_i over players at k."""
-    pi = [ZERO] * ogame.m
-    for i, s in enumerate(profile):
-        pi[s - 1] += ogame.b[i]
-    return tuple(pi)
+    return tuple(map(Fraction, _masses(ogame.m, ogame.b, profile)))
 
 
 def lex_compare(pi1, pi2):
@@ -533,13 +537,14 @@ def lex_strong_eq(ogame):
     """Feasible state with lexicographically maximal mass vector.
 
     Ties break toward the lexicographically smallest profile: `max` keeps
-    the first maximum, and the key, the mass vector sorted non-increasing,
-    orders profiles as `lex_compare` does.  The result is a
-    1/omega-approximate strong equilibrium; at omega = 1 it is an exact
-    strong equilibrium.
+    the first maximum, and the key, the mass vector times the lcm of b's
+    denominators, as ints, sorted non-increasing, orders profiles as
+    `lex_compare` does.  The result is a 1/omega-approximate strong
+    equilibrium; at omega = 1 it is an exact strong equilibrium.
     """
+    m, (_, b) = ogame.m, _scaled_ints([v.as_integer_ratio() for v in ogame.b])
     best = max(filter(ogame.feasible, _profiles(ogame)), default=None,
-               key=lambda p: sorted(mass_vector(ogame, p), reverse=True))
+               key=lambda p: sorted(_masses(m, b, p), reverse=True))
     if best is None:
         raise ValueError("no feasible state exists")
     return best, mass_vector(ogame, best)

@@ -27,10 +27,10 @@ move can change; and ``_groups(i=None)``, its groups (given i, those with
 member i) as (members, anchor, w, shares), w and every share a reduced int
 pair, which a table refuses.  Other modules read these, never a family.
 A pairwise game is an anchored singleton per intrinsic value and a pair
-per edge.  `_int_kernel` indexes a group list by player: singletons fold
-into own rows, unanchored pairs into neighbour and gain lists, every other
-group into ``rest``, read by a `_GroupKernel` only; a `GameInstance`
-builds the same kernel from its columns.
+per edge.  `_int_kernel` builds every kernel, a `GameInstance`'s from its
+columns, every other from a group list, which it indexes by player:
+singletons fold into own rows, unanchored pairs into neighbour and gain
+lists, every other group into ``rest``, read by a `_GroupKernel` only.
 """
 
 from __future__ import annotations
@@ -132,18 +132,30 @@ def _reduced(p, q):
     return p // r, q // r
 
 
-def _int_kernel(n, m, groups):
-    """The `IntKernel` of a group list: members[pos] gets w * shares[pos].
-    A singleton folds into its member's row, at its anchor or else at
-    every strategy; an unanchored pair goes to ``nbrs`` and ``gains``;
-    every other group to ``rest``."""
-    scale, ints = _scaled_ints([_reduced(a * c, b * d)
-                                for _, _, (a, b), shares in groups
-                                for c, d in shares])
-    it = iter(ints)
-    rows = [[0] * m for _ in range(n)]
-    nbrs = [[] for _ in rows]
-    gains = [[] for _ in rows]
+def _int_kernel(n, m, own=(), pairs=((),) * 4, groups=()):
+    """The `IntKernel` of own rows (0 without), (ei, ej, w, share) pair
+    columns, each distinct (w, share) reduced once, and a group list, all
+    at one scale.  members[pos] of a group gets w * shares[pos]: a
+    singleton in its row, at its anchor or else at every strategy, an
+    unanchored pair in ``nbrs`` and ``gains``, any other in ``rest``."""
+    ei, ej, w, share = pairs
+    keys = set(zip(w, share))
+    values = [_reduced(a * x, b * d) for (a, b), (c, d) in keys
+              for x in (c, d - c)]
+    values += [_reduced(a * c, b * d)
+               for _, _, (a, b), shares in groups for c, d in shares]
+    scale = math.lcm(*{q for row in own for _, q in row},
+                     *{q for _, q in values})
+    rows = ([[p * (scale // q) for p, q in row] for row in own]
+            or [[0] * m for _ in range(n)])
+    it = iter([p * (scale // q) for p, q in values])
+    parts = {key: (next(it), next(it)) for key in keys}
+    nbrs, gains = [[] for _ in rows], [[] for _ in rows]
+    for i, j, (gi, gj) in zip(ei, ej, map(parts.__getitem__, zip(w, share))):
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        gains[i].append(gi)
+        gains[j].append(gj)
     rest = []
     for members, anchor, _, _ in groups:  # the values are read from `it`
         if len(members) == 2 and anchor is None:
@@ -157,8 +169,7 @@ def _int_kernel(n, m, groups):
             for k in range(m) if anchor is None else (anchor - 1,):
                 row[k] += v
         else:
-            if not rest:
-                rest = [[] for _ in rows]
+            rest = rest or [[] for _ in rows]
             for pos, i in enumerate(members):
                 rest[i].append((members[:pos] + members[pos + 1:], anchor,
                                 next(it)))
@@ -197,7 +208,7 @@ class _KernelGame(_ScaledGame):
     @cached_property
     def _kernel(self):
         """The `IntKernel` of ``_groups()``, built on first use and kept."""
-        return _int_kernel(self.n, self.m, self._groups())
+        return _int_kernel(self.n, self.m, groups=self._groups())
 
     @property
     def scale(self):
@@ -252,26 +263,8 @@ class GameInstance(_KernelGame):
                          _pair(e.share_ij, "edge ({},{}).share_ij", i, j)))
         _game_of(n, m, own, rows, self)
 
-    @cached_property
-    def _kernel(self):
-        """``_groups()``'s kernel, each distinct (w, share) reduced once."""
-        parts = {}
-        for key in set(zip(self.w, self.share)):
-            (a, b), (c, d) = key
-            parts[key] = _reduced(a * c, b * d), _reduced(a * (d - c), b * d)
-        scale = math.lcm(*{q for row in self.own for _, q in row},
-                         *{q for pair in parts.values() for _, q in pair})
-        rows = [[p * (scale // q) for p, q in row] for row in self.own]
-        for key, ((p, q), (r, s)) in parts.items():
-            parts[key] = p * (scale // q), r * (scale // s)
-        nbrs, gains = [[] for _ in rows], [[] for _ in rows]
-        for i, j, (gi, gj) in zip(self.ei, self.ej, map(
-                parts.__getitem__, zip(self.w, self.share))):
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-            gains[i].append(gi)
-            gains[j].append(gj)
-        return IntKernel(scale, rows, nbrs, gains, [])
+    _kernel = cached_property(lambda self: _int_kernel(  # of the columns
+        self.n, self.m, self.own, (self.ei, self.ej, self.w, self.share)))
 
     def _groups(self, i=None):
         """A singleton ((i,), k, w_i^k, ((1, 1),)) per own value, then a pair

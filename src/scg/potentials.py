@@ -199,7 +199,7 @@ def _potential_kernel(game, cert, groups=None):
     weights kept, pays every member its term w / (sum of member weights).
     Entry k of i's vector sums the terms paying with i at k and the others
     where they are, so dphi is a difference of two entries."""
-    return _int_kernel(game.n, game.m, [
+    return _int_kernel(game.n, game.m, groups=[
         (members, anchor, term, ((1, 1),) * len(members))
         for members, anchor, term in _potential_terms(
             game._groups() if groups is None else groups, cert)])

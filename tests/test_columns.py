@@ -5,10 +5,11 @@ replaced, which this module keeps as its reference.
 frozen dataclass of Fraction rows and `Edge` objects whose
 ``__post_init__`` runs every check in its order, a decoder that builds
 those objects from the wire and a writer that formats them.  Its kernel is
-`_int_kernel` of its group list.  On seeded files of every pairwise `gen`
-kind, the column path must give the same kernel ints and scale, the same
-``intrinsic`` and ``edges`` views, the same group list and the same bytes
-back; on bad files, the same first message.
+what the one builder, `_int_kernel`, makes of its group list; the column
+path gives that builder its columns instead.  On seeded files of every
+pairwise `gen` kind, the column path must give the same kernel ints and
+scale, the same ``intrinsic`` and ``edges`` views, the same group list and
+the same bytes back; on bad files, the same first message.
 """
 
 import dataclasses
@@ -126,7 +127,7 @@ def assert_same_game(text):
     """The column path reads `text` as the reference does, and writes it
     back unchanged."""
     game, ref = parse_instance(text), reference_parse(text)
-    assert game._kernel == _int_kernel(ref.n, ref.m, ref._groups())
+    assert game._kernel == _int_kernel(ref.n, ref.m, groups=ref._groups())
     assert type(game._kernel).__name__ == "IntKernel"
     assert game.intrinsic == ref.intrinsic and game.edges == ref.edges
     assert all(type(v) is Fraction for row in game.intrinsic for v in row)
@@ -279,5 +280,5 @@ def test_json_ints_and_unreduced_strings_read_as_the_reference():
     game, ref = parse_instance(text), reference_parse(text)
     assert game.own == (((3, 1),), ((3, 2),))
     assert (game.intrinsic, game.edges) == (ref.intrinsic, ref.edges)
-    assert game._kernel == _int_kernel(ref.n, ref.m, ref._groups())
+    assert game._kernel == _int_kernel(ref.n, ref.m, groups=ref._groups())
     assert serialize_instance(game) == reference_serialize(ref)

@@ -70,6 +70,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -77,7 +78,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scg import analysis, generators
+from scg import analysis, generators, model
 from scg.analysis import (DeviationReport, EquilibriumCensus, PaymentPlan,
                           StrongDeviationReport, brute_force_optimum,
                           deviation_report, equilibrium_census, mip_check,
@@ -612,18 +613,42 @@ def test_every_table_hole_raises_the_lookups_error(game):
                           f"set {sorted(others)}"}
 
 
+def counted_builds(monkeypatch):
+    """A list that gains one entry per kernel build from here on: every
+    module of `scg` that binds `_int_kernel` calls it through a counter."""
+    builds, build = [], model._int_kernel
+
+    def counted(*args, **kwargs):
+        builds.append(args[:2])
+        return build(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "scg" and hasattr(module, "_int_kernel"):
+            monkeypatch.setattr(module, "_int_kernel", counted)
+    return builds
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 @pytest.mark.parametrize("family", ["pairwise", "omega", "hypergraph"])
-def test_additive_tables_read_as_the_generated_game(family, seed):
+def test_additive_tables_read_as_the_generated_game(family, seed,
+                                                    monkeypatch):
     """`additive_tables(game)` of a generated game of up to 6 players reads
     as the game: the same utilities and per-player readers at every
-    profile, and the same census."""
+    profile, and the same census.  It reads the game's kernel, so once
+    that is built it builds none; `random_supermodular`, which tables a
+    pairwise draw, builds one."""
     n, m = 2 + seed % 5, 1 + seed % 3
     game = {"pairwise": lambda: random_instance(n, m, seed),
             "omega": lambda: random_omega(n, m, seed),
             "hypergraph": lambda: random_hypergraph_cc(n, m, seed)[0],
             }[family]()
+    assert game._kernel is not None
+    builds = counted_builds(monkeypatch)
     tabled = additive_tables(game)
+    assert builds == []
+    if family == "pairwise":
+        random_supermodular(n, m, 1 + seed % 2, seed)
+        assert builds == [(n, m)]
     for profile in profiles_of(game):
         assert welfare(tabled, profile) == welfare(game, profile)
         assert mip_check(tabled, profile) == mip_check(game, profile)
