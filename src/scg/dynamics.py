@@ -19,11 +19,12 @@ Both schedules are event-driven over one `_Run` per run: the profile, one
 cached scaled vector per player and each player's hearers, the players
 whose vector its move can change (the game's protocol member ``_hearers``:
 the kernel's `scg.model.IntKernel.hearers`, or every player on a table).
-A move dirties its hearers' vectors and queues them as candidates in a
-min-heap, so it costs one vector per hearer when the loop next reads it,
-not a rescan of up to n players.  `sqrt2_three` shares one `_Run` between
-its sweeps and its sqrt(2) gate scan.  `strong_two`'s coalition fixpoint
-likewise re-reads only the hearers of the players a pass sends back.
+From a uniform profile (all at 1, k0 or k*) on a kernel game every vector
+starts filled in by `scg.model.IntKernel.uniform`, in O(n * m + |E|) with
+no per-neighbour Python loop.  A move dirties its hearers' vectors and
+queues them in a min-heap: one vector per hearer, not a rescan of up to n
+players.  `sqrt2_three` shares one `_Run` between its sweeps and its gate
+scan; `strong_two`'s fixpoint re-reads only hearers of players sent back.
 
 Every factor alpha, of a `MoveRule` or of an entry point, passes through
 `scg.rationals._exact_alpha`, and every step cap and starting strategy
@@ -128,11 +129,12 @@ class _Run:
     cached scaled vector per player, per player the hearers (the players
     whose vector a move by that player can change) and the log of movers.
 
-    A move marks the mover's hearers dirty; a dirty vector is recomputed
-    by ``game.scaled_utilities`` only when a loop next reads it, so a
-    table game, where every player hears every other, makes the same
-    calls as a rescan of every player would.  A vector is read against the
-    others' strategies, so the mover's own stays valid.
+    A uniform start on a kernel game fills every vector by ``uniform``, in
+    O(n * m + |E|) with no per-neighbour loop; any other vector, or one a
+    move dirties (the mover's hearers'), is read by ``scaled_utilities``
+    when a loop next reads it, so a table game, where every player hears
+    every other, makes the calls a rescan would.  A vector is read against
+    the others' strategies, so the mover's own stays valid.
     """
 
     __slots__ = ("game", "profile", "vecs", "hearers", "movers")
@@ -140,7 +142,9 @@ class _Run:
     def __init__(self, game, start):
         self.game = game
         self.profile = list(start)
-        self.vecs = [None] * game.n
+        kernel, n = game._kernel, game.n
+        self.vecs = (kernel.uniform(start[0]) if kernel is not None and n
+                     and start.count(start[0]) == n else [None] * n)
         self.hearers = game._hearers
         self.movers = []
 
@@ -178,15 +182,16 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     move pushes the mover's hearers, the only players whose eligibility it
     can change (the mover now plays a best response to the same others);
     each pop re-checks the player.  Stops at convergence, after `step_cap`
-    moves (None: no cap), or on reaching a profile seen before (within m^n
-    moves).  Works on any game with `scaled_utilities`; trusts `start`.
+    moves (None: no cap), or at a profile seen before (within m^n moves;
+    with `k0` only players at k0 move, never to k0, so no profile repeats
+    and none is kept).  Works on any game with the protocol; trusts `start`.
     """
     if step_cap is not None and _int(step_cap, "step_cap") < 1:
         raise ValueError("step_cap must be >= 1")
     scale = game.scale
     run = _Run(game, start)
     profile, hearers = run.profile, run.hearers
-    seen = {tuple(profile)}
+    seen = None if k0 is not None else {tuple(profile)}
     moves = []
     heap = list(range(game.n))
     queued = [True] * game.n
@@ -204,13 +209,14 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
         moves.append(Move(i, s, k, Fraction(u_old, scale),
                           Fraction(u_new, scale)))
         run.move(i, k)
-        terminal = tuple(profile)
         if step_cap is not None and len(moves) >= step_cap:
-            return DynamicsTrace(tuple(moves), terminal, "step-cap")
-        size = len(seen)
-        seen.add(terminal)  # hashes the n-tuple once, not for `in` too
-        if len(seen) == size:
-            return DynamicsTrace(tuple(moves), terminal, "cycle-detected")
+            return DynamicsTrace(tuple(moves), tuple(profile), "step-cap")
+        if seen is not None:
+            size = len(seen)
+            seen.add(tuple(profile))  # hashes the n-tuple once, not for `in`
+            if len(seen) == size:
+                return DynamicsTrace(tuple(moves), tuple(profile),
+                                     "cycle-detected")
         for j in hearers[i]:
             if not queued[j]:
                 queued[j] = True

@@ -505,11 +505,14 @@ class OmegaGame(_KernelGame):
                         Fraction(y, x + y).as_integer_ratio())))
         return groups
 
+    _conflicts = cached_property(lambda self: [  # (i, j), i < j, listed once
+        (i, j) for i, row in enumerate(self.labels)
+        for j in range(i + 1, self.n) if row[j] == "conflict"])
+
     def feasible(self, profile):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if profile[i] == profile[j] and self.labels[i][j] == "conflict":
-                    return False
+        for i, j in self._conflicts:
+            if profile[i] == profile[j]:
+                return False
         return True
 
 

@@ -64,7 +64,8 @@ class IntKernel(NamedTuple):
     pays i through an unanchored pair, and ``gains[i]``, aligned with it,
     i's gains; ``rest[i]``, (others, anchor, gain) for every other group
     with i.  ``rest`` is empty when there is none, as on every pairwise
-    game, and the kernel a `_GroupKernel` when there is one."""
+    game, and the kernel a `_GroupKernel` when there is one.  A run from a
+    uniform profile starts from ``uniform``'s vectors, O(n * m + |E|)."""
 
     scale: int
     rows: list
@@ -79,6 +80,13 @@ class IntKernel(NamedTuple):
         for j, gain in zip(nbrs[i], gains[i]):
             us[profile[j] - 1] += gain
         return us
+
+    def uniform(self, k):
+        """Every vector times `scale` at all-k: a row plus its gains at k."""
+        vecs = [row.copy() for row in self.rows]
+        for us, gains in zip(vecs, self.gains):
+            us[k - 1] += sum(gains)
+        return vecs
 
     @property
     def hearers(self):
@@ -99,6 +107,13 @@ class _GroupKernel(IntKernel):
             if k:
                 us[k - 1] += gain
         return us
+
+    def uniform(self, k):
+        """Plus each ``rest`` gain anchored nowhere or at k."""
+        vecs = super().uniform(k)
+        for us, groups in zip(vecs, self.rest):
+            us[k - 1] += sum([g for _, at, g in groups if at in (None, k)])
+        return vecs
 
     @property
     def hearers(self):

@@ -158,20 +158,46 @@ def path_cascade(n):
         Edge(i, i + 1, Fraction(4), Fraction(1, 2)) for i in range(n - 1)))
 
 
-def test_strong_two_rereads_only_the_hearers_of_returns():
-    """One round over a 300-player path cascade: n base reads, n first-pass
-    reads and one re-read per return, not a re-read of every member per
-    pass (45,450 reads)."""
-    g = path_cascade(300)
-    read, reads = g.scaled_utilities, []
+def counted_reads(game):
+    """The players whose vector `game.scaled_utilities` reads, in order."""
+    read, reads = game.scaled_utilities, []
 
     def counted(profile, i):
         reads.append(i)
         return read(profile, i)
 
-    vars(g)["scaled_utilities"] = counted  # shadows the cached reader
+    vars(game)["scaled_utilities"] = counted  # shadows the cached reader
+    return reads
+
+
+def test_strong_two_rereads_only_the_hearers_of_returns():
+    """One round over a 300-player path cascade: n base reads, n first-pass
+    reads and one re-read per return, not a re-read of every member per
+    pass (45,450 reads)."""
+    g = path_cascade(300)
+    reads = counted_reads(g)
     assert strong_two(g) == (1,) * g.n
     assert len(reads) <= 4 * g.n
+
+
+def test_uniform_starts_read_only_the_hearers_of_movers():
+    """A run from a uniform start takes every first vector from the
+    kernel's ``uniform``: a one-shot run in which nobody moves reads no
+    vector, and a run from all ones reads only hearers of its movers, each
+    at most once per move it hears, on a pairwise game and on one with
+    groups of three (``rest`` hearers)."""
+    stay = GameInstance(n=30, m=2, intrinsic=((2, 1),) * 30, edges=tuple(
+        Edge(i, i + 1, 1, Fraction(1, 2)) for i in range(29)))
+    reads = counted_reads(stay)
+    assert one_shot_alpha_br(stay, 1, 1)[1].moves == ()
+    assert reads == []
+    for game in (random_instance(30, 3, 1, edge_prob=Fraction(1, 10)),
+                 random_hypergraph_cc(30, 3, 1)[0]):
+        reads = counted_reads(game)
+        trace = run_dynamics(game, (1,) * game.n)
+        hearers = [game._hearers[mv.player] for mv in trace.moves]
+        assert trace.moves and len(reads) <= sum(map(len, hearers))
+        assert set(reads) <= set().union(*hearers)
 
 
 def test_three_strategy_gate_blocks_below_sqrt2():

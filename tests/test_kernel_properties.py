@@ -16,7 +16,8 @@ utilities, readers  reference_utilities           utilities, scaled_utilities,
                                                   scale, player_utility,
                                                   welfare, welfare_total,
                                                   best_response, mip_check,
-                                                  additive_tables
+                                                  additive_tables,
+                                                  IntKernel.uniform
                     reference_stats               instance_stats
                     reference_serialize           serialize_instance,
                     (from test_columns)           parse_instance
@@ -587,6 +588,32 @@ def test_readers_match_the_reference(case):
         for i, us in enumerate(vectors):
             assert reference_utilities(tabled, profile, i) == us
             assert reference_utilities(tabled, profile, i, own=True) == own[i]
+
+
+@runs(200)
+@given(games(with_tables=False)
+       | st.builds(lambda n, m, s: random_cc(n, m, s)[0], st.integers(1, 8),
+                   st.integers(1, 3), seeds))
+@example(NO_PLAYERS)
+# an anchored pair, anchored at k = 2 and elsewhere at k = 1 and 3, and an
+# unanchored group of three
+@example(REST_GROUPS)
+@example(HypergraphGame(n=3, m=1, edges=(  # anchored at the only k
+    Hyperedge((0, 1, 2), Fraction(6), (Fraction(1, 3),) * 3, anchor=1),)))
+@example(HypergraphGame(n=3, m=2, edges=(  # zero weights, anchored or not
+    Hyperedge((0, 1), Fraction(0), (Fraction(1, 2),) * 2),
+    Hyperedge((0, 1, 2), Fraction(0), (Fraction(1, 3),) * 3, anchor=2),
+    Hyperedge((1, 2), Fraction(3), (Fraction(1, 3), Fraction(2, 3)), 1))))
+@example(GameInstance(n=2, m=1, intrinsic=((2,), (0,)),
+                      edges=(Edge(1, 0, 0, 1),)))
+@example(PARALLEL_PAIRS)
+def test_uniform_vectors_are_the_readers(game):
+    """For every k, the kernel's all-k vectors are the reader's at (k,) * n:
+    a ``rest`` group pays at k only when it is anchored nowhere or at k."""
+    n = game.n
+    for k in range(1, game.m + 1):
+        assert game._kernel.uniform(k) == [
+            game.scaled_utilities((k,) * n, i) for i in range(n)]
 
 
 @pytest.mark.parametrize("game", (random_supermodular(3, 2, 2, 4),
