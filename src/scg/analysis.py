@@ -121,30 +121,30 @@ class EquilibriumCensus:
 
 
 def _deviation_report(game, profile, bonus=None):
-    """Deviation report of any game with `scaled_utilities`; trusts the
-    profile.
+    """Deviation report of any game with the protocol; trusts the profile.
 
-    ``bonus[i]``, when given, is added to player i's utility for staying
-    put and to no deviation.  A player who stays has factor 1; a Fraction
-    is built only for a player whose best reply is a move, and factors are
-    compared as the pairs (new, old) by cross-multiplication (a zero old
-    utility is +inf).
+    Every vector comes from one ``_vectors`` pass.  ``bonus[i]``, when
+    given, is added to player i's utility for staying put and to no
+    deviation.  A player whose best reply is to stay has factor 1; only
+    the players whose best reply is a move get `_best_reply` and a
+    Fraction, and factors are compared as the pairs (new, old) by
+    cross-multiplication (a zero old utility is +inf).
     """
     scale = game.scale
-    per = []
+    vecs = game._vectors(profile)
+    if bonus is not None:
+        for us, k, b in zip(vecs, profile, bonus):
+            us[k - 1] += b * scale
+    per = [(k, ONE) for k in profile]
     max_factor, witness = ONE, None
     top_new, top_old = 1, 1
-    for i, k in enumerate(profile):
-        us = game.scaled_utilities(profile, i)
-        if bonus is not None:
-            us[k - 1] += bonus[i] * scale
+    for i in [i for i, (us, k) in enumerate(zip(vecs, profile))
+              if max(us) > us[k - 1]]:
+        us, k = vecs[i], profile[i]
         best_k, best_u = _best_reply(us, k)
-        if best_k == k:
-            per.append((k, ONE))
-            continue
         u_old = us[k - 1]
         f = _factor(u_old, best_u)
-        per.append((best_k, f))
+        per[i] = (best_k, f)
         if best_u * top_old > top_new * u_old:
             max_factor, witness = f, i
             top_new, top_old = best_u, u_old
@@ -343,7 +343,7 @@ def _group_deviation(game, profile, alpha, feasible=None):
     """
     kernel, pays = _kernel_pays(game)
     home = [k - 1 for k in profile]
-    base = [game.scaled_utilities(profile, i)[k] for i, k in enumerate(home)]
+    base = [us[k] for us, k in zip(game._vectors(profile), home)]
     s = [-1] * game.n
     if kernel is None:  # no bound: the leaves are checked in full
         enter = leave = _free
@@ -455,10 +455,8 @@ def payment_stabilize(game, profile, opt_welfare):
     if opt_welfare <= 0:
         raise ValueError("optimum welfare must be positive")
     scale = game.scale
-    gaps = []
-    for i, k in enumerate(profile):
-        us = game.scaled_utilities(profile, i)
-        gaps.append(max(us) - us[k - 1])
+    gaps = [max(us) - us[k - 1] for us, k in zip(game._vectors(profile),
+                                                  profile)]
     total = Fraction(sum(gaps), scale)
     return PaymentPlan(payments=tuple(Fraction(g, scale) for g in gaps),
                        total=total, nu=total / opt_welfare)
@@ -486,7 +484,7 @@ def semi_smoothness_check(game, profile):
     cancels, and both sides are compared at the game's scale."""
     game.validate_profile(profile)
     _, opt_w = brute_force_optimum(game)
-    lhs = sum(sum(game.scaled_utilities(profile, i)) for i in range(game.n))
+    lhs = sum(map(sum, game._vectors(profile)))
     return lhs >= opt_w * game.scale
 
 

@@ -21,7 +21,8 @@ whose vector its move can change (the game's protocol member ``_hearers``:
 the kernel's `scg.model.IntKernel.hearers`, or every player on a table).
 From a uniform profile (all at 1, k0 or k*) on a kernel game every vector
 starts filled in by `scg.model.IntKernel.uniform`, in O(n * m + |E|) with
-no per-neighbour Python loop.  A move dirties its hearers' vectors and
+no per-neighbour Python loop, and the gated loop's first candidates are
+the players that can improve.  A move dirties its hearers' vectors and
 queues them in a min-heap: one vector per hearer, not a rescan of up to n
 players.  `sqrt2_three` shares one `_Run` between its sweeps and its gate
 scan; `strong_two`'s fixpoint re-reads only hearers of players sent back.
@@ -178,13 +179,16 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     whose best response clears `rule` moves (among the players still at
     `k0`, when given).
 
-    Candidates wait in a min-heap: it starts with every player, and a
-    move pushes the mover's hearers, the only players whose eligibility it
-    can change (the mover now plays a best response to the same others);
-    each pop re-checks the player.  Stops at convergence, after `step_cap`
-    moves (None: no cap), or at a profile seen before (within m^n moves;
-    with `k0` only players at k0 move, never to k0, so no profile repeats
-    and none is kept).  Works on any game with the protocol; trusts `start`.
+    Candidates wait in a min-heap: it starts with every player, or, when
+    every vector starts filled in (a uniform start on a kernel game), with
+    the players that can strictly improve, the only ones a first pop could
+    move.  A move pushes the mover's hearers, the only players whose
+    eligibility it can change (the mover now plays a best response to the
+    same others); each pop re-checks the player.  Stops at convergence,
+    after `step_cap` moves (None: no cap), or at a profile seen before
+    (within m^n moves; with `k0` only players at k0 move, never to k0, so
+    no profile repeats and none is kept).  Works on any game with the
+    protocol; trusts `start`.
     """
     if step_cap is not None and _int(step_cap, "step_cap") < 1:
         raise ValueError("step_cap must be >= 1")
@@ -192,9 +196,12 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     run = _Run(game, start)
     profile, hearers = run.profile, run.hearers
     seen = None if k0 is not None else {tuple(profile)}
-    moves = []
-    heap = list(range(game.n))
-    queued = [True] * game.n
+    moves, vecs = [], run.vecs
+    heap = (list(range(game.n)) if not vecs or vecs[0] is None else
+            [i for i, us in enumerate(vecs) if max(us) > us[profile[i] - 1]])
+    queued = [False] * game.n
+    for i in heap:
+        queued[i] = True
     while heap:
         i = heappop(heap)
         queued[i] = False
@@ -289,8 +296,7 @@ def algorithm1_two(game, start):
     _sweep(run, source=1, target=2)
     _sweep(run, source=2, target=1)
     profile = tuple(run.profile)
-    for i, k in enumerate(profile):
-        us = game.scaled_utilities(profile, i)
+    for us, k in zip(game._vectors(profile), profile):
         if max(us) > us[k - 1]:
             raise RuntimeError("two-strategy pass ended on a non-equilibrium")
     return profile

@@ -16,10 +16,13 @@ each strategy 1..m, indexed ``k - 1``, trusting the profile, which public
 entry points validate once.  Verifiers, dynamics and oracles read
 ``scaled_utilities(profile, i)``, the same vector times ``scale``, the lcm
 of every denominator, so plain ints, from an `IntKernel` built on first
-use (a table's per-player dicts).  Orders, maxima, signs and ratios do not
-depend on the scale, so callers compare scaled values directly and divide
-only for what they record.  ``welfare`` and ``player_utility`` read the
-own values, what each player gets alone (`_own_row`).
+use (a table's per-player dicts); a reader of all n vectors at one
+profile calls ``_vectors(profile)``, one pass of the kernel's ``vectors``
+(a table's reads in turn), and may change the lists.  Orders, maxima,
+signs and ratios do not depend on the scale, so callers compare scaled
+values directly and divide only for what they record.  ``welfare`` and
+``player_utility`` read the own values, what each player gets alone
+(`_own_row`).
 
 Every family also answers ``_kernel``, its `IntKernel` kept once built
 (None on a table); ``_hearers``, per player the players whose vector its
@@ -65,7 +68,8 @@ class IntKernel(NamedTuple):
     i's gains; ``rest[i]``, (others, anchor, gain) for every other group
     with i.  ``rest`` is empty when there is none, as on every pairwise
     game, and the kernel a `_GroupKernel` when there is one.  A run from a
-    uniform profile starts from ``uniform``'s vectors, O(n * m + |E|)."""
+    uniform profile starts from ``uniform``'s vectors, O(n * m + |E|); a
+    reader of all n vectors at one profile calls ``vectors``."""
 
     scale: int
     rows: list
@@ -86,6 +90,15 @@ class IntKernel(NamedTuple):
         vecs = [row.copy() for row in self.rows]
         for us, gains in zip(vecs, self.gains):
             us[k - 1] += sum(gains)
+        return vecs
+
+    def vectors(self, profile):
+        """Every vector times `scale`, in one pass; trusts the profile."""
+        at = [k - 1 for k in profile]
+        vecs = [row.copy() for row in self.rows]
+        for us, nbrs, gains in zip(vecs, self.nbrs, self.gains):
+            for j, gain in zip(nbrs, gains):
+                us[at[j]] += gain
         return vecs
 
     @property
@@ -113,6 +126,15 @@ class _GroupKernel(IntKernel):
         vecs = super().uniform(k)
         for us, groups in zip(vecs, self.rest):
             us[k - 1] += sum([g for _, at, g in groups if at in (None, k)])
+        return vecs
+
+    def vectors(self, profile):
+        """Plus each ``rest`` gain where it pays (`_pays_at`)."""
+        vecs = super().vectors(profile)
+        for us, groups in zip(vecs, self.rest):
+            for k, gain in _pays_at(profile, groups):
+                if k:
+                    us[k - 1] += gain
         return vecs
 
     @property
@@ -207,6 +229,14 @@ class _ScaledGame:
 
     def validate_profile(self, profile):
         _check_profile(self, profile)
+
+    def _vectors(self, profile):
+        """Every player's `scaled_utilities`, in new lists: the kernel's
+        ``vectors``, or a table's reads in order (the first hole raises)."""
+        kernel = self._kernel
+        if kernel is None:
+            return [self.scaled_utilities(profile, i) for i in range(self.n)]
+        return kernel.vectors(profile)
 
     def utilities(self, profile, i):
         """Player i's utility for each strategy 1..m; trusts the profile."""
@@ -409,8 +439,7 @@ def welfare(game, profile):
     """Full utility breakdown for a profile; u(s) = A(s) + P(s) exactly."""
     game.validate_profile(profile)
     scale = game.scale
-    per = [game.scaled_utilities(profile, i)[k - 1]
-           for i, k in enumerate(profile)]
+    per = [us[k - 1] for us, k in zip(game._vectors(profile), profile)]
     own = [row[k - 1] for row, k in zip(game.rows, profile)]
     coord = [u - a for u, a in zip(per, own)]
     return UtilityBreakdown(*[tuple([Fraction(u, scale) for u in us])
@@ -421,9 +450,14 @@ def welfare(game, profile):
 
 def welfare_total(game, profile):
     """Social welfare u(s), the profile validated as by `welfare`: read from
-    a `GameInstance`'s columns, building no kernel, else `welfare`'s."""
+    a `GameInstance`'s columns, building no kernel, else from `_vectors`."""
     if not isinstance(game, GameInstance):
-        return welfare(game, profile).total
+        if game._kernel is None:  # `welfare` reads a table's own values too
+            return welfare(game, profile).total
+        game.validate_profile(profile)
+        vecs = game._vectors(profile)
+        return Fraction(sum([us[k - 1] for us, k in zip(vecs, profile)]),
+                        game.scale)
     game.validate_profile(profile)
     values = [row[k - 1] for row, k in zip(game.own, profile)]
     values += [w for i, j, w in zip(game.ei, game.ej, game.w)

@@ -158,12 +158,15 @@ def path_cascade(n):
         Edge(i, i + 1, Fraction(4), Fraction(1, 2)) for i in range(n - 1)))
 
 
-def counted_reads(game):
-    """The players whose vector `game.scaled_utilities` reads, in order."""
+def counted_reads(game, at=None):
+    """The players whose vector `game.scaled_utilities` reads, in order;
+    the profiles they are read at go to the list `at`, if one is given."""
     read, reads = game.scaled_utilities, []
 
     def counted(profile, i):
         reads.append(i)
+        if at is not None:
+            at.append(tuple(profile))
         return read(profile, i)
 
     vars(game)["scaled_utilities"] = counted  # shadows the cached reader

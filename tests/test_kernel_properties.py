@@ -17,7 +17,8 @@ utilities, readers  reference_utilities           utilities, scaled_utilities,
                                                   welfare, welfare_total,
                                                   best_response, mip_check,
                                                   additive_tables,
-                                                  IntKernel.uniform
+                                                  IntKernel.uniform,
+                                                  _vectors
                     reference_stats               instance_stats
                     reference_serialize           serialize_instance,
                     (from test_columns)           parse_instance
@@ -109,6 +110,7 @@ from scg.potentials import (AuditReport, PotentialCertificate,
                             potential_delta, potential_value)
 from scg.rationals import supermodular_alpha
 from test_columns import reference_serialize
+from test_dynamics import counted_reads
 
 
 def runs(count):
@@ -616,6 +618,38 @@ def test_uniform_vectors_are_the_readers(game):
             game.scaled_utilities((k,) * n, i) for i in range(n)]
 
 
+@runs(150)
+@given(started(games()))
+@example((NO_PLAYERS, (), 1))
+# the group of three and the pair anchored at 2 pay at 2, not at 3
+@example((REST_GROUPS, (2, 2, 2, 2, 1), 1))
+@example((REST_GROUPS, (3, 3, 3, 3, 1), 1))
+@example((HypergraphGame(n=3, m=1, edges=(  # anchored at the only k
+    Hyperedge((0, 1, 2), Fraction(6), (Fraction(1, 3),) * 3, anchor=1),)),
+    (1, 1, 1), 1))
+@example((HypergraphGame(n=3, m=2, edges=(  # zero weights, anchored or not
+    Hyperedge((0, 1), Fraction(0), (Fraction(1, 2),) * 2),
+    Hyperedge((0, 1, 2), Fraction(0), (Fraction(1, 3),) * 3, anchor=2),
+    Hyperedge((1, 2), Fraction(3), (Fraction(1, 3), Fraction(2, 3)), 1))),
+    (1, 1, 1), 1))
+@example((GameInstance(n=2, m=1, intrinsic=((2,), (0,)),
+                       edges=(Edge(1, 0, 0, 1),)), (1, 1), 1))
+@example((PARALLEL_PAIRS, (2, 2, 1), 1))
+def test_vectors_are_the_readers(case):
+    """Every vector at a profile in one pass, ``_vectors``, is the reader's,
+    player by player, in new lists that a caller may change, or on a table
+    the `TableError` of the first player with a hole."""
+    game, profile, _ = case
+    vecs = outcome(game._vectors, profile)
+    assert vecs == outcome(lambda: [game.scaled_utilities(profile, i)
+                                    for i in range(game.n)])
+    if not table_error(vecs):
+        for us in vecs:
+            us[0] += 1
+        assert game._vectors(profile) == [
+            game.scaled_utilities(profile, i) for i in range(game.n)]
+
+
 @pytest.mark.parametrize("game", (random_supermodular(3, 2, 2, 4),
                                   random_supermodular(3, 3, 1, 7),
                                   triangle_game(Fraction(3, 2))))
@@ -960,6 +994,27 @@ def test_deviation_report_and_payments_match_the_reference(case, opt, extra):
     assert exact(post.max_factor, *(f for _, f in post.per_player))
 
 
+def test_reports_and_payments_read_the_vectors_in_one_pass():
+    """On a pairwise game and a hypergraph with ``rest`` groups, the report,
+    the payments, the paid report and the group check's base read no
+    vector player by player (the hypergraph's group check reads only at its
+    leaves, never at the profile), and a paid report leaves the bonus out
+    of the next report at the same profile."""
+    for game in (random_instance(9, 3, 1), random_hypergraph_cc(8, 3, 1)[0]):
+        profile = tuple(i % 3 + 1 for i in range(game.n))
+        at = []
+        reads = counted_reads(game, at)
+        plan = payment_stabilize(game, profile, 1)
+        post = post_payment_deviation_report(game, profile, plan)
+        report = deviation_report(game, profile)
+        assert reads == []
+        verify_approx_strong(game, profile, 1)
+        assert profile not in at and bool(at) == bool(game._kernel.rest)
+        assert any(plan.payments)
+        assert post == reference_report(game, profile, bonus=plan.payments)
+        assert report == reference_report(game, profile)
+
+
 # --- gated dynamics ----------------------------------------------------------
 
 
@@ -1002,6 +1057,13 @@ def reference_dynamics(game, start, alpha, k0=None, step_cap=None):
 @example((triangle_game(2), (1, 2, 3), 1), Fraction(1), None)
 @example((triangle_game(Fraction(3, 2)), (2, 1, 1), 3), Fraction(1), 3)
 @example((INT_PAIR, (1, 1), 1), Fraction(3, 2), None)
+# player 1 cannot improve at the uniform start; it moves next once player
+# 2, who hears it, moves, and again once player 0 moves: a player left out
+# of the first candidates is queued by a hearer above it and below it
+@example((GameInstance(n=3, m=3, intrinsic=((1, 0, 3), (0, 2, 2), (0, 4, 0)),
+                       edges=(Edge(0, 1, 5, Fraction(2, 5)),
+                              Edge(1, 2, 4, ONE_HALF))), (1, 1, 1), 1),
+         Fraction(1), None)
 # a sparse game as in the dynamics benchmark, with a long run
 @example((random_instance(20, 3, 1, edge_prob=Fraction(4, 19)), (1,) * 20, 2),
          Fraction(2), None)
