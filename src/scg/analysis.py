@@ -138,11 +138,11 @@ def _deviation_report(game, profile, bonus=None):
     per = [(k, ONE) for k in profile]
     max_factor, witness = ONE, None
     top_new, top_old = 1, 1
-    for i in [i for i, (us, k) in enumerate(zip(vecs, profile))
-              if max(us) > us[k - 1]]:
-        us, k = vecs[i], profile[i]
-        best_k, best_u = _best_reply(us, k)
+    for i, (us, k) in enumerate(zip(vecs, profile)):
         u_old = us[k - 1]
+        if max(us) <= u_old:
+            continue
+        best_k, best_u = _best_reply(us, k)
         f = _factor(u_old, best_u)
         per[i] = (best_k, f)
         if best_u * top_old > top_new * u_old:

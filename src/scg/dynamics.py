@@ -19,13 +19,14 @@ Both schedules are event-driven over one `_Run` per run: the profile, one
 cached scaled vector per player and each player's hearers, the players
 whose vector its move can change (the game's protocol member ``_hearers``:
 the kernel's `scg.model.IntKernel.hearers`, or every player on a table).
-From a uniform profile (all at 1, k0 or k*) on a kernel game every vector
-starts filled in by `scg.model.IntKernel.uniform`, in O(n * m + |E|) with
-no per-neighbour Python loop, and the gated loop's first candidates are
-the players that can improve.  A move dirties its hearers' vectors and
-queues them in a min-heap: one vector per hearer, not a rescan of up to n
-players.  `sqrt2_three` shares one `_Run` between its sweeps and its gate
-scan; `strong_two`'s fixpoint re-reads only hearers of players sent back.
+On a kernel game every vector starts filled in by one pass of
+`scg.model.IntKernel.vectors` (from a uniform profile, all at 1, k0 or
+k*, in O(n * m + |E|) with no per-neighbour Python loop), and the gated
+loop's first candidates are the players that can improve.  A move
+dirties its hearers' vectors and queues them in a min-heap: one vector
+per hearer, not a rescan of up to n players.  `sqrt2_three` shares one
+`_Run` between its sweeps and its gate scan; `strong_two`'s fixpoint
+re-reads only hearers of players sent back.
 
 Every factor alpha, of a `MoveRule` or of an entry point, passes through
 `scg.rationals._exact_alpha`, and every step cap and starting strategy
@@ -130,12 +131,12 @@ class _Run:
     cached scaled vector per player, per player the hearers (the players
     whose vector a move by that player can change) and the log of movers.
 
-    A uniform start on a kernel game fills every vector by ``uniform``, in
-    O(n * m + |E|) with no per-neighbour loop; any other vector, or one a
-    move dirties (the mover's hearers'), is read by ``scaled_utilities``
-    when a loop next reads it, so a table game, where every player hears
-    every other, makes the calls a rescan would.  A vector is read against
-    the others' strategies, so the mover's own stays valid.
+    On a kernel game every vector starts filled in by the kernel's
+    ``vectors``; on a table, or once a move dirties it (the mover's
+    hearers'), a vector is read by ``scaled_utilities`` when a loop next
+    reads it, so a table game, where every player hears every other, makes
+    the calls a rescan would.  A vector is read against the others'
+    strategies, so the mover's own stays valid.
     """
 
     __slots__ = ("game", "profile", "vecs", "hearers", "movers")
@@ -143,9 +144,9 @@ class _Run:
     def __init__(self, game, start):
         self.game = game
         self.profile = list(start)
-        kernel, n = game._kernel, game.n
-        self.vecs = (kernel.uniform(start[0]) if kernel is not None and n
-                     and start.count(start[0]) == n else [None] * n)
+        kernel = game._kernel
+        self.vecs = ([None] * game.n if kernel is None else
+                     kernel.vectors(start))
         self.hearers = game._hearers
         self.movers = []
 
@@ -179,10 +180,10 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     whose best response clears `rule` moves (among the players still at
     `k0`, when given).
 
-    Candidates wait in a min-heap: it starts with every player, or, when
-    every vector starts filled in (a uniform start on a kernel game), with
-    the players that can strictly improve, the only ones a first pop could
-    move.  A move pushes the mover's hearers, the only players whose
+    Candidates wait in a min-heap: it starts with every player on a
+    table, or with the players that can strictly improve, the only ones a
+    first pop could move, when every vector starts filled in (a kernel
+    game).  A move pushes the mover's hearers, the only players whose
     eligibility it can change (the mover now plays a best response to the
     same others); each pop re-checks the player.  Stops at convergence,
     after `step_cap` moves (None: no cap), or at a profile seen before
@@ -197,7 +198,7 @@ def _gated_dynamics(game, start, rule, k0=None, step_cap=None):
     profile, hearers = run.profile, run.hearers
     seen = None if k0 is not None else {tuple(profile)}
     moves, vecs = [], run.vecs
-    heap = (list(range(game.n)) if not vecs or vecs[0] is None else
+    heap = (list(range(game.n)) if game._kernel is None else
             [i for i, us in enumerate(vecs) if max(us) > us[profile[i] - 1]])
     queued = [False] * game.n
     for i in heap:

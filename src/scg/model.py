@@ -67,9 +67,9 @@ class IntKernel(NamedTuple):
     pays i through an unanchored pair, and ``gains[i]``, aligned with it,
     i's gains; ``rest[i]``, (others, anchor, gain) for every other group
     with i.  ``rest`` is empty when there is none, as on every pairwise
-    game, and the kernel a `_GroupKernel` when there is one.  A run from a
-    uniform profile starts from ``uniform``'s vectors, O(n * m + |E|); a
-    reader of all n vectors at one profile calls ``vectors``."""
+    game, and the kernel a `_GroupKernel` when there is one.  A reader of
+    all n vectors at one profile calls ``vectors``: O(n * m + |E|), with no
+    per-neighbour loop at a uniform profile."""
 
     scale: int
     rows: list
@@ -85,17 +85,16 @@ class IntKernel(NamedTuple):
             us[profile[j] - 1] += gain
         return us
 
-    def uniform(self, k):
-        """Every vector times `scale` at all-k: a row plus its gains at k."""
-        vecs = [row.copy() for row in self.rows]
-        for us, gains in zip(vecs, self.gains):
-            us[k - 1] += sum(gains)
-        return vecs
-
     def vectors(self, profile):
-        """Every vector times `scale`, in one pass; trusts the profile."""
-        at = [k - 1 for k in profile]
+        """Every vector times `scale`, in one pass; trusts the profile.  At
+        all-k each is a row plus its gains at k, with no per-neighbour loop."""
         vecs = [row.copy() for row in self.rows]
+        if profile and profile.count(profile[0]) == len(profile):
+            k = profile[0] - 1
+            for us, gains in zip(vecs, self.gains):
+                us[k] += sum(gains)
+            return vecs
+        at = [k - 1 for k in profile]
         for us, nbrs, gains in zip(vecs, self.nbrs, self.gains):
             for j, gain in zip(nbrs, gains):
                 us[at[j]] += gain
@@ -120,13 +119,6 @@ class _GroupKernel(IntKernel):
             if k:
                 us[k - 1] += gain
         return us
-
-    def uniform(self, k):
-        """Plus each ``rest`` gain anchored nowhere or at k."""
-        vecs = super().uniform(k)
-        for us, groups in zip(vecs, self.rest):
-            us[k - 1] += sum([g for _, at, g in groups if at in (None, k)])
-        return vecs
 
     def vectors(self, profile):
         """Plus each ``rest`` gain where it pays (`_pays_at`)."""
@@ -450,14 +442,9 @@ def welfare(game, profile):
 
 def welfare_total(game, profile):
     """Social welfare u(s), the profile validated as by `welfare`: read from
-    a `GameInstance`'s columns, building no kernel, else from `_vectors`."""
+    a `GameInstance`'s columns, building no kernel, else `welfare`'s."""
     if not isinstance(game, GameInstance):
-        if game._kernel is None:  # `welfare` reads a table's own values too
-            return welfare(game, profile).total
-        game.validate_profile(profile)
-        vecs = game._vectors(profile)
-        return Fraction(sum([us[k - 1] for us, k in zip(vecs, profile)]),
-                        game.scale)
+        return welfare(game, profile).total
     game.validate_profile(profile)
     values = [row[k - 1] for row, k in zip(game.own, profile)]
     values += [w for i, j, w in zip(game.ei, game.ej, game.w)

@@ -185,7 +185,7 @@ def test_strong_two_rereads_only_the_hearers_of_returns():
 
 def test_uniform_starts_read_only_the_hearers_of_movers():
     """A run from a uniform start takes every first vector from the
-    kernel's ``uniform``: a one-shot run in which nobody moves reads no
+    kernel's ``vectors``: a one-shot run in which nobody moves reads no
     vector, and a run from all ones reads only hearers of its movers, each
     at most once per move it hears, on a pairwise game and on one with
     groups of three (``rest`` hearers)."""

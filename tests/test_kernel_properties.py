@@ -17,7 +17,7 @@ utilities, readers  reference_utilities           utilities, scaled_utilities,
                                                   welfare, welfare_total,
                                                   best_response, mip_check,
                                                   additive_tables,
-                                                  IntKernel.uniform,
+                                                  IntKernel.vectors,
                                                   _vectors
                     reference_stats               instance_stats
                     reference_serialize           serialize_instance,
@@ -610,11 +610,11 @@ def test_readers_match_the_reference(case):
                       edges=(Edge(1, 0, 0, 1),)))
 @example(PARALLEL_PAIRS)
 def test_uniform_vectors_are_the_readers(game):
-    """For every k, the kernel's all-k vectors are the reader's at (k,) * n:
-    a ``rest`` group pays at k only when it is anchored nowhere or at k."""
+    """For every k, the kernel's vectors at (k,) * n are the reader's: a
+    ``rest`` group pays at k only when it is anchored nowhere or at k."""
     n = game.n
     for k in range(1, game.m + 1):
-        assert game._kernel.uniform(k) == [
+        assert game._kernel.vectors((k,) * n) == [
             game.scaled_utilities((k,) * n, i) for i in range(n)]
 
 
@@ -801,18 +801,6 @@ def test_optimum_and_census_match_the_reference(game, alpha):
             lhs >= census.opt_welfare)
 
 
-def counted_vectors(game):
-    """A stand-in for `game.scaled_utilities` on this one game that counts
-    its calls, and the list holding the count."""
-    calls, read = [0], game.scaled_utilities
-
-    def counting(profile, i):
-        calls[0] += 1
-        return read(profile, i)
-    object.__setattr__(game, "scaled_utilities", counting)
-    return calls
-
-
 @pytest.mark.parametrize("make", [
     lambda: random_supermodular(6, 3, 2, 1),
     lambda: random_hypergraph_cc(8, 3, 1)[0],
@@ -825,13 +813,13 @@ def test_flat_census_reads_each_vector_once(make, alpha):
     profile, n * m**n calls in all, for its equilibria and its optimum
     together; so does the optimum alone, which is the census's."""
     game = dataclasses.replace(make())  # a copy: the stand-in is per game
-    calls = counted_vectors(game)
+    reads = counted_reads(game)
     census = equilibrium_census(game, alpha)
-    assert calls[0] == game.n * game.m ** game.n
-    calls[0] = 0
+    assert len(reads) == game.n * game.m ** game.n
+    reads.clear()
     assert brute_force_optimum(game) == (census.opt_profile,
                                          census.opt_welfare)
-    assert calls[0] == game.n * game.m ** game.n
+    assert len(reads) == game.n * game.m ** game.n
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(3, 2), Fraction(2)])
